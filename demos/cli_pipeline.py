@@ -34,8 +34,8 @@ cam = tk.CameraModel.simple(fx=320, fy=320, cx=160, cy=120, width=320, height=24
 t = np.linspace(0.0, 2.0, 201)
 pos = np.stack([0.15 * t, -0.05 * t, 1.0 + 0.25 * t], axis=1)
 gripper = (t >= 1.5).astype(int)
-bundle = tk.DenseTrajectory.from_arrays(t, pos, np.zeros((201, 3)), gripper,
-                                        tk.Frame.CAMERA)
+bundle = tk.DenseTrajectory(t, pos, np.zeros((201, 3)), gripper,
+                            tk.Frame.CAMERA)
 fileio.save_bundle(bundle, cam, work / "demo.json")
 
 cli("keyframes", "--input", work / "demo.json", "--alpha", "2.0",
@@ -56,9 +56,8 @@ for name in tk.REPORT_ROW_NAMES:
 
 # closed-loop scenario through the file interface
 plan, _ = fileio.load_sparse_bundle(work / "sparse.json")
-world_plan = tk.SparseTrajectory(
-    tuple(tk.TimedSample(w.t, w.pose, w.gripper) for w in plan.waypoints),
-    plan.keyframe_flags, tk.Frame.WORLD)
+world_plan = tk.SparseTrajectory(plan.times, plan.positions, plan.eulers, plan.grippers,
+                                 plan.keyframe_flags, tk.Frame.WORLD)
 scenario = tk.Scenario(world_plan, (tk.Perturbation(1.0, [0.0, 0.01, 0.0]),),
                        replan_interval=0.5, control_rate=100.0, duration=2.0)
 fileio.save_scenario(scenario, work / "scenario.json")

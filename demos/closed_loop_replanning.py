@@ -15,10 +15,9 @@ import trajkit as tk
 # straight-line plan: 1 m along +x over 10 s, waypoints every second
 n = 11
 t = np.arange(n, dtype=float)
-plan = tk.SparseTrajectory(
-    tuple(tk.TimedSample(float(ti), tk.Pose([0.1 * ti, 0.0, 0.0], [0, 0, 0]), 0)
-          for ti in t),
-    (True,) * n, tk.Frame.WORLD)
+positions = np.stack([0.1 * t, np.zeros(n), np.zeros(n)], axis=1)
+plan = tk.SparseTrajectory(t, positions, np.zeros((n, 3)), np.zeros(n, dtype=int),
+                           (True,) * n, tk.Frame.WORLD)
 
 shift = tk.Perturbation(time=3.0, offset=[0.0, 0.02, 0.0])
 

@@ -15,7 +15,7 @@ import trajkit as tk
 # dense helix; sample count chosen so every tested grid lands on samples
 n = 8893
 t = np.linspace(0.0, 2.0 * np.pi, n)
-helix = tk.DenseTrajectory.from_arrays(
+helix = tk.DenseTrajectory(
     t, np.stack([np.sin(t), np.cos(t), 0.3 * t], axis=1),
     np.zeros((n, 3)), np.zeros(n, dtype=int), tk.Frame.WORLD)
 

@@ -30,7 +30,7 @@ for velocity, duration, grip in segments:
     grippers[-1] = grip
 
 n = len(times)
-demo = tk.DenseTrajectory.from_arrays(
+demo = tk.DenseTrajectory(
     np.array(times), np.array(positions), np.zeros((n, 3)),
     np.array(grippers), tk.Frame.WORLD)
 

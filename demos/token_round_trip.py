@@ -23,11 +23,9 @@ pixels_v = np.linspace(130.0, 110.0, n)
 points = np.array([tk.back_project(u, v, d, cam)
                    for u, v, d in zip(pixels_u, pixels_v, depths)])
 eulers = np.stack([np.zeros(n), np.zeros(n), np.linspace(0.0, 0.6, n)], axis=1)
-waypoints = tuple(
-    tk.TimedSample(float(i), tk.Pose(points[i], eulers[i]), int(i >= n - 2))
-    for i in range(n)
-)
-sparse = tk.SparseTrajectory(waypoints, (True,) * n, tk.Frame.CAMERA)
+grippers = (np.arange(n) >= n - 2).astype(int)
+sparse = tk.SparseTrajectory(np.arange(n, dtype=float), points, eulers, grippers,
+                             (True,) * n, tk.Frame.CAMERA)
 
 anchor = tk.Anchor(170.0, 120.0, 1.2, tk.DepthSource.SENSOR)
 spec = tk.QuantizationSpec.for_camera(cam)

@@ -8,12 +8,13 @@ plot-data. Every run is deterministic for fixed inputs. Exit codes:
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import fileio
 from .errors import SchemaError, TrajkitError
-from .geometry import CameraModel, Frame, Pose, TimedSample, camera_to_world
+from .geometry import CameraModel, Frame, camera_to_world
 from .keyframes import SparseTrajectory, insert_sub_keyframes, select_keyframes
 from .metrics import full_report
 from .simulate import run as run_scenario
@@ -115,11 +116,7 @@ def _cmd_tokenize(args) -> int:
 
 
 def _retime(sparse: SparseTrajectory, segment_duration: float) -> SparseTrajectory:
-    waypoints = tuple(
-        TimedSample(i * segment_duration, w.pose, w.gripper)
-        for i, w in enumerate(sparse.waypoints)
-    )
-    return SparseTrajectory(waypoints, sparse.keyframe_flags, sparse.frame)
+    return replace(sparse, times=np.arange(len(sparse)) * segment_duration)
 
 
 def _to_world(sparse: SparseTrajectory, cam: CameraModel) -> SparseTrajectory:
@@ -128,12 +125,8 @@ def _to_world(sparse: SparseTrajectory, cam: CameraModel) -> SparseTrajectory:
     Orientation tokens are treated as already expressed in the target
     convention and pass through unchanged.
     """
-    waypoints = tuple(
-        TimedSample(w.t, Pose(camera_to_world(w.pose.position, cam), w.pose.euler_xyz),
-                    w.gripper)
-        for w in sparse.waypoints
-    )
-    return SparseTrajectory(waypoints, sparse.keyframe_flags, Frame.WORLD)
+    positions = [camera_to_world(p, cam) for p in sparse.positions]
+    return replace(sparse, positions=positions, frame=Frame.WORLD)
 
 
 def _cmd_detokenize(args) -> int:

@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from .errors import SchemaError
-from .geometry import CameraModel, DenseTrajectory, Frame, Pose, TimedSample
+from .geometry import CameraModel, DenseTrajectory, Frame, SampleError
 from .keyframes import SparseTrajectory
 from .metrics import MetricReport
 from .simulate import ExecutionLog, Perturbation, ReplanEvent, Scenario
@@ -65,72 +65,106 @@ def _read_json(path) -> dict:
     return data
 
 
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _get(obj: dict, key: str, kind, path: str, optional: bool = False):
     if key not in obj:
         if optional:
             return None
-        raise SchemaError(f"{path}.{key}" if path else key, "missing required field")
+        raise SchemaError(_join(path, key), "missing required field")
     value = obj[key]
-    full = f"{path}.{key}" if path else key
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(full, f"expected a number, got {type(value).__name__}")
+            raise SchemaError(_join(path, key), f"expected a number, got {type(value).__name__}")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(full, f"expected an integer, got {type(value).__name__}")
+            raise SchemaError(_join(path, key), f"expected an integer, got {type(value).__name__}")
         return value
     if not isinstance(value, kind):
-        raise SchemaError(full, f"expected {kind.__name__}, got {type(value).__name__}")
+        raise SchemaError(_join(path, key),
+                          f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
-def _number_list(obj: dict, key: str, n: int, path: str) -> list:
+def _number_list(obj: dict, key: str, n: int, path: str, kind=float) -> list:
+    """Exactly n JSON numbers (integers only when ``kind`` is int)."""
     values = _get(obj, key, list, path)
-    full = f"{path}.{key}" if path else key
     if len(values) != n:
-        raise SchemaError(full, f"expected {n} numbers, got {len(values)}")
-    out = []
+        raise SchemaError(_join(path, key), f"expected {n} numbers, got {len(values)}")
+    allowed = (int, float) if kind is float else int
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{full}[{i}]", "expected a number")
-        out.append(float(v))
-    return out
+        if isinstance(v, bool) or not isinstance(v, allowed):
+            noun = "a number" if kind is float else "an integer"
+            raise SchemaError(f"{_join(path, key)}[{i}]", f"expected {noun}")
+    return [kind(v) for v in values]
 
 
 def _check_version(data: dict, path: str) -> None:
     version = _get(data, "version", int, path)
     if version != FORMAT_VERSION:
-        raise SchemaError(f"{path}.version" if path else "version",
-                          f"unsupported version {version}")
+        raise SchemaError(_join(path, "version"), f"unsupported version {version}")
 
 
 # ---------------------------------------------------------------------------
-# trajectory bundles
+# trajectories: one samples parser and writer for bundles, scenarios and logs
 
 
-def _sample_to_dict(s: TimedSample) -> dict:
-    return {
-        "t": s.t,
-        "pos": [float(x) for x in s.pose.position],
-        "euler_xyz": [float(x) for x in s.pose.euler_xyz],
-        "gripper": s.gripper,
-    }
+def _samples_payload(traj) -> list:
+    return [
+        {"t": t, "pos": pos, "euler_xyz": euler, "gripper": gripper}
+        for t, pos, euler, gripper in zip(traj.times.tolist(), traj.positions.tolist(),
+                                          traj.eulers.tolist(), traj.grippers.tolist())
+    ]
 
 
-def _sample_from_dict(obj, path: str) -> TimedSample:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    t = _get(obj, "t", float, path)
-    pos = _number_list(obj, "pos", 3, path)
-    euler = _number_list(obj, "euler_xyz", 3, path)
-    gripper = _get(obj, "gripper", int, path)
-    if gripper not in (0, 1):
-        raise SchemaError(f"{path}.gripper", f"must be 0 or 1, got {gripper}")
+def _frame(obj: dict, path: str) -> Frame:
+    value = _get(obj, "frame", str, path)
     try:
-        return TimedSample(t, Pose(pos, euler), gripper)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+        return Frame(value)
+    except ValueError:
+        raise SchemaError(_join(path, "frame"), f"must be 'camera' or 'world', got {value!r}")
+
+
+def _parse_trajectory(obj: dict, path: str, frame: Frame, sparse: bool):
+    """The ``samples`` (and for sparse, ``keyframe_flags``) of ``obj`` as a
+    DenseTrajectory or SparseTrajectory.
+
+    Field types are checked per sample; values (finiteness, time order,
+    sample count) are checked on whole columns by the trajectory
+    constructor, whose first bad index becomes the error path.
+    """
+    samples_path = _join(path, "samples")
+    times, positions, eulers, grippers = [], [], [], []
+    for i, s in enumerate(_get(obj, "samples", list, path)):
+        spath = f"{samples_path}[{i}]"
+        if not isinstance(s, dict):
+            raise SchemaError(spath, "expected an object")
+        times.append(_get(s, "t", float, spath))
+        positions.append(_number_list(s, "pos", 3, spath))
+        eulers.append(_number_list(s, "euler_xyz", 3, spath))
+        gripper = _get(s, "gripper", int, spath)
+        if gripper not in (0, 1):
+            raise SchemaError(f"{spath}.gripper", f"must be 0 or 1, got {gripper}")
+        grippers.append(gripper)
+    if sparse:
+        flags_path = _join(path, "keyframe_flags")
+        flags = _get(obj, "keyframe_flags", list, path)
+        if len(flags) != len(times):
+            raise SchemaError(flags_path, "length does not match samples")
+        for i, f in enumerate(flags):
+            if not isinstance(f, bool):
+                raise SchemaError(f"{flags_path}[{i}]", "expected a boolean")
+    try:
+        if sparse:
+            return SparseTrajectory(times, positions, eulers, grippers, flags, frame)
+        return DenseTrajectory(times, positions, eulers, grippers, frame)
+    except SampleError as exc:
+        where = samples_path if exc.index is None else f"{samples_path}[{exc.index}]"
+        raise SchemaError(where if exc.field is None else f"{where}.{exc.field}",
+                          str(exc)) from exc
 
 
 def _camera_to_dict(cam: CameraModel) -> dict:
@@ -155,33 +189,25 @@ def _camera_from_dict(obj, path: str) -> CameraModel:
         raise SchemaError(path, str(exc)) from exc
 
 
-def _bundle_payload(samples, frame: Frame, cam, meta, keyframe_flags=None,
-                    end_velocities=None) -> dict:
+def _bundle_payload(traj, cam, meta, keyframe_flags=None) -> dict:
     payload = {
         "version": FORMAT_VERSION,
-        "frame": frame.value,
+        "frame": traj.frame.value,
         "units": dict(_UNITS),
     }
     if cam is not None:
         payload["camera"] = _camera_to_dict(cam)
-    payload["samples"] = [_sample_to_dict(s) for s in samples]
+    payload["samples"] = _samples_payload(traj)
     if keyframe_flags is not None:
-        payload["keyframe_flags"] = [bool(f) for f in keyframe_flags]
-    if end_velocities is not None:
-        v0, v1 = end_velocities
-        payload["end_velocities"] = [[float(x) for x in v0], [float(x) for x in v1]]
+        payload["keyframe_flags"] = list(keyframe_flags)
     if meta is not None:
         payload["meta"] = meta
     return payload
 
 
-def _parse_bundle(data: dict):
+def _parse_bundle(data: dict, sparse: bool) -> tuple:
     _check_version(data, "")
-    frame_str = _get(data, "frame", str, "")
-    try:
-        frame = Frame(frame_str)
-    except ValueError:
-        raise SchemaError("frame", f"must be 'camera' or 'world', got {frame_str!r}")
+    frame = _frame(data, "")
     units = _get(data, "units", dict, "")
     for key, expected in _UNITS.items():
         if units.get(key) != expected:
@@ -191,68 +217,26 @@ def _parse_bundle(data: dict):
         cam = _camera_from_dict(data["camera"], "camera")
     if frame is Frame.CAMERA and cam is None:
         raise SchemaError("camera", "required when frame is 'camera'")
-    raw_samples = _get(data, "samples", list, "")
-    samples = [_sample_from_dict(s, f"samples[{i}]") for i, s in enumerate(raw_samples)]
-    times = [s.t for s in samples]
-    for i in range(1, len(times)):
-        if times[i] <= times[i - 1]:
-            raise SchemaError(f"samples[{i}].t", "timestamps must be strictly increasing")
-    return samples, frame, cam
+    return _parse_trajectory(data, "", frame, sparse), cam
 
 
 def save_bundle(traj: DenseTrajectory, cam: CameraModel | None, path, meta=None) -> None:
-    _write_json(_bundle_payload(traj.samples, traj.frame, cam, meta), path)
+    _write_json(_bundle_payload(traj, cam, meta), path)
 
 
 def load_bundle(path) -> tuple:
     """Load a dense trajectory bundle -> (DenseTrajectory, CameraModel | None)."""
-    samples, frame, cam = _parse_bundle(_read_json(path))
-    if len(samples) < 2:
-        raise SchemaError("samples", f"need >= 2 samples, got {len(samples)}")
-    return DenseTrajectory(tuple(samples), frame), cam
+    return _parse_bundle(_read_json(path), sparse=False)
 
 
 def save_sparse_bundle(sparse: SparseTrajectory, cam: CameraModel | None, path,
-                       meta=None, end_velocities=None) -> None:
-    """Write a sparse bundle; optional ``end_velocities`` (v0, v1) are stored
-    as detokenizer hints enabling clamped-end refits downstream."""
-    _write_json(
-        _bundle_payload(sparse.waypoints, sparse.frame, cam, meta,
-                        keyframe_flags=sparse.keyframe_flags,
-                        end_velocities=end_velocities),
-        path,
-    )
+                       meta=None) -> None:
+    _write_json(_bundle_payload(sparse, cam, meta, sparse.keyframe_flags), path)
 
 
 def load_sparse_bundle(path) -> tuple:
     """Load a sparse trajectory bundle -> (SparseTrajectory, CameraModel | None)."""
-    data = _read_json(path)
-    samples, frame, cam = _parse_bundle(data)
-    flags = _get(data, "keyframe_flags", list, "")
-    if len(flags) != len(samples):
-        raise SchemaError("keyframe_flags", "length does not match samples")
-    for i, f in enumerate(flags):
-        if not isinstance(f, bool):
-            raise SchemaError(f"keyframe_flags[{i}]", "expected a boolean")
-    return SparseTrajectory(tuple(samples), tuple(flags), frame), cam
-
-
-def read_end_velocities(path) -> tuple | None:
-    """Detokenizer end-slope hints from a sparse bundle, if present."""
-    data = _read_json(path)
-    if "end_velocities" not in data:
-        return None
-    raw = _get(data, "end_velocities", list, "")
-    if len(raw) != 2:
-        raise SchemaError("end_velocities", "expected two 3-vectors")
-    pair = []
-    for i, v in enumerate(raw):
-        path_i = f"end_velocities[{i}]"
-        if not isinstance(v, list) or len(v) != 3 or any(
-                isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
-            raise SchemaError(path_i, "expected a 3-vector of numbers")
-        pair.append(np.array([float(x) for x in v]))
-    return pair[0], pair[1]
+    return _parse_bundle(_read_json(path), sparse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +317,14 @@ def load_token_file(path) -> TokenSequence:
         bpath = f"blocks[{i}]"
         if not isinstance(b, dict):
             raise SchemaError(bpath, "expected an object")
-        r = _number_list(b, "r", 3, bpath)
+        r = _number_list(b, "r", 3, bpath, int)
         try:
             blocks.append(TokenBlock(
                 _get(b, "d", int, bpath),
                 _get(b, "u", int, bpath),
                 _get(b, "v", int, bpath),
                 _get(b, "g", int, bpath),
-                tuple(int(x) for x in r),
+                tuple(r),
             ))
         except ValueError as exc:
             raise SchemaError(bpath, str(exc)) from exc
@@ -360,8 +344,8 @@ def save_scenario(scenario: Scenario, path) -> None:
         "version": FORMAT_VERSION,
         "initial_plan": {
             "frame": plan.frame.value,
-            "samples": [_sample_to_dict(s) for s in plan.waypoints],
-            "keyframe_flags": [bool(f) for f in plan.keyframe_flags],
+            "samples": _samples_payload(plan),
+            "keyframe_flags": list(plan.keyframe_flags),
         },
         "perturbations": [
             {"time": p.time, "offset": [float(x) for x in p.offset]}
@@ -380,22 +364,8 @@ def load_scenario(path) -> Scenario:
     data = _read_json(path)
     _check_version(data, "")
     plan_obj = _get(data, "initial_plan", dict, "")
-    frame_str = _get(plan_obj, "frame", str, "initial_plan")
-    try:
-        frame = Frame(frame_str)
-    except ValueError:
-        raise SchemaError("initial_plan.frame", f"unknown frame {frame_str!r}")
-    raw = _get(plan_obj, "samples", list, "initial_plan")
-    samples = [
-        _sample_from_dict(s, f"initial_plan.samples[{i}]") for i, s in enumerate(raw)
-    ]
-    flags = _get(plan_obj, "keyframe_flags", list, "initial_plan")
-    if len(flags) != len(samples):
-        raise SchemaError("initial_plan.keyframe_flags", "length does not match samples")
-    try:
-        plan = SparseTrajectory(tuple(samples), tuple(bool(f) for f in flags), frame)
-    except ValueError as exc:
-        raise SchemaError("initial_plan", str(exc)) from exc
+    plan = _parse_trajectory(plan_obj, "initial_plan", _frame(plan_obj, "initial_plan"),
+                             sparse=True)
     perts = []
     for i, p in enumerate(_get(data, "perturbations", list, "")):
         ppath = f"perturbations[{i}]"
@@ -410,8 +380,9 @@ def load_scenario(path) -> Scenario:
             replan_interval=_get(data, "replan_interval", float, ""),
             control_rate=_get(data, "control_rate", float, ""),
             duration=_get(data, "duration", float, ""),
-            replan_enabled=bool(data.get("replan_enabled", True)),
-            delayed_planner=bool(data.get("delayed_planner", False)),
+            # an absent flag keeps its default
+            replan_enabled=_get(data, "replan_enabled", bool, "", optional=True) is not False,
+            delayed_planner=_get(data, "delayed_planner", bool, "", optional=True) is True,
         )
     except ValueError as exc:
         raise SchemaError("", str(exc)) from exc
@@ -422,7 +393,7 @@ def save_execution_log(log: ExecutionLog, path) -> None:
         "version": FORMAT_VERSION,
         "commanded": {
             "frame": log.commanded.frame.value,
-            "samples": [_sample_to_dict(s) for s in log.commanded.samples],
+            "samples": _samples_payload(log.commanded),
         },
         "replan_events": [
             {
@@ -443,27 +414,21 @@ def load_execution_log(path) -> ExecutionLog:
     data = _read_json(path)
     _check_version(data, "")
     cmd = _get(data, "commanded", dict, "")
-    frame = Frame(_get(cmd, "frame", str, "commanded"))
-    samples = [
-        _sample_from_dict(s, f"commanded.samples[{i}]")
-        for i, s in enumerate(_get(cmd, "samples", list, "commanded"))
-    ]
+    commanded = _parse_trajectory(cmd, "commanded", _frame(cmd, "commanded"), sparse=False)
     events = []
     for i, e in enumerate(_get(data, "replan_events", list, "")):
         epath = f"replan_events[{i}]"
+        if not isinstance(e, dict):
+            raise SchemaError(epath, "expected an object")
         gamma = e.get("gamma_at_kstar")
         events.append(ReplanEvent(
             _get(e, "time", float, epath),
             _get(e, "dropped_count", int, epath),
-            math.nan if gamma is None else float(gamma),
+            math.nan if gamma is None else _get(e, "gamma_at_kstar", float, epath),
             _get(e, "kstar", int, epath),
-            bool(_get(e, "kstar_dropped", bool, epath)),
+            _get(e, "kstar_dropped", bool, epath),
         ))
-    return ExecutionLog(
-        DenseTrajectory(tuple(samples), frame),
-        tuple(events),
-        _get(data, "final_error", float, ""),
-    )
+    return ExecutionLog(commanded, tuple(events), _get(data, "final_error", float, ""))
 
 
 def save_metric_report(report: MetricReport, path) -> None:

@@ -67,10 +67,6 @@ class Pose:
         object.__setattr__(self, "position", _as_vector(self.position, 3, "position"))
         object.__setattr__(self, "euler_xyz", _as_vector(self.euler_xyz, 3, "euler_xyz"))
 
-    def as_vector(self) -> np.ndarray:
-        """Stacked [x, y, z, rx, ry, rz] representation."""
-        return np.concatenate([self.position, self.euler_xyz])
-
 
 @dataclass(frozen=True)
 class UnitQuaternion:
@@ -207,53 +203,79 @@ class TimedSample:
         object.__setattr__(self, "gripper", int(self.gripper))
 
 
+class SampleError(ValueError):
+    """A trajectory column is invalid at sample ``index``.
+
+    ``index`` is None when the columns as a whole are wrong (shapes,
+    sample count); ``field`` names the per-sample field at fault ("t" or
+    "gripper"), or is None for a non-finite value.
+    """
+
+    def __init__(self, message: str, index: int | None = None, field: str | None = None):
+        self.index = index
+        self.field = field
+        super().__init__(message)
+
+
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def trajectory_columns(times, positions, eulers, grippers, min_samples: int) -> tuple:
+    """Validate trajectory columns once and return them as read-only arrays.
+
+    Returns ``(times (N,), positions (N, 3), eulers (N, 3), grippers (N,))``
+    as float, float, float and int arrays. Every value must be finite,
+    grippers must be 0 or 1, times strictly increasing, and N >= min_samples;
+    a violation raises :class:`SampleError` naming the first bad sample.
+    """
+    t = np.array(times, dtype=float)
+    p = np.array(positions, dtype=float)
+    e = np.array(eulers, dtype=float)
+    g = np.asarray(grippers)
+    n = t.size
+    if n < min_samples:
+        raise SampleError(f"trajectory needs >= {min_samples} samples, got {n}")
+    if t.shape != (n,) or p.shape != (n, 3) or e.shape != (n, 3) or g.shape != (n,):
+        raise SampleError(
+            f"column shapes do not match: times {t.shape}, positions {p.shape}, "
+            f"eulers {e.shape}, grippers {g.shape}"
+        )
+    i = _first(~(np.isfinite(t) & np.isfinite(p).all(axis=1) & np.isfinite(e).all(axis=1)))
+    if i is not None:
+        raise SampleError(f"sample {i} is not finite", i)
+    i = _first((g != 0) & (g != 1))
+    if i is not None:
+        raise SampleError(f"gripper must be 0 or 1, got {g[i]}", i, "gripper")
+    i = _first(np.diff(t) <= 0)
+    if i is not None:
+        raise SampleError("timestamps must be strictly increasing", i + 1, "t")
+    g = g.astype(int)
+    for column in (t, p, e, g):
+        column.flags.writeable = False
+    return t, p, e, g
+
+
 @dataclass(frozen=True)
 class DenseTrajectory:
-    """Ordered, strictly-increasing-time sequence of end-effector samples."""
+    """Ordered, strictly-increasing-time end-effector samples, stored as columns."""
 
-    samples: tuple
+    times: np.ndarray  # (N,)
+    positions: np.ndarray  # (N, 3)
+    eulers: np.ndarray  # (N, 3)
+    grippers: np.ndarray  # (N,) of {0, 1}
     frame: Frame
 
     def __post_init__(self):
-        samples = tuple(self.samples)
-        if len(samples) < 2:
-            raise ValueError(f"trajectory needs >= 2 samples, got {len(samples)}")
-        times = np.array([s.t for s in samples])
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("timestamps must be strictly increasing")
-        object.__setattr__(self, "samples", samples)
+        columns = trajectory_columns(self.times, self.positions, self.eulers,
+                                     self.grippers, min_samples=2)
+        for name, column in zip(("times", "positions", "eulers", "grippers"), columns):
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "frame", Frame(self.frame))
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        return np.array([s.pose.position for s in self.samples])
-
-    @cached_property
-    def eulers(self) -> np.ndarray:
-        return np.array([s.pose.euler_xyz for s in self.samples])
-
-    @cached_property
-    def grippers(self) -> np.ndarray:
-        return np.array([s.gripper for s in self.samples], dtype=int)
-
-    @classmethod
-    def from_arrays(cls, times, positions, eulers, grippers, frame: Frame) -> "DenseTrajectory":
-        times = np.asarray(times, dtype=float)
-        positions = np.asarray(positions, dtype=float)
-        eulers = np.asarray(eulers, dtype=float)
-        grippers = np.asarray(grippers)
-        samples = tuple(
-            TimedSample(float(t), Pose(p, e), int(g))
-            for t, p, e, g in zip(times, positions, eulers, grippers, strict=True)
-        )
-        return cls(samples, frame)
+        return len(self.times)
 
 
 def back_project(u: float, v: float, d: float, cam: CameraModel) -> np.ndarray:
@@ -340,7 +362,7 @@ def finite_difference_accel(traj: DenseTrajectory, weights=None) -> tuple:
 
     Returns:
         (times, magnitudes): arrays over the interior samples
-        ``traj.samples[1:-1]``.
+        ``traj.times[1:-1]``.
     """
     if len(traj) < 3:
         raise InsufficientDataError(

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InsufficientDataError
-from .geometry import DenseTrajectory, Frame, TimedSample, finite_difference_accel
+from .geometry import DenseTrajectory, Frame, finite_difference_accel, trajectory_columns
 
 __all__ = [
     "KeyframeReason",
@@ -57,44 +57,32 @@ class KeyframeSet:
 
 @dataclass(frozen=True)
 class SparseTrajectory:
-    """Keyframes plus sub-keyframes: the sparse planning/supervision representation."""
+    """Keyframes plus sub-keyframes: the sparse planning/supervision representation.
 
-    waypoints: tuple
+    Stored as the same read-only columns as :class:`DenseTrajectory`, plus
+    one keyframe flag per waypoint.
+    """
+
+    times: np.ndarray  # (N,)
+    positions: np.ndarray  # (N, 3)
+    eulers: np.ndarray  # (N, 3)
+    grippers: np.ndarray  # (N,) of {0, 1}
     keyframe_flags: tuple
     frame: Frame
 
     def __post_init__(self):
-        waypoints = tuple(self.waypoints)
+        columns = trajectory_columns(self.times, self.positions, self.eulers,
+                                     self.grippers, min_samples=1)
         flags = tuple(bool(f) for f in self.keyframe_flags)
-        if len(waypoints) < 1:
-            raise ValueError("sparse trajectory needs at least one waypoint")
-        if len(flags) != len(waypoints):
+        if len(flags) != len(columns[0]):
             raise ValueError("keyframe_flags must align with waypoints")
-        times = [w.t for w in waypoints]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("waypoint timestamps must be strictly increasing")
-        object.__setattr__(self, "waypoints", waypoints)
+        for name, column in zip(("times", "positions", "eulers", "grippers"), columns):
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "keyframe_flags", flags)
         object.__setattr__(self, "frame", Frame(self.frame))
 
     def __len__(self) -> int:
-        return len(self.waypoints)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([w.t for w in self.waypoints])
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([w.pose.position for w in self.waypoints])
-
-    @property
-    def eulers(self) -> np.ndarray:
-        return np.array([w.pose.euler_xyz for w in self.waypoints])
-
-    @property
-    def grippers(self) -> np.ndarray:
-        return np.array([w.gripper for w in self.waypoints], dtype=int)
+        return len(self.times)
 
 
 def gripper_change_indices(traj: DenseTrajectory) -> np.ndarray:
@@ -167,32 +155,20 @@ def insert_sub_keyframes(traj: DenseTrajectory, keys: KeyframeSet, n: int) -> Sp
     if keys.indices[-1] != len(traj) - 1 or keys.indices[0] != 0:
         raise ValueError("keyframe set does not match trajectory length")
     times = traj.times
-
-    waypoints = []
-    flags = []
-    for i0, i1 in zip(keys.indices, keys.indices[1:]):
-        grid = np.linspace(times[i0], times[i1], n)
-        start = 1 if waypoints else 0  # merge shared segment endpoints
-        for j in range(start, n):
-            tau = float(grid[j])
-            if j == 0:
-                src = i0
-            elif j == n - 1:
-                src = i1
-            else:
-                src = _nearest_sample(times, tau)
-            sample = traj.samples[src]
-            waypoints.append(TimedSample(tau, sample.pose, sample.gripper))
-            flags.append(j == 0 or j == n - 1)
-    return SparseTrajectory(tuple(waypoints), tuple(flags), traj.frame)
+    idx = np.asarray(keys.indices)
+    grids = np.linspace(times[idx[:-1]], times[idx[1:]], n, axis=1)
+    # segment endpoints land exactly on their keyframe samples, so one
+    # nearest-sample lookup serves every grid point
+    taus = np.concatenate([grids[0, :1], grids[:, 1:].ravel()])
+    src = _nearest_sample(times, taus)
+    segment_flags = [False] * (n - 2) + [True]
+    flags = [True] + segment_flags * len(grids)
+    return SparseTrajectory(taus, traj.positions[src], traj.eulers[src], traj.grippers[src],
+                            flags, traj.frame)
 
 
-def _nearest_sample(times: np.ndarray, tau: float) -> int:
-    """Index of the sample nearest to tau; equidistant ties pick the earlier one."""
-    hi = int(np.searchsorted(times, tau))
-    if hi == 0:
-        return 0
-    if hi >= len(times):
-        return len(times) - 1
+def _nearest_sample(times: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Index of the sample nearest to each tau; equidistant ties pick the earlier one."""
+    hi = np.clip(np.searchsorted(times, taus), 1, len(times) - 1)
     lo = hi - 1
-    return lo if tau - times[lo] <= times[hi] - tau else hi
+    return np.where(taus - times[lo] <= times[hi] - taus, lo, hi)

@@ -43,15 +43,13 @@ class PendingPlan:
 
     ``times`` is an optional execution schedule; when present the merge
     preserves it, otherwise waypoints are re-timed at a fixed segment
-    duration. ``origin`` records which inference produced the plan
-    ("initial_plan" or "replan_<k>").
+    duration.
     """
 
     positions: np.ndarray  # (n, 3)
     orientations: tuple  # UnitQuaternion per waypoint
     grippers: np.ndarray  # (n,) of {0, 1}
     times: np.ndarray | None = None
-    origin: str = "initial_plan"
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float).reshape(-1, 3)
@@ -81,9 +79,9 @@ class PendingPlan:
         return len(self.positions)
 
     @classmethod
-    def from_sparse(cls, sparse: SparseTrajectory, origin: str = "initial_plan") -> "PendingPlan":
+    def from_sparse(cls, sparse: SparseTrajectory) -> "PendingPlan":
         quats = tuple(euler_to_quaternion(e) for e in sparse.eulers)
-        return cls(sparse.positions, quats, sparse.grippers, sparse.times, origin)
+        return cls(sparse.positions, quats, sparse.grippers, sparse.times)
 
     def tail(self, start: int) -> "PendingPlan":
         return PendingPlan(
@@ -91,7 +89,6 @@ class PendingPlan:
             self.orientations[start:],
             self.grippers[start:],
             None if self.times is None else self.times[start:],
-            self.origin,
         )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .geometry import DenseTrajectory, Frame, Pose, TimedSample, quaternion_to_euler
+from .geometry import DenseTrajectory, Frame, Pose, quaternion_to_euler
 from .keyframes import SparseTrajectory
 from .replan import ControllerState, PendingPlan, controller_step
 from .splines import eval_trajectory, fit
@@ -103,13 +103,11 @@ def oracle_planner(scenario: Scenario, t: float) -> PendingPlan:
     preserved) with every perturbation active at time t added to each of
     them. Deterministic in (scenario, t).
     """
-    plan = PendingPlan.from_sparse(scenario.initial_plan, origin="initial_plan")
+    plan = PendingPlan.from_sparse(scenario.initial_plan)
     start = int(np.searchsorted(plan.times, t, side="right"))
     offset = _active_offset(scenario, t)
     tail = plan.tail(start)
-    k = int(round(t / scenario.replan_interval))
-    return PendingPlan(tail.positions + offset, tail.orientations, tail.grippers,
-                       tail.times, origin=f"replan_{k}")
+    return PendingPlan(tail.positions + offset, tail.orientations, tail.grippers, tail.times)
 
 
 def run(scenario: Scenario) -> ExecutionLog:
@@ -134,7 +132,7 @@ def run(scenario: Scenario) -> ExecutionLog:
         replan_interval=scenario.replan_interval,
     )
 
-    samples = [TimedSample(t0, state.current_pose, grip0)]
+    times, positions, eulers, grippers = [t0], [pos0], [state.current_pose.euler_xyz], [grip0]
     events = []
     pending_delayed: PendingPlan | None = None
     replan_tick = 1
@@ -162,14 +160,15 @@ def run(scenario: Scenario) -> ExecutionLog:
         if diag is not None:
             events.append(ReplanEvent(merge_time, diag.dropped_count, diag.gamma,
                                       diag.k_star, diag.k_star_dropped))
-        samples.append(commanded)
+        times.append(commanded.t)
+        positions.append(commanded.pose.position)
+        eulers.append(commanded.pose.euler_xyz)
+        grippers.append(commanded.gripper)
         k += 1
 
-    commanded_traj = DenseTrajectory(tuple(samples), Frame.WORLD)
-    target = scenario.initial_plan.positions[-1] + _active_offset(
-        scenario, samples[-1].t
-    )
-    final_error = float(np.linalg.norm(samples[-1].pose.position - target))
+    commanded_traj = DenseTrajectory(times, positions, eulers, grippers, Frame.WORLD)
+    target = scenario.initial_plan.positions[-1] + _active_offset(scenario, times[-1])
+    final_error = float(np.linalg.norm(commanded_traj.positions[-1] - target))
     return ExecutionLog(commanded_traj, tuple(events), final_error)
 
 

@@ -9,7 +9,6 @@ pipeline.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -17,8 +16,6 @@ from .errors import InsufficientDataError
 from .geometry import (
     DenseTrajectory,
     Frame,
-    Pose,
-    TimedSample,
     UnitQuaternion,
     euler_to_quaternion,
     quaternion_to_euler,
@@ -242,10 +239,6 @@ class OrientationTrack:
                 rows[i] = -rows[i]
         return cls(np.asarray(times, dtype=float), rows)
 
-    @cached_property
-    def quats(self) -> tuple:
-        return tuple(UnitQuaternion(*row) for row in self.wxyz)
-
     def orientation(self, t: float) -> UnitQuaternion:
         """SLERP within the bracketing knot pair (clamped to the domain)."""
         times = self.knot_times
@@ -287,9 +280,10 @@ class ContinuousTrajectory:
     def domain(self) -> tuple:
         return self.position.domain
 
-    def gripper(self, t: float) -> int:
-        idx = int(np.searchsorted(self.gripper_times, t, side="right")) - 1
-        return int(self.gripper_values[max(idx, 0)])
+    def gripper(self, t):
+        """Zero-order-hold gripper state at scalar or array t."""
+        idx = np.searchsorted(self.gripper_times, t, side="right") - 1
+        return self.gripper_values[np.maximum(idx, 0)]
 
     def velocity(self, t: float) -> np.ndarray:
         """Positional velocity; zero outside the domain (the pose holds there)."""
@@ -337,11 +331,11 @@ def resample(traj: ContinuousTrajectory, rate: float) -> DenseTrajectory:
         times = np.append(times, t1)
     else:
         times[-1] = t1
-    samples = []
-    for t in times:
-        pos, quat, grip = eval_trajectory(traj, float(t))
-        samples.append(TimedSample(float(t), Pose(pos, quaternion_to_euler(quat)), grip))
-    return DenseTrajectory(tuple(samples), Frame.WORLD)
+    eulers = np.empty((len(times), 3))
+    for i, t in enumerate(times):
+        eulers[i] = quaternion_to_euler(traj.orientation.orientation(float(t)))
+    return DenseTrajectory(times, traj.position.position(times), eulers, traj.gripper(times),
+                           Frame.WORLD)
 
 
 def end_slope_estimates(times, positions) -> tuple:

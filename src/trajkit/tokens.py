@@ -18,15 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DepthRangeError, OutOfFrameError, SchemaError
-from .geometry import (
-    CameraModel,
-    Frame,
-    Pose,
-    TimedSample,
-    back_project,
-    normalize_angles,
-    project,
-)
+from .geometry import CameraModel, Frame, back_project, normalize_angles, project
 from .keyframes import SparseTrajectory
 
 __all__ = [
@@ -209,8 +201,9 @@ def encode_sequence(sparse: SparseTrajectory, anchor: Anchor, cam: CameraModel,
     if (spec.width, spec.height) != (cam.width, cam.height):
         raise SchemaError("spec.uv", "quantization UV dimensions do not match the camera")
     blocks = []
-    for i, wp in enumerate(sparse.waypoints):
-        u, v, d = project(wp.pose.position, cam)
+    for i, (position, euler, gripper) in enumerate(
+            zip(sparse.positions, sparse.eulers, sparse.grippers)):
+        u, v, d = project(position, cam)
         u_tok, v_tok = _pixel_token(u), _pixel_token(v)
         if not (0 <= u_tok < spec.width and 0 <= v_tok < spec.height):
             raise OutOfFrameError(i, u, v)
@@ -223,9 +216,9 @@ def encode_sequence(sparse: SparseTrajectory, anchor: Anchor, cam: CameraModel,
             if not spec.depth_min <= d <= spec.depth_max:
                 raise DepthRangeError(i, d, spec.depth_min, spec.depth_max)
             d_tok = quantize(d, spec.depth_min, spec.depth_max, spec.depth_bins)
-        angles = normalize_angles(wp.pose.euler_xyz)
+        angles = normalize_angles(euler)
         r_toks = tuple(quantize(a, -math.pi, math.pi, spec.angle_bins) for a in angles)
-        blocks.append(TokenBlock(d_tok, u_tok, v_tok, wp.gripper, r_toks))
+        blocks.append(TokenBlock(d_tok, u_tok, v_tok, gripper, r_toks))
     return TokenSequence(spec, anchor, tuple(blocks))
 
 
@@ -240,7 +233,9 @@ def decode_sequence(tokens: TokenSequence, cam: CameraModel) -> SparseTrajectory
     spec = tokens.spec
     if (spec.width, spec.height) != (cam.width, cam.height):
         raise SchemaError("spec.uv", "quantization UV dimensions do not match the camera")
-    waypoints = []
+    n = len(tokens.blocks)
+    positions = np.empty((n, 3))
+    eulers = np.empty((n, 3))
     for i, b in enumerate(tokens.blocks):
         if spec.depth_mode is DepthMode.ANCHOR_RELATIVE:
             d = tokens.anchor.d + dequantize(
@@ -248,12 +243,11 @@ def decode_sequence(tokens: TokenSequence, cam: CameraModel) -> SparseTrajectory
             )
         else:
             d = dequantize(b.d_token, spec.depth_min, spec.depth_max, spec.depth_bins)
-        pos = back_project(float(b.u_token), float(b.v_token), d, cam)
-        euler = np.array([
-            dequantize(r, -math.pi, math.pi, spec.angle_bins) for r in b.r_tokens
-        ])
-        waypoints.append(TimedSample(float(i), Pose(pos, euler), b.g_token))
-    return SparseTrajectory(tuple(waypoints), (True,) * len(waypoints), Frame.CAMERA)
+        positions[i] = back_project(float(b.u_token), float(b.v_token), d, cam)
+        eulers[i] = [dequantize(r, -math.pi, math.pi, spec.angle_bins) for r in b.r_tokens]
+    grippers = [b.g_token for b in tokens.blocks]
+    return SparseTrajectory(np.arange(n, dtype=float), positions, eulers, grippers,
+                            (True,) * n, Frame.CAMERA)
 
 
 def anchor_depth_from_prior(u: float, v: float, object_pixel_extent: float,

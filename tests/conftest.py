@@ -34,15 +34,15 @@ def line_trajectory(n=101, t1=1.0, start=(0.0, 0.0, 0.0), end=(1.0, 0.0, 0.0),
     pos = np.asarray(start) + s * (np.asarray(end) - np.asarray(start))
     eul = s * np.asarray(euler_ramp)
     grip = np.full(n, gripper, dtype=int)
-    return DenseTrajectory.from_arrays(t, pos, eul, grip, frame)
+    return DenseTrajectory(t, pos, eul, grip, frame)
 
 
 def helix_trajectory(n=8893, turns=1.0, rise=0.3, frame=Frame.WORLD) -> DenseTrajectory:
     """Smooth analytic helix; n-1 = 8892 divides every grid in {4, 9, 19, 39}."""
     t = np.linspace(0.0, 2.0 * np.pi * turns, n)
     pos = np.stack([np.sin(t), np.cos(t), rise * t], axis=1)
-    return DenseTrajectory.from_arrays(t, pos, np.zeros((n, 3)),
-                                       np.zeros(n, dtype=int), frame)
+    return DenseTrajectory(t, pos, np.zeros((n, 3)),
+                           np.zeros(n, dtype=int), frame)
 
 
 @pytest.fixture

@@ -250,8 +250,8 @@ def test_cli_determinism(tmp_path):
         t = np.linspace(0.0, 1.0, 101)
         pos = np.stack([0.2 * t, -0.1 * t, 1.0 + 0.5 * t], axis=1)
         fileio.save_bundle(
-            tk.DenseTrajectory.from_arrays(t, pos, np.zeros((101, 3)),
-                                           np.zeros(101, dtype=int), tk.Frame.CAMERA),
+            tk.DenseTrajectory(t, pos, np.zeros((101, 3)),
+                               np.zeros(101, dtype=int), tk.Frame.CAMERA),
             cam, cam_bundle)
 
         outputs = []

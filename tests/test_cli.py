@@ -28,8 +28,8 @@ def camera_bundle(tmp_path):
     cam = make_camera()
     t = np.linspace(0.0, 1.0, 101)
     pos = np.stack([0.2 * t, -0.1 * t, 1.0 + 0.5 * t], axis=1)
-    traj = tk.DenseTrajectory.from_arrays(t, pos, np.zeros((101, 3)),
-                                          np.zeros(101, dtype=int), tk.Frame.CAMERA)
+    traj = tk.DenseTrajectory(t, pos, np.zeros((101, 3)),
+                              np.zeros(101, dtype=int), tk.Frame.CAMERA)
     fileio.save_bundle(traj, cam, path)
     return path, traj, cam
 

@@ -28,7 +28,7 @@ class TestBundleRoundTrip:
     def test_randomized_bundle_field_equality(self, tmp_path, rng):
         n = 10_000
         t = np.cumsum(rng.uniform(1e-4, 0.1, n))
-        traj = tk.DenseTrajectory.from_arrays(
+        traj = tk.DenseTrajectory(
             t, rng.normal(size=(n, 3)), rng.uniform(-math.pi, math.pi, (n, 3)),
             rng.integers(0, 2, n), tk.Frame.CAMERA)
         cam = make_camera(fx=321.4, fy=319.9, cx=159.25, cy=119.75,
@@ -44,7 +44,7 @@ class TestBundleRoundTrip:
         assert np.array_equal(cam2.extrinsics_c2w, cam.extrinsics_c2w)
 
     def test_save_load_save_byte_identical(self, tmp_path, rng):
-        traj = tk.DenseTrajectory.from_arrays(
+        traj = tk.DenseTrajectory(
             np.array([0.0, 1 / 3, 2 / 3]), rng.normal(size=(3, 3)) * math.pi,
             rng.normal(size=(3, 3)), [0, 1, 0], tk.Frame.WORLD)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -58,7 +58,8 @@ class TestBundleRoundTrip:
         sparse = sparse_from_arrays(t, rng.normal(size=(6, 3)),
                                     grip=rng.integers(0, 2, 6))
         flags = (True, False, True, False, False, True)
-        sparse = tk.SparseTrajectory(sparse.waypoints, flags, tk.Frame.WORLD)
+        sparse = tk.SparseTrajectory(sparse.times, sparse.positions, sparse.eulers,
+                                     sparse.grippers, flags, tk.Frame.WORLD)
         path = tmp_path / "sparse.json"
         fileio.save_sparse_bundle(sparse, None, path)
         loaded, _ = fileio.load_sparse_bundle(path)
@@ -71,6 +72,37 @@ class TestBundleRoundTrip:
         meta = {"instruction": "pick up the roller", "variants": ["grab it"]}
         fileio.save_bundle(traj, None, path, meta=meta)
         assert json.loads(path.read_text())["meta"] == meta
+
+
+UNITS = {"length": "meters", "time": "seconds", "angle": "radians"}
+
+# the three containers that share the samples parser: wrap(samples) -> payload
+CONTAINERS = {
+    "bundle": (
+        lambda samples: {"version": 1, "frame": "world", "units": UNITS, "samples": samples},
+        fileio.load_bundle, ""),
+    "scenario": (
+        lambda samples: {"version": 1,
+                         "initial_plan": {"frame": "world", "samples": samples,
+                                          "keyframe_flags": [True] * len(samples)},
+                         "perturbations": [], "replan_interval": 0.5,
+                         "control_rate": 100.0, "duration": 1.0},
+        fileio.load_scenario, "initial_plan."),
+    "log": (
+        lambda samples: {"version": 1, "commanded": {"frame": "world", "samples": samples},
+                         "replan_events": [], "final_error": 0.0},
+        fileio.load_execution_log, "commanded."),
+}
+
+# fault name -> (damage four samples at t = 0..3 in place, expected path)
+SAMPLE_FAULTS = {
+    "gripper": (lambda s: s[1].update(gripper=3), "samples[1].gripper"),
+    "repeated-t": (lambda s: s[1].update(t=0.0), "samples[1].t"),
+    "missing-pos": (lambda s: s[0].pop("pos"), "samples[0].pos"),
+    "nan-pos": (lambda s: s[1]["pos"].__setitem__(2, math.nan), "samples[1]"),
+    "bool-in-pos": (lambda s: s[0]["pos"].__setitem__(1, True), "samples[0].pos[1]"),
+    "interior-t-decrease": (lambda s: s[2].update(t=0.5), "samples[2].t"),
+}
 
 
 class TestBundleValidation:
@@ -97,26 +129,19 @@ class TestBundleValidation:
             fileio.load_bundle(self.write(tmp_path, payload))
         assert "camera" in str(info.value)
 
-    def test_error_names_offending_sample_field(self, tmp_path):
-        payload = self.base_payload()
-        payload["samples"][1]["gripper"] = 3
+    @pytest.mark.parametrize("container", sorted(CONTAINERS))
+    @pytest.mark.parametrize("fault", list(SAMPLE_FAULTS))
+    def test_sample_fault_names_path(self, tmp_path, container, fault):
+        samples = [
+            {"t": float(i), "pos": [i, 0, 0], "euler_xyz": [0, 0, 0], "gripper": 0}
+            for i in range(4)
+        ]
+        damage, where = SAMPLE_FAULTS[fault]
+        damage(samples)
+        wrap, load, prefix = CONTAINERS[container]
         with pytest.raises(tk.SchemaError) as info:
-            fileio.load_bundle(self.write(tmp_path, payload))
-        assert "samples[1].gripper" in str(info.value)
-
-    def test_non_monotone_timestamps(self, tmp_path):
-        payload = self.base_payload()
-        payload["samples"][1]["t"] = 0.0
-        with pytest.raises(tk.SchemaError) as info:
-            fileio.load_bundle(self.write(tmp_path, payload))
-        assert "samples[1].t" in str(info.value)
-
-    def test_missing_field_named(self, tmp_path):
-        payload = self.base_payload()
-        del payload["samples"][0]["pos"]
-        with pytest.raises(tk.SchemaError) as info:
-            fileio.load_bundle(self.write(tmp_path, payload))
-        assert "samples[0].pos" in str(info.value)
+            load(self.write(tmp_path, wrap(samples)))
+        assert info.value.path == prefix + where
 
     def test_unsupported_version(self, tmp_path):
         payload = self.base_payload()
@@ -156,6 +181,16 @@ class TestTokenFile:
         fileio.save_token_file(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_float_angle_token_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        fileio.save_token_file(self.make_sequence(), path)
+        data = json.loads(path.read_text())
+        data["blocks"][1]["r"][2] = 12.7
+        path.write_text(json.dumps(data))
+        with pytest.raises(tk.SchemaError) as info:
+            fileio.load_token_file(path)
+        assert info.value.path == "blocks[1].r[2]"
+
     def test_out_of_range_block_rejected(self, tmp_path):
         seq = self.make_sequence()
         path = tmp_path / "t.json"
@@ -179,6 +214,45 @@ class TestScenarioAndLog:
         assert np.array_equal(loaded.initial_plan.positions,
                               scenario.initial_plan.positions)
         assert loaded.perturbations[0].time == 3.0
+
+    @pytest.mark.parametrize("key", ["replan_enabled", "delayed_planner"])
+    def test_scenario_flags_must_be_booleans(self, tmp_path, key):
+        path = tmp_path / "scenario.json"
+        fileio.save_scenario(line_scenario(), path)
+        data = json.loads(path.read_text())
+        data[key] = "false"
+        path.write_text(json.dumps(data))
+        with pytest.raises(tk.SchemaError) as info:
+            fileio.load_scenario(path)
+        assert info.value.path == key
+
+    def test_absent_scenario_flags_keep_defaults(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        fileio.save_scenario(line_scenario(replan_enabled=False, delayed_planner=True), path)
+        data = json.loads(path.read_text())
+        del data["replan_enabled"], data["delayed_planner"]
+        path.write_text(json.dumps(data))
+        loaded = fileio.load_scenario(path)
+        assert loaded.replan_enabled is True and loaded.delayed_planner is False
+
+    @pytest.mark.parametrize("damage, where", [
+        (lambda d: d["replan_events"].__setitem__(0, 5), "replan_events[0]"),
+        (lambda d: d["commanded"].update(frame="moon"), "commanded.frame"),
+        (lambda d: d["replan_events"][0].update(gamma_at_kstar="x"),
+         "replan_events[0].gamma_at_kstar"),
+        (lambda d: d["commanded"]["samples"].pop(), "commanded.samples"),
+    ], ids=["event-not-object", "unknown-frame", "string-gamma", "one-sample"])
+    def test_malformed_log_names_path(self, tmp_path, damage, where):
+        path = tmp_path / "log.json"
+        fileio.save_execution_log(tk.run(line_scenario(duration=2.0)), path)
+        data = json.loads(path.read_text())
+        data["commanded"]["samples"] = data["commanded"]["samples"][:2]
+        assert data["replan_events"]
+        damage(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(tk.SchemaError) as info:
+            fileio.load_execution_log(path)
+        assert info.value.path == where
 
     def test_log_round_trip_with_nan_gamma(self, tmp_path):
         log = tk.run(line_scenario(duration=10.0))

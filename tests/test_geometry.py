@@ -140,8 +140,8 @@ class TestFiniteDifferenceAccel:
         # oracle: analytic second derivative of z = t^2 is exactly 2
         t = np.arange(0, 2.0, 0.1)
         pos = np.stack([np.zeros_like(t), np.zeros_like(t), t**2], axis=1)
-        traj = tk.DenseTrajectory.from_arrays(t, pos, np.zeros((len(t), 3)),
-                                              np.zeros(len(t), dtype=int), tk.Frame.WORLD)
+        traj = tk.DenseTrajectory(t, pos, np.zeros((len(t), 3)),
+                                  np.zeros(len(t), dtype=int), tk.Frame.WORLD)
         times, mags = tk.finite_difference_accel(traj)
         assert len(times) == len(t) - 2
         assert np.abs(mags - 2.0).max() < 1e-6
@@ -152,8 +152,8 @@ class TestFiniteDifferenceAccel:
         t = np.arange(n) * 0.05
         x = np.where(np.arange(n) <= k, np.arange(n), 2 * k - np.arange(n)) * 0.1
         pos = np.stack([x, np.zeros(n), np.zeros(n)], axis=1)
-        traj = tk.DenseTrajectory.from_arrays(t, pos, np.zeros((n, 3)),
-                                              np.zeros(n, dtype=int), tk.Frame.WORLD)
+        traj = tk.DenseTrajectory(t, pos, np.zeros((n, 3)),
+                                  np.zeros(n, dtype=int), tk.Frame.WORLD)
         _, mags = tk.finite_difference_accel(traj)
 
         brute = []
@@ -170,16 +170,16 @@ class TestFiniteDifferenceAccel:
         t += np.arange(n) * 1e-3  # enforce strict increase
         base, slope = rng.normal(size=(2, 6))
         comps = base + np.outer(t, slope)
-        traj = tk.DenseTrajectory.from_arrays(t, comps[:, :3], comps[:, 3:],
-                                              np.zeros(n, dtype=int), tk.Frame.WORLD)
+        traj = tk.DenseTrajectory(t, comps[:, :3], comps[:, 3:],
+                                  np.zeros(n, dtype=int), tk.Frame.WORLD)
         _, mags = tk.finite_difference_accel(traj)
         assert mags.max() < 1e-9
 
     def test_weights_scale_components(self):
         t = np.arange(0, 2.0, 0.1)
         pos = np.stack([np.zeros_like(t), np.zeros_like(t), t**2], axis=1)
-        traj = tk.DenseTrajectory.from_arrays(t, pos, np.zeros((len(t), 3)),
-                                              np.zeros(len(t), dtype=int), tk.Frame.WORLD)
+        traj = tk.DenseTrajectory(t, pos, np.zeros((len(t), 3)),
+                                  np.zeros(len(t), dtype=int), tk.Frame.WORLD)
         _, mags = tk.finite_difference_accel(traj, weights=[1, 1, 0.5, 1, 1, 1])
         assert np.abs(mags - 1.0).max() < 1e-6
 
@@ -208,9 +208,56 @@ class TestValidation:
 
     def test_trajectory_needs_increasing_time(self):
         with pytest.raises(ValueError):
-            tk.DenseTrajectory.from_arrays([0.0, 0.0], np.zeros((2, 3)),
-                                           np.zeros((2, 3)), [0, 0], tk.Frame.WORLD)
+            tk.DenseTrajectory([0.0, 0.0], np.zeros((2, 3)),
+                               np.zeros((2, 3)), [0, 0], tk.Frame.WORLD)
 
     def test_gripper_binary(self):
         with pytest.raises(ValueError):
             tk.TimedSample(0.0, tk.Pose([0, 0, 0], [0, 0, 0]), 2)
+
+
+def build_trajectory(kind, t, pos, eul, grip):
+    """Dense or sparse trajectory from columns (sparse waypoints all keyframes)."""
+    if kind == "dense":
+        return tk.DenseTrajectory(t, pos, eul, grip, tk.Frame.WORLD)
+    return tk.SparseTrajectory(t, pos, eul, grip, (True,) * len(t), tk.Frame.WORLD)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+class TestTrajectoryColumns:
+    def columns(self, n=3):
+        return (np.arange(n, dtype=float), np.zeros((n, 3)), np.zeros((n, 3)),
+                np.zeros(n, dtype=int))
+
+    def test_mismatched_column_lengths(self, kind):
+        t, pos, eul, grip = self.columns()
+        with pytest.raises(ValueError):
+            build_trajectory(kind, t, pos[:2], eul, grip)
+
+    def test_gripper_two_names_sample(self, kind):
+        t, pos, eul, grip = self.columns()
+        grip[1] = 2
+        with pytest.raises(ValueError) as info:
+            build_trajectory(kind, t, pos, eul, grip)
+        assert (info.value.index, info.value.field) == (1, "gripper")
+
+    def test_non_finite_euler_names_sample(self, kind):
+        t, pos, eul, grip = self.columns()
+        eul[2, 0] = np.inf
+        with pytest.raises(ValueError) as info:
+            build_trajectory(kind, t, pos, eul, grip)
+        assert (info.value.index, info.value.field) == (2, None)
+
+    def test_too_few_samples(self, kind):
+        n = 1 if kind == "dense" else 0
+        with pytest.raises(ValueError, match="needs >="):
+            build_trajectory(kind, *self.columns(n))
+
+    def test_columns_read_only_copies(self, kind):
+        t, pos, eul, grip = self.columns()
+        traj = build_trajectory(kind, t, pos, eul, grip)
+        pos[0, 0] = 5.0  # the caller's array stays its own
+        assert traj.positions[0, 0] == 0.0
+        for column in (traj.times, traj.positions, traj.eulers, traj.grippers):
+            with pytest.raises(ValueError):
+                column[0] = 1

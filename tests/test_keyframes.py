@@ -65,8 +65,8 @@ def random_segmented_trajectory(rng, n_segments=None):
             grip[-1] = 1 - grip[-1]
     n = len(times)
     eul = np.zeros((n, 3))
-    return tk.DenseTrajectory.from_arrays(np.array(times), np.array(pos), eul,
-                                          np.array(grip), tk.Frame.WORLD)
+    return tk.DenseTrajectory(np.array(times), np.array(pos), eul,
+                              np.array(grip), tk.Frame.WORLD)
 
 
 class TestGripperChanges:
@@ -76,7 +76,7 @@ class TestGripperChanges:
 
     def test_pattern(self):
         t = np.arange(5.0)
-        traj = tk.DenseTrajectory.from_arrays(
+        traj = tk.DenseTrajectory(
             t, np.stack([t, 0 * t, 0 * t], axis=1), np.zeros((5, 3)),
             [0, 0, 1, 1, 0], tk.Frame.WORLD)
         assert list(tk.gripper_change_indices(traj)) == [2, 4]
@@ -86,7 +86,7 @@ class TestGripperChanges:
             n = int(rng.integers(2, 40))
             g = rng.integers(0, 2, n)
             t = np.arange(n, dtype=float)
-            traj = tk.DenseTrajectory.from_arrays(
+            traj = tk.DenseTrajectory(
                 t, np.stack([t, 0 * t, 0 * t], axis=1), np.zeros((n, 3)),
                 g, tk.Frame.WORLD)
             expected = [i for i in range(1, n) if g[i] != g[i - 1]]
@@ -104,8 +104,8 @@ class TestSelectKeyframes:
         t = np.linspace(0, 1, 100)
         pos = np.stack([t, 0 * t, 0 * t], axis=1)
         g = np.where(np.arange(100) >= 50, 1, 0)
-        traj = tk.DenseTrajectory.from_arrays(t, pos, np.zeros((100, 3)), g,
-                                              tk.Frame.WORLD)
+        traj = tk.DenseTrajectory(t, pos, np.zeros((100, 3)), g,
+                                  tk.Frame.WORLD)
         keys = tk.select_keyframes(traj, alpha=1e6)
         assert 50 in keys.indices
         idx = keys.indices.index(50)
@@ -116,7 +116,7 @@ class TestSelectKeyframes:
         n, mid = 61, 30
         t = np.arange(n) * 0.05
         x = np.where(np.arange(n) <= mid, np.arange(n), 2 * mid - np.arange(n)) * 0.1
-        traj = tk.DenseTrajectory.from_arrays(
+        traj = tk.DenseTrajectory(
             t, np.stack([x, 0 * t, 0 * t], axis=1), np.zeros((n, 3)),
             np.zeros(n, dtype=int), tk.Frame.WORLD)
         _, mags = tk.finite_difference_accel(traj)
@@ -176,8 +176,8 @@ class TestInsertSubKeyframes:
         traj = helix_trajectory(n=1001)
         g = traj.grippers.copy()
         g[500:] = 1  # one toggle -> two segments
-        traj = tk.DenseTrajectory.from_arrays(traj.times, traj.positions,
-                                              traj.eulers, g, tk.Frame.WORLD)
+        traj = tk.DenseTrajectory(traj.times, traj.positions,
+                                  traj.eulers, g, tk.Frame.WORLD)
         keys = tk.select_keyframes(traj, alpha=1e9)
         n_segments = len(keys.indices) - 1
         sparse = tk.insert_sub_keyframes(traj, keys, 11)
@@ -192,18 +192,39 @@ class TestInsertSubKeyframes:
         # irregular sampling: grid time 0.5 sits nearest to the sample at 0.45
         t = np.array([0.0, 0.45, 0.62, 1.0])
         pos = np.stack([t * 2, 0 * t, 0 * t], axis=1)
-        traj = tk.DenseTrajectory.from_arrays(t, pos, np.zeros((4, 3)),
-                                              np.zeros(4, dtype=int), tk.Frame.WORLD)
+        traj = tk.DenseTrajectory(t, pos, np.zeros((4, 3)),
+                                  np.zeros(4, dtype=int), tk.Frame.WORLD)
         keys = tk.KeyframeSet((0, 3), (frozenset([tk.KeyframeReason.FORCED_ENDPOINT]),) * 2)
         sparse = tk.insert_sub_keyframes(traj, keys, 3)
         assert sparse.times[1] == 0.5
         assert np.allclose(sparse.positions[1], [0.9, 0, 0])  # pose of t=0.45
 
+    def test_matches_per_waypoint_reference(self, rng):
+        # reference: one linspace per segment and a scalar nearest-sample
+        # lookup per grid point; the vectorized result must be bit-identical
+        for _ in range(10):
+            traj = random_segmented_trajectory(rng)
+            keys = tk.select_keyframes(traj, alpha=1.0)
+            n = int(rng.integers(2, 9))
+            t = traj.times
+            ref_times, ref_src = [], []
+            for seg, (i0, i1) in enumerate(zip(keys.indices, keys.indices[1:])):
+                for j, tau in enumerate(np.linspace(t[i0], t[i1], n)):
+                    if seg > 0 and j == 0:
+                        continue
+                    hi = min(max(int(np.searchsorted(t, tau)), 1), len(t) - 1)
+                    ref_times.append(tau)
+                    ref_src.append(hi - 1 if tau - t[hi - 1] <= t[hi] - tau else hi)
+            sparse = tk.insert_sub_keyframes(traj, keys, n)
+            assert np.array_equal(sparse.times, ref_times)
+            assert np.array_equal(sparse.positions, traj.positions[ref_src])
+            assert np.array_equal(sparse.grippers, traj.grippers[ref_src])
+
     def test_tie_prefers_earlier_sample(self):
         t = np.array([0.0, 0.25, 0.75, 1.0])
         pos = np.stack([[0.0, 1.0, 3.0, 4.0], [0.0] * 4, [0.0] * 4], axis=1)
-        traj = tk.DenseTrajectory.from_arrays(t, pos, np.zeros((4, 3)),
-                                              np.zeros(4, dtype=int), tk.Frame.WORLD)
+        traj = tk.DenseTrajectory(t, pos, np.zeros((4, 3)),
+                                  np.zeros(4, dtype=int), tk.Frame.WORLD)
         keys = tk.KeyframeSet((0, 3), (frozenset([tk.KeyframeReason.FORCED_ENDPOINT]),) * 2)
         sparse = tk.insert_sub_keyframes(traj, keys, 3)
         # 0.5 is equidistant from 0.25 and 0.75 -> earlier sample wins

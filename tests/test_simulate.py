@@ -143,19 +143,17 @@ class TestSmoothnessCheck:
 
     def test_spliced_discontinuity_fails_at_splice(self):
         log = tk.run(line_scenario(duration=4.0))
-        samples = list(log.commanded.samples)
-        k = len(samples) // 2
-        bad = tk.TimedSample(samples[k].t,
-                             tk.Pose(samples[k].pose.position + np.array([0.5, 0, 0]),
-                                     samples[k].pose.euler_xyz),
-                             samples[k].gripper)
+        cmd = log.commanded
+        k = len(cmd) // 2
+        positions = cmd.positions.copy()
+        positions[k] += np.array([0.5, 0, 0])
         spliced = tk.ExecutionLog(
-            tk.DenseTrajectory(tuple(samples[:k] + [bad] + samples[k + 1:]),
+            tk.DenseTrajectory(cmd.times, positions, cmd.eulers, cmd.grippers,
                                tk.Frame.WORLD),
             log.replan_events, log.final_error)
         passed, violation = tk.smoothness_check(spliced, v_max=1.0, a_max=10.0)
         assert not passed
-        assert abs(violation - samples[k].t) < 0.02
+        assert abs(violation - cmd.times[k]) < 0.02
 
     def test_merged_run_smooth_vs_hard_switch(self):
         # a replanned run stays in bounds; hard-switching to the shifted
@@ -173,19 +171,22 @@ class TestSmoothnessCheck:
             np.stack([0.1 * np.arange(11), np.full(11, 0.05), np.zeros(11)], axis=1))
         shifted = tk.fit(shifted_plan)
         original = tk.fit(scenario.initial_plan)
-        samples = []
-        for i, t in enumerate(np.arange(0, 10.0 + 1e-9, 0.01)):
+        times = np.arange(0, 10.0 + 1e-9, 0.01)
+        positions, eulers, grippers = [], [], []
+        for t in times:
             src = shifted if t >= 3.0 else original
             pos, quat, grip = tk.eval_trajectory(src, t)
-            samples.append(tk.TimedSample(float(t),
-                                          tk.Pose(pos, tk.quaternion_to_euler(quat)), grip))
-        hard = tk.ExecutionLog(tk.DenseTrajectory(tuple(samples), tk.Frame.WORLD), (), 0.0)
+            positions.append(pos)
+            eulers.append(tk.quaternion_to_euler(quat))
+            grippers.append(grip)
+        hard = tk.ExecutionLog(
+            tk.DenseTrajectory(times, positions, eulers, grippers, tk.Frame.WORLD), (), 0.0)
         passed, violation = tk.smoothness_check(hard, v_max, a_max)
         assert not passed
         assert abs(violation - 3.0) < 0.05
 
     def test_needs_three_samples(self):
-        two = tk.DenseTrajectory.from_arrays([0.0, 1.0], np.zeros((2, 3)),
-                                             np.zeros((2, 3)), [0, 0], tk.Frame.WORLD)
+        two = tk.DenseTrajectory([0.0, 1.0], np.zeros((2, 3)),
+                                 np.zeros((2, 3)), [0, 0], tk.Frame.WORLD)
         with pytest.raises(tk.InsufficientDataError):
             tk.smoothness_check(tk.ExecutionLog(two, (), 0.0), 1.0, 1.0)

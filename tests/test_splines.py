@@ -14,11 +14,7 @@ def sparse_from_arrays(t, pos, eul=None, grip=None, frame=tk.Frame.WORLD):
     n = len(t)
     eul = np.zeros((n, 3)) if eul is None else np.asarray(eul)
     grip = np.zeros(n, dtype=int) if grip is None else np.asarray(grip)
-    waypoints = tuple(
-        tk.TimedSample(float(t[i]), tk.Pose(pos[i], eul[i]), int(grip[i]))
-        for i in range(n)
-    )
-    return tk.SparseTrajectory(waypoints, (True,) * n, frame)
+    return tk.SparseTrajectory(t, pos, eul, grip, (True,) * n, frame)
 
 
 class TestFit:
@@ -174,6 +170,18 @@ class TestResample:
         assert len(dense) == 101
         assert dense.times[0] == 0.0
         assert dense.times[-1] == 1.0
+
+    def test_matches_per_sample_evaluation(self, rng):
+        t = np.cumsum(rng.uniform(0.1, 0.5, 8))
+        sparse = sparse_from_arrays(t, rng.normal(size=(8, 3)),
+                                    rng.uniform(-1.5, 1.5, (8, 3)), rng.integers(0, 2, 8))
+        cont = tk.fit(sparse)
+        dense = tk.resample(cont, 37.0)
+        for i, tau in enumerate(dense.times):
+            pos, quat, grip = tk.eval_trajectory(cont, float(tau))
+            assert np.array_equal(dense.positions[i], pos)
+            assert np.array_equal(dense.eulers[i], tk.quaternion_to_euler(quat))
+            assert dense.grippers[i] == grip
 
     def test_knot_hits_round_trip_waypoints(self, rng):
         t = np.arange(5, dtype=float)

@@ -140,10 +140,10 @@ class TestDecode:
             )
             seq = tk.TokenSequence(spec, tk.Anchor(50, 50, 1.0), blocks)
             decoded = tk.decode_sequence(seq, camera)
-            for wp, b in zip(decoded.waypoints, blocks):
+            for position, b in zip(decoded.positions, blocks):
                 d = 0.1 + (b.d_token + 0.5) * (3.0 - 0.1) / 256
                 expected = d * k_inv @ np.array([b.u_token, b.v_token, 1.0])
-                assert np.allclose(wp.pose.position, expected, atol=0)
+                assert np.allclose(position, expected, atol=0)
 
     def test_camera_mismatch_rejected(self, camera):
         spec = tk.QuantizationSpec(width=64, height=64)
