@@ -2,7 +2,8 @@
 
 Subcommands: keyframes, tokenize, detokenize, metrics, simulate,
 plot-data. Every run is deterministic for fixed inputs. Exit codes:
-0 success, 1 validation error, 2 usage error.
+0 success, 1 validation or internal error (one line on stderr, no
+traceback), 2 usage error.
 """
 
 import argparse
@@ -228,6 +229,9 @@ def cli_main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (TrajkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # any other fault is a bug: one line, no traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import trajkit as tk
-from trajkit import fileio
+from trajkit import cli, fileio
 from trajkit.cli import cli_main
 from conftest import line_trajectory, make_camera
 from test_simulate import line_scenario
@@ -180,6 +180,16 @@ class TestExitCodes:
 
     def test_help_is_0(self):
         assert cli_main(["--help"]) == 0
+
+    def test_internal_error_is_1_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "plot-data", broken)
+        code = cli_main(["plot-data", "--input", str(tmp_path / "in.json"),
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
 
 
 class TestDeterminism:

@@ -5,8 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 import trajkit as tk
+from trajkit import metrics
 from trajkit.metrics import REPORT_ROW_NAMES, _point_to_polyline
 
 
@@ -49,6 +53,73 @@ def frechet_brute(a, b):
     return best
 
 
+def dtw_loop(a, b, normalized=False):
+    """Reference: the row-by-row double loop the wavefront replaced."""
+    cost = cdist(a, b)
+    n, m = cost.shape
+    acc = np.empty((n, m))
+    acc[0, 0] = cost[0, 0]
+    acc[0, 1:] = cost[0, 1:].cumsum() + acc[0, 0]
+    acc[1:, 0] = cost[1:, 0].cumsum() + acc[0, 0]
+    for i in range(1, n):
+        for j in range(1, m):
+            acc[i, j] = cost[i, j] + min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
+    total = float(acc[-1, -1])
+    if not normalized:
+        return total
+    i, j, length = n - 1, m - 1, 1
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            step = int(np.argmin([acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]]))
+            if step == 0:
+                i, j = i - 1, j - 1
+            elif step == 1:
+                i -= 1
+            else:
+                j -= 1
+        length += 1
+    return total / length
+
+
+def frechet_loop(a, b):
+    """Reference: the row-by-row double loop the wavefront replaced."""
+    cost = cdist(a, b)
+    n, m = cost.shape
+    acc = np.empty((n, m))
+    acc[0, 0] = cost[0, 0]
+    for i in range(1, n):
+        acc[i, 0] = max(acc[i - 1, 0], cost[i, 0])
+    for j in range(1, m):
+        acc[0, j] = max(acc[0, j - 1], cost[0, j])
+    for i in range(1, n):
+        for j in range(1, m):
+            acc[i, j] = max(min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1]),
+                            cost[i, j])
+    return float(acc[-1, -1])
+
+
+def assert_dp_metrics_match_loops(a, b):
+    assert tk.dtw(a, b) == dtw_loop(a, b)
+    assert tk.dtw(a, b, normalized=True) == dtw_loop(a, b, normalized=True)
+    assert tk.discrete_frechet(a, b) == frechet_loop(a, b)
+
+
+@st.composite
+def polyline_pairs(draw, max_len=30):
+    """Two polylines of one dimension: real coordinates, or a small integer
+    grid whose many equal distances tie the DP minima."""
+    dim = draw(st.sampled_from((2, 3)))
+    elements = draw(st.sampled_from((st.floats(-3.0, 3.0), st.integers(-2, 2).map(float))))
+    lengths = st.integers(1, max_len)
+    a = draw(arrays(float, st.tuples(lengths, st.just(dim)), elements=elements))
+    b = draw(arrays(float, st.tuples(lengths, st.just(dim)), elements=elements))
+    return a, b
+
+
 def random_polyline(rng, max_len=6, dim=2):
     n = int(rng.integers(1, max_len + 1))
     return rng.uniform(-2, 2, (n, dim))
@@ -83,6 +154,33 @@ class TestDTW:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             tk.dtw(np.zeros((3, 2)), np.zeros((3, 3)))
+
+
+class TestLoopReference:
+    """The wavefront DP is bit-identical to the double loops it replaced."""
+
+    SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (3, 8), (60, 2), (2, 60), (60, 7),
+              (33, 47), (60, 60)]
+
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_real_coordinates(self, rng, n, m):
+        for dim in (2, 3):
+            assert_dp_metrics_match_loops(rng.normal(size=(n, dim)),
+                                          rng.normal(size=(m, dim)))
+
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_tie_heavy_integer_grid(self, rng, n, m):
+        for _ in range(3):
+            a = rng.integers(-1, 2, (n, 2)).astype(float)
+            b = rng.integers(-1, 2, (m, 2)).astype(float)
+            assert_dp_metrics_match_loops(a, b)
+
+    def test_constant_polylines_tie_everywhere(self):
+        assert_dp_metrics_match_loops(np.zeros((17, 3)), np.ones((29, 3)))
+
+    @given(polyline_pairs())
+    def test_property(self, pair):
+        assert_dp_metrics_match_loops(*pair)
 
 
 class TestFrechet:
@@ -168,6 +266,13 @@ class TestOrthogonalDistances:
             assert abs(mean - oracle.mean()) < 1e-3
             assert abs(med - np.median(oracle)) < 1e-3
 
+    def test_blocks_match_one_block(self, rng, monkeypatch):
+        pred = rng.normal(size=(50, 3))
+        ref = rng.normal(size=(9, 3))
+        whole = _point_to_polyline(pred, ref)
+        monkeypatch.setattr(metrics, "_BLOCK_ROWS", 7)
+        assert np.array_equal(_point_to_polyline(pred, ref), whole)
+
     def test_single_point_ref(self):
         mx, mean, med = tk.orthogonal_distances(np.array([[3.0, 4.0]]),
                                                 np.array([[0.0, 0.0]]))
@@ -252,6 +357,25 @@ class TestFullReport:
         assert report.cover_precision == p and report.cover_f1 == f1
         start, end = tk.endpoint_errors(pred, ref)
         assert report.startpoint_err == start and report.endpoint_err == end
+
+    @given(polyline_pairs(max_len=20), st.sampled_from((0.05, 0.5, 2.0)), st.booleans())
+    def test_rows_equal_standalone_metrics(self, pair, tau, dtw_normalized):
+        pred, ref = pair
+        report = tk.full_report(pred, ref, tau=tau, dtw_normalized=dtw_normalized)
+        precision, recall, f1 = tk.coverage(pred, ref, tau)
+        assert (report.cover_precision, report.config["cover_recall"], report.cover_f1) == \
+            (precision, recall, f1)
+        assert report.dtw == tk.dtw(pred, ref, normalized=dtw_normalized)
+        assert report.config["dtw_raw"] == tk.dtw(pred, ref)
+        assert report.frechet == tk.discrete_frechet(pred, ref)
+        assert report.hausdorff == tk.hausdorff(pred, ref)
+        assert (report.max_orth_dist, report.mean_orth_dist, report.median_orth_dist) == \
+            tk.orthogonal_distances(pred, ref)
+        assert (report.startpoint_err, report.endpoint_err) == tk.endpoint_errors(pred, ref)
+
+    def test_tau_validated(self, rng):
+        with pytest.raises(ValueError):
+            tk.full_report(rng.normal(size=(4, 2)), rng.normal(size=(5, 2)), tau=0.0)
 
     def test_rigid_invariance(self, rng):
         from conftest import rot_z
