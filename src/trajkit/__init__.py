@@ -28,10 +28,13 @@ from .geometry import (
     back_project,
     camera_to_world,
     euler_to_quaternion,
+    eulers_to_quaternions,
     finite_difference_accel,
     normalize_angles,
     project,
     quaternion_to_euler,
+    quaternions_to_eulers,
+    unit_quaternions,
 )
 from .keyframes import (
     KeyframeReason,
@@ -103,7 +106,8 @@ __all__ = [
     "SchemaError", "EmptyPlanError", "UndefinedDirectionError",
     "Frame", "Pose", "UnitQuaternion", "CameraModel", "TimedSample",
     "DenseTrajectory", "back_project", "project", "camera_to_world",
-    "euler_to_quaternion", "quaternion_to_euler", "normalize_angles",
+    "euler_to_quaternion", "quaternion_to_euler", "eulers_to_quaternions",
+    "quaternions_to_eulers", "unit_quaternions", "normalize_angles",
     "finite_difference_accel",
     "KeyframeReason", "KeyframeSet", "SparseTrajectory",
     "select_keyframes", "insert_sub_keyframes", "gripper_change_indices",

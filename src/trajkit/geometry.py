@@ -34,6 +34,10 @@ __all__ = [
     "camera_to_world",
     "euler_to_quaternion",
     "quaternion_to_euler",
+    "eulers_to_quaternions",
+    "quaternions_to_eulers",
+    "unit_quaternions",
+    "canonical_sign",
     "normalize_angles",
     "finite_difference_accel",
 ]
@@ -73,7 +77,8 @@ class UnitQuaternion:
     """Unit quaternion (w, x, y, z) with the sign fixed so w >= 0.
 
     q and -q encode the same rotation; construction renormalizes and
-    canonicalizes so equal rotations serialize identically.
+    canonicalizes (see :func:`unit_quaternions`) so equal rotations
+    serialize identically.
     """
 
     w: float
@@ -82,13 +87,7 @@ class UnitQuaternion:
     z: float
 
     def __post_init__(self):
-        q = np.array([self.w, self.x, self.y, self.z], dtype=float)
-        norm = float(np.linalg.norm(q))
-        if not math.isfinite(norm) or abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"quaternion norm {norm} too far from 1")
-        q /= norm
-        if q[0] < 0.0 or (q[0] == 0.0 and _first_nonzero_sign(q[1:]) < 0):
-            q = -q
+        q = unit_quaternions([[self.w, self.x, self.y, self.z]])[0]
         object.__setattr__(self, "w", float(q[0]))
         object.__setattr__(self, "x", float(q[1]))
         object.__setattr__(self, "y", float(q[2]))
@@ -122,11 +121,39 @@ class UnitQuaternion:
                                 float(np.linalg.norm(a + b)))
 
 
-def _first_nonzero_sign(v: np.ndarray) -> float:
-    for c in v:
-        if c != 0.0:
-            return math.copysign(1.0, c)
-    return 1.0
+# |norm - 1| below which a row counts as already normalized: one division by
+# the norm leaves a few ulp (< 1e-15), so renormalizing is idempotent
+_UNIT_ROUNDING = 1e-14
+
+
+def canonical_sign(q: np.ndarray) -> np.ndarray:
+    """Negate, in place, the wxyz rows whose first nonzero component is
+    negative, so w >= 0 (and the first nonzero of x, y, z is positive when
+    w == 0). Negation is exact. Returns ``q``."""
+    if np.all(q[:, 0] > 0.0):  # the common case, without the gather below
+        return q
+    lead = q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)]
+    q[lead < 0.0] *= -1.0
+    return q
+
+
+def unit_quaternions(rows) -> np.ndarray:
+    """Validate (n, 4) wxyz rows and return a unit-norm, sign-canonical copy.
+
+    Every row must be finite with a norm within 1e-6 of 1. Rows already
+    unit to rounding are kept bit for bit, so canonicalizing twice changes
+    nothing.
+    """
+    q = np.array(rows, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 4:
+        raise ValueError(f"quaternions must be an (n, 4) array, got shape {q.shape}")
+    norms = np.linalg.norm(q, axis=1)
+    off = np.abs(norms - 1.0)
+    bad = _first(~(off <= 1e-6))  # also catches nan and inf
+    if bad is not None:
+        raise ValueError(f"quaternion {bad} norm {norms[bad]} too far from 1")
+    q /= np.where(off > _UNIT_ROUNDING, norms, 1.0)[:, None]
+    return canonical_sign(q)
 
 
 @dataclass(frozen=True)
@@ -309,37 +336,58 @@ def camera_to_world(p_cam, cam: CameraModel) -> np.ndarray:
     return ext[:3, :3] @ p + ext[:3, 3]
 
 
+def eulers_to_quaternions(eulers) -> np.ndarray:
+    """Convert (n, 3) intrinsic x-y-z Euler angles (radians) to (n, 4)
+    unit, sign-canonical wxyz rows."""
+    e = np.asarray(eulers, dtype=float)
+    if e.ndim != 2 or e.shape[1] != 3:
+        raise ValueError(f"eulers must be an (n, 3) array, got shape {e.shape}")
+    if not np.all(np.isfinite(e)):
+        raise ValueError("eulers must be finite")
+    half = 0.5 * e
+    cx, cy, cz = np.cos(half).T
+    sx, sy, sz = np.sin(half).T
+    # qx(a) * qy(b) * qz(c), matching R = Rx @ Ry @ Rz
+    q = np.stack([cx * cy * cz - sx * sy * sz,
+                  sx * cy * cz + cx * sy * sz,
+                  cx * sy * cz - sx * cy * sz,
+                  cx * cy * sz + sx * sy * cz], axis=1)
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    return canonical_sign(q)
+
+
+def quaternions_to_eulers(quats) -> np.ndarray:
+    """Recover (n, 3) intrinsic x-y-z Euler angles from (n, 4) unit wxyz rows.
+
+    Reads the needed entries of each row's rotation matrix; near gimbal
+    lock (|ry| -> pi/2) the returned triple is the rz = 0 representative.
+    """
+    q = np.asarray(quats, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 4:
+        raise ValueError(f"quaternions must be an (n, 4) array, got shape {q.shape}")
+    w, x, y, z = q.T
+    sy = np.clip(2 * (x * z + w * y), -1.0, 1.0)
+    r01 = 2 * (x * y - w * z)
+    r10 = 2 * (x * y + w * z)
+    r11 = 1 - 2 * (x * x + z * z)
+    regular = np.abs(sy) < 1.0 - 1e-12
+    # cos(ry) == 0: only rx +/- rz is observable, pick rz = 0
+    rx = np.where(regular,
+                  np.arctan2(-(2 * (y * z - w * x)), 1 - 2 * (x * x + y * y)),
+                  np.arctan2(np.where(sy > 0, r10, -r10), r11))
+    rz = np.where(regular, np.arctan2(-r01, 1 - 2 * (y * y + z * z)), 0.0)
+    return np.stack([rx, np.arcsin(sy), rz], axis=1)
+
+
 def euler_to_quaternion(euler_xyz) -> UnitQuaternion:
     """Convert intrinsic x-y-z Euler angles (radians) to a unit quaternion."""
     e = _as_vector(euler_xyz, 3, "euler_xyz")
-    half = 0.5 * e
-    cx, cy, cz = np.cos(half)
-    sx, sy, sz = np.sin(half)
-    # qx(a) * qy(b) * qz(c), matching R = Rx @ Ry @ Rz
-    w = cx * cy * cz - sx * sy * sz
-    x = sx * cy * cz + cx * sy * sz
-    y = cx * sy * cz - sx * cy * sz
-    z = cx * cy * sz + sx * sy * cz
-    return UnitQuaternion(w, x, y, z)
+    return UnitQuaternion(*eulers_to_quaternions(e[None])[0])
 
 
 def quaternion_to_euler(q: UnitQuaternion) -> np.ndarray:
-    """Recover intrinsic x-y-z Euler angles from a unit quaternion.
-
-    Round-trips through the same rotation matrix; near gimbal lock
-    (|ry| -> pi/2) the returned triple is the rz = 0 representative.
-    """
-    r = q.rotation_matrix()
-    sy = float(np.clip(r[0, 2], -1.0, 1.0))
-    ry = math.asin(sy)
-    if abs(sy) < 1.0 - 1e-12:
-        rx = math.atan2(-r[1, 2], r[2, 2])
-        rz = math.atan2(-r[0, 1], r[0, 0])
-    else:
-        # cos(ry) == 0: only rx +/- rz is observable, pick rz = 0
-        rx = math.atan2(r[1, 0], r[1, 1]) if sy > 0 else math.atan2(-r[1, 0], r[1, 1])
-        rz = 0.0
-    return np.array([rx, ry, rz])
+    """Recover intrinsic x-y-z Euler angles from a unit quaternion."""
+    return quaternions_to_eulers(q.as_array()[None])[0]
 
 
 def normalize_angles(angles) -> np.ndarray:

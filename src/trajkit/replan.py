@@ -16,7 +16,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyPlanError, UndefinedDirectionError
-from .geometry import Pose, TimedSample, euler_to_quaternion, quaternion_to_euler
+from .geometry import (
+    Pose,
+    TimedSample,
+    euler_to_quaternion,
+    eulers_to_quaternions,
+    quaternion_to_euler,
+    unit_quaternions,
+)
 from .keyframes import SparseTrajectory
 from .splines import (
     ContinuousTrajectory,
@@ -41,20 +48,22 @@ __all__ = [
 class PendingPlan:
     """Not-yet-executed waypoints in the world frame.
 
-    ``times`` is an optional execution schedule; when present the merge
-    preserves it, otherwise waypoints are re-timed at a fixed segment
-    duration.
+    ``orientations`` holds one wxyz row per waypoint; construction checks
+    the rows as :class:`UnitQuaternion` does (finite, norm within 1e-6 of
+    1) and stores them renormalized with w >= 0. ``times`` is an optional
+    execution schedule; when present the merge preserves it, otherwise
+    waypoints are re-timed at a fixed segment duration.
     """
 
     positions: np.ndarray  # (n, 3)
-    orientations: tuple  # UnitQuaternion per waypoint
+    orientations: np.ndarray  # (n, 4) wxyz
     grippers: np.ndarray  # (n,) of {0, 1}
     times: np.ndarray | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float).reshape(-1, 3)
         grip = np.asarray(self.grippers, dtype=int).reshape(-1)
-        quats = tuple(self.orientations)
+        quats = unit_quaternions(self.orientations)
         n = len(pos)
         if len(quats) != n or len(grip) != n:
             raise ValueError("plan field lengths do not match")
@@ -70,6 +79,7 @@ class PendingPlan:
             times.flags.writeable = False
         pos.flags.writeable = False
         grip.flags.writeable = False
+        quats.flags.writeable = False
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "orientations", quats)
         object.__setattr__(self, "grippers", grip)
@@ -80,8 +90,8 @@ class PendingPlan:
 
     @classmethod
     def from_sparse(cls, sparse: SparseTrajectory) -> "PendingPlan":
-        quats = tuple(euler_to_quaternion(e) for e in sparse.eulers)
-        return cls(sparse.positions, quats, sparse.grippers, sparse.times)
+        return cls(sparse.positions, eulers_to_quaternions(sparse.eulers), sparse.grippers,
+                   sparse.times)
 
     def tail(self, start: int) -> "PendingPlan":
         return PendingPlan(
@@ -248,7 +258,7 @@ def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTra
         np.concatenate([transition, rest_coeffs], axis=0),
     )
     track = OrientationTrack.from_quaternions(
-        np.concatenate([[t_now], knots_rest]), (q_now, *plan.orientations)
+        np.concatenate([[t_now], knots_rest]), np.vstack([q_now.as_array(), plan.orientations])
     )
     gripper_values = np.concatenate([[g_now], plan.grippers])
     return ContinuousTrajectory(spline, track,

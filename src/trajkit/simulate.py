@@ -6,13 +6,13 @@ the commanded stream and every replan event. Deterministic: identical
 scenarios produce bit-identical logs.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InsufficientDataError
-from .geometry import DenseTrajectory, Frame, Pose, quaternion_to_euler
+from .geometry import DenseTrajectory, Frame, Pose, quaternion_to_euler, quaternions_to_eulers
 from .keyframes import SparseTrajectory
 from .replan import ControllerState, PendingPlan, controller_step
 from .splines import eval_trajectory, fit
@@ -69,6 +69,11 @@ class Scenario:
                 raise ValueError(f"perturbation time {p.time} outside [0, {self.duration}]")
         object.__setattr__(self, "perturbations", perts)
 
+    @cached_property
+    def base_plan(self) -> PendingPlan:
+        """The initial plan as pending waypoints, converted once per scenario."""
+        return PendingPlan.from_sparse(self.initial_plan)
+
 
 @dataclass(frozen=True)
 class ReplanEvent:
@@ -103,11 +108,10 @@ def oracle_planner(scenario: Scenario, t: float) -> PendingPlan:
     preserved) with every perturbation active at time t added to each of
     them. Deterministic in (scenario, t).
     """
-    plan = PendingPlan.from_sparse(scenario.initial_plan)
+    plan = scenario.base_plan
     start = int(np.searchsorted(plan.times, t, side="right"))
-    offset = _active_offset(scenario, t)
-    tail = plan.tail(start)
-    return PendingPlan(tail.positions + offset, tail.orientations, tail.grippers, tail.times)
+    return PendingPlan(plan.positions[start:] + _active_offset(scenario, t),
+                       plan.orientations[start:], plan.grippers[start:], plan.times[start:])
 
 
 def run(scenario: Scenario) -> ExecutionLog:
@@ -117,10 +121,17 @@ def run(scenario: Scenario) -> ExecutionLog:
     loop steps at the control rate, requests a fresh plan every
     replan_interval, and stops at the scenario duration or when the
     active trajectory is exhausted, whichever comes first.
+
+    Between two requests the active trajectory cannot change, so the ticks
+    run in blocks: the first tick of a block goes through controller_step,
+    which merges any delivered plan, and the rest of the block is sampled
+    in one batched call. The log equals stepping every tick through
+    controller_step.
     """
     active = fit(scenario.initial_plan)
     t0, t_end = active.domain
     dt = 1.0 / scenario.control_rate
+    interval = scenario.replan_interval
 
     pos0, quat0, grip0 = eval_trajectory(active, t0)
     state = ControllerState(
@@ -128,46 +139,68 @@ def run(scenario: Scenario) -> ExecutionLog:
         current_pose=Pose(pos0, quaternion_to_euler(quat0)),
         current_velocity=active.velocity(t0),
         active=active,
-        pending=PendingPlan.from_sparse(scenario.initial_plan),
-        replan_interval=scenario.replan_interval,
+        pending=scenario.base_plan,
+        replan_interval=interval,
     )
 
-    times, positions, eulers, grippers = [t0], [pos0], [state.current_pose.euler_xyz], [grip0]
+    # tick k runs at grid[k] = t0 + k * dt, computed multiplicatively so
+    # replan requests land on the exact waypoint/tick grid instead of
+    # drifting by accumulation
+    stop = min(t0 + scenario.duration, t_end) + 1e-9
+    grid = t0 + np.arange(int((stop - t0) / dt) + 2) * dt
+    grid = grid[:np.searchsorted(grid, stop, side="right")]
+    n_ticks = len(grid) - 1
+
+    times, positions, grippers = [grid[:1]], [pos0[None]], [[grip0]]
+    eulers = [state.current_pose.euler_xyz[None]]
     events = []
     pending_delayed: PendingPlan | None = None
     replan_tick = 1
-    stop_time = min(t0 + scenario.duration, t_end)
-
     k = 1
-    while True:
-        # step times computed multiplicatively so replan requests land on
-        # the exact waypoint/tick grid instead of drifting by accumulation
-        t_next = t0 + k * dt
-        if t_next > stop_time + 1e-9:
-            break
+    while k <= n_ticks:
         replan_source = None
-        next_replan = t0 + replan_tick * scenario.replan_interval
-        if scenario.replan_enabled and state.current_time >= next_replan - 1e-9:
+        if scenario.replan_enabled and state.current_time >= t0 + replan_tick * interval - 1e-9:
             requested = oracle_planner(scenario, state.current_time)
             if scenario.delayed_planner:
                 replan_source, pending_delayed = pending_delayed, requested
             else:
                 replan_source = requested
             replan_tick += 1
+        # the block ends at the first tick after which the request test
+        # above passes again
+        last = n_ticks
+        if scenario.replan_enabled:
+            due = int(np.searchsorted(grid, t0 + replan_tick * interval - 1e-9))
+            last = min(max(k, due), n_ticks)
+
         merge_time = state.current_time
-        state, commanded, diag = controller_step(state, t_next - state.current_time,
+        state, commanded, diag = controller_step(state, float(grid[k]) - state.current_time,
                                                  replan_source)
         if diag is not None:
             events.append(ReplanEvent(merge_time, diag.dropped_count, diag.gamma,
                                       diag.k_star, diag.k_star_dropped))
-        times.append(commanded.t)
-        positions.append(commanded.pose.position)
-        eulers.append(commanded.pose.euler_xyz)
-        grippers.append(commanded.gripper)
-        k += 1
+        # controller_step stamps current_time + (grid[k] - current_time);
+        # that is grid[k] exactly whenever consecutive tick times share a
+        # sign and lie within a factor of two (Sterbenz), as for any run
+        # starting at t0 >= 0, so the later ticks read the grid directly
+        rest = grid[k + 1:last + 1]
+        pos, quats, grip = state.active.sample(rest)
+        eul = quaternions_to_eulers(quats)
+        times += [[commanded.t], rest]
+        positions += [commanded.pose.position[None], pos]
+        eulers += [commanded.pose.euler_xyz[None], eul]
+        grippers += [[commanded.gripper], grip]
+        if len(rest):
+            t_last = float(rest[-1])
+            state = replace(state, current_time=t_last, current_pose=Pose(pos[-1], eul[-1]),
+                            current_velocity=state.active.velocity(t_last))
+        k = last + 1
 
-    commanded_traj = DenseTrajectory(times, positions, eulers, grippers, Frame.WORLD)
-    target = scenario.initial_plan.positions[-1] + _active_offset(scenario, times[-1])
+    commanded_traj = DenseTrajectory(np.concatenate(times), np.concatenate(positions),
+                                     np.concatenate(eulers), np.concatenate(grippers),
+                                     Frame.WORLD)
+    target = scenario.initial_plan.positions[-1] + _active_offset(scenario,
+                                                                  commanded_traj.times[-1])
     final_error = float(np.linalg.norm(commanded_traj.positions[-1] - target))
     return ExecutionLog(commanded_traj, tuple(events), final_error)
 
@@ -188,13 +221,9 @@ def smoothness_check(log: ExecutionLog, v_max: float, a_max: float) -> tuple:
     speeds = np.linalg.norm(vel, axis=1)
     accels = np.linalg.norm(np.diff(vel, axis=0) / (0.5 * (dts[:-1] + dts[1:]))[:, None], axis=1)
 
-    violations = []
-    for i, s in enumerate(speeds):
-        if s > v_max:
-            violations.append(t[i + 1])
-    for i, a in enumerate(accels):
-        if a > a_max:
-            violations.append(t[i + 1])
-    if violations:
-        return False, float(min(violations))
+    # speed i and acceleration i are both stamped t[i + 1]; times increase,
+    # so the earliest violation is the lowest flagged index
+    flagged = np.concatenate([np.flatnonzero(speeds > v_max), np.flatnonzero(accels > a_max)])
+    if flagged.size:
+        return False, float(t[flagged.min() + 1])
     return True, None

@@ -17,9 +17,15 @@ from .geometry import (
     DenseTrajectory,
     Frame,
     UnitQuaternion,
-    euler_to_quaternion,
-    quaternion_to_euler,
+    canonical_sign,
+    eulers_to_quaternions,
+    quaternions_to_eulers,
 )
+
+# Not called here since sampling is batched, but kept bound: the stage
+# tracer in bench/tracing.py wraps the conversions where each module looks
+# them up.
+from .geometry import euler_to_quaternion, quaternion_to_euler  # noqa: F401
 from .keyframes import SparseTrajectory, insert_sub_keyframes, select_keyframes
 
 __all__ = [
@@ -172,16 +178,22 @@ class PositionSpline:
         return 2.0 * c[..., 2, :] + dt * 6.0 * c[..., 3, :]
 
 
-def _slerp_arrays(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
-    """SLERP on raw wxyz arrays, assuming both unit and dot(a, b) >= 0."""
-    dot = float(np.dot(a, b))
-    if dot > 1.0 - 1e-9:
-        out = (1.0 - s) * a + s * b  # nearly parallel: nlerp is exact enough
-        return out / np.linalg.norm(out)
-    theta = math.acos(min(1.0, dot))
-    sin_theta = math.sin(theta)
-    out = (math.sin((1.0 - s) * theta) * a + math.sin(s * theta) * b) / sin_theta
-    return out / np.linalg.norm(out)
+def _slerp_rows(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Batched SLERP (Shoemake, 1985) from rows a[i] to b[i] at fractions s[i].
+
+    a and b are unit wxyz rows with dot(a[i], b[i]) >= 0. s == 0 and s == 1
+    return the end rows exactly; nearly parallel pairs use normalized
+    linear interpolation. The result is sign-canonical (w >= 0).
+    """
+    dot = np.sum(a * b, axis=1)
+    near = dot > 1.0 - 1e-9  # nearly parallel: nlerp is exact enough
+    theta = np.arccos(np.minimum(dot, 1.0))
+    w_a = np.where(near, 1.0 - s, np.sin((1.0 - s) * theta))
+    w_b = np.where(near, s, np.sin(s * theta))
+    out = (w_a[:, None] * a + w_b[:, None] * b) / np.where(near, 1.0, np.sin(theta))[:, None]
+    out /= np.linalg.norm(out, axis=1)[:, None]
+    out = np.where((s == 0.0)[:, None], a, np.where((s == 1.0)[:, None], b, out))
+    return canonical_sign(out)
 
 
 def slerp(q0: UnitQuaternion, q1: UnitQuaternion, s: float) -> UnitQuaternion:
@@ -190,16 +202,11 @@ def slerp(q0: UnitQuaternion, q1: UnitQuaternion, s: float) -> UnitQuaternion:
     s = 0 returns q0 and s = 1 returns q1; when dot(q0, q1) < 0 the
     second quaternion is negated so the shorter arc is taken.
     """
-    s = float(s)
-    if s == 0.0:
-        return q0
-    if s == 1.0:
-        return q1
     a = q0.as_array()
     b = q1.as_array()
     if np.dot(a, b) < 0.0:
         b = -b
-    return UnitQuaternion(*_slerp_arrays(a, b, s))
+    return UnitQuaternion(*_slerp_rows(a[None], b[None], np.array([float(s)]))[0])
 
 
 @dataclass(frozen=True)
@@ -232,23 +239,29 @@ class OrientationTrack:
 
     @classmethod
     def from_quaternions(cls, times, quats) -> "OrientationTrack":
-        """Build from UnitQuaternion knots, flipping signs for shortest arcs."""
-        rows = np.array([q.as_array() for q in quats])
-        for i in range(1, len(rows)):
-            if np.dot(rows[i - 1], rows[i]) < 0.0:
-                rows[i] = -rows[i]
-        return cls(np.asarray(times, dtype=float), rows)
+        """Build from (n, 4) unit wxyz knots, flipping signs for shortest arcs.
+
+        Row i is negated when an odd number of the consecutive dot products
+        up to it are negative, so every neighbor pair ends up with dot >= 0.
+        """
+        q = np.asarray(quats, dtype=float)
+        flips = np.where(np.sum(q[:-1] * q[1:], axis=1) < 0.0, -1.0, 1.0)
+        signs = np.concatenate([[1.0], np.cumprod(flips)])
+        return cls(np.asarray(times, dtype=float), q * signs[:, None])
+
+    def orientations(self, t) -> np.ndarray:
+        """(n, 4) sign-canonical wxyz rows at times t (clamped to the knots)."""
+        tt = np.asarray(t, dtype=float)
+        times, q = self.knot_times, self.wxyz
+        if len(times) == 1:
+            return canonical_sign(np.repeat(q, len(tt), axis=0))
+        i = np.clip(np.searchsorted(times, tt, side="right") - 1, 0, len(times) - 2)
+        s = np.clip((tt - times[i]) / (times[i + 1] - times[i]), 0.0, 1.0)
+        return _slerp_rows(q[i], q[i + 1], s)
 
     def orientation(self, t: float) -> UnitQuaternion:
         """SLERP within the bracketing knot pair (clamped to the domain)."""
-        times = self.knot_times
-        if len(times) == 1 or t <= times[0]:
-            return UnitQuaternion(*self.wxyz[0])
-        if t >= times[-1]:
-            return UnitQuaternion(*self.wxyz[-1])
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        s = (t - times[i]) / (times[i + 1] - times[i])
-        return UnitQuaternion(*_slerp_arrays(self.wxyz[i], self.wxyz[i + 1], s))
+        return UnitQuaternion(*self.orientations(np.array([float(t)]))[0])
 
 
 @dataclass(frozen=True)
@@ -285,6 +298,15 @@ class ContinuousTrajectory:
         idx = np.searchsorted(self.gripper_times, t, side="right") - 1
         return self.gripper_values[np.maximum(idx, 0)]
 
+    def sample(self, times) -> tuple:
+        """Evaluate at a 1-D array of times, each clamped to the domain.
+
+        Returns positions (n, 3), sign-canonical wxyz quaternions (n, 4)
+        and grippers (n,). Every other evaluator is a call of this one.
+        """
+        t = np.clip(np.asarray(times, dtype=float), *self.domain)
+        return self.position.position(t), self.orientation.orientations(t), self.gripper(t)
+
     def velocity(self, t: float) -> np.ndarray:
         """Positional velocity; zero outside the domain (the pose holds there)."""
         t0, t1 = self.domain
@@ -304,16 +326,14 @@ def fit(sparse: SparseTrajectory, bc_type: str = "natural", end_velocities=None)
         raise InsufficientDataError("need >= 2 waypoints to fit a trajectory")
     times = sparse.times
     spline = PositionSpline.fit(times, sparse.positions, bc_type, end_velocities)
-    quats = [euler_to_quaternion(e) for e in sparse.eulers]
-    track = OrientationTrack.from_quaternions(times, quats)
+    track = OrientationTrack.from_quaternions(times, eulers_to_quaternions(sparse.eulers))
     return ContinuousTrajectory(spline, track, times, sparse.grippers)
 
 
 def eval_trajectory(traj: ContinuousTrajectory, t: float) -> tuple:
     """Evaluate (position, quaternion, gripper) at time t, clamped to the domain."""
-    t0, t1 = traj.domain
-    tc = min(max(float(t), t0), t1)
-    return traj.position.position(tc), traj.orientation.orientation(tc), traj.gripper(tc)
+    pos, quats, grips = traj.sample(np.array([float(t)]))
+    return pos[0], UnitQuaternion(*quats[0]), grips[0]
 
 
 def resample(traj: ContinuousTrajectory, rate: float) -> DenseTrajectory:
@@ -331,11 +351,8 @@ def resample(traj: ContinuousTrajectory, rate: float) -> DenseTrajectory:
         times = np.append(times, t1)
     else:
         times[-1] = t1
-    eulers = np.empty((len(times), 3))
-    for i, t in enumerate(times):
-        eulers[i] = quaternion_to_euler(traj.orientation.orientation(float(t)))
-    return DenseTrajectory(times, traj.position.position(times), eulers, traj.gripper(times),
-                           Frame.WORLD)
+    positions, quats, grippers = traj.sample(times)
+    return DenseTrajectory(times, positions, quaternions_to_eulers(quats), grippers, Frame.WORLD)
 
 
 def end_slope_estimates(times, positions) -> tuple:

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
 import trajkit as tk
+from trajkit.geometry import canonical_sign
 from conftest import line_trajectory, make_camera, rigid, rot_z
 
 
@@ -128,6 +132,51 @@ class TestQuaternions:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             tk.UnitQuaternion(1.0, 1.0, 0.0, 0.0)
+
+    def test_w_zero_takes_first_nonzero_sign(self):
+        assert tk.UnitQuaternion(0.0, 0.0, -0.6, 0.8).as_array().tolist() == [0.0, 0.0, 0.6, -0.8]
+        assert tk.UnitQuaternion(-0.0, 0.0, 0.0, -1.0) == tk.UnitQuaternion(0.0, 0.0, 0.0, 1.0)
+        rows = canonical_sign(np.array([[0.0, -1.0, 0.0, 0.0], [-0.5, 0.5, -0.5, 0.5]]))
+        assert rows.tolist() == [[0.0, 1.0, -0.0, -0.0], [0.5, -0.5, 0.5, -0.5]]
+
+    def test_canonicalizing_twice_changes_nothing(self, rng):
+        rows = tk.unit_quaternions(rng.normal(size=(200, 4)) * 1e-7 + [1.0, 0, 0, 0])
+        assert np.array_equal(tk.unit_quaternions(rows), rows)
+        for row in rows[:20]:
+            assert np.array_equal(tk.UnitQuaternion(*row).as_array(), row)
+
+
+euler_rows = arrays(float, st.tuples(st.integers(1, 12), st.just(3)),
+                    elements=st.sampled_from((0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2))
+                    | st.floats(-math.pi, math.pi))
+quaternion_rows = arrays(float, st.tuples(st.integers(1, 12), st.just(4)),
+                         elements=st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5))
+                         | st.floats(-1.0, 1.0)).filter(
+    lambda q: np.all(np.linalg.norm(q, axis=1) > 0.1))
+
+
+class TestBatchedConversions:
+    """The scalar conversions are one-row calls of the batched ones."""
+
+    @given(euler_rows)
+    def test_eulers_to_quaternions_rows_equal_scalar(self, eulers):
+        batch = tk.eulers_to_quaternions(eulers)
+        for e, row in zip(eulers, batch):
+            assert np.array_equal(row, tk.euler_to_quaternion(e).as_array())
+
+    @given(quaternion_rows)
+    def test_quaternions_to_eulers_rows_equal_scalar(self, raw):
+        rows = tk.unit_quaternions(raw / np.linalg.norm(raw, axis=1)[:, None])
+        batch = tk.quaternions_to_eulers(rows)
+        for q, e in zip(rows, batch):
+            assert np.array_equal(e, tk.quaternion_to_euler(tk.UnitQuaternion(*q)))
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros(4), np.full((1, 4), np.nan),
+                                     np.array([[1.0, 1.0, 0.0, 0.0]]),
+                                     np.array([[np.inf, 0.0, 0.0, 0.0]])])
+    def test_unit_quaternions_rejects(self, bad):
+        with pytest.raises(ValueError):
+            tk.unit_quaternions(bad)
 
 
 class TestFiniteDifferenceAccel:

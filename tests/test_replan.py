@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import trajkit as tk
 from test_splines import sparse_from_arrays
@@ -13,7 +16,7 @@ def line_plan(n=11, speed=0.1, t0=0.0, shift=(0.0, 0.0, 0.0)):
     """Waypoints along +x at 1 s spacing, moving at `speed` m/s."""
     t = t0 + np.arange(n, dtype=float)
     pos = np.stack([speed * (t - t0), np.zeros(n), np.zeros(n)], axis=1) + np.asarray(shift)
-    quats = tuple(tk.UnitQuaternion(1, 0, 0, 0) for _ in range(n))
+    quats = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
     return tk.PendingPlan(pos, quats, np.zeros(n, dtype=int), times=t)
 
 
@@ -36,25 +39,25 @@ def line_state(n=11, speed=0.1, at_time=0.0):
 class TestNearestPendingIndex:
     def test_all_ahead(self):
         plan = tk.PendingPlan(np.array([[1.0, 0, 0], [2, 0, 0], [3, 0, 0]]),
-                              (tk.UnitQuaternion(1, 0, 0, 0),) * 3, [0, 0, 0])
+                              np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), [0, 0, 0])
         assert tk.nearest_pending_index([0, 0, 0], plan) == 0
 
     def test_between(self):
         plan = tk.PendingPlan(np.array([[1.0, 0, 0], [2, 0, 0], [3, 0, 0]]),
-                              (tk.UnitQuaternion(1, 0, 0, 0),) * 3, [0, 0, 0])
+                              np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), [0, 0, 0])
         assert tk.nearest_pending_index([2.1, 0, 0], plan) == 1
 
     def test_tie_takes_lowest(self):
         # oracle: exhaustive distance scan with the declared tie rule
         plan = tk.PendingPlan(np.array([[1.0, 0, 0], [2, 0, 0], [3, 0, 0]]),
-                              (tk.UnitQuaternion(1, 0, 0, 0),) * 3, [0, 0, 0])
+                              np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), [0, 0, 0])
         current = np.array([1.5, 0, 0])
         dists = [np.linalg.norm(p - current) for p in plan.positions]
         best = min(range(3), key=lambda i: (dists[i], i))
         assert tk.nearest_pending_index(current, plan) == best == 0
 
     def test_empty_plan(self):
-        plan = tk.PendingPlan(np.empty((0, 3)), (), [])
+        plan = tk.PendingPlan(np.empty((0, 3)), np.empty((0, 4)), [])
         with pytest.raises(tk.EmptyPlanError):
             tk.nearest_pending_index([0, 0, 0], plan)
 
@@ -67,14 +70,14 @@ class TestForwardDirection:
 
     def test_last_uses_backward_difference(self):
         plan = tk.PendingPlan(np.array([[0.0, 0, 0], [0, 1, 0]]),
-                              (tk.UnitQuaternion(1, 0, 0, 0),) * 2, [0, 0])
+                              np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), [0, 0])
         assert np.allclose(tk.forward_direction(plan, 1), [0, 1, 0])
 
     def test_random_polyline_vs_oracle(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 10))
             pts = rng.normal(size=(n, 3))
-            plan = tk.PendingPlan(pts, (tk.UnitQuaternion(1, 0, 0, 0),) * n,
+            plan = tk.PendingPlan(pts, np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
                                   np.zeros(n, dtype=int))
             for k in range(n):
                 diff = pts[k + 1] - pts[k] if k < n - 1 else pts[k] - pts[k - 1]
@@ -82,7 +85,7 @@ class TestForwardDirection:
                 assert np.allclose(tk.forward_direction(plan, k), expected, atol=1e-12)
 
     def test_single_waypoint_undefined(self):
-        plan = tk.PendingPlan(np.array([[1.0, 0, 0]]), (tk.UnitQuaternion(1, 0, 0, 0),), [0])
+        plan = tk.PendingPlan(np.array([[1.0, 0, 0]]), np.array([[1.0, 0.0, 0.0, 0.0]]), [0])
         with pytest.raises(tk.UndefinedDirectionError):
             tk.forward_direction(plan, 0)
 
@@ -135,7 +138,7 @@ class TestRefreshPending:
         assert len(refreshed) == 0
 
     def test_single_waypoint_kept(self):
-        plan = tk.PendingPlan(np.array([[1.0, 0, 0]]), (tk.UnitQuaternion(1, 0, 0, 0),), [0])
+        plan = tk.PendingPlan(np.array([[1.0, 0, 0]]), np.array([[1.0, 0.0, 0.0, 0.0]]), [0])
         refreshed = tk.refresh_pending([5.0, 0, 0], plan)
         assert len(refreshed) == 1
 
@@ -143,7 +146,7 @@ class TestRefreshPending:
         for _ in range(100):
             n = int(rng.integers(2, 12))
             pts = rng.normal(size=(n, 3))
-            plan = tk.PendingPlan(pts, (tk.UnitQuaternion(1, 0, 0, 0),) * n,
+            plan = tk.PendingPlan(pts, np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
                                   np.zeros(n, dtype=int))
             cur = rng.normal(size=3)
             k = tk.nearest_pending_index(cur, plan)
@@ -181,7 +184,7 @@ class TestMergeReplan:
             replan_interval=0.5,
         )
         goal = tk.PendingPlan(np.array([[0.3, 0.1, 0.2]]),
-                              (tk.UnitQuaternion(1, 0, 0, 0),), [1])
+                              np.array([[1.0, 0.0, 0.0, 0.0]]), [1])
         merged = tk.merge_replan(state, goal, transition_duration=2.0)
         t0, t1 = merged.domain
         assert (t0, t1) == (0.0, 2.0)  # the transition is the whole trajectory
@@ -228,7 +231,7 @@ class TestMergeReplan:
         state = line_state(at_time=10.0)
         # single waypoints are kept unconditionally; use a two-point plan fully behind
         behind = tk.PendingPlan(np.array([[0.5, 0, 0], [0.6, 0, 0]]),
-                                (tk.UnitQuaternion(1, 0, 0, 0),) * 2, [0, 0],
+                                np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), [0, 0],
                                 times=[5.0, 6.0])
         assert tk.merge_replan(state, behind, transition_duration=0.5) is None
 
@@ -236,7 +239,7 @@ class TestMergeReplan:
         state = line_state(at_time=2.0)
         n = 11
         t = np.arange(n, dtype=float)
-        quats = tuple(tk.euler_to_quaternion([0.0, 0.0, 0.7]) for _ in range(n))
+        quats = np.tile(tk.euler_to_quaternion([0.0, 0.0, 0.7]).as_array(), (n, 1))
         plan = tk.PendingPlan(np.stack([0.1 * t, 0 * t, 0 * t], axis=1), quats,
                               np.zeros(n, dtype=int), times=t)
         merged = tk.merge_replan(state, plan, transition_duration=0.5)
@@ -279,7 +282,7 @@ class TestControllerStep:
 
     def test_empty_replan_treated_as_plan_complete(self):
         state = line_state(at_time=5.0)
-        empty = tk.PendingPlan(np.empty((0, 3)), (), [])
+        empty = tk.PendingPlan(np.empty((0, 3)), np.empty((0, 4)), [])
         new_state, cmd, diag = tk.controller_step(state, 0.05, empty)
         assert diag is None
         assert len(new_state.pending) == 0
@@ -291,3 +294,55 @@ class TestControllerStep:
         state = line_state()
         with pytest.raises(ValueError):
             tk.controller_step(state, 0.0)
+
+
+class TestPendingPlanQuaternions:
+    def test_from_sparse_converts_in_one_call(self, rng):
+        eul = rng.uniform(-np.pi, np.pi, (6, 3))
+        sparse = sparse_from_arrays(np.arange(6.0), rng.normal(size=(6, 3)), eul)
+        plan = tk.PendingPlan.from_sparse(sparse)
+        assert np.array_equal(plan.orientations, tk.eulers_to_quaternions(eul))
+        assert not plan.orientations.flags.writeable
+
+    def test_rows_canonicalized_like_unit_quaternion(self):
+        rows = np.array([[-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1e-7]])
+        plan = tk.PendingPlan(np.zeros((2, 3)), rows, [0, 1])
+        for row, quat in zip(plan.orientations, rows):
+            assert np.array_equal(row, tk.UnitQuaternion(*quat).as_array())
+
+    @pytest.mark.parametrize("quats", [
+        np.array([[1.0, 0.0, 0.0, 0.1], [1.0, 0.0, 0.0, 0.0]]),  # not unit
+        np.array([[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]]),  # not finite
+        np.array([[1.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]]),
+        np.ones((2, 3)),  # wrong row length
+        np.ones(8) * 0.5,  # flat
+        np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)),  # wrong count
+    ])
+    def test_rejects_bad_quaternion_arrays(self, quats):
+        with pytest.raises(ValueError):
+            tk.PendingPlan(np.zeros((2, 3)), quats, [0, 0])
+
+
+coordinates = st.floats(-1.0, 1.0)
+
+
+class TestRefreshPendingProperty:
+    @given(arrays(float, st.tuples(st.integers(1, 8), st.just(3)), elements=coordinates),
+           arrays(float, 3, elements=coordinates), st.booleans())
+    def test_keeps_order_and_drops_only_a_prefix(self, positions, current, timed):
+        n = len(positions)
+        assume(n == 1 or np.all(np.linalg.norm(np.diff(positions, axis=0), axis=1) > 0))
+        quats = tk.eulers_to_quaternions(np.outer(np.arange(n), [0.1, -0.2, 0.3]))
+        times = np.arange(n) + 0.5 if timed else None
+        pending = tk.PendingPlan(positions, quats, np.arange(n) % 2, times)
+        refreshed = tk.refresh_pending(current, pending)
+        dropped = n - len(refreshed)
+        assert 0 <= dropped <= n
+        assert np.array_equal(refreshed.positions, pending.positions[dropped:])
+        assert np.array_equal(refreshed.orientations, pending.orientations[dropped:])
+        assert np.array_equal(refreshed.grippers, pending.grippers[dropped:])
+        if timed:
+            assert np.array_equal(refreshed.times, pending.times[dropped:])
+        # survivors start at the nearest waypoint, or just after it
+        k = tk.nearest_pending_index(current, pending)
+        assert dropped in ((0,) if n == 1 else (k, k + 1))

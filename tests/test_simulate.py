@@ -1,7 +1,11 @@
 """Simulation harness: oracle planner, closed-loop runs, smoothness checks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trajkit as tk
 from test_splines import sparse_from_arrays
@@ -13,6 +17,141 @@ def line_scenario(perturbations=(), replan_interval=0.5, control_rate=100.0,
     plan = sparse_from_arrays(t, np.stack([speed * t, np.zeros(n), np.zeros(n)], axis=1))
     return tk.Scenario(plan, tuple(perturbations), replan_interval, control_rate,
                        duration, **kwargs)
+
+
+def curved_scenario(perturbations=(), t0=0.0, n=9, spacing=0.05, replan_interval=0.02,
+                    control_rate=1000.0, duration=0.5, **kwargs):
+    """A curved 3D plan with turning orientations and one gripper toggle."""
+    s = np.linspace(0.0, 1.0, n)
+    t = t0 + spacing * np.arange(n)
+    pos = np.stack([0.2 * s, 0.05 * np.sin(3.0 * s), 0.1 * s**2], axis=1)
+    eul = np.outer(s, [0.4, -0.7, 1.1]) + [0.1, 0.2, -2.9]
+    grip = (s >= 0.5).astype(int)
+    plan = sparse_from_arrays(t, pos, eul, grip)
+    return tk.Scenario(plan, tuple(perturbations), replan_interval, control_rate, duration,
+                       **kwargs)
+
+
+def run_loop(scenario):
+    """Reference: step every control tick through controller_step."""
+    active = tk.fit(scenario.initial_plan)
+    t0, t_end = active.domain
+    dt = 1.0 / scenario.control_rate
+
+    pos0, quat0, grip0 = tk.eval_trajectory(active, t0)
+    state = tk.ControllerState(
+        current_time=t0,
+        current_pose=tk.Pose(pos0, tk.quaternion_to_euler(quat0)),
+        current_velocity=active.velocity(t0),
+        active=active,
+        pending=tk.PendingPlan.from_sparse(scenario.initial_plan),
+        replan_interval=scenario.replan_interval,
+    )
+
+    times, positions, eulers, grippers = [t0], [pos0], [state.current_pose.euler_xyz], [grip0]
+    events = []
+    pending_delayed = None
+    replan_tick = 1
+    stop_time = min(t0 + scenario.duration, t_end)
+
+    k = 1
+    while True:
+        t_next = t0 + k * dt
+        if t_next > stop_time + 1e-9:
+            break
+        replan_source = None
+        next_replan = t0 + replan_tick * scenario.replan_interval
+        if scenario.replan_enabled and state.current_time >= next_replan - 1e-9:
+            requested = tk.oracle_planner(scenario, state.current_time)
+            if scenario.delayed_planner:
+                replan_source, pending_delayed = pending_delayed, requested
+            else:
+                replan_source = requested
+            replan_tick += 1
+        merge_time = state.current_time
+        state, commanded, diag = tk.controller_step(state, t_next - state.current_time,
+                                                    replan_source)
+        if diag is not None:
+            events.append(tk.ReplanEvent(merge_time, diag.dropped_count, diag.gamma,
+                                         diag.k_star, diag.k_star_dropped))
+        times.append(commanded.t)
+        positions.append(commanded.pose.position)
+        eulers.append(commanded.pose.euler_xyz)
+        grippers.append(commanded.gripper)
+        k += 1
+
+    commanded_traj = tk.DenseTrajectory(times, positions, eulers, grippers, tk.Frame.WORLD)
+    offset = sum((p.offset for p in scenario.perturbations if p.time <= times[-1]), np.zeros(3))
+    target = scenario.initial_plan.positions[-1] + offset
+    final_error = float(np.linalg.norm(commanded_traj.positions[-1] - target))
+    return tk.ExecutionLog(commanded_traj, tuple(events), final_error)
+
+
+def same_value(a, b) -> bool:
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+def assert_logs_equal(got, want):
+    for column in ("times", "positions", "eulers", "grippers"):
+        got_column, want_column = getattr(got.commanded, column), getattr(want.commanded, column)
+        assert np.array_equal(got_column, want_column), column
+    assert len(got.replan_events) == len(want.replan_events)
+    for a, b in zip(got.replan_events, want.replan_events):
+        for field in ("time", "dropped_count", "gamma_at_kstar", "kstar", "kstar_dropped"):
+            assert same_value(getattr(a, field), getattr(b, field)), (field, a, b)
+    assert got.final_error == want.final_error
+
+
+BACKWARD = (-0.012, 0.004, 0.0)
+
+LOOP_SCENARIOS = {
+    "delayed-planner": lambda: curved_scenario(
+        [tk.Perturbation(0.13, BACKWARD)], delayed_planner=True),
+    "replan-disabled": lambda: curved_scenario(
+        [tk.Perturbation(0.13, BACKWARD)], replan_enabled=False),
+    "interval-off-tick-grid": lambda: curved_scenario(
+        [tk.Perturbation(0.21, [0.0, 0.01, -0.01])], replan_interval=0.0137),
+    "interval-below-tick": lambda: curved_scenario(replan_interval=0.0004, duration=0.05),
+    "drift-before-first-replan": lambda: curved_scenario(
+        [tk.Perturbation(0.005, [-0.03, 0.004, 0.0]), tk.Perturbation(0.3, [0.0, 0.0, 0.02])]),
+    "duration-past-plan-end": lambda: curved_scenario(
+        [tk.Perturbation(0.1, [0.01, 0.0, 0.0])], duration=5.0, replan_interval=0.03),
+    "lone-final-waypoint": lambda: line_scenario(
+        [tk.Perturbation(9.2, [0.0, 0.01, 0.0])], duration=10.0, replan_interval=0.3),
+    "start-between-ticks": lambda: curved_scenario(
+        t0=0.0004, perturbations=[tk.Perturbation(0.2, BACKWARD)], delayed_planner=True),
+    "start-after-zero": lambda: curved_scenario(
+        t0=3.25, perturbations=[tk.Perturbation(0.2, BACKWARD)], control_rate=300.0),
+}
+
+
+class TestLoopReference:
+    """run() batches the ticks between replans; it must equal per-tick stepping."""
+
+    @pytest.mark.parametrize("name", sorted(LOOP_SCENARIOS))
+    def test_matches_per_tick_loop(self, name):
+        scenario = LOOP_SCENARIOS[name]()
+        assert_logs_equal(tk.run(scenario), run_loop(LOOP_SCENARIOS[name]()))
+
+    def test_scenarios_reach_their_edge_cases(self):
+        lone = tk.run(LOOP_SCENARIOS["lone-final-waypoint"]())
+        assert any(math.isnan(e.gamma_at_kstar) for e in lone.replan_events)
+        late = LOOP_SCENARIOS["duration-past-plan-end"]()
+        assert late.duration > late.initial_plan.times[-1]
+        disabled = tk.run(LOOP_SCENARIOS["replan-disabled"]())
+        assert disabled.replan_events == ()
+        early = LOOP_SCENARIOS["drift-before-first-replan"]()
+        assert early.perturbations[0].time < early.replan_interval
+        assert tk.run(early).replan_events[0].kstar_dropped
+
+    @settings(max_examples=30)  # each example steps a 1 kHz run tick by tick
+    @given(interval=st.floats(0.0003, 0.05), rate=st.sampled_from([97.0, 250.0, 1000.0]),
+           drift=st.floats(0.0, 0.25), delayed=st.booleans())
+    def test_matches_per_tick_loop_property(self, interval, rate, drift, delayed):
+        def make():
+            return curved_scenario([tk.Perturbation(drift, BACKWARD)], replan_interval=interval,
+                                   control_rate=rate, duration=0.25, delayed_planner=delayed)
+        assert_logs_equal(tk.run(make()), run_loop(make()))
 
 
 class TestOraclePlanner:
@@ -185,8 +324,41 @@ class TestSmoothnessCheck:
         assert not passed
         assert abs(violation - 3.0) < 0.05
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 40))
+        times = np.cumsum(rng.uniform(0.001, 0.1, n))
+        positions = np.cumsum(rng.normal(scale=0.02, size=(n, 3)), axis=0)
+        if seed % 4 == 0:
+            positions[rng.integers(n)] += 0.5  # a spike
+        log = tk.ExecutionLog(tk.DenseTrajectory(times, positions, np.zeros((n, 3)),
+                                                 np.zeros(n, dtype=int), tk.Frame.WORLD), (), 0.0)
+        v_max, a_max = rng.uniform(0.05, 2.0), rng.uniform(1.0, 200.0)
+        assert tk.smoothness_check(log, v_max, a_max) == smoothness_loop(log, v_max, a_max)
+
     def test_needs_three_samples(self):
         two = tk.DenseTrajectory([0.0, 1.0], np.zeros((2, 3)),
                                  np.zeros((2, 3)), [0, 0], tk.Frame.WORLD)
         with pytest.raises(tk.InsufficientDataError):
             tk.smoothness_check(tk.ExecutionLog(two, (), 0.0), 1.0, 1.0)
+
+
+def smoothness_loop(log, v_max, a_max):
+    """Reference: the per-sample loops smoothness_check replaced."""
+    t = log.commanded.times
+    p = log.commanded.positions
+    dts = np.diff(t)
+    vel = np.diff(p, axis=0) / dts[:, None]
+    speeds = np.linalg.norm(vel, axis=1)
+    accels = np.linalg.norm(np.diff(vel, axis=0) / (0.5 * (dts[:-1] + dts[1:]))[:, None], axis=1)
+    violations = []
+    for i, s in enumerate(speeds):
+        if s > v_max:
+            violations.append(t[i + 1])
+    for i, a in enumerate(accels):
+        if a > a_max:
+            violations.append(t[i + 1])
+    if violations:
+        return False, float(min(violations))
+    return True, None

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import trajkit as tk
@@ -243,3 +245,113 @@ class TestReconstructionError:
         traj = line_trajectory(n=30)
         with pytest.raises(tk.InsufficientDataError):
             tk.reconstruction_error(traj, 10)
+
+
+angles = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def orientation_knots(draw):
+    """(times, (n, 4) wxyz knots) with near-parallel, antipodal and w == 0 rows."""
+    n = draw(st.integers(1, 6))
+    times = np.cumsum([draw(st.floats(0.01, 2.0)) for _ in range(n)])
+    rows = tk.eulers_to_quaternions([[draw(angles) for _ in range(3)] for _ in range(n)])
+    for i in range(1, n):
+        kind = draw(st.sampled_from(("free", "near-parallel", "antipodal", "w0")))
+        if kind == "near-parallel":  # dot > 1 - 1e-9: the nlerp branch
+            rows[i] = tk.euler_to_quaternion(
+                tk.quaternion_to_euler(tk.UnitQuaternion(*rows[i - 1]))
+                + draw(st.floats(-1e-6, 1e-6))).as_array()
+        elif kind == "antipodal":
+            rows[i] = -rows[i - 1]
+        elif kind == "w0":
+            rows[i] = draw(st.sampled_from(([0.0, 0.0, -1.0, 0.0], [0.0, -0.6, 0.0, 0.8],
+                                            [0.0, 0.0, 0.0, -1.0])))
+    return times, rows
+
+
+def sample_times(draw, knots):
+    """Times before, on, between and after the knots."""
+    span = knots[-1] - knots[0]
+    return np.array([knots[0] - 1.0, knots[-1] + 1.0, *knots,
+                     *(draw(st.floats(knots[0] - 0.5, knots[-1] + 0.5)) for _ in range(8)),
+                     *(knots[0] + span * np.linspace(0.0, 1.0, 5))])
+
+
+class TestBatchedSampler:
+    """Every scalar evaluator is a one-row call of the batched sampler."""
+
+    @given(orientation_knots(), st.data())
+    def test_orientation_rows_equal_scalar(self, knots, data):
+        times, rows = knots
+        track = tk.OrientationTrack.from_quaternions(times, rows)
+        ts = sample_times(data.draw, times)
+        batch = track.orientations(ts)
+        for t, row in zip(ts, batch):
+            assert np.array_equal(row, track.orientation(float(t)).as_array())
+        assert np.all(np.abs(np.linalg.norm(batch, axis=1) - 1.0) < 1e-12)
+        assert np.all(batch[:, 0] >= 0.0)
+
+    @given(orientation_knots(), st.data())
+    def test_trajectory_rows_equal_eval_trajectory(self, knots, data):
+        times, rows = knots
+        assume(len(times) >= 2)
+        pos = np.array([[data.draw(st.floats(-1, 1)) for _ in range(3)] for _ in times])
+        grip = [data.draw(st.integers(0, 1)) for _ in times]
+        traj = tk.ContinuousTrajectory(tk.PositionSpline.fit(times, pos),
+                                       tk.OrientationTrack.from_quaternions(times, rows),
+                                       times, grip)
+        ts = sample_times(data.draw, times)
+        positions, quats, grippers = traj.sample(ts)
+        for i, t in enumerate(ts):
+            p, q, g = tk.eval_trajectory(traj, float(t))
+            assert np.array_equal(positions[i], p)
+            assert np.array_equal(quats[i], q.as_array())
+            assert grippers[i] == g
+
+    @given(orientation_knots(), st.floats(-0.5, 1.5))
+    def test_slerp_is_a_one_row_call(self, knots, s):
+        _, rows = knots
+        q0, q1 = tk.UnitQuaternion(*rows[0]), tk.UnitQuaternion(*rows[-1])
+        track = tk.OrientationTrack.from_quaternions([0.0, 1.0], [q0.as_array(), q1.as_array()])
+        if 0.0 <= s <= 1.0:
+            assert tk.slerp(q0, q1, s) == track.orientation(s)
+        assert tk.slerp(q0, q1, 0.0) == q0
+        assert tk.slerp(q0, q1, 1.0) == q1
+
+    def test_one_knot_track_is_constant(self):
+        q = tk.euler_to_quaternion([0.3, -1.2, 2.5])
+        track = tk.OrientationTrack.from_quaternions([1.0], [-q.as_array()])
+        batch = track.orientations(np.array([-5.0, 1.0, 7.0]))
+        assert np.array_equal(batch, np.tile(q.as_array(), (3, 1)))
+        assert track.orientation(3.0) == q
+
+    def test_from_quaternions_aligns_signs_by_negation_only(self, rng):
+        rows = tk.eulers_to_quaternions(rng.uniform(-np.pi, np.pi, (50, 3)))
+        rows[rng.integers(0, 2, 50) == 1] *= -1.0
+        track = tk.OrientationTrack.from_quaternions(np.arange(50.0), rows)
+        assert np.all(np.sum(track.wxyz[:-1] * track.wxyz[1:], axis=1) >= 0.0)
+        assert np.array_equal(np.abs(track.wxyz), np.abs(rows))
+
+
+@st.composite
+def sparse_plans(draw):
+    n = draw(st.integers(2, 8))
+    times = np.cumsum([draw(st.floats(0.05, 2.0)) for _ in range(n)])
+    pos = [[draw(st.floats(-2, 2)) for _ in range(3)] for _ in range(n)]
+    eul = [[draw(angles) for _ in range(3)] for _ in range(n)]
+    grip = [draw(st.integers(0, 1)) for _ in range(n)]
+    return sparse_from_arrays(times, pos, eul, grip)
+
+
+class TestFitInterpolatesKnots:
+    @given(sparse_plans(), st.sampled_from(("natural", "clamped")))
+    def test_knots_reproduced(self, sparse, bc_type):
+        ends = (np.zeros(3), np.ones(3)) if bc_type == "clamped" else None
+        traj = tk.fit(sparse, bc_type, ends)
+        positions, quats, grippers = traj.sample(sparse.times)
+        scale = 1.0 + np.abs(sparse.positions).max()
+        assert np.abs(positions - sparse.positions).max() < 1e-9 * scale
+        # a knot hit returns the knot rotation itself
+        assert np.array_equal(quats, tk.eulers_to_quaternions(sparse.eulers))
+        assert np.array_equal(grippers, sparse.grippers)
