@@ -23,7 +23,6 @@ from .geometry import (
     DenseTrajectory,
     Frame,
     Pose,
-    TimedSample,
     UnitQuaternion,
     back_project,
     camera_to_world,
@@ -104,7 +103,7 @@ __all__ = [
     "TrajkitError", "InvalidCameraError", "BehindCameraError",
     "InsufficientDataError", "OutOfFrameError", "DepthRangeError",
     "SchemaError", "EmptyPlanError", "UndefinedDirectionError",
-    "Frame", "Pose", "UnitQuaternion", "CameraModel", "TimedSample",
+    "Frame", "Pose", "UnitQuaternion", "CameraModel",
     "DenseTrajectory", "back_project", "project", "camera_to_world",
     "euler_to_quaternion", "quaternion_to_euler", "eulers_to_quaternions",
     "quaternions_to_eulers", "unit_quaternions", "normalize_angles",

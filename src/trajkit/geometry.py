@@ -27,7 +27,6 @@ __all__ = [
     "Pose",
     "UnitQuaternion",
     "CameraModel",
-    "TimedSample",
     "DenseTrajectory",
     "back_project",
     "project",
@@ -211,23 +210,6 @@ class CameraModel:
         k = np.array([[fx, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
         ext = np.eye(4) if extrinsics_c2w is None else extrinsics_c2w
         return cls(k, ext, width, height)
-
-
-@dataclass(frozen=True)
-class TimedSample:
-    """One trajectory sample: time, pose, and binary gripper state."""
-
-    t: float
-    pose: Pose
-    gripper: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise ValueError(f"timestamp must be finite, got {self.t}")
-        if self.gripper not in (0, 1):
-            raise ValueError(f"gripper must be 0 or 1, got {self.gripper}")
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "gripper", int(self.gripper))
 
 
 class SampleError(ValueError):

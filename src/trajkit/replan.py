@@ -18,19 +18,19 @@ import numpy as np
 from .errors import EmptyPlanError, UndefinedDirectionError
 from .geometry import (
     Pose,
-    TimedSample,
     euler_to_quaternion,
     eulers_to_quaternions,
-    quaternion_to_euler,
+    quaternions_to_eulers,
     unit_quaternions,
 )
 from .keyframes import SparseTrajectory
-from .splines import (
-    ContinuousTrajectory,
-    OrientationTrack,
-    PositionSpline,
-    eval_trajectory,
-)
+from .splines import ContinuousTrajectory, OrientationTrack, PositionSpline
+
+# Not called here since ticks are sampled in blocks, but kept bound: the
+# stage tracer in bench/tracing.py wraps them where this module looks
+# them up.
+from .geometry import quaternion_to_euler  # noqa: F401
+from .splines import eval_trajectory  # noqa: F401
 
 __all__ = [
     "PendingPlan",
@@ -286,16 +286,22 @@ def merge_replan(state: ControllerState, new_waypoints: PendingPlan,
     return _merge_refreshed(state, refreshed)
 
 
-def controller_step(state: ControllerState, dt: float,
+def controller_step(state: ControllerState, times,
                     replan_source: PendingPlan | None = None) -> tuple:
-    """Advance the controller by dt, optionally merging a replan first.
+    """Merge an optional replan at current_time, then command the ticks at ``times``.
 
-    Returns (new_state, commanded_sample, diagnostics) where diagnostics
-    is a :class:`RefreshDiagnostics` when a replan was processed and None
-    otherwise.
+    ``times`` is a non-empty 1-D array of finite, strictly increasing tick
+    times after current_time; all of them are sampled from the active
+    trajectory in one call. Returns (new_state, (times, positions,
+    eulers, grippers), diagnostics): new_state holds the last tick's time,
+    pose and velocity, and diagnostics is a :class:`RefreshDiagnostics`
+    when a replan was processed and None otherwise.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)):
+        raise ValueError("times must be a non-empty 1-D array of finite values")
+    if t[0] <= state.current_time or np.any(np.diff(t) <= 0):
+        raise ValueError("times must be strictly increasing and after current_time")
     diagnostics = None
     if replan_source is not None and len(replan_source) == 0:
         # planner reports nothing left: plan complete, keep executing
@@ -308,14 +314,9 @@ def controller_step(state: ControllerState, dt: float,
         else:
             state = replace(state, pending=refreshed)
 
-    t_next = state.current_time + dt
-    pos, quat, grip = eval_trajectory(state.active, t_next)
-    pose = Pose(pos, quaternion_to_euler(quat))
-    commanded = TimedSample(float(t_next), pose, int(grip))
-    new_state = replace(
-        state,
-        current_time=t_next,
-        current_pose=pose,
-        current_velocity=state.active.velocity(t_next),
-    )
-    return new_state, commanded, diagnostics
+    pos, quats, grip = state.active.sample(t)
+    eul = quaternions_to_eulers(quats)
+    t_last = float(t[-1])
+    new_state = replace(state, current_time=t_last, current_pose=Pose(pos[-1], eul[-1]),
+                        current_velocity=state.active.velocity(t_last))
+    return new_state, (t, pos, eul, grip), diagnostics

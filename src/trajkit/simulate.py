@@ -6,13 +6,13 @@ the commanded stream and every replan event. Deterministic: identical
 scenarios produce bit-identical logs.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InsufficientDataError
-from .geometry import DenseTrajectory, Frame, Pose, quaternion_to_euler, quaternions_to_eulers
+from .geometry import DenseTrajectory, Frame, Pose, quaternion_to_euler
 from .keyframes import SparseTrajectory
 from .replan import ControllerState, PendingPlan, controller_step
 from .splines import eval_trajectory, fit
@@ -122,11 +122,9 @@ def run(scenario: Scenario) -> ExecutionLog:
     replan_interval, and stops at the scenario duration or when the
     active trajectory is exhausted, whichever comes first.
 
-    Between two requests the active trajectory cannot change, so the ticks
-    run in blocks: the first tick of a block goes through controller_step,
-    which merges any delivered plan, and the rest of the block is sampled
-    in one batched call. The log equals stepping every tick through
-    controller_step.
+    Between two requests the active trajectory cannot change, so each
+    controller_step commands a whole block of ticks, from one request to
+    the next.
     """
     active = fit(scenario.initial_plan)
     t0, t_end = active.domain
@@ -174,26 +172,15 @@ def run(scenario: Scenario) -> ExecutionLog:
             last = min(max(k, due), n_ticks)
 
         merge_time = state.current_time
-        state, commanded, diag = controller_step(state, float(grid[k]) - state.current_time,
-                                                 replan_source)
+        state, (t, pos, eul, grip), diag = controller_step(state, grid[k:last + 1],
+                                                           replan_source)
         if diag is not None:
             events.append(ReplanEvent(merge_time, diag.dropped_count, diag.gamma,
                                       diag.k_star, diag.k_star_dropped))
-        # controller_step stamps current_time + (grid[k] - current_time);
-        # that is grid[k] exactly whenever consecutive tick times share a
-        # sign and lie within a factor of two (Sterbenz), as for any run
-        # starting at t0 >= 0, so the later ticks read the grid directly
-        rest = grid[k + 1:last + 1]
-        pos, quats, grip = state.active.sample(rest)
-        eul = quaternions_to_eulers(quats)
-        times += [[commanded.t], rest]
-        positions += [commanded.pose.position[None], pos]
-        eulers += [commanded.pose.euler_xyz[None], eul]
-        grippers += [[commanded.gripper], grip]
-        if len(rest):
-            t_last = float(rest[-1])
-            state = replace(state, current_time=t_last, current_pose=Pose(pos[-1], eul[-1]),
-                            current_velocity=state.active.velocity(t_last))
+        times.append(t)
+        positions.append(pos)
+        eulers.append(eul)
+        grippers.append(grip)
         k = last + 1
 
     commanded_traj = DenseTrajectory(np.concatenate(times), np.concatenate(positions),

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import InsufficientDataError
 from .geometry import (
@@ -41,22 +42,6 @@ __all__ = [
 ]
 
 
-def _thomas_solve(lower, diag, upper, rhs):
-    """Tridiagonal solve (Thomas algorithm); rhs may have trailing axes."""
-    n = len(diag)
-    d = diag.astype(float).copy()
-    r = rhs.astype(float).copy()
-    for i in range(1, n):
-        m = lower[i] / d[i - 1]
-        d[i] -= m * upper[i - 1]
-        r[i] -= m * r[i - 1]
-    out = np.empty_like(r)
-    out[-1] = r[-1] / d[-1]
-    for i in range(n - 2, -1, -1):
-        out[i] = (r[i] - upper[i] * out[i + 1]) / d[i]
-    return out
-
-
 def _cubic_moments(t: np.ndarray, y: np.ndarray, bc_type: str, end_velocities):
     """Second-derivative knot values for an interpolating cubic spline.
 
@@ -66,28 +51,28 @@ def _cubic_moments(t: np.ndarray, y: np.ndarray, bc_type: str, end_velocities):
     n = len(t)
     h = np.diff(t)
     slopes = np.diff(y, axis=0) / h[:, None]
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
+    # the tridiagonal system in banded form: rows hold the super-, main
+    # and sub-diagonal
+    ab = np.zeros((3, n))
+    ab[0, 2:] = h[1:]
+    ab[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
+    ab[2, :-2] = h[:-1]
     rhs = np.zeros((n,) + y.shape[1:])
-    if n > 2:
-        lower[1:-1] = h[:-1]
-        diag[1:-1] = 2.0 * (h[:-1] + h[1:])
-        upper[1:-1] = h[1:]
-        rhs[1:-1] = 6.0 * (slopes[1:] - slopes[:-1])
-    if bc_type == "natural":
-        diag[0] = diag[-1] = 1.0
-    elif bc_type == "clamped":
+    rhs[1:-1] = 6.0 * (slopes[1:] - slopes[:-1])
+    # both end rows weigh their moment by 2h (natural: 2h * m = 0), so the
+    # system stays diagonally dominant, LAPACK's partial pivoting never
+    # swaps rows and the moments equal plain Thomas elimination bit for bit
+    ab[1, 0] = 2.0 * h[0]
+    ab[1, -1] = 2.0 * h[-1]
+    if bc_type == "clamped":
         v0, v1 = (np.asarray(v, dtype=float) for v in end_velocities)
-        diag[0] = 2.0 * h[0]
-        upper[0] = h[0]
+        ab[0, 1] = h[0]
         rhs[0] = 6.0 * (slopes[0] - v0)
-        lower[-1] = h[-1]
-        diag[-1] = 2.0 * h[-1]
+        ab[2, -2] = h[-1]
         rhs[-1] = 6.0 * (v1 - slopes[-1])
-    else:
+    elif bc_type != "natural":
         raise ValueError(f"unknown boundary condition {bc_type!r}")
-    return _thomas_solve(lower, diag, upper, rhs)
+    return solve_banded((1, 1), ab, rhs)
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ def test_closed_loop_shift_recovery_and_continuity():
                 source = tk.oracle_planner(scenario, state.current_time)
             pre_active, pre_vel = state.active, state.current_velocity
             pre_pos = state.current_pose.position
-            state, _, diag = tk.controller_step(state, t_k - state.current_time, source)
+            state, _, diag = tk.controller_step(state, [t_k], source)
             if diag is None or state.active is pre_active:
                 continue
             merges += 1

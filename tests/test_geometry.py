@@ -260,10 +260,6 @@ class TestValidation:
             tk.DenseTrajectory([0.0, 0.0], np.zeros((2, 3)),
                                np.zeros((2, 3)), [0, 0], tk.Frame.WORLD)
 
-    def test_gripper_binary(self):
-        with pytest.raises(ValueError):
-            tk.TimedSample(0.0, tk.Pose([0, 0, 0], [0, 0, 0]), 2)
-
 
 def build_trajectory(kind, t, pos, eul, grip):
     """Dense or sparse trajectory from columns (sparse waypoints all keyframes)."""

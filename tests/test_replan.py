@@ -261,8 +261,9 @@ class TestControllerStep:
         expected = tk.resample(state.active, rate)
         got = [state.current_pose.position]
         for _ in range(len(expected) - 1):
-            state, cmd, diag = tk.controller_step(state, 1.0 / rate)
-            got.append(cmd.pose.position)
+            state, (_, pos, _, _), diag = tk.controller_step(
+                state, [state.current_time + 1.0 / rate])
+            got.append(pos[0])
             assert diag is None
         assert np.abs(np.array(got) - expected.positions).max() < 1e-9
 
@@ -272,28 +273,34 @@ class TestControllerStep:
         replanned = line_state(at_time=0.0)
         base_stream, replan_stream = [], []
         for k in range(1, 181):
-            baseline, cmd_b, _ = tk.controller_step(baseline, dt)
+            baseline, (_, pos_b, _, _), _ = tk.controller_step(
+                baseline, [baseline.current_time + dt])
             source = line_plan() if k % 10 == 0 else None  # replan every 0.5 s
-            replanned, cmd_r, _ = tk.controller_step(replanned, dt, source)
-            base_stream.append(cmd_b.pose.position)
-            replan_stream.append(cmd_r.pose.position)
+            replanned, (_, pos_r, _, _), _ = tk.controller_step(
+                replanned, [replanned.current_time + dt], source)
+            base_stream.append(pos_b[0])
+            replan_stream.append(pos_r[0])
         diff = np.abs(np.array(base_stream) - np.array(replan_stream)).max()
         assert diff < 1e-6
 
     def test_empty_replan_treated_as_plan_complete(self):
         state = line_state(at_time=5.0)
         empty = tk.PendingPlan(np.empty((0, 3)), np.empty((0, 4)), [])
-        new_state, cmd, diag = tk.controller_step(state, 0.05, empty)
+        new_state, (_, pos, _, _), diag = tk.controller_step(
+            state, [state.current_time + 0.05], empty)
         assert diag is None
         assert len(new_state.pending) == 0
         # execution continues on the existing trajectory
         expected, _, _ = tk.eval_trajectory(state.active, 5.05)
-        assert np.allclose(cmd.pose.position, expected)
+        assert np.allclose(pos[0], expected)
 
-    def test_rejects_nonpositive_dt(self):
-        state = line_state()
+    @pytest.mark.parametrize("times", [
+        [], [2.0], [1.5], [2.1, 2.1], [2.2, 2.1], [math.nan], [2.1, math.inf],
+    ], ids=["empty", "at-current", "before-current", "repeated", "decreasing", "nan", "inf"])
+    def test_rejects_bad_times(self, times):
+        state = line_state(at_time=2.0)
         with pytest.raises(ValueError):
-            tk.controller_step(state, 0.0)
+            tk.controller_step(state, times)
 
 
 class TestPendingPlanQuaternions:

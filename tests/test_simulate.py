@@ -69,15 +69,14 @@ def run_loop(scenario):
                 replan_source = requested
             replan_tick += 1
         merge_time = state.current_time
-        state, commanded, diag = tk.controller_step(state, t_next - state.current_time,
-                                                    replan_source)
+        state, (t, pos, eul, grip), diag = tk.controller_step(state, [t_next], replan_source)
         if diag is not None:
             events.append(tk.ReplanEvent(merge_time, diag.dropped_count, diag.gamma,
                                          diag.k_star, diag.k_star_dropped))
-        times.append(commanded.t)
-        positions.append(commanded.pose.position)
-        eulers.append(commanded.pose.euler_xyz)
-        grippers.append(commanded.gripper)
+        times.append(t[0])
+        positions.append(pos[0])
+        eulers.append(eul[0])
+        grippers.append(grip[0])
         k += 1
 
     commanded_traj = tk.DenseTrajectory(times, positions, eulers, grippers, tk.Frame.WORLD)
@@ -122,6 +121,8 @@ LOOP_SCENARIOS = {
         t0=0.0004, perturbations=[tk.Perturbation(0.2, BACKWARD)], delayed_planner=True),
     "start-after-zero": lambda: curved_scenario(
         t0=3.25, perturbations=[tk.Perturbation(0.2, BACKWARD)], control_rate=300.0),
+    "ticks-cross-zero": lambda: curved_scenario(
+        t0=-0.0203, perturbations=[tk.Perturbation(0.1, BACKWARD)], delayed_planner=True),
 }
 
 

@@ -37,7 +37,7 @@ class TestFit:
             assert np.linalg.norm(pos - tau * direction) < 1e-9
 
     def test_matches_scipy_natural_spline(self, rng):
-        # independent oracle for the hand-rolled tridiagonal solve
+        # independent oracle for the tridiagonal moment solve
         t = np.sort(rng.uniform(0, 5, 9))
         t[0], t[-1] = 0.0, 5.0
         pts = rng.normal(size=(9, 3))
@@ -355,3 +355,45 @@ class TestFitInterpolatesKnots:
         # a knot hit returns the knot rotation itself
         assert np.array_equal(quats, tk.eulers_to_quaternions(sparse.eulers))
         assert np.array_equal(grippers, sparse.grippers)
+
+
+def thomas_moments(t, y, bc_type, end_velocities):
+    """Reference: the spline moments by plain Thomas elimination, natural
+    end rows written as ``1 * m = 0``."""
+    n = len(t)
+    h = np.diff(t)
+    slopes = np.diff(y, axis=0) / h[:, None]
+    lower, diag, upper = np.zeros(n), np.ones(n), np.zeros(n)
+    rhs = np.zeros((n, 3))
+    lower[1:-1], diag[1:-1], upper[1:-1] = h[:-1], 2.0 * (h[:-1] + h[1:]), h[1:]
+    rhs[1:-1] = 6.0 * (slopes[1:] - slopes[:-1])
+    if bc_type == "clamped":
+        diag[0], upper[0], rhs[0] = 2.0 * h[0], h[0], 6.0 * (slopes[0] - end_velocities[0])
+        lower[-1], diag[-1] = h[-1], 2.0 * h[-1]
+        rhs[-1] = 6.0 * (end_velocities[1] - slopes[-1])
+    for i in range(1, n):
+        m = lower[i] / diag[i - 1]
+        diag[i] -= m * upper[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    out = np.empty_like(rhs)
+    out[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        out[i] = (rhs[i] - upper[i] * out[i + 1]) / diag[i]
+    return out
+
+
+class TestMomentSolve:
+    # knot spacings above 1 s are where pivoting on a unit natural end row
+    # would reorder the elimination
+    @given(st.integers(2, 60), st.sampled_from(("natural", "clamped")), st.data())
+    def test_equals_thomas_elimination(self, n, bc_type, data):
+        h = data.draw(st.lists(st.floats(1e-3, 100.0), min_size=n - 1, max_size=n - 1))
+        t = data.draw(st.floats(-50.0, 50.0)) + np.concatenate([[0.0], np.cumsum(h)])
+        assume(np.all(np.diff(t) > 0))
+        coords = st.floats(-10.0, 10.0)
+        y = np.array(data.draw(st.lists(st.lists(coords, min_size=3, max_size=3),
+                                        min_size=n, max_size=n)))
+        ends = (np.array(data.draw(st.lists(coords, min_size=3, max_size=3))),
+                np.array(data.draw(st.lists(coords, min_size=3, max_size=3))))
+        got = tk.splines._cubic_moments(t, y, bc_type, ends)
+        assert np.array_equal(got, thomas_moments(t, y, bc_type, ends))
