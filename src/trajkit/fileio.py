@@ -1,7 +1,8 @@
 """Versioned JSON file formats for trajectories, tokens, scenarios, and logs.
 
 All formats round-trip losslessly: floats serialize via Python's
-shortest round-trip repr, so load(save(x)) == x bit-exactly. Validation
+shortest round-trip repr, so load(save(x)) == x bit-exactly. Every file
+is exactly the text of ``json.dumps(payload, indent=2)``. Validation
 errors name the JSON path of the offending field
 (e.g. ``samples[3].gripper``), and writes are atomic (temp file +
 rename) so a failed save never leaves a partial file behind.
@@ -11,6 +12,8 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,9 +42,58 @@ FORMAT_VERSION = 1
 _UNITS = {"length": "meters", "time": "seconds", "angle": "radians"}
 
 
+class _SampleRows:
+    """A trajectory's ``samples`` array inside a payload.
+
+    :func:`_encode` writes it from one ``%r`` row template over the
+    ``.tolist()`` columns, which is the text ``json.dumps(indent=2)``
+    gives for the per-sample objects: JSON numbers are ``int.__repr__``
+    and ``float.__repr__``.
+    """
+
+    def __init__(self, traj):
+        self.columns = (traj.times, traj.positions, traj.eulers, traj.grippers)
+
+    def encode(self, level: int) -> str:
+        times, positions, eulers, grippers = self.columns
+        for column in (times, positions, eulers):
+            bad = column[~np.isfinite(column)]
+            if bad.size:
+                raise ValueError("Out of range float values are not JSON compliant: "
+                                 + repr(float(bad[0])))
+        if not len(times):
+            return "[]"
+        a, b, c = ("\n" + "  " * (level + k) for k in (1, 2, 3))
+        triple = "[" + c + ("," + c).join(["%r"] * 3) + b + "]"
+        row = ("{" + b + '"t": %r,' + b + '"pos": ' + triple + "," + b + '"euler_xyz": '
+               + triple + "," + b + '"gripper": %r' + a + "}")
+        rows = zip(times.tolist(), *positions.T.tolist(), *eulers.T.tolist(),
+                   grippers.tolist())
+        return "[" + a + ("," + a).join(map(row.__mod__, rows)) + "\n" + "  " * level + "]"
+
+
+def _holds_rows(value) -> bool:
+    return isinstance(value, _SampleRows) or (
+        isinstance(value, dict) and any(map(_holds_rows, value.values())))
+
+
+def _encode(value, level: int) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)`` as it reads nested
+    ``level`` objects deep, with every :class:`_SampleRows` written from
+    its row template."""
+    if isinstance(value, _SampleRows):
+        return value.encode(level)
+    pad = "\n" + "  " * level
+    if isinstance(value, dict) and _holds_rows(value):
+        items = (f"{json.dumps(key)}: {_encode(item, level + 1)}" for key, item in value.items())
+        return "{" + pad + "  " + ("," + pad + "  ").join(items) + pad + "}"
+    # an indented dump has no raw newline inside a string, only between lines
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", pad)
+
+
 def _write_json(payload: dict, path) -> None:
     """Serialize fully, then atomically replace the target file."""
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    text = _encode(payload, 0) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -78,7 +130,7 @@ def _get(obj: dict, key: str, kind, path: str, optional: bool = False):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(_join(path, key), f"expected a number, got {type(value).__name__}")
-        return float(value)
+        return _float(value, _join(path, key))
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(_join(path, key), f"expected an integer, got {type(value).__name__}")
@@ -89,17 +141,28 @@ def _get(obj: dict, key: str, kind, path: str, optional: bool = False):
     return value
 
 
+def _float(value, path: str) -> float:
+    """A JSON number as a float; an integer beyond the float range is a SchemaError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(path, "number out of float range") from None
+
+
 def _number_list(obj: dict, key: str, n: int, path: str, kind=float) -> list:
     """Exactly n JSON numbers (integers only when ``kind`` is int)."""
     values = _get(obj, key, list, path)
+    where = _join(path, key)
     if len(values) != n:
-        raise SchemaError(_join(path, key), f"expected {n} numbers, got {len(values)}")
+        raise SchemaError(where, f"expected {n} numbers, got {len(values)}")
     allowed = (int, float) if kind is float else int
     for i, v in enumerate(values):
         if isinstance(v, bool) or not isinstance(v, allowed):
             noun = "a number" if kind is float else "an integer"
-            raise SchemaError(f"{_join(path, key)}[{i}]", f"expected {noun}")
-    return [kind(v) for v in values]
+            raise SchemaError(f"{where}[{i}]", f"expected {noun}")
+    if kind is int:
+        return list(values)
+    return [_float(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
 def _check_version(data: dict, path: str) -> None:
@@ -112,14 +175,6 @@ def _check_version(data: dict, path: str) -> None:
 # trajectories: one samples parser and writer for bundles, scenarios and logs
 
 
-def _samples_payload(traj) -> list:
-    return [
-        {"t": t, "pos": pos, "euler_xyz": euler, "gripper": gripper}
-        for t, pos, euler, gripper in zip(traj.times.tolist(), traj.positions.tolist(),
-                                          traj.eulers.tolist(), traj.grippers.tolist())
-    ]
-
-
 def _frame(obj: dict, path: str) -> Frame:
     value = _get(obj, "frame", str, path)
     try:
@@ -128,17 +183,40 @@ def _frame(obj: dict, path: str) -> Frame:
         raise SchemaError(_join(path, "frame"), f"must be 'camera' or 'world', got {value!r}")
 
 
-def _parse_trajectory(obj: dict, path: str, frame: Frame, sparse: bool):
-    """The ``samples`` (and for sparse, ``keyframe_flags``) of ``obj`` as a
-    DenseTrajectory or SparseTrajectory.
+_NUMBER = {int, float}  # JSON numbers; type(True) is bool, not int
+_SAMPLE_FIELDS = itemgetter("t", "pos", "euler_xyz", "gripper")
 
-    Field types are checked per sample; values (finiteness, time order,
-    sample count) are checked on whole columns by the trajectory
-    constructor, whose first bad index becomes the error path.
-    """
-    samples_path = _join(path, "samples")
+
+def _typed_columns(samples: list):
+    """The sample columns as arrays when every field of every sample has its
+    type and length, checked a whole column at a time; else None."""
+    if not samples or set(map(type, samples)) != {dict}:
+        return None
+    try:
+        times, positions, eulers, grippers = zip(*map(_SAMPLE_FIELDS, samples))
+    except KeyError:
+        return None
+    triples_ok = all(set(map(type, col)) == {list} and set(map(len, col)) == {3}
+                     and set(map(type, chain.from_iterable(col))) <= _NUMBER
+                     for col in (positions, eulers))
+    if not (triples_ok and set(map(type, times)) <= _NUMBER
+            and set(map(type, grippers)) == {int} and set(grippers) <= {0, 1}):
+        return None
+    n = len(times)
+    try:
+        return (np.fromiter(times, float, n),
+                np.fromiter(chain.from_iterable(positions), float, 3 * n).reshape(n, 3),
+                np.fromiter(chain.from_iterable(eulers), float, 3 * n).reshape(n, 3),
+                np.fromiter(grippers, int, n))
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
+def _per_sample_columns(samples: list, samples_path: str) -> tuple:
+    """The sample columns as lists, checking each field of each sample in
+    order; the first fault raises a SchemaError naming its path."""
     times, positions, eulers, grippers = [], [], [], []
-    for i, s in enumerate(_get(obj, "samples", list, path)):
+    for i, s in enumerate(samples):
         spath = f"{samples_path}[{i}]"
         if not isinstance(s, dict):
             raise SchemaError(spath, "expected an object")
@@ -149,14 +227,33 @@ def _parse_trajectory(obj: dict, path: str, frame: Frame, sparse: bool):
         if gripper not in (0, 1):
             raise SchemaError(f"{spath}.gripper", f"must be 0 or 1, got {gripper}")
         grippers.append(gripper)
+    return times, positions, eulers, grippers
+
+
+def _parse_trajectory(obj: dict, path: str, frame: Frame, sparse: bool):
+    """The ``samples`` (and for sparse, ``keyframe_flags``) of ``obj`` as a
+    DenseTrajectory or SparseTrajectory.
+
+    Field types are checked on whole columns; only when that check fails
+    does the per-sample pass run, to name the first faulty field. Values
+    (finiteness, time order, sample count) are checked on whole columns by
+    the trajectory constructor, whose first bad index becomes the error
+    path.
+    """
+    samples_path = _join(path, "samples")
+    samples = _get(obj, "samples", list, path)
+    columns = _typed_columns(samples)
+    if columns is None:
+        columns = _per_sample_columns(samples, samples_path)
+    times, positions, eulers, grippers = columns
     if sparse:
         flags_path = _join(path, "keyframe_flags")
         flags = _get(obj, "keyframe_flags", list, path)
         if len(flags) != len(times):
             raise SchemaError(flags_path, "length does not match samples")
-        for i, f in enumerate(flags):
-            if not isinstance(f, bool):
-                raise SchemaError(f"{flags_path}[{i}]", "expected a boolean")
+        if not set(map(type, flags)) <= {bool}:
+            i = next(i for i, f in enumerate(flags) if not isinstance(f, bool))
+            raise SchemaError(f"{flags_path}[{i}]", "expected a boolean")
     try:
         if sparse:
             return SparseTrajectory(times, positions, eulers, grippers, flags, frame)
@@ -197,7 +294,7 @@ def _bundle_payload(traj, cam, meta, keyframe_flags=None) -> dict:
     }
     if cam is not None:
         payload["camera"] = _camera_to_dict(cam)
-    payload["samples"] = _samples_payload(traj)
+    payload["samples"] = _SampleRows(traj)
     if keyframe_flags is not None:
         payload["keyframe_flags"] = list(keyframe_flags)
     if meta is not None:
@@ -292,7 +389,7 @@ def parse_quantization(obj, path: str = "quantization") -> QuantizationSpec:
             depth_bins=_get(depth, "bins", int, f"{path}.depth"),
             angle_bins=_get(angle, "bins", int, f"{path}.angle"),
             depth_mode=mode,
-            depth_delta_max=None if delta is None else float(delta),
+            depth_delta_max=None if delta is None else _float(delta, f"{path}.depth_delta_max"),
         )
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
@@ -344,7 +441,7 @@ def save_scenario(scenario: Scenario, path) -> None:
         "version": FORMAT_VERSION,
         "initial_plan": {
             "frame": plan.frame.value,
-            "samples": _samples_payload(plan),
+            "samples": _SampleRows(plan),
             "keyframe_flags": list(plan.keyframe_flags),
         },
         "perturbations": [
@@ -393,7 +490,7 @@ def save_execution_log(log: ExecutionLog, path) -> None:
         "version": FORMAT_VERSION,
         "commanded": {
             "frame": log.commanded.frame.value,
-            "samples": _samples_payload(log.commanded),
+            "samples": _SampleRows(log.commanded),
         },
         "replan_events": [
             {

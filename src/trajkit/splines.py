@@ -75,6 +75,15 @@ def _cubic_moments(t: np.ndarray, y: np.ndarray, bc_type: str, end_velocities):
     return solve_banded((1, 1), ab, rhs)
 
 
+def _clamp(x, lo, hi):
+    """``np.clip(x, lo, hi)`` bit for bit, without its Python-level wrapper.
+
+    The bounds go first: ``np.maximum(lo, x)`` keeps ``lo`` on a tie, as
+    clip does, so clip's choice between -0.0 and 0.0 is kept too.
+    """
+    return np.minimum(hi, np.maximum(lo, x))
+
+
 @dataclass(frozen=True)
 class PositionSpline:
     """Piecewise cubic position curve.
@@ -136,11 +145,11 @@ class PositionSpline:
 
     def _segment(self, t):
         idx = np.searchsorted(self.knot_times, t, side="right") - 1
-        return np.clip(idx, 0, len(self.knot_times) - 2)
+        return _clamp(idx, 0, len(self.knot_times) - 2)
 
     def position(self, t):
         """Evaluate at scalar or array t (clamped to the domain)."""
-        tt = np.clip(np.asarray(t, dtype=float), *self.domain)
+        tt = _clamp(np.asarray(t, dtype=float), *self.domain)
         seg = self._segment(tt)
         dt = (tt - self.knot_times[seg])[..., None]
         c = self.coefficients[seg]
@@ -149,14 +158,14 @@ class PositionSpline:
 
     def velocity(self, t):
         """First derivative at scalar or array t (clamped to the domain)."""
-        tt = np.clip(np.asarray(t, dtype=float), *self.domain)
+        tt = _clamp(np.asarray(t, dtype=float), *self.domain)
         seg = self._segment(tt)
         dt = (tt - self.knot_times[seg])[..., None]
         c = self.coefficients[seg]
         return c[..., 1, :] + dt * (2.0 * c[..., 2, :] + dt * 3.0 * c[..., 3, :])
 
     def acceleration(self, t):
-        tt = np.clip(np.asarray(t, dtype=float), *self.domain)
+        tt = _clamp(np.asarray(t, dtype=float), *self.domain)
         seg = self._segment(tt)
         dt = (tt - self.knot_times[seg])[..., None]
         c = self.coefficients[seg]
@@ -240,8 +249,8 @@ class OrientationTrack:
         times, q = self.knot_times, self.wxyz
         if len(times) == 1:
             return canonical_sign(np.repeat(q, len(tt), axis=0))
-        i = np.clip(np.searchsorted(times, tt, side="right") - 1, 0, len(times) - 2)
-        s = np.clip((tt - times[i]) / (times[i + 1] - times[i]), 0.0, 1.0)
+        i = _clamp(np.searchsorted(times, tt, side="right") - 1, 0, len(times) - 2)
+        s = _clamp((tt - times[i]) / (times[i + 1] - times[i]), 0.0, 1.0)
         return _slerp_rows(q[i], q[i + 1], s)
 
     def orientation(self, t: float) -> UnitQuaternion:
@@ -289,7 +298,7 @@ class ContinuousTrajectory:
         Returns positions (n, 3), sign-canonical wxyz quaternions (n, 4)
         and grippers (n,). Every other evaluator is a call of this one.
         """
-        t = np.clip(np.asarray(times, dtype=float), *self.domain)
+        t = _clamp(np.asarray(times, dtype=float), *self.domain)
         return self.position.position(t), self.orientation.orientations(t), self.gripper(t)
 
     def velocity(self, t: float) -> np.ndarray:

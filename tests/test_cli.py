@@ -173,6 +173,16 @@ class TestExitCodes:
         assert code == 1
         assert not out.exists()
 
+    def test_huge_integer_is_a_validation_error(self, tmp_path, capsys):
+        bundle = tmp_path / "huge.json"
+        fileio.save_bundle(line_trajectory(n=4), None, bundle)
+        text = bundle.read_text()
+        bundle.write_text(text.replace('"t": 0.0', '"t": ' + "9" * 400, 1))
+        code = cli_main(["keyframes", "--input", str(bundle), "--alpha", "1.0",
+                         "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: samples[0].t: ")
+
     def test_missing_file_is_1(self, tmp_path):
         code = cli_main(["plot-data", "--input", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o.csv")])

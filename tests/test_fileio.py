@@ -102,6 +102,11 @@ SAMPLE_FAULTS = {
     "nan-pos": (lambda s: s[1]["pos"].__setitem__(2, math.nan), "samples[1]"),
     "bool-in-pos": (lambda s: s[0]["pos"].__setitem__(1, True), "samples[0].pos[1]"),
     "interior-t-decrease": (lambda s: s[2].update(t=0.5), "samples[2].t"),
+    # integers too large for a float
+    "huge-t": (lambda s: s[2].update(t=-10**400), "samples[2].t"),
+    "huge-pos": (lambda s: s[2]["pos"].__setitem__(1, 10**400), "samples[2].pos[1]"),
+    "huge-euler": (lambda s: s[3]["euler_xyz"].__setitem__(0, 10**400),
+                   "samples[3].euler_xyz[0]"),
 }
 
 
@@ -274,6 +279,38 @@ class TestScenarioAndLog:
         fileio.save_metric_report(report, path)
         data = json.loads(path.read_text())
         assert set(data) == set(tk.REPORT_ROW_NAMES) | {"config"}
+
+
+class TestHugeNumbers:
+    """A JSON integer too large for a float is a SchemaError naming its path."""
+
+    @pytest.mark.parametrize("save, obj, load, damage, where", [
+        (lambda o, p: fileio.save_bundle(line_trajectory(n=3), make_camera(), p), None,
+         fileio.load_bundle,
+         lambda d: d["camera"]["intrinsics"].__setitem__(4, 10**400), "camera.intrinsics[4]"),
+        (fileio.save_token_file, TestTokenFile().make_sequence(), fileio.load_token_file,
+         lambda d: d["anchor"].update(d=10**400), "anchor.d"),
+        (fileio.save_token_file, TestTokenFile().make_sequence(), fileio.load_token_file,
+         lambda d: d["quantization"].update(depth_delta_max=10**400),
+         "quantization.depth_delta_max"),
+        (fileio.save_scenario, line_scenario([tk.Perturbation(3.0, [0.02, 0, 0])]),
+         fileio.load_scenario,
+         lambda d: d["perturbations"][0]["offset"].__setitem__(2, -10**400),
+         "perturbations[0].offset[2]"),
+        (fileio.save_scenario, line_scenario(), fileio.load_scenario,
+         lambda d: d.update(duration=10**400), "duration"),
+        (fileio.save_execution_log, tk.run(line_scenario(duration=2.0)),
+         fileio.load_execution_log, lambda d: d.update(final_error=10**400), "final_error"),
+    ], ids=["camera", "anchor", "depth-delta", "perturbation", "duration", "final-error"])
+    def test_names_path(self, tmp_path, save, obj, load, damage, where):
+        path = tmp_path / "file.json"
+        save(obj, path)
+        data = json.loads(path.read_text())
+        damage(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(tk.SchemaError) as info:
+            load(path)
+        assert info.value.path == where
 
 
 class TestAtomicWrites:

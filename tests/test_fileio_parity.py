@@ -1,0 +1,345 @@
+"""The fast JSON paths in fileio against their plain references.
+
+Writers: every file is exactly ``json.dumps(payload, indent=2,
+allow_nan=False) + "\\n"`` of the payload built here per sample.
+Loader: the whole-column type check gives the same columns, or the same
+SchemaError, as the per-sample pass alone. Golden files in
+``tests/data/`` were written by the ``json.dumps`` writers (commit
+7097109) from :func:`golden_objects`, and pin the format.
+"""
+
+import json
+import math
+import types
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import trajkit as tk
+from trajkit import fileio
+from conftest import make_camera
+
+DATA = Path(__file__).parent / "data"
+UNITS = {"length": "meters", "time": "seconds", "angle": "radians"}
+
+# floats whose repr switches form, the smallest subnormal, and signed zero
+AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e22, 1e-5, 1e15, 9999999999999998.0,
+           0.1, 1 / 3, -2.5e-308, 1.7976931348623157e308, 123456789.125]
+
+finite = st.sampled_from(AWKWARD) | st.floats(allow_nan=False, allow_infinity=False)
+json_scalar = (st.none() | st.booleans() | st.integers() | finite
+               | st.text(alphabet='[]{}",:\\ \n\tab"samples"é☃', max_size=12))
+meta_values = st.recursive(
+    json_scalar,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(alphabet='[]{}":ab \n', max_size=6), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def columns(draw, min_samples=1):
+    times = sorted(set(draw(st.lists(finite, min_size=min_samples, max_size=6))))
+    if len(times) < min_samples:
+        times = [0.0, 1.0][:min_samples]
+    n = len(times)
+    triples = st.lists(st.lists(finite, min_size=3, max_size=3), min_size=n, max_size=n)
+    grippers = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    return times, draw(triples), draw(triples), grippers
+
+
+def sample_dicts(traj) -> list:
+    return [{"t": t, "pos": p, "euler_xyz": e, "gripper": g}
+            for t, p, e, g in zip(traj.times.tolist(), traj.positions.tolist(),
+                                  traj.eulers.tolist(), traj.grippers.tolist())]
+
+
+def camera_dict(cam) -> dict:
+    return {"intrinsics": cam.intrinsics.reshape(-1).tolist(),
+            "extrinsics_c2w": cam.extrinsics_c2w.reshape(-1).tolist(),
+            "width": cam.width, "height": cam.height}
+
+
+def bundle_payload(traj, cam, meta, flags=None) -> dict:
+    payload = {"version": 1, "frame": traj.frame.value, "units": UNITS}
+    if cam is not None:
+        payload["camera"] = camera_dict(cam)
+    payload["samples"] = sample_dicts(traj)
+    if flags is not None:
+        payload["keyframe_flags"] = list(flags)
+    if meta is not None:
+        payload["meta"] = meta
+    return payload
+
+
+def scenario_payload(sc) -> dict:
+    plan = sc.initial_plan
+    return {
+        "version": 1,
+        "initial_plan": {"frame": plan.frame.value, "samples": sample_dicts(plan),
+                         "keyframe_flags": list(plan.keyframe_flags)},
+        "perturbations": [{"time": p.time, "offset": p.offset.tolist()}
+                          for p in sc.perturbations],
+        "replan_interval": sc.replan_interval,
+        "control_rate": sc.control_rate,
+        "duration": sc.duration,
+        "replan_enabled": sc.replan_enabled,
+        "delayed_planner": sc.delayed_planner,
+    }
+
+
+def log_payload(log) -> dict:
+    return {
+        "version": 1,
+        "commanded": {"frame": log.commanded.frame.value,
+                      "samples": sample_dicts(log.commanded)},
+        "replan_events": [
+            {"time": e.time, "dropped_count": e.dropped_count,
+             "gamma_at_kstar": None if math.isnan(e.gamma_at_kstar) else e.gamma_at_kstar,
+             "kstar": e.kstar, "kstar_dropped": e.kstar_dropped}
+            for e in log.replan_events],
+        "final_error": log.final_error,
+    }
+
+
+def dumps(payload) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+class TestWritersEqualJsonDumps:
+    @given(columns(min_samples=2), st.booleans(), st.none() | meta_values,
+           st.sampled_from(list(tk.Frame)))
+    def test_bundle(self, tmp_path_factory, cols, with_camera, meta, frame):
+        traj = tk.DenseTrajectory(*cols, frame)
+        cam = make_camera(fx=321.4, cy=1 / 3) if with_camera else None
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        fileio.save_bundle(traj, cam, path, meta=meta)
+        assert path.read_text() == dumps(bundle_payload(traj, cam, meta))
+
+    @given(columns(), st.data(), st.none() | meta_values)
+    def test_sparse_bundle(self, tmp_path_factory, cols, data, meta):
+        flags = data.draw(st.lists(st.booleans(), min_size=len(cols[0]),
+                                   max_size=len(cols[0])))
+        sparse = tk.SparseTrajectory(*cols, flags, tk.Frame.WORLD)
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        fileio.save_sparse_bundle(sparse, make_camera(), path, meta=meta)
+        assert path.read_text() == dumps(bundle_payload(sparse, make_camera(), meta, flags))
+
+    @given(columns(), st.lists(st.tuples(st.sampled_from([0.0, 0.25, 1e-7]),
+                                         st.lists(finite, min_size=3, max_size=3)),
+                               max_size=2),
+           st.booleans(), st.booleans())
+    def test_scenario(self, tmp_path_factory, cols, perts, enabled, delayed):
+        plan = tk.SparseTrajectory(*cols, (True,) * len(cols[0]), tk.Frame.WORLD)
+        scenario = tk.Scenario(plan, tuple(tk.Perturbation(t, o) for t, o in perts),
+                               1e-7, 1e22, 0.5, enabled, delayed)
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        fileio.save_scenario(scenario, path)
+        assert path.read_text() == dumps(scenario_payload(scenario))
+
+    @given(columns(min_samples=2), st.lists(
+        st.tuples(finite, st.integers(0, 9), st.sampled_from([math.nan, -0.0, 5e-324]),
+                  st.integers(-1, 9), st.booleans()), max_size=3), finite)
+    def test_log(self, tmp_path_factory, cols, events, final_error):
+        log = tk.ExecutionLog(tk.DenseTrajectory(*cols, tk.Frame.WORLD),
+                              tuple(tk.ReplanEvent(*e) for e in events), final_error)
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        fileio.save_execution_log(log, path)
+        assert path.read_text() == dumps(log_payload(log))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["times", "positions", "eulers"])
+    def test_non_finite_row_value_raises(self, tmp_path, column, bad):
+        # a duck-typed trajectory: the real constructors reject non-finite values
+        cols = {"times": np.array([0.0, 1.0, 2.0]), "positions": np.zeros((3, 3)),
+                "eulers": np.zeros((3, 3)), "grippers": np.zeros(3, dtype=int)}
+        cols[column] = cols[column].copy()
+        cols[column].flat[-1] = bad
+        traj = types.SimpleNamespace(frame=tk.Frame.WORLD, **cols)
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            fileio.save_bundle(traj, None, path)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json.dumps(bundle_payload(traj, None, None), indent=2, allow_nan=False)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_meta_with_row_text_is_kept_verbatim(self, tmp_path):
+        traj = tk.DenseTrajectory([0.0, 1.0], np.zeros((2, 3)), np.zeros((2, 3)), [0, 1],
+                                  tk.Frame.WORLD)
+        meta = {"samples": [{"t": 0.0}], "note": '"samples": [\n  {\n', "]": "}"}
+        path = tmp_path / "out.json"
+        fileio.save_bundle(traj, None, path, meta=meta)
+        text = path.read_text()
+        assert text == dumps(bundle_payload(traj, None, meta))
+        assert json.loads(text)["meta"] == meta
+
+
+# ---------------------------------------------------------------------------
+# loader: whole-column check against the per-sample pass
+
+
+def outcome(obj, path, sparse, per_sample_only):
+    """What _parse_trajectory gives: the columns as bytes, or the error."""
+    check = (lambda samples: None) if per_sample_only else fileio._typed_columns
+    with mock.patch.object(fileio, "_typed_columns", check):
+        try:
+            traj = fileio._parse_trajectory(obj, path, tk.Frame.WORLD, sparse)
+        except tk.SchemaError as exc:
+            return "schema", exc.path, str(exc)
+        except Exception as exc:  # any other escape must match too
+            return type(exc).__name__, str(exc)
+    cols = (traj.times, traj.positions, traj.eulers, traj.grippers)
+    flags = traj.keyframe_flags if sparse else None
+    return "ok", [(c.dtype.str, c.shape, c.tobytes()) for c in cols], flags
+
+
+NOT_A_NUMBER = st.sampled_from([True, False, "1.0", None, [1.0], {}])
+BIG_INTS = st.sampled_from([10**400, -10**400, 2**53 + 1, -(2**53 + 1), 2**63, 2**64 + 1,
+                            10**308, 2**1024 - 2**970, 2**1024 - 2**971])
+
+
+FAULTS = ["bad-number", "missing-key", "extra-key", "not-object", "short-euler", "gripper",
+          "int-t", "big-int", "nan"]
+
+
+def damage(draw, samples: list, i: int, kind: str) -> None:
+    """Apply the fault ``kind`` to sample i."""
+    s = samples[i]
+    field = draw(st.sampled_from(["t", "pos", "euler_xyz"]))
+    j = draw(st.integers(0, 2))
+    if kind in ("bad-number", "big-int"):
+        value = draw(NOT_A_NUMBER if kind == "bad-number" else BIG_INTS)
+        if field == "t":
+            s["t"] = value
+        else:
+            s[field][j] = value
+    elif kind == "missing-key":
+        del s[draw(st.sampled_from(["t", "pos", "euler_xyz", "gripper"]))]
+    elif kind == "extra-key":
+        s[draw(st.sampled_from(["x", "T", "keyframe"]))] = draw(NOT_A_NUMBER)
+    elif kind == "not-object":
+        samples[i] = draw(st.sampled_from([[0.0, [0, 0, 0]], 3, "sample", None, True]))
+    elif kind == "short-euler":
+        s["euler_xyz"] = s["euler_xyz"][:2]
+    elif kind == "gripper":
+        s["gripper"] = draw(st.sampled_from([2, -1, True, False, 1.0, "1", None]))
+    elif kind == "int-t":
+        s["t"] = int(s["t"])
+    elif kind == "nan":
+        s["pos"][j] = draw(st.sampled_from([math.nan, math.inf]))
+
+
+@st.composite
+def sample_objects(draw, fault: str):
+    """(samples, keyframe_flags): valid samples with some ints among the
+    floats, one damaged by ``fault``, maybe a second one damaged by any
+    fault, and maybe bad flags."""
+    times, pos, eul, grip = draw(columns())
+    ints = st.integers(-2**60, 2**60)
+    samples = [{"t": t, "pos": [draw(ints) if draw(st.booleans()) else v for v in p],
+                "euler_xyz": list(e), "gripper": g}
+               for t, p, e, g in zip(times, pos, eul, grip)]
+    first, *rest = draw(st.permutations(range(len(samples))))
+    damage(draw, samples, first, fault)
+    if rest and draw(st.booleans()):
+        damage(draw, samples, rest[0], draw(st.sampled_from(FAULTS)))
+    flags = [True] * len(samples)
+    if draw(st.booleans()):
+        flags = draw(st.sampled_from([flags[1:], flags + [False], [1] * len(flags),
+                                      flags[:-1] + [None]]))
+    return samples, flags
+
+
+class TestColumnCheckMatchesPerSamplePass:
+    @pytest.mark.parametrize("fault", ["none"] + FAULTS)
+    @settings(max_examples=60)
+    @given(data=st.data(), sparse=st.booleans(), path=st.sampled_from(["", "commanded"]))
+    def test_same_columns_or_same_error(self, fault, data, sparse, path):
+        samples, flags = data.draw(sample_objects(fault))
+        obj = {"samples": samples, "keyframe_flags": flags}
+        assert outcome(obj, path, sparse, False) == outcome(obj, path, sparse, True)
+
+    @given(columns())
+    def test_clean_samples_take_the_column_check(self, cols):
+        samples = [{"t": t, "pos": p, "euler_xyz": e, "gripper": g}
+                   for t, p, e, g in zip(*cols)]
+        assert fileio._typed_columns(samples) is not None
+
+    @pytest.mark.parametrize("flags, where", [
+        ([True, 1, False], "keyframe_flags[1]"), ([True, False, None], "keyframe_flags[2]"),
+        ([True, False], "keyframe_flags")])
+    def test_bad_keyframe_flags_name_path(self, flags, where):
+        samples = [{"t": float(i), "pos": [i, 0, 0], "euler_xyz": [0, 0, 0], "gripper": 0}
+                   for i in range(3)]
+        with pytest.raises(tk.SchemaError) as info:
+            fileio._parse_trajectory({"samples": samples, "keyframe_flags": flags},
+                                     "", tk.Frame.WORLD, True)
+        assert info.value.path == where
+
+    def test_huge_integer_reaches_the_per_sample_error(self):
+        samples = [{"t": 0.0, "pos": [0, 0, 0], "euler_xyz": [0, 0, 0], "gripper": 0},
+                   {"t": 1.0, "pos": [0, 10**400, 0], "euler_xyz": [0, 0, 0], "gripper": 0}]
+        with pytest.raises(tk.SchemaError) as info:
+            fileio._parse_trajectory({"samples": samples}, "", tk.Frame.WORLD, False)
+        assert info.value.path == "samples[1].pos[1]"
+        assert str(info.value) == "samples[1].pos[1]: number out of float range"
+
+
+# ---------------------------------------------------------------------------
+# golden files
+
+
+def awkward_columns(n: int) -> tuple:
+    values = np.resize(AWKWARD, (n, 6)) * np.where(np.arange(6) % 2, -1.0, 1.0)
+    times = [-1e22, -0.0, 5e-324, 1e-7, 0.1, 1 / 3, 1e15, 1e16, 1e22][:n]
+    return times, values[:, :3], values[:, 3:], [0, 1, 1, 0, 1, 0, 0, 1, 1][:n]
+
+
+def golden_objects() -> dict:
+    """file name -> (writer name, positional arguments, meta)."""
+    cam = make_camera(fx=321.4, fy=1e-7, cx=1 / 3, cy=5e-324, width=640, height=480)
+    dense = tk.DenseTrajectory(*awkward_columns(9), tk.Frame.CAMERA)
+    flags = (True, False, False, True, True)
+    sparse = tk.SparseTrajectory(*awkward_columns(5), flags, tk.Frame.WORLD)
+    commanded = tk.DenseTrajectory(*awkward_columns(4), tk.Frame.WORLD)
+    events = (tk.ReplanEvent(1e-7, 2, math.nan, -1, False),
+              tk.ReplanEvent(0.1, 0, -0.0, 3, True))
+    log = tk.ExecutionLog(commanded, events, 5e-324)
+    meta = {"instruction": 'pick "the" [red] {cube}', "samples": [], "x": [-0.0, 1e22]}
+    return {
+        "golden_bundle.json": ("save_bundle", (dense, cam), meta),
+        "golden_sparse.json": ("save_sparse_bundle", (sparse, cam), None),
+        "golden_log.json": ("save_execution_log", (log,), None),
+    }
+
+
+LOADERS = {"save_bundle": fileio.load_bundle, "save_sparse_bundle": fileio.load_sparse_bundle,
+           "save_execution_log": fileio.load_execution_log}
+
+
+class TestGoldenFiles:
+    @pytest.mark.parametrize("name", sorted(golden_objects()))
+    def test_writer_reproduces_golden_bytes(self, tmp_path, name):
+        writer, args, meta = golden_objects()[name]
+        path = tmp_path / name
+        kwargs = {} if meta is None else {"meta": meta}
+        getattr(fileio, writer)(*args, path, **kwargs)
+        assert path.read_bytes() == (DATA / name).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(golden_objects()))
+    def test_golden_loads_bit_exact(self, name):
+        writer, args, _ = golden_objects()[name]
+        loaded = LOADERS[writer](DATA / name)
+        if writer == "save_execution_log":
+            got, want = loaded.commanded, args[0].commanded
+            assert loaded.final_error == args[0].final_error
+        else:
+            (got, cam), want = loaded, args[0]
+            assert cam.intrinsics.tobytes() == args[1].intrinsics.tobytes()
+        for column in ("times", "positions", "eulers", "grippers"):
+            a, b = getattr(got, column), getattr(want, column)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
+        assert getattr(got, "keyframe_flags", None) == getattr(want, "keyframe_flags", None)

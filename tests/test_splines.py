@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import trajkit as tk
+from trajkit import splines
 from conftest import helix_trajectory, line_trajectory
 
 
@@ -17,6 +18,27 @@ def sparse_from_arrays(t, pos, eul=None, grip=None, frame=tk.Frame.WORLD):
     eul = np.zeros((n, 3)) if eul is None else np.asarray(eul)
     grip = np.zeros(n, dtype=int) if grip is None else np.asarray(grip)
     return tk.SparseTrajectory(t, pos, eul, grip, (True,) * n, frame)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, math.nan, math.inf, -math.inf]
+
+
+class TestClamp:
+    """splines._clamp stands in for np.clip on the hot paths, bit for bit."""
+
+    @given(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), max_size=40),
+           st.sampled_from([(0.0, 1.0), (-0.0, 0.0), (0.0, 0.0), (-1.0, -0.0), (0.5, 0.5)]))
+    def test_matches_clip_on_floats(self, values, bounds):
+        x = np.array(values, dtype=float)
+        assert splines._clamp(x, *bounds).tobytes() == np.clip(x, *bounds).tobytes()
+        for v in x:
+            got, want = splines._clamp(np.asarray(v), *bounds), np.clip(np.asarray(v), *bounds)
+            assert type(got) is type(want) and np.asarray(got).tobytes() == want.tobytes()
+
+    def test_matches_clip_on_indices(self):
+        idx = np.arange(-3, 9) - 1
+        assert np.array_equal(splines._clamp(idx, 0, 5), np.clip(idx, 0, 5))
+        assert splines._clamp(idx, 0, 5).dtype == np.clip(idx, 0, 5).dtype
 
 
 class TestFit:
