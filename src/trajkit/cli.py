@@ -7,6 +7,7 @@ traceback), 2 usage error.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +26,9 @@ from .tokens import Anchor, QuantizationSpec, decode_sequence, encode_sequence
 __all__ = ["cli_main", "main"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="trajkit",
         description="Trajectory sparsification, token codecs, spline "
@@ -201,10 +204,7 @@ def _cmd_plot_data(args) -> int:
     for i in range(len(t)):
         row = (t[i], p[i, 0], p[i, 1], p[i, 2], speeds[i])
         lines.append(",".join(repr(float(x)) for x in row))
-    tmp = args.out + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, args.out)
+    fileio._write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -93,7 +93,12 @@ def _encode(value, level: int) -> str:
 
 def _write_json(payload: dict, path) -> None:
     """Serialize fully, then atomically replace the target file."""
-    text = _encode(payload, 0) + "\n"
+    _write_text(_encode(payload, 0) + "\n", path)
+
+
+def _write_text(text: str, path) -> None:
+    """Write through a fresh temp file beside the target, then atomically
+    replace the target; the temp file is removed if any step fails."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

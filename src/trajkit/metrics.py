@@ -112,9 +112,10 @@ def _warping_path_length(acc: np.ndarray) -> int:
     return length
 
 
-def _dtw(pa: np.ndarray, pb: np.ndarray, normalized: bool) -> tuple:
-    """(raw sum, reported value) of DTW, from one accumulator pass."""
-    acc = _wavefront(cdist(pa, pb), np.add)
+def _dtw(dist: np.ndarray, normalized: bool) -> tuple:
+    """(raw sum, reported value) of DTW over a distance matrix, from one
+    accumulator pass."""
+    acc = _wavefront(dist, np.add)
     total = float(acc[-1, -1])
     return total, (total / _warping_path_length(acc) if normalized else total)
 
@@ -127,7 +128,7 @@ def dtw(a, b, normalized: bool = False) -> float:
     by the length of the optimal warping path (traceback prefers the
     diagonal on ties).
     """
-    return _dtw(*_pair(a, b), normalized)[1]
+    return _dtw(cdist(*_pair(a, b)), normalized)[1]
 
 
 def discrete_frechet(a, b) -> float:
@@ -136,25 +137,41 @@ def discrete_frechet(a, b) -> float:
     Exact DP (Eiter & Mannila, 1994): O(nm) work in O(n + m) NumPy
     steps, one per anti-diagonal.
     """
-    pa, pb = _pair(a, b)
-    return float(_wavefront(cdist(pa, pb), np.maximum)[-1, -1])
+    return _frechet(cdist(*_pair(a, b)))
+
+
+def _frechet(dist: np.ndarray) -> float:
+    return float(_wavefront(dist, np.maximum)[-1, -1])
 
 
 def hausdorff(a, b) -> float:
     """Symmetric point-set Hausdorff distance over the sample points."""
-    pa, pb = _pair(a, b)
-    d = cdist(pa, pb)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return _hausdorff(cdist(*_pair(a, b)))
 
 
-# pred points per block in _point_to_polyline: bounds its (rows, segments, dim)
-# temporaries to about 25 kB per ref segment, whatever the pred length
+def _hausdorff(dist: np.ndarray) -> float:
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+
+
+# pred points per block in _point_to_polyline: bounds its five (rows, segments)
+# work arrays to about 40 kB per ref segment, whatever the pred length
 _BLOCK_ROWS = 1024
 
 
 def _point_to_polyline(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Distance from each point to the nearest location on the ref polyline
-    (exact segment projection, not vertex-nearest)."""
+    (exact segment projection, not vertex-nearest).
+
+    Works one coordinate at a time on (rows, segments) arrays, reused
+    through ``out=`` block by block. The operation order is fixed: the
+    projection dot product sums x, z, y in 3-D (x, y in 2-D), the order
+    of ``einsum("psd,sd->ps")``; ``t`` is clamped bounds-first, equal to
+    ``np.clip``; each foot coordinate is ``(1 - t) * s + t * e``, which
+    keeps feet exactly on the endpoints at t = 0 and t = 1; and squared
+    residuals sum x, y, z, the order of ``np.linalg.norm``. The square
+    root is taken after the row minimum, which is the same value because
+    ``sqrt`` is monotone.
+    """
     if len(ref) == 1:
         return np.linalg.norm(points - ref[0], axis=1)
     starts = ref[:-1]
@@ -162,16 +179,32 @@ def _point_to_polyline(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
     dirs = ends - starts
     lens_sq = np.einsum("ij,ij->i", dirs, dirs)
     lens_sq = np.where(lens_sq == 0.0, 1.0, lens_sq)  # degenerate segments
-
-    def block(pts):
-        rel = pts[:, None, :] - starts[None, :, :]
-        t = np.clip(np.einsum("psd,sd->ps", rel, dirs) / lens_sq, 0.0, 1.0)
-        # affine form keeps feet exactly on the endpoints at t = 0 and t = 1
-        feet = (1.0 - t)[:, :, None] * starts[None, :, :] + t[:, :, None] * ends[None, :, :]
-        return np.linalg.norm(pts[:, None, :] - feet, axis=2).min(axis=1)
-
-    return np.concatenate([block(points[i:i + _BLOCK_ROWS])
-                           for i in range(0, len(points), _BLOCK_ROWS)])
+    axes = (0, 2, 1) if ref.shape[1] == 3 else (0, 1)
+    shape = (min(len(points), _BLOCK_ROWS), len(starts))
+    t, u, a, b, sq = (np.empty(shape) for _ in range(5))
+    out = np.empty(len(points))
+    for i in range(0, len(points), _BLOCK_ROWS):
+        pts = points[i:i + _BLOCK_ROWS]
+        rows = len(pts)
+        bt, bu, ba, bb, bsq = t[:rows], u[:rows], a[:rows], b[:rows], sq[:rows]
+        for k, d in enumerate(axes):  # the first term starts each sum
+            np.subtract(pts[:, d, None], starts[:, d], out=ba)
+            np.multiply(ba, dirs[:, d], out=ba if k else bt)
+            if k:
+                np.add(bt, ba, out=bt)
+        np.divide(bt, lens_sq, out=bt)
+        np.minimum(1.0, np.maximum(0.0, bt, out=bt), out=bt)
+        np.subtract(1.0, bt, out=bu)
+        for d in range(ref.shape[1]):
+            np.multiply(bu, starts[:, d], out=ba)
+            np.multiply(bt, ends[:, d], out=bb)
+            np.add(ba, bb, out=ba)
+            np.subtract(pts[:, d, None], ba, out=ba)
+            np.multiply(ba, ba, out=ba if d else bsq)
+            if d:
+                np.add(bsq, ba, out=bsq)
+        np.min(bsq, axis=1, out=out[i:i + rows])
+    return np.sqrt(out, out=out)
 
 
 def _orth_summary(to_ref: np.ndarray) -> tuple:
@@ -260,20 +293,22 @@ def full_report(pred, ref, tau: float = 0.05, dtw_normalized: bool = True) -> Me
 
     DTW defaults to the path-length-normalized value; the raw sum is
     echoed in the config block alongside tau and the metric directions.
+    DTW, Frechet and Hausdorff share one distance matrix.
     """
     pa, pb = _pair(pred, ref)
+    dist = cdist(pa, pb)
     to_ref = _point_to_polyline(pa, pb)
     precision, recall, f1 = _coverage(to_ref, _point_to_polyline(pb, pa), tau)
     max_orth, mean_orth, median_orth = _orth_summary(to_ref)
-    dtw_raw, dtw_value = _dtw(pa, pb, dtw_normalized)
+    dtw_raw, dtw_value = _dtw(dist, dtw_normalized)
     start_err, end_err = endpoint_errors(pa, pb)
     return MetricReport(
         cover_f1=f1,
         cover_precision=precision,
         dtw=dtw_value,
         endpoint_err=end_err,
-        frechet=discrete_frechet(pa, pb),
-        hausdorff=hausdorff(pa, pb),
+        frechet=_frechet(dist),
+        hausdorff=_hausdorff(dist),
         max_orth_dist=max_orth,
         mean_orth_dist=mean_orth,
         median_orth_dist=median_orth,

@@ -158,6 +158,23 @@ class TestPlotData:
         speed = float(lines[1].split(",")[4])
         assert abs(speed - 1.0) < 1e-9  # 1 m over 1 s
 
+    def test_keeps_a_file_named_like_a_temp_file(self, tmp_path, line_bundle):
+        bundle_path, _ = line_bundle
+        out = tmp_path / "out.csv"
+        user_file = tmp_path / "out.csv.tmp"
+        user_file.write_text("keep me\n")
+        assert cli_main(["plot-data", "--input", str(bundle_path), "--out", str(out)]) == 0
+        assert user_file.read_text() == "keep me\n"
+        assert out.read_text().startswith("t,x,y,z,speed\n")
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, line_bundle, capsys):
+        bundle_path, _ = line_bundle
+        out = tmp_path / "out.csv"
+        out.mkdir()  # a file cannot replace a directory
+        assert cli_main(["plot-data", "--input", str(bundle_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["line.json", "out.csv"]
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
@@ -200,6 +217,45 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
+
+
+class TestParserReuse:
+    def test_one_parser_per_process_answers_like_a_fresh_one(self, tmp_path, line_bundle,
+                                                             capsys):
+        bundle = str(line_bundle[0])
+
+        def argvs(tag):
+            return [
+                ["metrics", "--pred", bundle, "--ref", bundle,
+                 "--out", str(tmp_path / f"report_{tag}.json")],
+                ["keyframes", "--input", bundle, "--alpha", "2.0",
+                 "--out", str(tmp_path / f"sparse_{tag}.json")],
+                ["detokenize", "--input", "tokens.json", "--sparse", "sparse.json",
+                 "--rate", "50", "--out", str(tmp_path / f"dense_{tag}.json")],
+                ["--help"],
+                ["metrics", "--pred", bundle, "--ref", bundle,
+                 "--out", str(tmp_path / f"again_{tag}.json")],
+            ]
+
+        def run(argv):
+            code = cli_main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        assert cli._build_parser() is cli._build_parser()
+        reused = [run(argv) for argv in argvs("reused")]
+        fresh = []
+        for argv in argvs("fresh"):
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0]
+        assert "not allowed with argument" in reused[2][2]
+        assert reused[3][1].startswith("usage: trajkit")
+        assert reused == fresh
+        for name in ("report", "sparse", "again"):
+            assert (tmp_path / f"{name}_reused.json").read_bytes() == \
+                (tmp_path / f"{name}_fresh.json").read_bytes()
+        assert not (tmp_path / "dense_reused.json").exists()
 
 
 class TestDeterminism:

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +102,40 @@ def frechet_loop(a, b):
             acc[i, j] = max(min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1]),
                             cost[i, j])
     return float(acc[-1, -1])
+
+
+def _ordered_sum(terms, order):
+    total = terms[order[0]]
+    for d in order[1:]:
+        total += terms[d]
+    return total
+
+
+def point_to_polyline_loop(points, ref):
+    """Reference: a scalar projection of every point on every ref segment.
+
+    Dot products (and squared segment lengths) sum x, z, y in 3-D and
+    x, y in 2-D, the order of the einsum the kernel replaced; squared
+    residuals sum x, y, z, the order of ``np.linalg.norm``.
+    """
+    dims = range(ref.shape[1])
+    dot_order = (0, 2, 1) if ref.shape[1] == 3 else (0, 1)
+    ref = ref.tolist()
+    out = []
+    for p in points.tolist():
+        if len(ref) == 1:
+            best = _ordered_sum([(p[d] - ref[0][d]) * (p[d] - ref[0][d]) for d in dims], dims)
+        else:
+            best = math.inf
+        for s, e in zip(ref, ref[1:]):
+            seg = [e[d] - s[d] for d in dims]
+            len_sq = _ordered_sum([x * x for x in seg], dot_order) or 1.0
+            t = _ordered_sum([(p[d] - s[d]) * seg[d] for d in dims], dot_order) / len_sq
+            t = min(1.0, max(0.0, t))
+            resid = [p[d] - ((1.0 - t) * s[d] + t * e[d]) for d in dims]
+            best = min(best, _ordered_sum([r * r for r in resid], dims))
+        out.append(math.sqrt(best))
+    return np.array(out)
 
 
 def assert_dp_metrics_match_loops(a, b):
@@ -283,6 +319,75 @@ class TestOrthogonalDistances:
         pred = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
         _, _, med = tk.orthogonal_distances(pred, ref)
         assert abs(med - 2.5) < 1e-12
+
+
+class TestPolylineLoopReference:
+    """The per-axis point-to-polyline kernel is bit-identical to a scalar loop."""
+
+    @pytest.mark.parametrize("n, m", [(1, 2), (7, 2), (2, 9), (40, 25), (250, 60)])
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_random_pairs(self, rng, n, m, dim):
+        for scale in (1e-3, 1.0, 1e4):
+            points = scale * rng.normal(size=(n, dim))
+            ref = scale * rng.normal(size=(m, dim))
+            assert np.array_equal(_point_to_polyline(points, ref),
+                                  point_to_polyline_loop(points, ref))
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_zero_length_segments(self, rng, dim):
+        ref = np.repeat(rng.normal(size=(4, dim)), [1, 3, 1, 2], axis=0)
+        points = rng.normal(size=(30, dim))
+        assert np.array_equal(_point_to_polyline(points, ref),
+                              point_to_polyline_loop(points, ref))
+        lone = np.repeat(ref[:1], 3, axis=0)  # every segment degenerate
+        assert np.array_equal(_point_to_polyline(points, lone),
+                              np.linalg.norm(points - lone[0], axis=1))
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_feet_clamped_to_endpoints(self, rng, dim):
+        start, end = rng.normal(size=dim), rng.normal(size=dim)
+        ref = np.stack([start, end])
+        side = rng.normal(size=(20, dim))
+        # past either end of the segment, along its direction
+        before = start - (end - start) * rng.uniform(0.1, 3.0, (20, 1)) + 0.01 * side
+        after = end + (end - start) * rng.uniform(0.1, 3.0, (20, 1)) + 0.01 * side
+        points = np.vstack([before, after])
+        got = _point_to_polyline(points, ref)
+        assert np.array_equal(got, point_to_polyline_loop(points, ref))
+        # t clamps to exactly 0 and 1, so the feet are the endpoints themselves
+        assert np.array_equal(got[:20], np.linalg.norm(before - start, axis=1))
+        assert np.array_equal(got[20:], np.linalg.norm(after - end, axis=1))
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_single_point_ref(self, rng, dim):
+        points, ref = rng.normal(size=(15, dim)), rng.normal(size=(1, dim))
+        assert np.array_equal(_point_to_polyline(points, ref),
+                              point_to_polyline_loop(points, ref))
+
+    @pytest.mark.parametrize("extra", (-1, 0, 1, metrics._BLOCK_ROWS + 3))
+    def test_point_counts_straddling_blocks(self, rng, extra):
+        points = rng.normal(size=(metrics._BLOCK_ROWS + extra, 3))
+        ref = rng.normal(size=(6, 3))
+        assert np.array_equal(_point_to_polyline(points, ref),
+                              point_to_polyline_loop(points, ref))
+
+    @given(polyline_pairs())
+    def test_property(self, pair):
+        points, ref = pair
+        assert np.array_equal(_point_to_polyline(points, ref),
+                              point_to_polyline_loop(points, ref))
+
+    def test_peak_memory_bounded_per_block(self, rng):
+        points, ref = rng.normal(size=(3000, 3)), rng.normal(size=(2000, 3))
+        block_bytes = metrics._BLOCK_ROWS * (len(ref) - 1) * 8
+        tracemalloc.start()
+        try:
+            _point_to_polyline(points, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a full (3000, 1999, 3) temporary alone would be 8.8 block sizes
+        assert peak < 6 * block_bytes
 
 
 class TestEndpointErrors:
