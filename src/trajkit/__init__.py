@@ -22,7 +22,6 @@ from .geometry import (
     CameraModel,
     DenseTrajectory,
     Frame,
-    Pose,
     UnitQuaternion,
     back_project,
     camera_to_world,
@@ -57,6 +56,7 @@ from .metrics import (
 from .replan import (
     ControllerState,
     PendingPlan,
+    ReplanEvent,
     controller_step,
     forward_direction,
     keep_test,
@@ -67,7 +67,6 @@ from .replan import (
 from .simulate import (
     ExecutionLog,
     Perturbation,
-    ReplanEvent,
     Scenario,
     oracle_planner,
     run,
@@ -103,7 +102,7 @@ __all__ = [
     "TrajkitError", "InvalidCameraError", "BehindCameraError",
     "InsufficientDataError", "OutOfFrameError", "DepthRangeError",
     "SchemaError", "EmptyPlanError", "UndefinedDirectionError",
-    "Frame", "Pose", "UnitQuaternion", "CameraModel",
+    "Frame", "UnitQuaternion", "CameraModel",
     "DenseTrajectory", "back_project", "project", "camera_to_world",
     "euler_to_quaternion", "quaternion_to_euler", "eulers_to_quaternions",
     "quaternions_to_eulers", "unit_quaternions", "normalize_angles",
@@ -115,10 +114,10 @@ __all__ = [
     "decode_sequence", "anchor_depth_from_prior",
     "PositionSpline", "OrientationTrack", "ContinuousTrajectory", "slerp",
     "fit", "eval_trajectory", "resample", "reconstruction_error",
-    "PendingPlan", "ControllerState", "nearest_pending_index",
+    "PendingPlan", "ControllerState", "ReplanEvent", "nearest_pending_index",
     "forward_direction", "keep_test", "refresh_pending", "merge_replan",
     "controller_step",
-    "Perturbation", "Scenario", "ReplanEvent", "ExecutionLog",
+    "Perturbation", "Scenario", "ExecutionLog",
     "oracle_planner", "run", "smoothness_check",
     "MetricReport", "REPORT_ROW_NAMES", "dtw", "discrete_frechet",
     "hausdorff", "orthogonal_distances", "endpoint_errors", "coverage",

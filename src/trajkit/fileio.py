@@ -11,7 +11,7 @@ rename) so a failed save never leaves a partial file behind.
 import json
 import math
 import os
-import tempfile
+import secrets
 from itertools import chain
 from operator import itemgetter
 
@@ -21,7 +21,8 @@ from .errors import SchemaError
 from .geometry import CameraModel, DenseTrajectory, Frame, SampleError
 from .keyframes import SparseTrajectory
 from .metrics import MetricReport
-from .simulate import ExecutionLog, Perturbation, ReplanEvent, Scenario
+from .replan import ReplanEvent
+from .simulate import ExecutionLog, Perturbation, Scenario
 from .tokens import Anchor, DepthMode, QuantizationSpec, TokenBlock, TokenSequence
 
 __all__ = [
@@ -98,9 +99,11 @@ def _write_json(payload: dict, path) -> None:
 
 def _write_text(text: str, path) -> None:
     """Write through a fresh temp file beside the target, then atomically
-    replace the target; the temp file is removed if any step fails."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    replace the target; the temp file is removed if any step fails. Its
+    mode is 0o666 less the umask, as ``open`` gives (not mkstemp's 0o600).
+    """
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -1,6 +1,6 @@
 """Core 3D types and conversions.
 
-Poses, unit quaternions, pinhole cameras, camera/world frame transforms,
+Unit quaternions, pinhole cameras, camera/world frame transforms,
 and finite-difference kinematics on timestamped end-effector trajectories.
 All functions are pure and safe to call concurrently.
 
@@ -24,7 +24,6 @@ from .errors import BehindCameraError, InsufficientDataError, InvalidCameraError
 
 __all__ = [
     "Frame",
-    "Pose",
     "UnitQuaternion",
     "CameraModel",
     "DenseTrajectory",
@@ -59,16 +58,13 @@ def _as_vector(value, n: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Pose:
-    """End-effector pose: position in meters, intrinsic x-y-z Euler angles in radians."""
+def _clamp(x, lo, hi):
+    """``np.clip(x, lo, hi)`` bit for bit, without its Python-level wrapper.
 
-    position: np.ndarray
-    euler_xyz: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _as_vector(self.position, 3, "position"))
-        object.__setattr__(self, "euler_xyz", _as_vector(self.euler_xyz, 3, "euler_xyz"))
+    The bounds go first: ``np.maximum(lo, x)`` keeps ``lo`` on a tie, as
+    clip does, so clip's choice between -0.0 and 0.0 is kept too.
+    """
+    return np.minimum(hi, np.maximum(lo, x))
 
 
 @dataclass(frozen=True)
@@ -231,6 +227,21 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def gripper_column(values) -> np.ndarray:
+    """Check gripper states and return them as a read-only 1-D int array.
+
+    Values are checked before the int cast, so 0.7 raises a
+    :class:`SampleError` naming its index instead of becoming 0.
+    """
+    g = np.asarray(values).reshape(-1)
+    i = _first((g != 0) & (g != 1))
+    if i is not None:
+        raise SampleError(f"gripper must be 0 or 1, got {g[i]}", i, "gripper")
+    g = g.astype(int)
+    g.flags.writeable = False
+    return g
+
+
 def trajectory_columns(times, positions, eulers, grippers, min_samples: int) -> tuple:
     """Validate trajectory columns once and return them as read-only arrays.
 
@@ -254,14 +265,11 @@ def trajectory_columns(times, positions, eulers, grippers, min_samples: int) -> 
     i = _first(~(np.isfinite(t) & np.isfinite(p).all(axis=1) & np.isfinite(e).all(axis=1)))
     if i is not None:
         raise SampleError(f"sample {i} is not finite", i)
-    i = _first((g != 0) & (g != 1))
-    if i is not None:
-        raise SampleError(f"gripper must be 0 or 1, got {g[i]}", i, "gripper")
+    g = gripper_column(g)
     i = _first(np.diff(t) <= 0)
     if i is not None:
         raise SampleError("timestamps must be strictly increasing", i + 1, "t")
-    g = g.astype(int)
-    for column in (t, p, e, g):
+    for column in (t, p, e):
         column.flags.writeable = False
     return t, p, e, g
 
@@ -348,7 +356,7 @@ def quaternions_to_eulers(quats) -> np.ndarray:
     if q.ndim != 2 or q.shape[1] != 4:
         raise ValueError(f"quaternions must be an (n, 4) array, got shape {q.shape}")
     w, x, y, z = q.T
-    sy = np.clip(2 * (x * z + w * y), -1.0, 1.0)
+    sy = _clamp(2 * (x * z + w * y), -1.0, 1.0)
     r01 = 2 * (x * y - w * z)
     r10 = 2 * (x * y + w * z)
     r11 = 1 - 2 * (x * x + z * z)

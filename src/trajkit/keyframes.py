@@ -13,7 +13,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import InsufficientDataError
-from .geometry import DenseTrajectory, Frame, finite_difference_accel, trajectory_columns
+from .geometry import (DenseTrajectory, Frame, _clamp, finite_difference_accel,
+                       trajectory_columns)
 
 __all__ = [
     "KeyframeReason",
@@ -169,6 +170,6 @@ def insert_sub_keyframes(traj: DenseTrajectory, keys: KeyframeSet, n: int) -> Sp
 
 def _nearest_sample(times: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Index of the sample nearest to each tau; equidistant ties pick the earlier one."""
-    hi = np.clip(np.searchsorted(times, taus), 1, len(times) - 1)
+    hi = _clamp(np.searchsorted(times, taus), 1, len(times) - 1)
     lo = hi - 1
     return np.where(taus - times[lo] <= times[hi] - taus, lo, hi)

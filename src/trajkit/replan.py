@@ -17,24 +17,25 @@ import numpy as np
 
 from .errors import EmptyPlanError, UndefinedDirectionError
 from .geometry import (
-    Pose,
-    euler_to_quaternion,
+    _as_vector,
     eulers_to_quaternions,
+    gripper_column,
     quaternions_to_eulers,
     unit_quaternions,
 )
 from .keyframes import SparseTrajectory
 from .splines import ContinuousTrajectory, OrientationTrack, PositionSpline
 
-# Not called here since ticks are sampled in blocks, but kept bound: the
-# stage tracer in bench/tracing.py wraps them where this module looks
-# them up.
-from .geometry import quaternion_to_euler  # noqa: F401
+# Not called here since ticks are sampled in blocks and the state keeps its
+# quaternion, but kept bound: the stage tracer in bench/tracing.py wraps
+# them where this module looks them up.
+from .geometry import euler_to_quaternion, quaternion_to_euler  # noqa: F401
 from .splines import eval_trajectory  # noqa: F401
 
 __all__ = [
     "PendingPlan",
     "ControllerState",
+    "ReplanEvent",
     "nearest_pending_index",
     "forward_direction",
     "keep_test",
@@ -62,13 +63,11 @@ class PendingPlan:
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float).reshape(-1, 3)
-        grip = np.asarray(self.grippers, dtype=int).reshape(-1)
+        grip = gripper_column(self.grippers)
         quats = unit_quaternions(self.orientations)
         n = len(pos)
         if len(quats) != n or len(grip) != n:
             raise ValueError("plan field lengths do not match")
-        if not set(np.unique(grip)) <= {0, 1}:
-            raise ValueError("gripper values must be 0 or 1")
         times = self.times
         if times is not None:
             times = np.asarray(times, dtype=float).reshape(-1)
@@ -77,13 +76,18 @@ class PendingPlan:
             if n > 1 and np.any(np.diff(times) <= 0):
                 raise ValueError("plan times must be strictly increasing")
             times.flags.writeable = False
-        pos.flags.writeable = False
-        grip.flags.writeable = False
-        quats.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "orientations", quats)
-        object.__setattr__(self, "grippers", grip)
-        object.__setattr__(self, "times", times)
+        pos.flags.writeable = quats.flags.writeable = False
+        # the dataclass is frozen: write past __setattr__
+        vars(self).update(positions=pos, orientations=quats, grippers=grip, times=times)
+
+    @classmethod
+    def _checked(cls, positions, orientations, grippers, times) -> "PendingPlan":
+        """Wrap columns that already passed the checks above and are read-only
+        (slices of a checked plan), without checking them again."""
+        plan = object.__new__(cls)
+        vars(plan).update(positions=positions, orientations=orientations, grippers=grippers,
+                          times=times)
+        return plan
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -94,7 +98,8 @@ class PendingPlan:
                    sparse.times)
 
     def tail(self, start: int) -> "PendingPlan":
-        return PendingPlan(
+        """The waypoints from ``start`` on, sharing this plan's read-only columns."""
+        return PendingPlan._checked(
             self.positions[start:],
             self.orientations[start:],
             self.grippers[start:],
@@ -104,11 +109,16 @@ class PendingPlan:
 
 @dataclass(frozen=True)
 class ControllerState:
-    """Executing-controller snapshot advanced exclusively by controller_step."""
+    """Executing-controller snapshot advanced exclusively by controller_step.
+
+    Construction checks the current position and wxyz quaternion (finite,
+    unit as in :func:`unit_quaternions`) and stores them read-only, w >= 0.
+    """
 
     current_time: float
-    current_pose: Pose
-    current_velocity: np.ndarray
+    current_position: np.ndarray  # (3,)
+    current_wxyz: np.ndarray  # (4,)
+    current_velocity: np.ndarray  # (3,)
     active: ContinuousTrajectory
     pending: PendingPlan
     replan_interval: float
@@ -118,9 +128,11 @@ class ControllerState:
     def __post_init__(self):
         if self.replan_interval <= 0:
             raise ValueError("replan_interval must be positive")
+        pos = _as_vector(self.current_position, 3, "current_position")
+        quat = unit_quaternions([self.current_wxyz])[0]
         vel = np.asarray(self.current_velocity, dtype=float).reshape(3)
-        vel.flags.writeable = False
-        object.__setattr__(self, "current_velocity", vel)
+        quat.flags.writeable = vel.flags.writeable = False
+        vars(self).update(current_position=pos, current_wxyz=quat, current_velocity=vel)
         if self.current_time < self.active.domain[0] - 1e-9:
             raise ValueError("current_time precedes the active trajectory domain")
 
@@ -172,26 +184,27 @@ def keep_test(current_pos, waypoint, forward_dir) -> tuple:
 
 
 @dataclass(frozen=True)
-class RefreshDiagnostics:
-    """What a pending-set refresh decided, for logging and re-checking."""
+class ReplanEvent:
+    """One merge decision: when it happened and what the keep test saw."""
 
-    k_star: int
-    gamma: float  # nan when the keep was unconditional (single waypoint)
+    time: float
     dropped_count: int
-    k_star_dropped: bool
+    gamma_at_kstar: float  # nan when the keep was unconditional
+    kstar: int
+    kstar_dropped: bool
 
 
-def _refresh(current_pos, pending: PendingPlan) -> tuple:
+def _keep_from(current_pos, pending: PendingPlan) -> tuple:
+    """(index of the first surviving waypoint, k*, gamma at k*) of a refresh."""
     if len(pending) == 0:
         raise EmptyPlanError("cannot refresh an empty plan")
     if len(pending) == 1:
         # single goal: keep unconditionally, direction is undefined
-        return pending, RefreshDiagnostics(0, math.nan, 0, False)
+        return 0, 0, math.nan
     k = nearest_pending_index(current_pos, pending)
     direction = forward_direction(pending, k)
     gamma, keep = keep_test(current_pos, pending.positions[k], direction)
-    start = k if keep else k + 1
-    return pending.tail(start), RefreshDiagnostics(k, gamma, start, not keep)
+    return (k if keep else k + 1), k, gamma
 
 
 def refresh_pending(current_pos, pending: PendingPlan) -> PendingPlan:
@@ -201,8 +214,8 @@ def refresh_pending(current_pos, pending: PendingPlan) -> PendingPlan:
     Ordering of survivors is preserved; the result may be empty when the
     plan is complete.
     """
-    refreshed, _ = _refresh(current_pos, pending)
-    return refreshed
+    start, _, _ = _keep_from(current_pos, pending)
+    return pending.tail(start)
 
 
 def _hermite_coeffs(p0, v0, p1, v1, duration: float) -> np.ndarray:
@@ -232,11 +245,6 @@ def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTra
     """Blend a refreshed (non-empty) plan into the active trajectory."""
     transition_duration = state.transition_duration or state.replan_interval
     t_now = state.current_time
-    p_now = state.current_pose.position
-    v_now = state.current_velocity
-    q_now = euler_to_quaternion(state.current_pose.euler_xyz)
-    g_now = state.active.gripper(t_now)
-
     knots_rest = _plan_knots(state, plan, transition_duration)
     t_entry = float(knots_rest[0])
 
@@ -251,18 +259,14 @@ def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTra
         v_entry = state.active.velocity(t_entry)
         rest_coeffs = np.empty((0, 4, 3))
 
-    transition = _hermite_coeffs(p_now, v_now, plan.positions[0], v_entry,
-                                 t_entry - t_now)[None]  # one segment
-    spline = PositionSpline(
-        np.concatenate([[t_now], knots_rest]),
-        np.concatenate([transition, rest_coeffs], axis=0),
-    )
+    transition = _hermite_coeffs(state.current_position, state.current_velocity,
+                                 plan.positions[0], v_entry, t_entry - t_now)[None]  # one segment
+    knots = np.concatenate([[t_now], knots_rest])
+    spline = PositionSpline(knots, np.concatenate([transition, rest_coeffs], axis=0))
     track = OrientationTrack.from_quaternions(
-        np.concatenate([[t_now], knots_rest]), np.vstack([q_now.as_array(), plan.orientations])
-    )
-    gripper_values = np.concatenate([[g_now], plan.grippers])
-    return ContinuousTrajectory(spline, track,
-                                np.concatenate([[t_now], knots_rest]), gripper_values)
+        knots, np.vstack([state.current_wxyz, plan.orientations]))
+    gripper_values = np.concatenate([[state.active.gripper(t_now)], plan.grippers])
+    return ContinuousTrajectory(spline, track, knots, gripper_values)
 
 
 def merge_replan(state: ControllerState, new_waypoints: PendingPlan,
@@ -278,7 +282,7 @@ def merge_replan(state: ControllerState, new_waypoints: PendingPlan,
     """
     if transition_duration is not None and transition_duration <= 0:
         raise ValueError("transition_duration must be positive")
-    refreshed, _ = _refresh(state.current_pose.position, new_waypoints)
+    refreshed = refresh_pending(state.current_position, new_waypoints)
     if len(refreshed) == 0:
         return None
     if transition_duration is not None:
@@ -293,30 +297,30 @@ def controller_step(state: ControllerState, times,
     ``times`` is a non-empty 1-D array of finite, strictly increasing tick
     times after current_time; all of them are sampled from the active
     trajectory in one call. Returns (new_state, (times, positions,
-    eulers, grippers), diagnostics): new_state holds the last tick's time,
-    pose and velocity, and diagnostics is a :class:`RefreshDiagnostics`
-    when a replan was processed and None otherwise.
+    eulers, grippers), event): new_state holds the last tick's time,
+    position, quaternion and velocity, and event is the
+    :class:`ReplanEvent` of a processed replan, stamped with the merge time
+    (the incoming current_time), or None.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)):
         raise ValueError("times must be a non-empty 1-D array of finite values")
     if t[0] <= state.current_time or np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing and after current_time")
-    diagnostics = None
+    event = None
     if replan_source is not None and len(replan_source) == 0:
         # planner reports nothing left: plan complete, keep executing
         state = replace(state, pending=replan_source)
     elif replan_source is not None:
-        refreshed, diagnostics = _refresh(state.current_pose.position, replan_source)
-        if len(refreshed) > 0:
-            state = replace(state, active=_merge_refreshed(state, refreshed),
-                            pending=refreshed)
-        else:
-            state = replace(state, pending=refreshed)
+        start, k, gamma = _keep_from(state.current_position, replan_source)
+        event = ReplanEvent(state.current_time, start, gamma, k, start > k)
+        refreshed = replan_source.tail(start)
+        active = _merge_refreshed(state, refreshed) if len(refreshed) > 0 else state.active
+        state = replace(state, active=active, pending=refreshed)
 
     pos, quats, grip = state.active.sample(t)
     eul = quaternions_to_eulers(quats)
     t_last = float(t[-1])
-    new_state = replace(state, current_time=t_last, current_pose=Pose(pos[-1], eul[-1]),
-                        current_velocity=state.active.velocity(t_last))
-    return new_state, (t, pos, eul, grip), diagnostics
+    new_state = replace(state, current_time=t_last, current_position=pos[-1],
+                        current_wxyz=quats[-1], current_velocity=state.active.velocity(t_last))
+    return new_state, (t, pos, eul, grip), event

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InsufficientDataError
-from .geometry import DenseTrajectory, Frame, Pose, quaternion_to_euler
+from .geometry import DenseTrajectory, Frame, quaternion_to_euler
 from .keyframes import SparseTrajectory
 from .replan import ControllerState, PendingPlan, controller_step
 from .splines import eval_trajectory, fit
@@ -20,7 +20,6 @@ from .splines import eval_trajectory, fit
 __all__ = [
     "Perturbation",
     "Scenario",
-    "ReplanEvent",
     "ExecutionLog",
     "oracle_planner",
     "run",
@@ -76,17 +75,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class ReplanEvent:
-    """One merge decision: when it happened and what the keep test saw."""
-
-    time: float
-    dropped_count: int
-    gamma_at_kstar: float  # nan when the keep was unconditional
-    kstar: int
-    kstar_dropped: bool
-
-
-@dataclass(frozen=True)
 class ExecutionLog:
     commanded: DenseTrajectory
     replan_events: tuple
@@ -110,8 +98,11 @@ def oracle_planner(scenario: Scenario, t: float) -> PendingPlan:
     """
     plan = scenario.base_plan
     start = int(np.searchsorted(plan.times, t, side="right"))
-    return PendingPlan(plan.positions[start:] + _active_offset(scenario, t),
-                       plan.orientations[start:], plan.grippers[start:], plan.times[start:])
+    positions = plan.positions[start:] + _active_offset(scenario, t)
+    positions.flags.writeable = False
+    # the other columns are slices of the checked base plan
+    return PendingPlan._checked(positions, plan.orientations[start:], plan.grippers[start:],
+                                plan.times[start:])
 
 
 def run(scenario: Scenario) -> ExecutionLog:
@@ -134,7 +125,8 @@ def run(scenario: Scenario) -> ExecutionLog:
     pos0, quat0, grip0 = eval_trajectory(active, t0)
     state = ControllerState(
         current_time=t0,
-        current_pose=Pose(pos0, quaternion_to_euler(quat0)),
+        current_position=pos0,
+        current_wxyz=quat0.as_array(),
         current_velocity=active.velocity(t0),
         active=active,
         pending=scenario.base_plan,
@@ -150,7 +142,7 @@ def run(scenario: Scenario) -> ExecutionLog:
     n_ticks = len(grid) - 1
 
     times, positions, grippers = [grid[:1]], [pos0[None]], [[grip0]]
-    eulers = [state.current_pose.euler_xyz[None]]
+    eulers = [quaternion_to_euler(quat0)[None]]
     events = []
     pending_delayed: PendingPlan | None = None
     replan_tick = 1
@@ -171,12 +163,10 @@ def run(scenario: Scenario) -> ExecutionLog:
             due = int(np.searchsorted(grid, t0 + replan_tick * interval - 1e-9))
             last = min(max(k, due), n_ticks)
 
-        merge_time = state.current_time
-        state, (t, pos, eul, grip), diag = controller_step(state, grid[k:last + 1],
-                                                           replan_source)
-        if diag is not None:
-            events.append(ReplanEvent(merge_time, diag.dropped_count, diag.gamma,
-                                      diag.k_star, diag.k_star_dropped))
+        state, (t, pos, eul, grip), event = controller_step(state, grid[k:last + 1],
+                                                            replan_source)
+        if event is not None:
+            events.append(event)
         times.append(t)
         positions.append(pos)
         eulers.append(eul)

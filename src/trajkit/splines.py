@@ -18,8 +18,10 @@ from .geometry import (
     DenseTrajectory,
     Frame,
     UnitQuaternion,
+    _clamp,
     canonical_sign,
     eulers_to_quaternions,
+    gripper_column,
     quaternions_to_eulers,
 )
 
@@ -73,15 +75,6 @@ def _cubic_moments(t: np.ndarray, y: np.ndarray, bc_type: str, end_velocities):
     elif bc_type != "natural":
         raise ValueError(f"unknown boundary condition {bc_type!r}")
     return solve_banded((1, 1), ab, rhs)
-
-
-def _clamp(x, lo, hi):
-    """``np.clip(x, lo, hi)`` bit for bit, without its Python-level wrapper.
-
-    The bounds go first: ``np.maximum(lo, x)`` keeps ``lo`` on a tie, as
-    clip does, so clip's choice between -0.0 and 0.0 is kept too.
-    """
-    return np.minimum(hi, np.maximum(lo, x))
 
 
 @dataclass(frozen=True)
@@ -269,17 +262,14 @@ class ContinuousTrajectory:
 
     def __post_init__(self):
         gt = np.asarray(self.gripper_times, dtype=float)
-        gv = np.asarray(self.gripper_values, dtype=int)
-        if gt.shape != gv.shape or gt.ndim != 1 or len(gt) < 1:
+        if np.shape(self.gripper_values) != gt.shape or gt.ndim != 1 or len(gt) < 1:
             raise ValueError("gripper schedule shapes do not match")
-        if not set(np.unique(gv)) <= {0, 1}:
-            raise ValueError("gripper values must be 0 or 1")
+        gv = gripper_column(self.gripper_values)
         t0, t1 = self.position.domain
         for name, knots in (("orientation", self.orientation.knot_times), ("gripper", gt)):
             if abs(knots[0] - t0) > 1e-9 or abs(knots[-1] - t1) > 1e-9:
                 raise ValueError(f"{name} knots do not span the position domain")
         gt.flags.writeable = False
-        gv.flags.writeable = False
         object.__setattr__(self, "gripper_times", gt)
         object.__setattr__(self, "gripper_values", gv)
 

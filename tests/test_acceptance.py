@@ -145,8 +145,7 @@ def test_closed_loop_shift_recovery_and_continuity():
         scenario = line_scenario([shift], replan_interval=0.5)
         active = tk.fit(scenario.initial_plan)
         pos0, quat0, _ = tk.eval_trajectory(active, 0.0)
-        state = tk.ControllerState(0.0, tk.Pose(pos0, tk.quaternion_to_euler(quat0)),
-                                   active.velocity(0.0), active,
+        state = tk.ControllerState(0.0, pos0, quat0.as_array(), active.velocity(0.0), active,
                                    tk.PendingPlan.from_sparse(scenario.initial_plan),
                                    scenario.replan_interval)
         dt = 1.0 / scenario.control_rate
@@ -157,7 +156,7 @@ def test_closed_loop_shift_recovery_and_continuity():
             if abs(t_k / 0.5 - round(t_k / 0.5)) < 1e-9 and t_k < 10.0:
                 source = tk.oracle_planner(scenario, state.current_time)
             pre_active, pre_vel = state.active, state.current_velocity
-            pre_pos = state.current_pose.position
+            pre_pos = state.current_position
             state, _, diag = tk.controller_step(state, [t_k], source)
             if diag is None or state.active is pre_active:
                 continue

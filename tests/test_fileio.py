@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import trajkit as tk
-from trajkit import fileio
+from trajkit import cli, fileio
 from conftest import line_trajectory, make_camera
 from test_simulate import line_scenario
 from test_splines import sparse_from_arrays
@@ -324,3 +324,21 @@ class TestAtomicWrites:
         path = tmp_path / "out.json"
         fileio.save_bundle(line_trajectory(n=3), None, path)
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_outputs_honour_the_umask(self, tmp_path):
+        # a plain open() under umask 022 gives 0644; a temp-file writer must too
+        previous = os.umask(0o022)
+        try:
+            bundle, csv = tmp_path / "out.json", tmp_path / "out.csv"
+            fileio.save_bundle(line_trajectory(n=3), None, bundle)
+            assert cli.cli_main(["plot-data", "--input", str(bundle), "--out", str(csv)]) == 0
+            os.umask(0o077)
+            private = tmp_path / "private.json"
+            fileio.save_bundle(line_trajectory(n=3), None, private)
+        finally:
+            os.umask(previous)
+        assert oct(bundle.stat().st_mode & 0o777) == oct(0o644)
+        assert oct(csv.stat().st_mode & 0o777) == oct(0o644)
+        assert oct(private.stat().st_mode & 0o777) == oct(0o600)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json",
+                                                               "private.json"]

@@ -28,7 +28,8 @@ def line_state(n=11, speed=0.1, at_time=0.0):
     pos, quat, _ = tk.eval_trajectory(active, at_time)
     return tk.ControllerState(
         current_time=at_time,
-        current_pose=tk.Pose(pos, tk.quaternion_to_euler(quat)),
+        current_position=pos,
+        current_wxyz=quat.as_array(),
         current_velocity=active.velocity(at_time),
         active=active,
         pending=line_plan(n, speed),
@@ -177,7 +178,8 @@ class TestMergeReplan:
         state = line_state(at_time=0.0)
         state = tk.ControllerState(
             current_time=0.0,
-            current_pose=tk.Pose([0, 0, 0], [0, 0, 0]),
+            current_position=[0, 0, 0],
+            current_wxyz=[1, 0, 0, 0],
             current_velocity=[0.0, 0.0, 0.0],
             active=state.active,
             pending=state.pending,
@@ -259,7 +261,7 @@ class TestControllerStep:
         state = line_state(at_time=0.0)
         rate = 20.0
         expected = tk.resample(state.active, rate)
-        got = [state.current_pose.position]
+        got = [state.current_position]
         for _ in range(len(expected) - 1):
             state, (_, pos, _, _), diag = tk.controller_step(
                 state, [state.current_time + 1.0 / rate])
@@ -328,6 +330,94 @@ class TestPendingPlanQuaternions:
     def test_rejects_bad_quaternion_arrays(self, quats):
         with pytest.raises(ValueError):
             tk.PendingPlan(np.zeros((2, 3)), quats, [0, 0])
+
+
+class TestControllerStateBoundary:
+    def state(self, **changes):
+        state = line_state(at_time=2.0)
+        fields = dict(current_time=state.current_time, current_position=state.current_position,
+                      current_wxyz=state.current_wxyz, current_velocity=state.current_velocity,
+                      active=state.active, pending=state.pending, replan_interval=0.5)
+        return tk.ControllerState(**{**fields, **changes})
+
+    @pytest.mark.parametrize("position", [[0.2, math.nan, 0.0], [math.inf, 0.0, 0.0],
+                                          [0.0, 0.0], [[0.0, 0.0, 0.0]], 0.0])
+    def test_rejects_bad_position(self, position):
+        with pytest.raises(ValueError, match="current_position"):
+            self.state(current_position=position)
+
+    @pytest.mark.parametrize("wxyz", [[1.0, 0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.0],
+                                      [math.nan, 0.0, 0.0, 0.0], [1.0, math.inf, 0.0, 0.0],
+                                      [1.0, 0.0, 0.0], [[1.0, 0.0, 0.0, 0.0]], 1.0])
+    def test_rejects_bad_quaternion(self, wxyz):
+        with pytest.raises(ValueError, match="quaternion"):
+            self.state(current_wxyz=wxyz)
+
+    def test_stores_canonical_read_only_arrays(self):
+        state = self.state(current_position=[0.2, 0.0, 0.0], current_wxyz=[-1, 0, 0, 0])
+        assert np.array_equal(state.current_wxyz, [1.0, 0.0, 0.0, 0.0])
+        # the same rule, and the same bits, as a UnitQuaternion
+        assert state.current_wxyz.tobytes() == tk.UnitQuaternion(-1, 0, 0, 0).as_array().tobytes()
+        assert state.current_position.tolist() == [0.2, 0.0, 0.0]
+        for column in (state.current_position, state.current_wxyz, state.current_velocity):
+            assert not column.flags.writeable
+
+    def test_step_stores_the_sampled_quaternion(self, rng):
+        state = line_state(at_time=2.0)
+        quat = tk.eulers_to_quaternions(rng.uniform(-3, 3, (1, 3)))[0]
+        plan = tk.PendingPlan(line_plan().positions, np.tile(quat, (11, 1)), np.zeros(11),
+                              times=line_plan().times)
+        times = [2.01, 2.02, 2.6]
+        new_state, _, _ = tk.controller_step(state, times, plan)
+        _, quats, _ = new_state.active.sample(np.array(times))
+        assert new_state.current_wxyz.tobytes() == quats[-1].tobytes()
+
+    def test_event_records_the_keep_decision(self):
+        state = line_state(at_time=2.3)
+        plan = line_plan(shift=(0.0, 0.01, 0.0))
+        new_state, _, event = tk.controller_step(state, [2.31], plan)
+        k = tk.nearest_pending_index(state.current_position, plan)
+        gamma, keep = tk.keep_test(state.current_position, plan.positions[k],
+                                   tk.forward_direction(plan, k))
+        assert event == tk.ReplanEvent(2.3, len(plan) - len(new_state.pending), gamma, k,
+                                       not keep)
+        assert event.dropped_count == (k if keep else k + 1)
+
+
+class TestPendingPlanSlices:
+    @pytest.mark.parametrize("timed", [True, False])
+    def test_tail_equals_public_construction(self, rng, timed):
+        n = 6
+        plan = tk.PendingPlan(rng.normal(size=(n, 3)),
+                              tk.eulers_to_quaternions(rng.uniform(-3, 3, (n, 3))),
+                              rng.integers(0, 2, n), np.arange(n) + 0.5 if timed else None)
+        for k in range(n + 1):
+            tail = plan.tail(k)
+            public = tk.PendingPlan(plan.positions[k:], plan.orientations[k:],
+                                    plan.grippers[k:], None if not timed else plan.times[k:])
+            assert len(tail) == len(public) == n - k
+            for name in ("positions", "orientations", "grippers", "times"):
+                got, want = getattr(tail, name), getattr(public, name)
+                if not timed and name == "times":
+                    assert got is None and want is None
+                    continue
+                assert np.array_equal(got, want) and got.dtype == want.dtype, name
+                assert not got.flags.writeable, name
+
+
+class TestPendingPlanGrippers:
+    @pytest.mark.parametrize("grippers", [[0.7, 1.9], [0.0, 0.5], [2, 1], [-1, 0],
+                                          [math.nan, 0.0]])
+    def test_rejects_values_outside_zero_one(self, grippers):
+        # a float must be rejected, not truncated to an int first
+        with pytest.raises(ValueError, match="gripper"):
+            tk.PendingPlan(np.zeros((2, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), grippers)
+
+    def test_stores_zero_one_as_read_only_ints(self):
+        plan = tk.PendingPlan(np.zeros((3, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)),
+                              [1.0, 0.0, True])
+        assert plan.grippers.dtype == int and plan.grippers.tolist() == [1, 0, 1]
+        assert not plan.grippers.flags.writeable
 
 
 coordinates = st.floats(-1.0, 1.0)

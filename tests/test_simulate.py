@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajkit as tk
+from trajkit import simulate
 from test_splines import sparse_from_arrays
 
 
@@ -41,14 +42,15 @@ def run_loop(scenario):
     pos0, quat0, grip0 = tk.eval_trajectory(active, t0)
     state = tk.ControllerState(
         current_time=t0,
-        current_pose=tk.Pose(pos0, tk.quaternion_to_euler(quat0)),
+        current_position=pos0,
+        current_wxyz=quat0.as_array(),
         current_velocity=active.velocity(t0),
         active=active,
         pending=tk.PendingPlan.from_sparse(scenario.initial_plan),
         replan_interval=scenario.replan_interval,
     )
 
-    times, positions, eulers, grippers = [t0], [pos0], [state.current_pose.euler_xyz], [grip0]
+    times, positions, eulers, grippers = [t0], [pos0], [tk.quaternion_to_euler(quat0)], [grip0]
     events = []
     pending_delayed = None
     replan_tick = 1
@@ -68,11 +70,9 @@ def run_loop(scenario):
             else:
                 replan_source = requested
             replan_tick += 1
-        merge_time = state.current_time
-        state, (t, pos, eul, grip), diag = tk.controller_step(state, [t_next], replan_source)
-        if diag is not None:
-            events.append(tk.ReplanEvent(merge_time, diag.dropped_count, diag.gamma,
-                                         diag.k_star, diag.k_star_dropped))
+        state, (t, pos, eul, grip), event = tk.controller_step(state, [t_next], replan_source)
+        if event is not None:
+            events.append(event)
         times.append(t[0])
         positions.append(pos[0])
         eulers.append(eul[0])
@@ -178,6 +178,21 @@ class TestOraclePlanner:
         assert np.allclose(early.positions[0] - [0.1 * 3.0, 0, 0], [0.02, 0, 0])
         assert np.allclose(late.positions[0] - [0.1 * 6.0, 0, 0], [0.02, 0.01, 0.0])
 
+    @pytest.mark.parametrize("t", [0.0, 0.13, 0.2, 0.49, 1.0])
+    def test_equals_public_construction(self, t):
+        scenario = curved_scenario([tk.Perturbation(0.1, BACKWARD)])
+        plan = tk.oracle_planner(scenario, t)
+        base = scenario.base_plan
+        start = len(base) - len(plan)
+        offset = np.asarray(BACKWARD) if t >= 0.1 else np.zeros(3)
+        public = tk.PendingPlan(base.positions[start:] + offset, base.orientations[start:],
+                                base.grippers[start:], base.times[start:])
+        assert np.array_equal(public.times, base.times[base.times > t])
+        for name in ("positions", "orientations", "grippers", "times"):
+            got, want = getattr(plan, name), getattr(public, name)
+            assert np.array_equal(got, want) and got.dtype == want.dtype, name
+            assert not got.flags.writeable, name
+
     def test_inactive_perturbation_ignored(self):
         scenario = line_scenario([tk.Perturbation(9.0, [1.0, 0, 0])])
         plan = tk.oracle_planner(scenario, 1.0)
@@ -226,6 +241,21 @@ class TestRun:
         assert np.array_equal(a.commanded.times, b.commanded.times)
         assert a.final_error == b.final_error
         assert a.replan_events == b.replan_events
+
+    def test_logs_the_events_controller_step_returns(self, monkeypatch):
+        returned = []
+
+        def recording_step(state, times, replan_source=None):
+            result = tk.controller_step(state, times, replan_source)
+            returned.append((state.current_time, result[2]))
+            return result
+
+        monkeypatch.setattr(simulate, "controller_step", recording_step)
+        log = tk.run(curved_scenario([tk.Perturbation(0.13, BACKWARD)], delayed_planner=True))
+        events = [(t, e) for t, e in returned if e is not None]
+        assert len(events) == len(log.replan_events) > 0
+        for (merge_time, event), logged in zip(events, log.replan_events):
+            assert logged is event and event.time == merge_time
 
     def test_commanded_grid_uniform(self):
         log = tk.run(line_scenario(control_rate=50.0))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import trajkit as tk
-from trajkit import splines
+from trajkit import geometry, keyframes, splines
 from conftest import helix_trajectory, line_trajectory
 
 
@@ -24,21 +24,26 @@ EDGE_FLOATS = [-0.0, 0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, math.nan, math.inf, -
 
 
 class TestClamp:
-    """splines._clamp stands in for np.clip on the hot paths, bit for bit."""
+    """geometry._clamp stands in for np.clip on the hot paths, bit for bit."""
 
     @given(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), max_size=40),
-           st.sampled_from([(0.0, 1.0), (-0.0, 0.0), (0.0, 0.0), (-1.0, -0.0), (0.5, 0.5)]))
+           st.sampled_from([(0.0, 1.0), (-0.0, 0.0), (0.0, 0.0), (-1.0, -0.0), (0.5, 0.5),
+                            (-1.0, 1.0)]))
     def test_matches_clip_on_floats(self, values, bounds):
         x = np.array(values, dtype=float)
-        assert splines._clamp(x, *bounds).tobytes() == np.clip(x, *bounds).tobytes()
+        assert geometry._clamp(x, *bounds).tobytes() == np.clip(x, *bounds).tobytes()
         for v in x:
-            got, want = splines._clamp(np.asarray(v), *bounds), np.clip(np.asarray(v), *bounds)
+            got, want = geometry._clamp(np.asarray(v), *bounds), np.clip(np.asarray(v), *bounds)
             assert type(got) is type(want) and np.asarray(got).tobytes() == want.tobytes()
 
     def test_matches_clip_on_indices(self):
         idx = np.arange(-3, 9) - 1
-        assert np.array_equal(splines._clamp(idx, 0, 5), np.clip(idx, 0, 5))
-        assert splines._clamp(idx, 0, 5).dtype == np.clip(idx, 0, 5).dtype
+        for lo, hi in ((0, 5), (1, 7)):
+            assert np.array_equal(geometry._clamp(idx, lo, hi), np.clip(idx, lo, hi))
+            assert geometry._clamp(idx, lo, hi).dtype == np.clip(idx, lo, hi).dtype
+
+    def test_one_helper_for_every_module(self):
+        assert splines._clamp is keyframes._clamp is geometry._clamp
 
 
 class TestFit:
@@ -185,6 +190,21 @@ class TestEval:
         changes = grid[1:][values[1:] != values[:-1]]
         assert len(changes) == 1
         assert abs(changes[0] - 2.0) < 0.011  # ZOH switches at the knot
+
+
+class TestGripperSchedule:
+    @pytest.mark.parametrize("values", [[0.5, 1.2], [1.0, 0.3], [2, 0], [0, math.inf]])
+    def test_rejects_values_outside_zero_one(self, values):
+        traj = tk.fit(sparse_from_arrays([0.0, 1.0], np.array([[0, 0, 0], [1, 0, 0]])))
+        # a float must be rejected, not truncated to an int first
+        with pytest.raises(ValueError, match="gripper"):
+            tk.ContinuousTrajectory(traj.position, traj.orientation, [0.0, 1.0], values)
+
+    def test_stores_zero_one_as_read_only_ints(self):
+        traj = tk.fit(sparse_from_arrays([0.0, 1.0], np.array([[0, 0, 0], [1, 0, 0]])))
+        cont = tk.ContinuousTrajectory(traj.position, traj.orientation, [0.0, 1.0], [1.0, 0.0])
+        assert cont.gripper_values.dtype == int and cont.gripper_values.tolist() == [1, 0]
+        assert not cont.gripper_values.flags.writeable
 
 
 class TestResample:
