@@ -1,6 +1,6 @@
 """Encode camera-frame waypoints to anchor-conditioned tokens and back.
 
-Shows the token block layout, the absolute vs anchor-relative depth
+Shows the token columns (one block per waypoint), the absolute vs anchor-relative depth
 modes, and the measured reconstruction error against the analytic
 quantization bound.
 
@@ -34,9 +34,8 @@ seq = tk.encode_sequence(sparse, anchor, cam, spec)
 print(f"anchor (u, v, d) = ({anchor.u:.0f}, {anchor.v:.0f}, {anchor.d} m), "
       f"depth grid [{spec.depth_min}, {spec.depth_max}] m x {spec.depth_bins} bins")
 print("block   d     u    v  g  r(xyz)")
-for i, b in enumerate(seq.blocks):
-    print(f"  {i:3d} {b.d_token:4d} {b.u_token:4d} {b.v_token:4d}  {b.g_token}"
-          f"  {b.r_tokens}")
+for i, (d, u, v, g, r) in enumerate(zip(seq.d, seq.u, seq.v, seq.g, seq.r.tolist())):
+    print(f"  {i:3d} {d:4d} {u:4d} {v:4d}  {g}  {r}")
 
 decoded = tk.decode_sequence(seq, cam)
 err = np.linalg.norm(decoded.positions - points, axis=1)

@@ -87,7 +87,6 @@ from .tokens import (
     DepthMode,
     DepthSource,
     QuantizationSpec,
-    TokenBlock,
     TokenSequence,
     anchor_depth_from_prior,
     decode_sequence,
@@ -109,7 +108,7 @@ __all__ = [
     "finite_difference_accel",
     "KeyframeReason", "KeyframeSet", "SparseTrajectory",
     "select_keyframes", "insert_sub_keyframes", "gripper_change_indices",
-    "DepthSource", "DepthMode", "Anchor", "QuantizationSpec", "TokenBlock",
+    "DepthSource", "DepthMode", "Anchor", "QuantizationSpec",
     "TokenSequence", "quantize", "dequantize", "encode_sequence",
     "decode_sequence", "anchor_depth_from_prior",
     "PositionSpline", "OrientationTrack", "ContinuousTrajectory", "slerp",

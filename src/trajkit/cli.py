@@ -124,13 +124,13 @@ def _retime(sparse: SparseTrajectory, segment_duration: float) -> SparseTrajecto
 
 
 def _to_world(sparse: SparseTrajectory, cam: CameraModel) -> SparseTrajectory:
-    """Transform waypoint positions to the world frame.
+    """Move waypoint positions to the world frame by the camera extrinsics.
 
-    Orientation tokens are treated as already expressed in the target
-    convention and pass through unchanged.
+    Orientations are taken as already expressed in the target convention
+    and pass through unchanged, whatever the camera's rotation.
     """
-    positions = [camera_to_world(p, cam) for p in sparse.positions]
-    return replace(sparse, positions=positions, frame=Frame.WORLD)
+    return replace(sparse, positions=camera_to_world(sparse.positions, cam),
+                   frame=Frame.WORLD)
 
 
 def _cmd_detokenize(args) -> int:

@@ -23,7 +23,7 @@ from .keyframes import SparseTrajectory
 from .metrics import MetricReport
 from .replan import ReplanEvent
 from .simulate import ExecutionLog, Perturbation, Scenario
-from .tokens import Anchor, DepthMode, QuantizationSpec, TokenBlock, TokenSequence
+from .tokens import Anchor, DepthMode, QuantizationSpec, TokenSequence
 
 __all__ = [
     "load_bundle",
@@ -43,46 +43,54 @@ FORMAT_VERSION = 1
 _UNITS = {"length": "meters", "time": "seconds", "angle": "radians"}
 
 
-class _SampleRows:
-    """A trajectory's ``samples`` array inside a payload.
+class _Rows:
+    """An array of per-record objects inside a payload, held as columns.
 
+    ``columns`` maps each key, in file order, to an (n,) column (one
+    number per record) or an (n, k) column (a list of k numbers).
     :func:`_encode` writes it from one ``%r`` row template over the
     ``.tolist()`` columns, which is the text ``json.dumps(indent=2)``
-    gives for the per-sample objects: JSON numbers are ``int.__repr__``
+    gives for the per-record objects: JSON numbers are ``int.__repr__``
     and ``float.__repr__``.
     """
 
-    def __init__(self, traj):
-        self.columns = (traj.times, traj.positions, traj.eulers, traj.grippers)
+    def __init__(self, columns: dict):
+        self.columns = columns
 
     def encode(self, level: int) -> str:
-        times, positions, eulers, grippers = self.columns
-        for column in (times, positions, eulers):
+        for column in self.columns.values():
             bad = column[~np.isfinite(column)]
             if bad.size:
                 raise ValueError("Out of range float values are not JSON compliant: "
                                  + repr(float(bad[0])))
-        if not len(times):
+        if not len(next(iter(self.columns.values()))):
             return "[]"
         a, b, c = ("\n" + "  " * (level + k) for k in (1, 2, 3))
-        triple = "[" + c + ("," + c).join(["%r"] * 3) + b + "]"
-        row = ("{" + b + '"t": %r,' + b + '"pos": ' + triple + "," + b + '"euler_xyz": '
-               + triple + "," + b + '"gripper": %r' + a + "}")
-        rows = zip(times.tolist(), *positions.T.tolist(), *eulers.T.tolist(),
-                   grippers.tolist())
+        fields = (json.dumps(key) + ": " + ("%r" if column.ndim == 1 else
+                                           "[" + c + ("," + c).join(["%r"] * column.shape[1])
+                                           + b + "]")
+                  for key, column in self.columns.items())
+        row = "{" + b + ("," + b).join(fields) + a + "}"
+        rows = zip(*chain.from_iterable([column.tolist()] if column.ndim == 1 else column.T.tolist()
+                                        for column in self.columns.values()))
         return "[" + a + ("," + a).join(map(row.__mod__, rows)) + "\n" + "  " * level + "]"
 
 
+def _sample_rows(traj) -> _Rows:
+    return _Rows({"t": traj.times, "pos": traj.positions, "euler_xyz": traj.eulers,
+                  "gripper": traj.grippers})
+
+
 def _holds_rows(value) -> bool:
-    return isinstance(value, _SampleRows) or (
+    return isinstance(value, _Rows) or (
         isinstance(value, dict) and any(map(_holds_rows, value.values())))
 
 
 def _encode(value, level: int) -> str:
     """``json.dumps(value, indent=2, allow_nan=False)`` as it reads nested
-    ``level`` objects deep, with every :class:`_SampleRows` written from
-    its row template."""
-    if isinstance(value, _SampleRows):
+    ``level`` objects deep, with every :class:`_Rows` written from its row
+    template."""
+    if isinstance(value, _Rows):
         return value.encode(level)
     pad = "\n" + "  " * level
     if isinstance(value, dict) and _holds_rows(value):
@@ -192,50 +200,65 @@ def _frame(obj: dict, path: str) -> Frame:
 
 
 _NUMBER = {int, float}  # JSON numbers; type(True) is bool, not int
-_SAMPLE_FIELDS = itemgetter("t", "pos", "euler_xyz", "gripper")
+_BIT = "bit"  # an integer field that must be 0 or 1
+# (key, kind, width) of each per-record field, in the order the per-record
+# pass checks them; kind is float, int or _BIT, width 0 for one number and
+# k for a list of k numbers
+_SAMPLE_FIELDS = (("t", float, 0), ("pos", float, 3), ("euler_xyz", float, 3),
+                  ("gripper", _BIT, 0))
+_TOKEN_FIELDS = (("r", int, 3), ("d", int, 0), ("u", int, 0), ("v", int, 0), ("g", _BIT, 0))
 
 
-def _typed_columns(samples: list):
-    """The sample columns as arrays when every field of every sample has its
-    type and length, checked a whole column at a time; else None."""
-    if not samples or set(map(type, samples)) != {dict}:
+def _typed_columns(records: list, fields: tuple):
+    """The columns of ``fields`` as arrays when every field of every record
+    has its type and length, checked a whole column at a time; else None."""
+    if not records or set(map(type, records)) != {dict}:
         return None
     try:
-        times, positions, eulers, grippers = zip(*map(_SAMPLE_FIELDS, samples))
+        raw = zip(*map(itemgetter(*(key for key, _, _ in fields)), records))
     except KeyError:
         return None
-    triples_ok = all(set(map(type, col)) == {list} and set(map(len, col)) == {3}
-                     and set(map(type, chain.from_iterable(col))) <= _NUMBER
-                     for col in (positions, eulers))
-    if not (triples_ok and set(map(type, times)) <= _NUMBER
-            and set(map(type, grippers)) == {int} and set(grippers) <= {0, 1}):
-        return None
-    n = len(times)
-    try:
-        return (np.fromiter(times, float, n),
-                np.fromiter(chain.from_iterable(positions), float, 3 * n).reshape(n, 3),
-                np.fromiter(chain.from_iterable(eulers), float, 3 * n).reshape(n, 3),
-                np.fromiter(grippers, int, n))
-    except OverflowError:  # an integer beyond the float range
-        return None
+    columns = []
+    for (_, kind, width), values in zip(fields, raw):
+        if width:
+            if set(map(type, values)) != {list} or set(map(len, values)) != {width}:
+                return None
+            values = list(chain.from_iterable(values))
+        types = set(map(type, values))
+        if not (types <= _NUMBER if kind is float else types == {int}):
+            return None
+        if kind is _BIT and not set(values) <= {0, 1}:
+            return None
+        try:
+            column = np.fromiter(values, float if kind is float else int, len(values))
+        except OverflowError:  # an integer beyond the float or int64 range
+            return None
+        columns.append(column.reshape(len(records), width) if width else column)
+    return tuple(columns)
 
 
-def _per_sample_columns(samples: list, samples_path: str) -> tuple:
-    """The sample columns as lists, checking each field of each sample in
-    order; the first fault raises a SchemaError naming its path."""
-    times, positions, eulers, grippers = [], [], [], []
-    for i, s in enumerate(samples):
-        spath = f"{samples_path}[{i}]"
-        if not isinstance(s, dict):
-            raise SchemaError(spath, "expected an object")
-        times.append(_get(s, "t", float, spath))
-        positions.append(_number_list(s, "pos", 3, spath))
-        eulers.append(_number_list(s, "euler_xyz", 3, spath))
-        gripper = _get(s, "gripper", int, spath)
-        if gripper not in (0, 1):
-            raise SchemaError(f"{spath}.gripper", f"must be 0 or 1, got {gripper}")
-        grippers.append(gripper)
-    return times, positions, eulers, grippers
+def _per_record_columns(records: list, fields: tuple, path: str) -> tuple:
+    """The columns of ``fields`` as lists, checking each field of each
+    record in order; the first fault raises a SchemaError naming its path."""
+    columns = tuple([] for _ in fields)
+    for i, record in enumerate(records):
+        rpath = f"{path}[{i}]"
+        if not isinstance(record, dict):
+            raise SchemaError(rpath, "expected an object")
+        for (key, kind, width), column in zip(fields, columns):
+            number = float if kind is float else int
+            value = (_number_list(record, key, width, rpath, number) if width
+                     else _get(record, key, number, rpath))
+            if kind is _BIT and value not in (0, 1):
+                raise SchemaError(_join(rpath, key), f"must be 0 or 1, got {value}")
+            column.append(value)
+    return columns
+
+
+def _row_error(exc: SampleError, rows_path: str) -> SchemaError:
+    """The SchemaError naming the row and field of a column constructor's error."""
+    where = rows_path if exc.index is None else f"{rows_path}[{exc.index}]"
+    return SchemaError(where if exc.field is None else f"{where}.{exc.field}", str(exc))
 
 
 def _parse_trajectory(obj: dict, path: str, frame: Frame, sparse: bool):
@@ -250,10 +273,9 @@ def _parse_trajectory(obj: dict, path: str, frame: Frame, sparse: bool):
     """
     samples_path = _join(path, "samples")
     samples = _get(obj, "samples", list, path)
-    columns = _typed_columns(samples)
-    if columns is None:
-        columns = _per_sample_columns(samples, samples_path)
-    times, positions, eulers, grippers = columns
+    times, positions, eulers, grippers = (
+        _typed_columns(samples, _SAMPLE_FIELDS)
+        or _per_record_columns(samples, _SAMPLE_FIELDS, samples_path))
     if sparse:
         flags_path = _join(path, "keyframe_flags")
         flags = _get(obj, "keyframe_flags", list, path)
@@ -267,9 +289,7 @@ def _parse_trajectory(obj: dict, path: str, frame: Frame, sparse: bool):
             return SparseTrajectory(times, positions, eulers, grippers, flags, frame)
         return DenseTrajectory(times, positions, eulers, grippers, frame)
     except SampleError as exc:
-        where = samples_path if exc.index is None else f"{samples_path}[{exc.index}]"
-        raise SchemaError(where if exc.field is None else f"{where}.{exc.field}",
-                          str(exc)) from exc
+        raise _row_error(exc, samples_path) from exc
 
 
 def _camera_to_dict(cam: CameraModel) -> dict:
@@ -302,7 +322,7 @@ def _bundle_payload(traj, cam, meta, keyframe_flags=None) -> dict:
     }
     if cam is not None:
         payload["camera"] = _camera_to_dict(cam)
-    payload["samples"] = _SampleRows(traj)
+    payload["samples"] = _sample_rows(traj)
     if keyframe_flags is not None:
         payload["keyframe_flags"] = list(keyframe_flags)
     if meta is not None:
@@ -365,11 +385,8 @@ def save_token_file(tokens: TokenSequence, path) -> None:
             "d": tokens.anchor.d,
             "source": tokens.anchor.depth_source.value,
         },
-        "blocks": [
-            {"d": b.d_token, "u": b.u_token, "v": b.v_token, "g": b.g_token,
-             "r": list(b.r_tokens)}
-            for b in tokens.blocks
-        ],
+        "blocks": _Rows({"d": tokens.d, "u": tokens.u, "v": tokens.v, "g": tokens.g,
+                         "r": tokens.r}),
     }
     _write_json(payload, path)
 
@@ -386,8 +403,8 @@ def parse_quantization(obj, path: str = "quantization") -> QuantizationSpec:
     except ValueError:
         raise SchemaError(f"{path}.depth_mode", f"unknown mode {mode_str!r}")
     delta = obj.get("depth_delta_max")
-    if delta is not None and (isinstance(delta, bool) or not isinstance(delta, (int, float))):
-        raise SchemaError(f"{path}.depth_delta_max", "expected a number or null")
+    if delta is not None:  # null, or a number
+        delta = _get(obj, "depth_delta_max", float, path)
     try:
         return QuantizationSpec(
             width=_get(uv, "width", int, f"{path}.uv"),
@@ -397,7 +414,7 @@ def parse_quantization(obj, path: str = "quantization") -> QuantizationSpec:
             depth_bins=_get(depth, "bins", int, f"{path}.depth"),
             angle_bins=_get(angle, "bins", int, f"{path}.angle"),
             depth_mode=mode,
-            depth_delta_max=None if delta is None else _float(delta, f"{path}.depth_delta_max"),
+            depth_delta_max=delta,
         )
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
@@ -417,25 +434,14 @@ def load_token_file(path) -> TokenSequence:
         )
     except ValueError as exc:
         raise SchemaError("anchor", str(exc)) from exc
-    blocks = []
-    for i, b in enumerate(_get(data, "blocks", list, "")):
-        bpath = f"blocks[{i}]"
-        if not isinstance(b, dict):
-            raise SchemaError(bpath, "expected an object")
-        r = _number_list(b, "r", 3, bpath, int)
-        try:
-            blocks.append(TokenBlock(
-                _get(b, "d", int, bpath),
-                _get(b, "u", int, bpath),
-                _get(b, "v", int, bpath),
-                _get(b, "g", int, bpath),
-                tuple(r),
-            ))
-        except ValueError as exc:
-            raise SchemaError(bpath, str(exc)) from exc
+    blocks = _get(data, "blocks", list, "")
+    r, d, u, v, g = (_typed_columns(blocks, _TOKEN_FIELDS)
+                     or _per_record_columns(blocks, _TOKEN_FIELDS, "blocks"))
     try:
-        return TokenSequence(spec, anchor, tuple(blocks))
-    except ValueError as exc:
+        return TokenSequence(spec, anchor, d, u, v, g, r)
+    except SampleError as exc:
+        raise _row_error(exc, "blocks") from exc
+    except ValueError as exc:  # the anchor lies outside the image
         raise SchemaError("blocks", str(exc)) from exc
 
 
@@ -449,7 +455,7 @@ def save_scenario(scenario: Scenario, path) -> None:
         "version": FORMAT_VERSION,
         "initial_plan": {
             "frame": plan.frame.value,
-            "samples": _SampleRows(plan),
+            "samples": _sample_rows(plan),
             "keyframe_flags": list(plan.keyframe_flags),
         },
         "perturbations": [
@@ -476,8 +482,11 @@ def load_scenario(path) -> Scenario:
         ppath = f"perturbations[{i}]"
         if not isinstance(p, dict):
             raise SchemaError(ppath, "expected an object")
-        perts.append(Perturbation(_get(p, "time", float, ppath),
-                                  _number_list(p, "offset", 3, ppath)))
+        time, offset = _get(p, "time", float, ppath), _number_list(p, "offset", 3, ppath)
+        try:
+            perts.append(Perturbation(time, offset))
+        except ValueError as exc:
+            raise SchemaError(ppath, str(exc)) from exc
     try:
         return Scenario(
             initial_plan=plan,
@@ -498,7 +507,7 @@ def save_execution_log(log: ExecutionLog, path) -> None:
         "version": FORMAT_VERSION,
         "commanded": {
             "frame": log.commanded.frame.value,
-            "samples": _SampleRows(log.commanded),
+            "samples": _sample_rows(log.commanded),
         },
         "replan_events": [
             {

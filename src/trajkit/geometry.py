@@ -49,7 +49,8 @@ class Frame(str, Enum):
 
 
 def _as_vector(value, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    """A finite length-n float vector, as a read-only copy of ``value``."""
+    arr = np.array(value, dtype=float)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a length-{n} vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -209,11 +210,11 @@ class CameraModel:
 
 
 class SampleError(ValueError):
-    """A trajectory column is invalid at sample ``index``.
+    """A column of a trajectory or token sequence is invalid at row ``index``.
 
-    ``index`` is None when the columns as a whole are wrong (shapes,
-    sample count); ``field`` names the per-sample field at fault ("t" or
-    "gripper"), or is None for a non-finite value.
+    ``index`` is None when the columns as a whole are wrong (shapes, row
+    count); ``field`` names the per-row field at fault as its file key
+    ("t", "gripper", "d", "r[2]", ...), or is None for a non-finite sample.
     """
 
     def __init__(self, message: str, index: int | None = None, field: str | None = None):
@@ -295,35 +296,56 @@ class DenseTrajectory:
         return len(self.times)
 
 
-def back_project(u: float, v: float, d: float, cam: CameraModel) -> np.ndarray:
-    """Lift pixel (u, v) with depth d (meters) to a camera-frame 3D point.
+def _point_rows(value, name: str) -> np.ndarray:
+    """A (3,) point as one row, or (n, 3) rows as they are; finite floats."""
+    p = np.asarray(value, dtype=float)
+    if p.ndim != 2:
+        return _as_vector(p, 3, name)[None]
+    if p.shape[1] != 3 or not np.isfinite(p).all():
+        raise ValueError(f"{name} must be finite (n, 3) rows, got shape {p.shape}")
+    return p
 
-    Returns ``d * K^-1 @ [u, v, 1]``; the z component equals d for any
-    valid upper-triangular K.
+
+def _apply(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``m @ x`` for every row x, as a stack of matrix-vector products: this
+    is bit-equal to the one-point product, while ``rows @ m.T`` is not."""
+    return (m[None] @ rows[:, :, None])[..., 0]
+
+
+def back_project(u, v, d, cam: CameraModel) -> np.ndarray:
+    """Lift pixels (u, v) at depths d (meters) to camera-frame points
+    ``d * K^-1 @ [u, v, 1]``: scalars give one (3,) point, (n,) arrays give
+    (n, 3) rows. z equals d for any valid upper-triangular K; the first
+    depth <= 0 raises ``ValueError``.
     """
-    if d <= 0:
-        raise ValueError(f"depth must be positive, got {d}")
-    return d * (cam.intrinsics_inv @ np.array([u, v, 1.0]))
+    d = np.asarray(d, dtype=float)
+    bad = d[d <= 0]
+    if bad.size:
+        raise ValueError(f"depth must be positive, got {bad[0]}")
+    rows = np.stack(np.broadcast_arrays(u, v, 1.0), axis=-1).reshape(-1, 3)
+    return (d.reshape(-1, 1) * _apply(cam.intrinsics_inv, rows)).reshape(d.shape + (3,))
 
 
 def project(p_cam, cam: CameraModel) -> tuple:
-    """Project a camera-frame point onto the image plane.
-
-    Returns (u, v, d) pixels/meters. Exact inverse of :func:`back_project`
-    on the z > 0 half-space.
+    """Project camera-frame points onto the image plane: one (3,) point
+    gives (u, v, d) floats in pixels/meters, (n, 3) rows give three (n,)
+    arrays. Exact inverse of :func:`back_project` on the z > 0 half-space;
+    the first point with z <= 0 raises :class:`BehindCameraError`.
     """
-    p = _as_vector(p_cam, 3, "p_cam")
-    if p[2] <= 0:
-        raise BehindCameraError(f"point has non-positive depth z={p[2]}")
-    h = cam.intrinsics @ p
-    return float(h[0] / h[2]), float(h[1] / h[2]), float(p[2])
+    p = _point_rows(p_cam, "p_cam")
+    behind = p[p[:, 2] <= 0, 2]
+    if behind.size:
+        raise BehindCameraError(f"point has non-positive depth z={behind[0]}")
+    h = _apply(cam.intrinsics, p)
+    u, v, d = h[:, 0] / h[:, 2], h[:, 1] / h[:, 2], p[:, 2].copy()
+    return (float(u[0]), float(v[0]), float(d[0])) if np.ndim(p_cam) == 1 else (u, v, d)
 
 
 def camera_to_world(p_cam, cam: CameraModel) -> np.ndarray:
-    """Apply the rigid camera-to-world extrinsics to a 3D point."""
-    p = _as_vector(p_cam, 3, "p_cam")
+    """Apply the rigid camera-to-world extrinsics to a (3,) point or (n, 3) rows."""
     ext = cam.extrinsics_c2w
-    return ext[:3, :3] @ p + ext[:3, 3]
+    return (_apply(ext[:3, :3], _point_rows(p_cam, "p_cam")) + ext[:3, 3]).reshape(
+        np.shape(p_cam))
 
 
 def eulers_to_quaternions(eulers) -> np.ndarray:

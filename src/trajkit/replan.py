@@ -63,6 +63,8 @@ class PendingPlan:
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float).reshape(-1, 3)
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("plan positions must be finite")
         grip = gripper_column(self.grippers)
         quats = unit_quaternions(self.orientations)
         n = len(pos)
@@ -73,6 +75,8 @@ class PendingPlan:
             times = np.asarray(times, dtype=float).reshape(-1)
             if len(times) != n:
                 raise ValueError("times length does not match waypoints")
+            if not np.all(np.isfinite(times)):
+                raise ValueError("plan times must be finite")
             if n > 1 and np.any(np.diff(times) <= 0):
                 raise ValueError("plan times must be strictly increasing")
             times.flags.writeable = False
@@ -308,19 +312,21 @@ def controller_step(state: ControllerState, times,
     if t[0] <= state.current_time or np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing and after current_time")
     event = None
+    active, pending = state.active, state.pending
     if replan_source is not None and len(replan_source) == 0:
         # planner reports nothing left: plan complete, keep executing
-        state = replace(state, pending=replan_source)
+        pending = replan_source
     elif replan_source is not None:
         start, k, gamma = _keep_from(state.current_position, replan_source)
         event = ReplanEvent(state.current_time, start, gamma, k, start > k)
-        refreshed = replan_source.tail(start)
-        active = _merge_refreshed(state, refreshed) if len(refreshed) > 0 else state.active
-        state = replace(state, active=active, pending=refreshed)
+        pending = replan_source.tail(start)
+        if len(pending) > 0:
+            active = _merge_refreshed(state, pending)
 
-    pos, quats, grip = state.active.sample(t)
+    pos, quats, grip = active.sample(t)
     eul = quaternions_to_eulers(quats)
     t_last = float(t[-1])
     new_state = replace(state, current_time=t_last, current_position=pos[-1],
-                        current_wxyz=quats[-1], current_velocity=state.active.velocity(t_last))
+                        current_wxyz=quats[-1], current_velocity=active.velocity(t_last),
+                        active=active, pending=pending)
     return new_state, (t, pos, eul, grip), event

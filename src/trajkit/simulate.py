@@ -6,13 +6,14 @@ the commanded stream and every replan event. Deterministic: identical
 scenarios produce bit-identical logs.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InsufficientDataError
-from .geometry import DenseTrajectory, Frame, quaternion_to_euler
+from .geometry import DenseTrajectory, Frame, _as_vector, quaternion_to_euler
 from .keyframes import SparseTrajectory
 from .replan import ControllerState, PendingPlan, controller_step
 from .splines import eval_trajectory, fit
@@ -35,10 +36,10 @@ class Perturbation:
     offset: np.ndarray
 
     def __post_init__(self):
-        off = np.asarray(self.offset, dtype=float).reshape(3)
-        off.flags.writeable = False
+        if not math.isfinite(self.time):
+            raise ValueError(f"perturbation time must be finite, got {self.time}")
         object.__setattr__(self, "time", float(self.time))
-        object.__setattr__(self, "offset", off)
+        object.__setattr__(self, "offset", _as_vector(self.offset, 3, "perturbation offset"))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Anchor-conditioned waypoint token encoding and decoding.
 
-A sparse camera-frame trajectory becomes a sequence of per-waypoint token
-blocks (depth bin, integer pixel UV, gripper bit, three Euler-angle bins)
-conditioned on a depth-augmented anchor. Decoding back-projects each
-block through the camera intrinsics to camera-frame waypoints.
+A sparse camera-frame trajectory becomes one token block per waypoint
+(depth bin, integer pixel UV, gripper bit, three Euler-angle bins),
+conditioned on a depth-augmented anchor and stored as columns. Decoding
+back-projects the blocks through the camera intrinsics to camera-frame
+waypoints. Encoding and decoding work on whole columns.
 
 Quantization is uniform with clamping: ``index = floor((v - lo) / bin_width)``
 and dequantization returns the bin center, so round-trip error is at most
@@ -18,7 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DepthRangeError, OutOfFrameError, SchemaError
-from .geometry import CameraModel, Frame, back_project, normalize_angles, project
+from .geometry import (CameraModel, Frame, SampleError, _clamp, _first, back_project,
+                       normalize_angles, project)
 from .keyframes import SparseTrajectory
 
 __all__ = [
@@ -26,7 +28,6 @@ __all__ = [
     "DepthMode",
     "Anchor",
     "QuantizationSpec",
-    "TokenBlock",
     "TokenSequence",
     "quantize",
     "dequantize",
@@ -90,6 +91,9 @@ class QuantizationSpec:
             raise ValueError("image dimensions must be positive")
         if self.depth_bins < 2 or self.angle_bins < 2:
             raise ValueError("bin counts must be >= 2")
+        depths = (self.depth_min, self.depth_max, self.depth_delta_max)
+        if not all(math.isfinite(x) for x in depths if x is not None):
+            raise ValueError("depth_min, depth_max and depth_delta_max must be finite")
         if not self.depth_max > self.depth_min:
             raise ValueError("depth_max must exceed depth_min")
         for name in ("width", "height", "depth_bins", "angle_bins"):
@@ -110,80 +114,91 @@ class QuantizationSpec:
 
 
 @dataclass(frozen=True)
-class TokenBlock:
-    """Quantized per-waypoint tuple: depth, pixel UV, gripper, Euler bins."""
-
-    d_token: int
-    u_token: int
-    v_token: int
-    g_token: int
-    r_tokens: tuple
-
-    def __post_init__(self):
-        r = tuple(int(x) for x in self.r_tokens)
-        if len(r) != 3:
-            raise ValueError("r_tokens must have exactly 3 entries")
-        if self.g_token not in (0, 1):
-            raise ValueError(f"gripper token must be 0 or 1, got {self.g_token}")
-        for name in ("d_token", "u_token", "v_token", "g_token"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "r_tokens", r)
-
-
-@dataclass(frozen=True)
 class TokenSequence:
-    """Anchor plus ordered token blocks; CLS/IMG/TXT/EOS markers are structural
-    only and implied by the serialized layout."""
+    """Anchor plus one token block per waypoint, held as read-only int
+    columns named as in the token file: depth bin ``d``, pixel ``u`` and
+    ``v``, gripper bit ``g`` (each (n,)) and Euler-angle bins ``r`` (n, 3).
+    CLS/IMG/TXT/EOS markers are structural only and implied by the
+    serialized layout. A token outside its grid raises a
+    :class:`SampleError` naming the first bad block and its field.
+    """
 
     spec: QuantizationSpec
     anchor: Anchor
-    blocks: tuple
+    d: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    g: np.ndarray
+    r: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(self.blocks)
-        if not blocks:
-            raise ValueError("token sequence needs at least one block")
         s = self.spec
+        grid = {"d": ("depth", s.depth_bins), "u": ("UV", s.width), "v": ("UV", s.height),
+                "g": ("gripper", 2), "r": ("angle", s.angle_bins)}
+        cols = {key: np.asarray(getattr(self, key)) for key in grid}
+        n = len(cols["d"]) if cols["d"].ndim else 0
+        if n == 0:
+            raise SampleError("token sequence needs at least one block")
+        if any(c.dtype.kind not in "biu" or c.shape != ((n, 3) if key == "r" else (n,))
+               for key, c in cols.items()):
+            raise SampleError("token columns must be int64-range integer arrays, (n,) and "
+                              "(n, 3) for r")
         if not (0 <= self.anchor.u < s.width and 0 <= self.anchor.v < s.height):
             raise ValueError("anchor lies outside the image bounds")
-        for i, b in enumerate(blocks):
-            if not 0 <= b.d_token < s.depth_bins:
-                raise ValueError(f"block {i}: depth token {b.d_token} out of range")
-            if not (0 <= b.u_token < s.width and 0 <= b.v_token < s.height):
-                raise ValueError(f"block {i}: UV token out of range")
-            if any(not 0 <= r < s.angle_bins for r in b.r_tokens):
-                raise ValueError(f"block {i}: angle token out of range")
-        object.__setattr__(self, "blocks", blocks)
+        rows = {key: c.reshape(n, -1) for key, c in cols.items()}  # r is (n, 3), the rest (n, 1)
+        bad = {key: ~((0 <= c) & (c < grid[key][1])) for key, c in rows.items()}
+        i = _first(np.hstack(list(bad.values())).any(axis=1))
+        if i is not None:  # name the first bad field of the first bad block
+            key = next(key for key in grid if bad[key][i].any())
+            j = _first(bad[key][i])
+            noun, hi = grid[key]
+            raise SampleError(f"block {i}: {noun} token {rows[key][i, j]} out of [0, {hi})", i,
+                              f"r[{j}]" if key == "r" else key)
+        for key, c in cols.items():
+            c = c.astype(int)
+            c.flags.writeable = False
+            object.__setattr__(self, key, c)
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.d)
 
 
-def quantize(value: float, lo: float, hi: float, bins: int) -> int:
-    """Uniform bin index of value over [lo, hi], clamped into [0, bins-1]."""
+def _check_grid(lo: float, hi: float, bins: int) -> None:
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
     if not hi > lo:
         raise ValueError(f"invalid range [{lo}, {hi}]")
-    x = min(max(float(value), lo), hi)
-    idx = int(math.floor((x - lo) / (hi - lo) * bins))
-    return min(idx, bins - 1)
 
 
-def dequantize(index: int, lo: float, hi: float, bins: int) -> float:
-    """Center of bin ``index`` over [lo, hi]."""
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
-    if not hi > lo:
-        raise ValueError(f"invalid range [{lo}, {hi}]")
-    if not 0 <= index < bins:
-        raise ValueError(f"bin index {index} out of [0, {bins})")
-    return lo + (index + 0.5) * (hi - lo) / bins
+def quantize(value, lo: float, hi: float, bins: int):
+    """Uniform bin index of each value over [lo, hi], clamped into [0, bins-1].
+
+    Element-wise: an array gives an int array of its shape, a scalar a
+    NumPy int. Infinities clamp to the end bins; NaN raises ``ValueError``.
+    """
+    _check_grid(lo, hi, bins)
+    x = np.asarray(value, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("cannot quantize NaN")
+    idx = np.floor((_clamp(x, lo, hi) - lo) / (hi - lo) * bins).astype(int)
+    return np.minimum(idx, bins - 1)
 
 
-def _pixel_token(x: float) -> int:
-    """Nearest integer pixel, half-values rounding up."""
-    return int(math.floor(x + 0.5))
+def dequantize(index, lo: float, hi: float, bins: int):
+    """Center of bin ``index`` over [lo, hi], element-wise over an array."""
+    _check_grid(lo, hi, bins)
+    i = np.asarray(index)
+    bad = ~((0 <= i) & (i < bins))
+    if bad.any():
+        raise ValueError(f"bin index {i[bad][0]} out of [0, {bins})")
+    return lo + (i + 0.5) * (hi - lo) / bins
+
+
+def _depth_grid(spec: QuantizationSpec, anchor: Anchor) -> tuple:
+    """(offset, lo, hi): depth tokens bin ``depth - offset`` over [lo, hi]."""
+    if spec.depth_mode is DepthMode.ANCHOR_RELATIVE:
+        return anchor.d, -spec.depth_delta_max, spec.depth_delta_max
+    return 0.0, spec.depth_min, spec.depth_max
 
 
 def encode_sequence(sparse: SparseTrajectory, anchor: Anchor, cam: CameraModel,
@@ -191,35 +206,32 @@ def encode_sequence(sparse: SparseTrajectory, anchor: Anchor, cam: CameraModel,
     """Tokenize a camera-frame sparse trajectory against an anchor.
 
     Each waypoint is projected through the camera (UV rounded to integer
-    pixels), its depth quantized per the quantization depth mode, and its
-    Euler angles wrapped into [-pi, pi) and binned. Waypoints that project
-    outside the image raise :class:`OutOfFrameError` with their index;
-    depths outside the quantizer range raise :class:`DepthRangeError`.
+    pixels, half-values up), its depth quantized per the quantization
+    depth mode, and its Euler angles wrapped into [-pi, pi) and binned.
+    The first failing waypoint raises :class:`BehindCameraError` (z <= 0),
+    :class:`OutOfFrameError` (outside the image) or
+    :class:`DepthRangeError` (outside the depth range), in that order.
     """
     if sparse.frame is not Frame.CAMERA:
         raise ValueError("encode_sequence expects a camera-frame trajectory")
     if (spec.width, spec.height) != (cam.width, cam.height):
         raise SchemaError("spec.uv", "quantization UV dimensions do not match the camera")
-    blocks = []
-    for i, (position, euler, gripper) in enumerate(
-            zip(sparse.positions, sparse.eulers, sparse.grippers)):
-        u, v, d = project(position, cam)
-        u_tok, v_tok = _pixel_token(u), _pixel_token(v)
-        if not (0 <= u_tok < spec.width and 0 <= v_tok < spec.height):
-            raise OutOfFrameError(i, u, v)
-        if spec.depth_mode is DepthMode.ANCHOR_RELATIVE:
-            delta = d - anchor.d
-            if abs(delta) > spec.depth_delta_max:
-                raise DepthRangeError(i, delta, -spec.depth_delta_max, spec.depth_delta_max)
-            d_tok = quantize(delta, -spec.depth_delta_max, spec.depth_delta_max, spec.depth_bins)
-        else:
-            if not spec.depth_min <= d <= spec.depth_max:
-                raise DepthRangeError(i, d, spec.depth_min, spec.depth_max)
-            d_tok = quantize(d, spec.depth_min, spec.depth_max, spec.depth_bins)
-        angles = normalize_angles(euler)
-        r_toks = tuple(quantize(a, -math.pi, math.pi, spec.angle_bins) for a in angles)
-        blocks.append(TokenBlock(d_tok, u_tok, v_tok, gripper, r_toks))
-    return TokenSequence(spec, anchor, tuple(blocks))
+    behind = _first(sparse.positions[:, 2] <= 0)
+    u, v, d = project(sparse.positions[:behind], cam)  # the rows before the first behind
+    u_tok, v_tok = np.floor(u + 0.5), np.floor(v + 0.5)
+    outside = ~((0 <= u_tok) & (u_tok < spec.width) & (0 <= v_tok) & (v_tok < spec.height))
+    offset, lo, hi = _depth_grid(spec, anchor)
+    depth = d - offset
+    i = _first(outside | ~((lo <= depth) & (depth <= hi)))
+    if i is not None:
+        if outside[i]:
+            raise OutOfFrameError(i, float(u[i]), float(v[i]))
+        raise DepthRangeError(i, float(depth[i]), lo, hi)
+    if behind is not None:
+        project(sparse.positions[behind], cam)  # raises BehindCameraError
+    r = quantize(normalize_angles(sparse.eulers), -math.pi, math.pi, spec.angle_bins)
+    return TokenSequence(spec, anchor, quantize(depth, lo, hi, spec.depth_bins),
+                         u_tok.astype(int), v_tok.astype(int), sparse.grippers, r)
 
 
 def decode_sequence(tokens: TokenSequence, cam: CameraModel) -> SparseTrajectory:
@@ -227,26 +239,19 @@ def decode_sequence(tokens: TokenSequence, cam: CameraModel) -> SparseTrajectory
 
     Depth and angles dequantize to bin centers (anchor depth added back
     in anchor-relative mode) and UV tokens back-project through the
-    camera intrinsics. Timestamps are the abstract indices 0..N-1; real
-    timing is assigned downstream by the detokenizer.
+    camera intrinsics; a non-positive decoded depth raises ``ValueError``.
+    Timestamps are the abstract indices 0..N-1; real timing is assigned
+    downstream by the detokenizer.
     """
     spec = tokens.spec
     if (spec.width, spec.height) != (cam.width, cam.height):
         raise SchemaError("spec.uv", "quantization UV dimensions do not match the camera")
-    n = len(tokens.blocks)
-    positions = np.empty((n, 3))
-    eulers = np.empty((n, 3))
-    for i, b in enumerate(tokens.blocks):
-        if spec.depth_mode is DepthMode.ANCHOR_RELATIVE:
-            d = tokens.anchor.d + dequantize(
-                b.d_token, -spec.depth_delta_max, spec.depth_delta_max, spec.depth_bins
-            )
-        else:
-            d = dequantize(b.d_token, spec.depth_min, spec.depth_max, spec.depth_bins)
-        positions[i] = back_project(float(b.u_token), float(b.v_token), d, cam)
-        eulers[i] = [dequantize(r, -math.pi, math.pi, spec.angle_bins) for r in b.r_tokens]
-    grippers = [b.g_token for b in tokens.blocks]
-    return SparseTrajectory(np.arange(n, dtype=float), positions, eulers, grippers,
+    offset, lo, hi = _depth_grid(spec, tokens.anchor)
+    depth = offset + dequantize(tokens.d, lo, hi, spec.depth_bins)
+    positions = back_project(tokens.u, tokens.v, depth, cam)
+    eulers = dequantize(tokens.r, -math.pi, math.pi, spec.angle_bins)
+    n = len(tokens)
+    return SparseTrajectory(np.arange(n, dtype=float), positions, eulers, tokens.g,
                             (True,) * n, Frame.CAMERA)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from trajkit import CameraModel, DenseTrajectory, Frame
+from trajkit import CameraModel, DenseTrajectory, Frame, TokenSequence
 
 # property tests draw the same examples on every run, with no per-example
 # deadline: wall-clock timing on a shared host is too noisy to gate on
@@ -49,6 +49,19 @@ def helix_trajectory(n=8893, turns=1.0, rise=0.3, frame=Frame.WORLD) -> DenseTra
     pos = np.stack([np.sin(t), np.cos(t), rise * t], axis=1)
     return DenseTrajectory(t, pos, np.zeros((n, 3)),
                            np.zeros(n, dtype=int), frame)
+
+
+def token_sequence(spec, anchor, blocks) -> TokenSequence:
+    """A TokenSequence from (d, u, v, g, (rx, ry, rz)) tuples, one per block."""
+    d, u, v, g, r = zip(*blocks)
+    return TokenSequence(spec, anchor, d, u, v, g, r)
+
+
+def assert_same_tokens(a: TokenSequence, b: TokenSequence) -> None:
+    assert a.spec == b.spec and a.anchor == b.anchor
+    for name in ("d", "u", "v", "g", "r"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 import trajkit as tk
 from trajkit import fileio
 from trajkit.cli import cli_main
-from conftest import helix_trajectory, line_trajectory, make_camera
+from conftest import assert_same_tokens, helix_trajectory, line_trajectory, make_camera
 from test_keyframes import brute_force_keyframes, random_segmented_trajectory
 from test_metrics import dtw_brute, frechet_brute
 from test_simulate import line_scenario
@@ -104,10 +104,7 @@ def test_token_round_trip_bound_and_bit_exact_serialization(tmp_path):
         k_inv = np.linalg.inv(cam.intrinsics)
         k_inv_norm = np.linalg.norm(k_inv, 2)
         half_bin = (spec.depth_max - spec.depth_min) / (2 * spec.depth_bins)
-        d_dec = np.array([
-            tk.dequantize(b.d_token, spec.depth_min, spec.depth_max, spec.depth_bins)
-            for b in seq.blocks
-        ])
+        d_dec = tk.dequantize(seq.d, spec.depth_min, spec.depth_max, spec.depth_bins)
         uv1 = np.stack([us, vs, np.ones(n)], axis=1)
         bounds = (d_dec * k_inv_norm * math.sqrt(0.5)
                   + half_bin * np.linalg.norm(uv1 @ k_inv.T, axis=1))
@@ -118,7 +115,7 @@ def test_token_round_trip_bound_and_bit_exact_serialization(tmp_path):
         p1, p2 = tmp_path / "tokens1.json", tmp_path / "tokens2.json"
         fileio.save_token_file(seq, p1)
         reloaded = fileio.load_token_file(p1)
-        assert reloaded == seq
+        assert_same_tokens(reloaded, seq)
         fileio.save_token_file(reloaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 

@@ -8,7 +8,7 @@ import pytest
 import trajkit as tk
 from trajkit import cli, fileio
 from trajkit.cli import cli_main
-from conftest import line_trajectory, make_camera
+from conftest import line_trajectory, make_camera, rigid, rot_z, token_sequence
 from test_simulate import line_scenario
 
 
@@ -101,6 +101,29 @@ class TestTokenizeDetokenize:
                          "--anchor", "50,50,1.2", "--out", str(tokens_path)]) == 0
         tokens = fileio.load_token_file(tokens_path)
         assert tokens.spec.depth_bins == 64
+
+
+    def test_to_world_moves_positions_and_keeps_orientations(self, tmp_path):
+        # yawed 90 degrees and offset: positions move by the extrinsics, while
+        # orientation tokens pass through unchanged
+        ext = rigid(rot_z(np.pi / 2), [0.5, -0.25, 1.0])
+        cam = make_camera(extrinsics=ext)
+        bundle, tokens, out = (tmp_path / n for n in ("cam.json", "tokens.json", "dense.json"))
+        fileio.save_bundle(line_trajectory(n=3, frame=tk.Frame.CAMERA), cam, bundle)
+        seq = token_sequence(tk.QuantizationSpec.for_camera(cam), tk.Anchor(50, 50, 1.0),
+                             [(40, 30, 60, 0, (100, 140, 20)), (80, 70, 45, 1, (128, 10, 250)),
+                              (120, 55, 50, 1, (3, 128, 200))])
+        fileio.save_token_file(seq, tokens)
+        assert cli_main(["detokenize", "--input", str(tokens), "--camera-from", str(bundle),
+                         "--rate", "1", "--segment-duration", "1", "--out", str(out)]) == 0
+        rebuilt, _ = fileio.load_bundle(out)
+        decoded = tk.decode_sequence(seq, cam)
+        assert np.allclose(rebuilt.times, [0.0, 1.0, 2.0], atol=1e-12)
+        world = np.array([ext[:3, :3] @ p + ext[:3, 3] for p in decoded.positions])
+        assert np.abs(rebuilt.positions - world).max() < 1e-12
+        assert np.abs(tk.eulers_to_quaternions(rebuilt.eulers)
+                      - tk.eulers_to_quaternions(decoded.eulers)).max() < 1e-9
+        assert rebuilt.grippers[:2].tolist() == [0, 1]
 
 
 class TestMetricsCommand:
@@ -199,6 +222,17 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out.json")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: samples[0].t: ")
+
+    def test_non_finite_perturbation_is_a_validation_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        fileio.save_scenario(line_scenario([tk.Perturbation(3.0, [0.02, 0, 0])]), scenario)
+        data = json.loads(scenario.read_text())
+        data["perturbations"][0]["offset"][0] = float("nan")
+        scenario.write_text(json.dumps(data))
+        code = cli_main(["simulate", "--scenario", str(scenario),
+                         "--out", str(tmp_path / "log.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: perturbations[0]")
 
     def test_missing_file_is_1(self, tmp_path):
         code = cli_main(["plot-data", "--input", str(tmp_path / "nope.json"),

@@ -9,7 +9,7 @@ import pytest
 
 import trajkit as tk
 from trajkit import cli, fileio
-from conftest import line_trajectory, make_camera
+from conftest import assert_same_tokens, line_trajectory, make_camera, token_sequence
 from test_simulate import line_scenario
 from test_splines import sparse_from_arrays
 
@@ -172,17 +172,17 @@ class TestTokenFile:
     def make_sequence(self):
         spec = tk.QuantizationSpec(width=64, height=48, depth_bins=128,
                                    angle_bins=64)
-        blocks = tuple(tk.TokenBlock(d, u, v, g, (r, r, r))
-                       for d, u, v, g, r in [(0, 0, 0, 0, 0), (64, 32, 24, 1, 63),
-                                             (127, 63, 47, 0, 1)])
-        return tk.TokenSequence(spec, tk.Anchor(10.5, 20.25, 1.375), blocks)
+        blocks = [(d, u, v, g, (r, r, r))
+                  for d, u, v, g, r in [(0, 0, 0, 0, 0), (64, 32, 24, 1, 63),
+                                        (127, 63, 47, 0, 1)]]
+        return token_sequence(spec, tk.Anchor(10.5, 20.25, 1.375), blocks)
 
     def test_round_trip_bit_exact(self, tmp_path):
         seq = self.make_sequence()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         fileio.save_token_file(seq, p1)
         loaded = fileio.load_token_file(p1)
-        assert loaded == seq
+        assert_same_tokens(loaded, seq)
         fileio.save_token_file(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -196,6 +196,48 @@ class TestTokenFile:
             fileio.load_token_file(path)
         assert info.value.path == "blocks[1].r[2]"
 
+    @pytest.mark.parametrize("damage, where", [
+        (lambda d: d["blocks"][1].update(g=2), "blocks[1].g"),
+        (lambda d: (d["blocks"][0].update(g=2), d["blocks"][2].update(u=1.5)), "blocks[0].g"),
+        (lambda d: d["blocks"][0].update(d=999), "blocks[0].d"),
+        (lambda d: d["blocks"][2].update(u=64), "blocks[2].u"),
+        (lambda d: d["blocks"][2].update(v=-1), "blocks[2].v"),
+        (lambda d: d["blocks"][0]["r"].__setitem__(1, 64), "blocks[0].r[1]"),
+        (lambda d: d["blocks"][0].update(d=10**400), "blocks"),
+        (lambda d: d["blocks"][2]["r"].__setitem__(2, 2**63), "blocks"),
+        (lambda d: d["blocks"][0].update(r=[1, 2]), "blocks[0].r"),
+        (lambda d: d["blocks"][0].pop("v"), "blocks[0].v"),
+        (lambda d: d["blocks"].__setitem__(1, 5), "blocks[1]"),
+        (lambda d: d.update(blocks=[]), "blocks"),
+        (lambda d: d["anchor"].update(u=64.0), "blocks"),
+    ], ids=["gripper", "gripper-first", "depth-bin", "u-pixel", "v-pixel", "angle-bin",
+            "huge-depth", "huge-angle", "short-r", "missing-v", "not-object", "empty",
+            "anchor-outside"])
+    def test_malformed_block_names_path(self, tmp_path, damage, where):
+        path = tmp_path / "t.json"
+        fileio.save_token_file(self.make_sequence(), path)
+        data = json.loads(path.read_text())
+        damage(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(tk.SchemaError) as info:
+            fileio.load_token_file(path)
+        assert info.value.path == where
+
+    @pytest.mark.parametrize("damage", [
+        lambda q: q["depth"].update(max=math.inf), lambda q: q["depth"].update(min=-math.inf),
+        lambda q: q["depth"].update(min=math.nan),
+        lambda q: q.update(depth_mode="anchor_relative", depth_delta_max=math.inf),
+    ], ids=["inf-max", "inf-min", "nan-min", "inf-delta"])
+    def test_non_finite_quantization_rejected(self, tmp_path, damage):
+        path = tmp_path / "t.json"
+        fileio.save_token_file(self.make_sequence(), path)
+        data = json.loads(path.read_text())
+        damage(data["quantization"])
+        path.write_text(json.dumps(data))
+        with pytest.raises(tk.SchemaError) as info:
+            fileio.load_token_file(path)
+        assert info.value.path.startswith("quantization")
+
     def test_out_of_range_block_rejected(self, tmp_path):
         seq = self.make_sequence()
         path = tmp_path / "t.json"
@@ -208,6 +250,21 @@ class TestTokenFile:
 
 
 class TestScenarioAndLog:
+    @pytest.mark.parametrize("damage, where", [
+        (lambda p: p.update(time=math.nan), "perturbations[0]"),
+        (lambda p: p["offset"].__setitem__(1, math.nan), "perturbations[0]"),
+        (lambda p: p["offset"].__setitem__(0, -math.inf), "perturbations[0]"),
+    ], ids=["nan-time", "nan-offset", "inf-offset"])
+    def test_non_finite_perturbation_names_path(self, tmp_path, damage, where):
+        path = tmp_path / "scenario.json"
+        fileio.save_scenario(line_scenario([tk.Perturbation(3.0, [0.02, 0, 0])]), path)
+        data = json.loads(path.read_text())
+        damage(data["perturbations"][0])
+        path.write_text(json.dumps(data))
+        with pytest.raises(tk.SchemaError) as info:
+            fileio.load_scenario(path)
+        assert info.value.path == where
+
     def test_scenario_round_trip(self, tmp_path):
         scenario = line_scenario([tk.Perturbation(3.0, [0.02, 0, 0])],
                                  delayed_planner=True)

@@ -3,9 +3,11 @@
 Writers: every file is exactly ``json.dumps(payload, indent=2,
 allow_nan=False) + "\\n"`` of the payload built here per sample.
 Loader: the whole-column type check gives the same columns, or the same
-SchemaError, as the per-sample pass alone. Golden files in
-``tests/data/`` were written by the ``json.dumps`` writers (commit
-7097109) from :func:`golden_objects`, and pin the format.
+SchemaError, as the per-sample pass alone; the same holds for token
+blocks and the per-block pass. Golden files in ``tests/data/`` were
+written by the ``json.dumps`` writers (commit 7097109; the token file by
+the ``json.dumps`` token writer of commit 00a0cf5) from
+:func:`golden_objects`, and pin the format.
 """
 
 import json
@@ -18,10 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import trajkit as tk
 from trajkit import fileio
-from conftest import make_camera
+from conftest import assert_same_tokens, make_camera
 
 DATA = Path(__file__).parent / "data"
 UNITS = {"length": "meters", "time": "seconds", "angle": "radians"}
@@ -105,6 +108,44 @@ def log_payload(log) -> dict:
     }
 
 
+def token_payload(seq) -> dict:
+    spec, anchor = seq.spec, seq.anchor
+    return {
+        "version": 1,
+        "quantization": {
+            "depth": {"min": spec.depth_min, "max": spec.depth_max, "bins": spec.depth_bins},
+            "uv": {"width": spec.width, "height": spec.height},
+            "angle": {"bins": spec.angle_bins},
+            "depth_mode": spec.depth_mode.value,
+            "depth_delta_max": spec.depth_delta_max,
+        },
+        "anchor": {"u": anchor.u, "v": anchor.v, "d": anchor.d,
+                   "source": anchor.depth_source.value},
+        "blocks": [{"d": d, "u": u, "v": v, "g": g, "r": r}
+                   for d, u, v, g, r in zip(seq.d.tolist(), seq.u.tolist(), seq.v.tolist(),
+                                            seq.g.tolist(), seq.r.tolist())],
+    }
+
+
+@st.composite
+def token_sequences(draw):
+    width, height = draw(st.integers(1, 700)), draw(st.integers(1, 500))
+    depth_bins, angle_bins = draw(st.integers(2, 300)), draw(st.integers(2, 300))
+    lo, hi = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+    mode = draw(st.sampled_from(list(tk.DepthMode)))
+    positive = st.sampled_from([5e-324, 1e-7, 1 / 3, 1e16, 1e22]) | st.floats(1e-300, 1e300)
+    delta = draw(positive if mode is tk.DepthMode.ANCHOR_RELATIVE else st.none() | positive)
+    spec = tk.QuantizationSpec(width, height, lo, hi, depth_bins, angle_bins, mode, delta)
+    anchor = tk.Anchor(draw(st.floats(0, width, exclude_max=True)),
+                       draw(st.sampled_from([0.0, 5e-324]) | st.floats(0, height,
+                                                                        exclude_max=True)),
+                       draw(positive), draw(st.sampled_from(list(tk.DepthSource))))
+    n = draw(st.integers(1, 6))
+    column = lambda hi, shape=n: draw(arrays(int, shape, elements=st.integers(0, hi - 1)))
+    return tk.TokenSequence(spec, anchor, column(depth_bins), column(width), column(height),
+                            column(2), column(angle_bins, (n, 3)))
+
+
 def dumps(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
@@ -150,6 +191,21 @@ class TestWritersEqualJsonDumps:
         fileio.save_execution_log(log, path)
         assert path.read_text() == dumps(log_payload(log))
 
+    @given(token_sequences())
+    def test_token_file(self, tmp_path_factory, seq):
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        fileio.save_token_file(seq, path)
+        assert path.read_text() == dumps(token_payload(seq))
+
+    @given(token_sequences())
+    def test_token_file_save_load_save(self, tmp_path_factory, seq):
+        first, second = (tmp_path_factory.getbasetemp() / name for name in ("a.json", "b.json"))
+        fileio.save_token_file(seq, first)
+        loaded = fileio.load_token_file(first)
+        assert_same_tokens(loaded, seq)
+        fileio.save_token_file(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", ["times", "positions", "eulers"])
     def test_non_finite_row_value_raises(self, tmp_path, column, bad):
@@ -183,7 +239,7 @@ class TestWritersEqualJsonDumps:
 
 def outcome(obj, path, sparse, per_sample_only):
     """What _parse_trajectory gives: the columns as bytes, or the error."""
-    check = (lambda samples: None) if per_sample_only else fileio._typed_columns
+    check = (lambda records, fields: None) if per_sample_only else fileio._typed_columns
     with mock.patch.object(fileio, "_typed_columns", check):
         try:
             traj = fileio._parse_trajectory(obj, path, tk.Frame.WORLD, sparse)
@@ -266,7 +322,7 @@ class TestColumnCheckMatchesPerSamplePass:
     def test_clean_samples_take_the_column_check(self, cols):
         samples = [{"t": t, "pos": p, "euler_xyz": e, "gripper": g}
                    for t, p, e, g in zip(*cols)]
-        assert fileio._typed_columns(samples) is not None
+        assert fileio._typed_columns(samples, fileio._SAMPLE_FIELDS) is not None
 
     @pytest.mark.parametrize("flags, where", [
         ([True, 1, False], "keyframe_flags[1]"), ([True, False, None], "keyframe_flags[2]"),
@@ -286,6 +342,93 @@ class TestColumnCheckMatchesPerSamplePass:
             fileio._parse_trajectory({"samples": samples}, "", tk.Frame.WORLD, False)
         assert info.value.path == "samples[1].pos[1]"
         assert str(info.value) == "samples[1].pos[1]: number out of float range"
+
+
+TOKEN_HEADER = {
+    "version": 1,
+    "quantization": {"depth": {"min": 0.1, "max": 3.0, "bins": 16}, "uv": {"width": 8,
+                     "height": 6}, "angle": {"bins": 12}, "depth_mode": "absolute",
+                     "depth_delta_max": None},
+    "anchor": {"u": 4.0, "v": 3.0, "d": 1.0, "source": "sensor"},
+}
+TOKEN_FAULTS = ["bad-number", "big-int", "missing-key", "extra-key", "not-object", "short-r",
+                "gripper", "out-of-grid"]
+
+
+def damage_block(draw, blocks: list, i: int, kind: str) -> None:
+    """Apply the fault ``kind`` to block i."""
+    b = blocks[i]
+    key = draw(st.sampled_from(["d", "u", "v", "g", "r"]))
+    j = draw(st.integers(0, 2))
+    if kind in ("bad-number", "big-int", "out-of-grid"):
+        value = draw(NOT_A_NUMBER | st.just(1.0) if kind == "bad-number" else
+                     BIG_INTS | st.sampled_from([2**63 - 1, -2**63, -2**63 - 1])
+                     if kind == "big-int" else st.sampled_from([-1, 6, 8, 12, 16, 2]))
+        if key == "r":
+            b["r"][j] = value
+        else:
+            b[key] = value
+    elif kind == "missing-key":
+        del b[key]
+    elif kind == "extra-key":
+        b[draw(st.sampled_from(["x", "D", "t"]))] = draw(NOT_A_NUMBER)
+    elif kind == "not-object":
+        blocks[i] = draw(st.sampled_from([[0, 0, 0, 0, [0, 0, 0]], 3, "block", None]))
+    elif kind == "short-r":
+        b["r"] = b["r"][:draw(st.integers(0, 2))]
+    elif kind == "gripper":
+        b["g"] = draw(st.sampled_from([2, -1, True, False, 1.0, "1", None, 10**400]))
+
+
+@st.composite
+def token_blocks(draw, fault: str):
+    """Valid blocks for TOKEN_HEADER, one damaged by ``fault`` and maybe a
+    second one damaged by any fault."""
+    n = draw(st.integers(1, 5))
+    cell = lambda hi: draw(st.integers(0, hi - 1))
+    blocks = [{"d": cell(16), "u": cell(8), "v": cell(6), "g": cell(2),
+               "r": [cell(12), cell(12), cell(12)]} for _ in range(n)]
+    first, *rest = draw(st.permutations(range(n)))
+    damage_block(draw, blocks, first, fault)
+    if rest and draw(st.booleans()):
+        damage_block(draw, blocks, rest[0], draw(st.sampled_from(TOKEN_FAULTS)))
+    return blocks
+
+
+def token_outcome(blocks, per_block_only):
+    """What load_token_file gives: the columns as bytes, or the error."""
+    check = (lambda records, fields: None) if per_block_only else fileio._typed_columns
+    data = dict(json.loads(json.dumps(TOKEN_HEADER)), blocks=json.loads(json.dumps(blocks)))
+    with mock.patch.object(fileio, "_typed_columns", check), \
+            mock.patch.object(fileio, "_read_json", lambda path: data):
+        try:
+            seq = fileio.load_token_file("tokens.json")
+        except tk.SchemaError as exc:
+            return "schema", exc.path, str(exc)
+        except Exception as exc:  # any other escape must match too
+            return type(exc).__name__, str(exc)
+    return "ok", [(c.dtype.str, c.shape, c.tobytes()) for c in (seq.d, seq.u, seq.v, seq.g,
+                                                                 seq.r)]
+
+
+class TestTokenColumnCheckMatchesPerBlockPass:
+    @pytest.mark.parametrize("fault", ["none"] + TOKEN_FAULTS)
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_same_columns_or_same_error(self, fault, data):
+        blocks = data.draw(token_blocks(fault)) if fault != "none" else data.draw(
+            token_blocks("extra-key"))
+        got = token_outcome(blocks, False)
+        assert got == token_outcome(blocks, True)
+        assert got[0] in ("ok", "schema")
+
+    def test_clean_blocks_take_the_column_check(self):
+        blocks = [{"d": 1, "u": 2, "v": 3, "g": 1, "r": [4, 5, 6]}] * 3
+        assert fileio._typed_columns(blocks, fileio._TOKEN_FIELDS) is not None
+
+    def test_empty_blocks_name_the_array(self):
+        assert token_outcome([], False) == token_outcome([], True) == (
+            "schema", "blocks", "blocks: token sequence needs at least one block")
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +451,22 @@ def golden_objects() -> dict:
     events = (tk.ReplanEvent(1e-7, 2, math.nan, -1, False),
               tk.ReplanEvent(0.1, 0, -0.0, 3, True))
     log = tk.ExecutionLog(commanded, events, 5e-324)
+    spec = tk.QuantizationSpec(640, 480, 1e-7, 1e16, 300, 7, tk.DepthMode.ANCHOR_RELATIVE, 1 / 3)
+    tokens = tk.TokenSequence(spec, tk.Anchor(1 / 3, 5e-324, 1e22, tk.DepthSource.PRIOR_SCALE),
+                              [0, 299, 150, 7], [0, 639, 1, 320], [0, 479, 478, 0], [0, 1, 1, 0],
+                              [[0, 6, 3], [6, 0, 1], [2, 2, 5], [6, 6, 6]])
     meta = {"instruction": 'pick "the" [red] {cube}', "samples": [], "x": [-0.0, 1e22]}
     return {
         "golden_bundle.json": ("save_bundle", (dense, cam), meta),
         "golden_sparse.json": ("save_sparse_bundle", (sparse, cam), None),
         "golden_log.json": ("save_execution_log", (log,), None),
+        "golden_tokens.json": ("save_token_file", (tokens,), None),
     }
 
 
 LOADERS = {"save_bundle": fileio.load_bundle, "save_sparse_bundle": fileio.load_sparse_bundle,
-           "save_execution_log": fileio.load_execution_log}
+           "save_execution_log": fileio.load_execution_log,
+           "save_token_file": fileio.load_token_file}
 
 
 class TestGoldenFiles:
@@ -333,6 +482,9 @@ class TestGoldenFiles:
     def test_golden_loads_bit_exact(self, name):
         writer, args, _ = golden_objects()[name]
         loaded = LOADERS[writer](DATA / name)
+        if writer == "save_token_file":
+            assert_same_tokens(loaded, args[0])
+            return
         if writer == "save_execution_log":
             got, want = loaded.commanded, args[0].commanded
             assert loaded.final_error == args[0].final_error

@@ -1,6 +1,7 @@
 """Geometry: projection, frame transforms, quaternions, finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,75 @@ class TestCameraToWorld:
             da = np.linalg.norm(a - b)
             db = np.linalg.norm(tk.camera_to_world(a, cam) - tk.camera_to_world(b, cam))
             assert abs(da - db) < 1e-9
+
+
+@st.composite
+def posed_cameras(draw):
+    """A camera with skewed intrinsics and a random rigid pose."""
+    fx, fy = draw(st.floats(10.0, 2000.0)), draw(st.floats(10.0, 2000.0))
+    k = np.array([[fx, draw(st.floats(-5.0, 5.0)), draw(st.floats(0.0, 640.0))],
+                  [0.0, fy, draw(st.floats(0.0, 480.0))], [0.0, 0.0, 1.0]])
+    angles = draw(arrays(float, 3, elements=st.floats(-math.pi, math.pi)))
+    rotation = Rotation.from_euler("xyz", angles).as_matrix()
+    translation = draw(arrays(float, 3, elements=st.floats(-5.0, 5.0)))
+    return tk.CameraModel(k, rigid(rotation, translation), 640, 480)
+
+
+points_ahead = arrays(float, st.tuples(st.integers(1, 40), st.just(3)),
+                      elements=st.floats(0.01, 20.0)).map(lambda p: p * [1, 1, 1] - [10, 10, 0])
+
+
+class TestBatchedTransforms:
+    """Each transform has one implementation: rows give, bit for bit, what
+    the per-point matrix-vector product gives, and one point is the
+    one-row case."""
+
+    @given(posed_cameras(), points_ahead)
+    def test_project_rows_equal_per_point_product(self, cam, points):
+        u, v, d = tk.project(points, cam)
+        for i, p in enumerate(points):
+            h = cam.intrinsics @ p
+            assert (u[i], v[i], d[i]) == (h[0] / h[2], h[1] / h[2], p[2])
+            assert tk.project(p, cam) == (u[i], v[i], d[i])
+            assert type(tk.project(p, cam)[0]) is float
+
+    @given(posed_cameras(), points_ahead)
+    def test_camera_to_world_rows_equal_per_point_product(self, cam, points):
+        world = tk.camera_to_world(points, cam)
+        ext = cam.extrinsics_c2w
+        for i, p in enumerate(points):
+            assert np.array_equal(world[i], ext[:3, :3] @ p + ext[:3, 3])
+            assert np.array_equal(tk.camera_to_world(p, cam), world[i])
+
+    @given(posed_cameras(), points_ahead)
+    def test_back_project_rows_equal_per_point_product(self, cam, uvd):
+        u, v, d = uvd.T * [[32.0], [24.0], [1.0]]
+        points = tk.back_project(u, v, d, cam)
+        for i in range(len(d)):
+            expected = d[i] * (cam.intrinsics_inv @ np.array([u[i], v[i], 1.0]))
+            assert np.array_equal(points[i], expected)
+            assert np.array_equal(tk.back_project(u[i], v[i], d[i], cam), expected)
+
+    def test_first_bad_row_raises_without_warnings(self, camera):
+        rows = np.array([[0.0, 0.0, 1.0], [1e300, 0.0, 1e-300], [0.0, 0.0, -2.0],
+                         [0.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tk.BehindCameraError, match="z=-2.0"):
+                tk.project(rows, camera)
+            with pytest.raises(ValueError, match="got -2.0"):
+                tk.back_project([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, -2.0, 0.0], camera)
+        with pytest.raises(ValueError, match="must be finite"):
+            tk.camera_to_world([[0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]], camera)
+        with pytest.raises(ValueError, match=r"\(n, 3\) rows, got shape \(1, 2\)"):
+            tk.camera_to_world([[0.0, 1.0]], camera)
+
+    def test_inputs_are_left_writeable(self, camera):
+        point, rows = np.array([0.1, 0.2, 1.0]), np.array([[0.1, 0.2, 1.0]])
+        tk.project(point, camera)
+        tk.project(rows, camera)
+        tk.camera_to_world(point, camera)
+        assert point.flags.writeable and rows.flags.writeable
 
 
 class TestQuaternions:

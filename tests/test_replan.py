@@ -420,6 +420,18 @@ class TestPendingPlanGrippers:
         assert not plan.grippers.flags.writeable
 
 
+class TestPendingPlanFinite:
+    @pytest.mark.parametrize("positions, times", [
+        ([[math.nan, 0, 0], [1, 0, 0]], None),
+        ([[0, 0, 0], [1, math.inf, 0]], [0.0, 1.0]),
+        ([[0, 0, 0], [1, 0, 0]], [0.0, math.nan]),
+        ([[0, 0, 0], [1, 0, 0]], [-math.inf, 1.0]),
+    ], ids=["nan-position", "inf-position", "nan-time", "inf-time"])
+    def test_rejects_non_finite(self, positions, times):
+        with pytest.raises(ValueError, match="finite"):
+            tk.PendingPlan(positions, np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), [0, 0], times)
+
+
 coordinates = st.floats(-1.0, 1.0)
 
 

@@ -297,6 +297,14 @@ class TestRun:
         with pytest.raises(ValueError):
             line_scenario([tk.Perturbation(99.0, [0, 0, 0.01])])
 
+    @pytest.mark.parametrize("time, offset", [
+        (math.nan, [0, 0, 0]), (math.inf, [0, 0, 0]), (1.0, [math.inf, 0, 0]),
+        (1.0, [0, math.nan, 0]), (1.0, [0, 0]),
+    ], ids=["nan-time", "inf-time", "inf-offset", "nan-offset", "short-offset"])
+    def test_perturbation_rejects_non_finite(self, time, offset):
+        with pytest.raises(ValueError):
+            tk.Perturbation(time, offset)
+
     def test_camera_frame_plan_rejected(self):
         t = np.arange(3, dtype=float)
         plan = sparse_from_arrays(t, np.stack([t, 0 * t, 0 * t], axis=1),

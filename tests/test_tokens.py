@@ -1,12 +1,17 @@
 """Token codec: quantization, encoding, decoding, anchor depth priors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import trajkit as tk
-from conftest import make_camera
+from trajkit.geometry import SampleError
+from conftest import make_camera, token_sequence
 from test_splines import sparse_from_arrays
 
 
@@ -55,6 +60,40 @@ class TestQuantize:
             tk.dequantize(4, 0.0, 1.0, 4)
 
 
+def quantize_reference(value, lo, hi, bins):
+    """The scalar quantizer, one Python float at a time."""
+    x = min(max(float(value), lo), hi)
+    return min(int(math.floor((x - lo) / (hi - lo) * bins)), bins - 1)
+
+
+grids = st.tuples(st.floats(-5.0, 5.0), st.floats(0.01, 10.0), st.integers(2, 1000)).map(
+    lambda g: (g[0], g[0] + g[1], g[2]))
+
+
+class TestElementWise:
+    @given(grids, st.lists(st.floats(allow_nan=False) | st.sampled_from([-0.0, 0.0]),
+                           min_size=1, max_size=20))
+    def test_quantize_equals_scalar_reference(self, grid, values):
+        got = tk.quantize(np.array(values), *grid)
+        assert got.dtype == int
+        assert got.tolist() == [quantize_reference(x, *grid) for x in values]
+
+    @given(grids, st.data())
+    def test_dequantize_equals_scalar_reference(self, grid, data):
+        lo, hi, bins = grid
+        index = data.draw(st.lists(st.integers(0, bins - 1), min_size=1, max_size=20))
+        got = tk.dequantize(np.array(index), lo, hi, bins)
+        assert got.tolist() == [lo + (i + 0.5) * (hi - lo) / bins for i in index]
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError):
+            tk.quantize(math.nan, 0.0, 1.0, 4)
+        with pytest.raises(ValueError):
+            tk.quantize([0.5, math.nan], 0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="bin index 4"):
+            tk.dequantize([0, 4, 5], 0.0, 1.0, 4)
+
+
 def camera_frame_sparse(points, eulers=None, grips=None):
     pts = np.asarray(points, dtype=float)
     return sparse_from_arrays(np.arange(len(pts), dtype=float), pts, eulers, grips,
@@ -68,7 +107,7 @@ class TestEncode:
         anchor = tk.Anchor(50.0, 50.0, 2.0)
         sparse = camera_frame_sparse([[0.0, 0.0, 2.0]])  # principal axis at anchor depth
         seq = tk.encode_sequence(sparse, anchor, camera, spec)
-        assert seq.blocks[0].d_token == spec.depth_bins // 2
+        assert seq.d[0] == spec.depth_bins // 2
 
     def test_hand_quantized_block(self):
         # oracle: project + quantize by hand; floor scheme puts depth 2.0
@@ -78,8 +117,7 @@ class TestEncode:
                                    depth_max=4.0, depth_bins=4)
         sparse = camera_frame_sparse([[0.0, 0.0, 2.0]])
         seq = tk.encode_sequence(sparse, tk.Anchor(5.0, 5.0, 1.0), cam, spec)
-        b = seq.blocks[0]
-        assert (b.u_token, b.v_token, b.d_token) == (0, 0, 2)
+        assert (seq.u[0], seq.v[0], seq.d[0]) == (0, 0, 2)
 
     def test_out_of_frame_names_waypoint(self, camera):
         spec = tk.QuantizationSpec.for_camera(camera)
@@ -112,19 +150,147 @@ class TestEncode:
         assert list(decoded.grippers) == list(grips)
 
 
+def encode_reference(sparse, anchor, cam, spec):
+    """The per-waypoint encoder: one project and scalar quantize per
+    waypoint, raising for the first failing one in the order behind the
+    camera, out of frame, depth out of range."""
+    d_col, u_col, v_col, r_col = [], [], [], []
+    relative = spec.depth_mode is tk.DepthMode.ANCHOR_RELATIVE
+    for i, (position, euler) in enumerate(zip(sparse.positions, sparse.eulers)):
+        u, v, d = tk.project(position, cam)
+        u_tok, v_tok = math.floor(u + 0.5), math.floor(v + 0.5)
+        if not (0 <= u_tok < spec.width and 0 <= v_tok < spec.height):
+            raise tk.OutOfFrameError(i, u, v)
+        if relative:
+            lo, hi, depth = -spec.depth_delta_max, spec.depth_delta_max, d - anchor.d
+            if abs(depth) > hi:
+                raise tk.DepthRangeError(i, depth, lo, hi)
+        else:
+            lo, hi, depth = spec.depth_min, spec.depth_max, d
+            if not lo <= depth <= hi:
+                raise tk.DepthRangeError(i, depth, lo, hi)
+        d_col.append(quantize_reference(depth, lo, hi, spec.depth_bins))
+        u_col.append(u_tok)
+        v_col.append(v_tok)
+        r_col.append([quantize_reference(a, -math.pi, math.pi, spec.angle_bins)
+                      for a in tk.normalize_angles(euler)])
+    return d_col, u_col, v_col, sparse.grippers.tolist(), r_col
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (tk.TrajkitError, ValueError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "waypoint_index", None)
+
+
+SPECS = {
+    "absolute": dict(depth_min=0.5, depth_max=2.0, depth_bins=97, angle_bins=31),
+    "relative": dict(depth_mode=tk.DepthMode.ANCHOR_RELATIVE, depth_delta_max=0.4,
+                     depth_bins=64, angle_bins=256),
+}
+
+
+@st.composite
+def waypoints(draw, in_frame: bool):
+    """Camera-frame waypoints drawn by pixel and depth; with in_frame False
+    some lie behind the camera, outside the image or off the depth grid."""
+    n = draw(st.integers(1, 12))
+    uvd = draw(arrays(float, (n, 3), elements=st.floats(0.0, 1.0)))
+    u, v = uvd[:, 0] * 98.0, uvd[:, 1] * 98.0
+    d = 0.9 + 0.6 * uvd[:, 2]
+    points = tk.back_project(u, v, d, make_camera())
+    if not in_frame:
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            points[i] = draw(st.sampled_from([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0],
+                                              [3.0, 0.0, 1.0], [0.0, -1.0, 1.0],
+                                              [1e10, 0.0, 1e-10], [0.0, 0.0, 2.5],
+                                              [0.0, 0.0, 0.2], [0.1, 0.1, 1.6]]))
+    eulers = draw(arrays(float, (n, 3), elements=st.floats(-10.0, 10.0)))
+    grips = draw(arrays(int, n, elements=st.integers(0, 1)))
+    return camera_frame_sparse(points, eulers, grips)
+
+
+class TestEncodeBatched:
+    @pytest.mark.parametrize("mode", sorted(SPECS))
+    @given(sparse=waypoints(in_frame=False))
+    def test_equals_per_waypoint_reference(self, mode, sparse):
+        cam = make_camera()
+        spec = tk.QuantizationSpec.for_camera(cam, **SPECS[mode])
+        anchor = tk.Anchor(50, 50, 1.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(tk.encode_sequence, sparse, anchor, cam, spec)
+        want = outcome(encode_reference, sparse, anchor, cam, spec)
+        if got[0] == "ok" and want[0] == "ok":
+            seq = got[1]
+            assert [c.tolist() for c in (seq.d, seq.u, seq.v, seq.g, seq.r)] == list(want[1])
+            assert all(c.dtype == int and not c.flags.writeable
+                       for c in (seq.d, seq.u, seq.v, seq.g, seq.r))
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("mode", sorted(SPECS))
+    @given(sparse=waypoints(in_frame=True))
+    def test_decoded_within_half_bins(self, mode, sparse):
+        cam = make_camera()
+        spec = tk.QuantizationSpec.for_camera(cam, **SPECS[mode])
+        anchor = tk.Anchor(50, 50, 1.2)
+        seq = tk.encode_sequence(sparse, anchor, cam, spec)
+        decoded = tk.decode_sequence(seq, cam)
+        u, v, d = tk.project(sparse.positions, cam)
+        u2, v2, d2 = tk.project(decoded.positions, cam)
+        eps = 1e-9
+        assert np.abs(u2 - u).max() <= 0.5 + eps and np.abs(v2 - v).max() <= 0.5 + eps
+        span = 2 * spec.depth_delta_max if mode == "relative" else spec.depth_max - spec.depth_min
+        assert np.abs(d2 - d).max() <= span / (2 * spec.depth_bins) + eps
+        wrapped = tk.normalize_angles(decoded.eulers - sparse.eulers)
+        assert np.abs(wrapped).max() <= math.pi / spec.angle_bins + eps
+        assert np.array_equal(decoded.grippers, sparse.grippers)
+
+    def test_first_failing_waypoint_in_parent_order(self, camera):
+        spec = tk.QuantizationSpec.for_camera(camera, depth_min=0.5, depth_max=2.0)
+        anchor = tk.Anchor(50, 50, 1.0)
+        ok, behind, outside, deep = [0, 0, 1], [0, 0, -1], [5, 0, 1], [0, 0, 3]
+        for rows, error, index in [([ok, deep, behind], tk.DepthRangeError, 1),
+                                   ([ok, behind, outside], tk.BehindCameraError, None),
+                                   ([outside, deep], tk.OutOfFrameError, 0),
+                                   ([[5, 0, 3], ok], tk.OutOfFrameError, 0)]:
+            with pytest.raises(error) as info:
+                tk.encode_sequence(camera_frame_sparse(rows), anchor, camera, spec)
+            assert getattr(info.value, "waypoint_index", None) == index
+
+    @pytest.mark.parametrize("mode, anchor_depth, depth, last", [
+        ("absolute", 1.0, 0.5, False), ("absolute", 1.0, 2.0, True),
+        ("relative", 1.0, 0.6, False), ("relative", 0.5, 0.9, True),  # offsets exactly -+0.4
+    ])
+    def test_depth_range_bounds_are_inclusive(self, camera, mode, anchor_depth, depth, last):
+        spec = tk.QuantizationSpec.for_camera(camera, **SPECS[mode])
+        seq = tk.encode_sequence(camera_frame_sparse([[0, 0, depth]]),
+                                 tk.Anchor(50, 50, anchor_depth), camera, spec)
+        assert seq.d.tolist() == [spec.depth_bins - 1 if last else 0]
+
+    def test_non_positive_decoded_depth_raises(self, camera):
+        spec = tk.QuantizationSpec.for_camera(
+            camera, depth_mode=tk.DepthMode.ANCHOR_RELATIVE, depth_delta_max=0.5)
+        seq = token_sequence(spec, tk.Anchor(50, 50, 0.2),
+                             [(200, 50, 50, 0, (0, 0, 0)), (0, 50, 50, 0, (0, 0, 0))])
+        with pytest.raises(ValueError, match="depth must be positive"):
+            tk.decode_sequence(seq, camera)
+
+
 class TestDecode:
     def test_single_block_principal_point(self, camera):
         spec = tk.QuantizationSpec.for_camera(camera)
-        seq = tk.TokenSequence(spec, tk.Anchor(50, 50, 1.0),
-                               (tk.TokenBlock(10, 50, 50, 0, (128, 128, 128)),))
+        seq = token_sequence(spec, tk.Anchor(50, 50, 1.0), [(10, 50, 50, 0, (128, 128, 128))])
         decoded = tk.decode_sequence(seq, camera)
         pos = decoded.positions[0]
         assert abs(pos[0]) < 1e-12 and abs(pos[1]) < 1e-12  # on the optical axis
 
     def test_synthetic_timestamps(self, camera):
         spec = tk.QuantizationSpec.for_camera(camera)
-        blocks = tuple(tk.TokenBlock(5, 40 + i, 50, 0, (0, 0, 0)) for i in range(4))
-        decoded = tk.decode_sequence(tk.TokenSequence(spec, tk.Anchor(50, 50, 1.0), blocks),
+        blocks = [(5, 40 + i, 50, 0, (0, 0, 0)) for i in range(4)]
+        decoded = tk.decode_sequence(token_sequence(spec, tk.Anchor(50, 50, 1.0), blocks),
                                      camera)
         assert list(decoded.times) == [0.0, 1.0, 2.0, 3.0]
 
@@ -132,23 +298,22 @@ class TestDecode:
         spec = tk.QuantizationSpec.for_camera(camera)
         k_inv = np.linalg.inv(camera.intrinsics)
         for _ in range(20):
-            blocks = tuple(
-                tk.TokenBlock(int(rng.integers(0, 256)), int(rng.integers(0, 100)),
-                              int(rng.integers(0, 100)), int(rng.integers(0, 2)),
-                              tuple(int(x) for x in rng.integers(0, 256, 3)))
+            blocks = [
+                (int(rng.integers(0, 256)), int(rng.integers(0, 100)),
+                 int(rng.integers(0, 100)), int(rng.integers(0, 2)),
+                 tuple(int(x) for x in rng.integers(0, 256, 3)))
                 for _ in range(20)
-            )
-            seq = tk.TokenSequence(spec, tk.Anchor(50, 50, 1.0), blocks)
+            ]
+            seq = token_sequence(spec, tk.Anchor(50, 50, 1.0), blocks)
             decoded = tk.decode_sequence(seq, camera)
-            for position, b in zip(decoded.positions, blocks):
-                d = 0.1 + (b.d_token + 0.5) * (3.0 - 0.1) / 256
-                expected = d * k_inv @ np.array([b.u_token, b.v_token, 1.0])
+            for position, (d_tok, u_tok, v_tok, _, _) in zip(decoded.positions, blocks):
+                d = 0.1 + (d_tok + 0.5) * (3.0 - 0.1) / 256
+                expected = d * k_inv @ np.array([u_tok, v_tok, 1.0])
                 assert np.allclose(position, expected, atol=0)
 
     def test_camera_mismatch_rejected(self, camera):
         spec = tk.QuantizationSpec(width=64, height=64)
-        seq = tk.TokenSequence(spec, tk.Anchor(10, 10, 1.0),
-                               (tk.TokenBlock(0, 0, 0, 0, (0, 0, 0)),))
+        seq = token_sequence(spec, tk.Anchor(10, 10, 1.0), [(0, 0, 0, 0, (0, 0, 0))])
         with pytest.raises(tk.SchemaError):
             tk.decode_sequence(seq, camera)
 
@@ -173,7 +338,7 @@ class TestRoundTrip:
         seq = tk.encode_sequence(sparse, tk.Anchor(50, 50, 1.0), camera, spec)
         decoded = tk.decode_sequence(seq, camera)
         for i in range(n):
-            d_dec = tk.dequantize(seq.blocks[i].d_token, spec.depth_min,
+            d_dec = tk.dequantize(seq.d[i], spec.depth_min,
                                   spec.depth_max, spec.depth_bins)
             bound = self.quantization_bound(camera, spec, us[i], vs[i], d_dec)
             err = np.linalg.norm(decoded.positions[i] - pts[i])
@@ -238,16 +403,55 @@ class TestSpecValidation:
             tk.QuantizationSpec(width=100, height=100,
                                 depth_mode=tk.DepthMode.ANCHOR_RELATIVE)
 
+    @pytest.mark.parametrize("field, value", [
+        ("depth_min", -math.inf), ("depth_max", math.inf), ("depth_max", math.nan),
+        ("depth_delta_max", math.inf), ("depth_delta_max", math.nan),
+    ])
+    def test_non_finite_depth_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            tk.QuantizationSpec(width=100, height=100, **{field: value})
+
     def test_block_ranges_checked(self):
         spec = tk.QuantizationSpec(width=10, height=10, depth_bins=4)
         with pytest.raises(ValueError):
-            tk.TokenSequence(spec, tk.Anchor(5, 5, 1.0),
-                             (tk.TokenBlock(4, 0, 0, 0, (0, 0, 0)),))
+            token_sequence(spec, tk.Anchor(5, 5, 1.0), [(4, 0, 0, 0, (0, 0, 0))])
         with pytest.raises(ValueError):
-            tk.TokenSequence(spec, tk.Anchor(5, 5, 1.0),
-                             (tk.TokenBlock(0, 10, 0, 0, (0, 0, 0)),))
+            token_sequence(spec, tk.Anchor(5, 5, 1.0), [(0, 10, 0, 0, (0, 0, 0))])
+
+    @pytest.mark.parametrize("blocks, index, field", [
+        ([(0, 0, 0, 0, (0, 0, 0)), (0, 0, 0, 2, (0, 0, 0))], 1, "g"),
+        ([(0, 0, 0, 0, (0, 0, 0)), (4, 0, 0, 0, (0, 0, 0))], 1, "d"),
+        ([(0, 0, 10, 0, (0, 0, 0)), (0, -1, 0, 0, (0, 0, 0))], 0, "v"),
+        ([(0, 0, 0, 0, (0, 0, 0)), (0, -1, 0, 0, (0, 0, 0))], 1, "u"),
+        ([(0, 0, 0, 0, (0, 256, -1))], 0, "r[1]"),
+        ([(4, 0, 0, 2, (0, 0, 0))], 0, "d"),  # fields in file order
+    ])
+    def test_first_bad_block_is_named(self, blocks, index, field):
+        spec = tk.QuantizationSpec(width=10, height=10, depth_bins=4)
+        with pytest.raises(SampleError) as info:
+            token_sequence(spec, tk.Anchor(5, 5, 1.0), blocks)
+        assert (info.value.index, info.value.field) == (index, field)
+        assert str(info.value).startswith(f"block {index}: ")
+
+    @pytest.mark.parametrize("columns", [
+        ([0.0], [0], [0], [0], [[0, 0, 0]]), ([0], [0], [0], [0], [[0, 0]]),
+        ([0, 0], [0], [0], [0], [[0, 0, 0]]), ([0], [0], [0], [0], [0, 0, 0]),
+    ], ids=["float-depth", "short-r", "long-d", "flat-r"])
+    def test_columns_must_be_integer_and_aligned(self, columns):
+        with pytest.raises(ValueError):
+            tk.TokenSequence(tk.QuantizationSpec(width=10, height=10), tk.Anchor(5, 5, 1.0),
+                             *columns)
+
+    def test_columns_are_read_only_copies(self):
+        d = np.array([1, 2])
+        seq = tk.TokenSequence(tk.QuantizationSpec(width=10, height=10), tk.Anchor(5, 5, 1.0),
+                               d, [0, 1], [2, 3], [True, False], [[0, 1, 2], [3, 4, 5]])
+        d[0] = 7
+        assert seq.d.tolist() == [1, 2] and seq.g.tolist() == [1, 0] and len(seq) == 2
+        assert all(getattr(seq, c).dtype == int and not getattr(seq, c).flags.writeable
+                   for c in "duvgr")
 
     def test_empty_sequence_rejected(self):
         spec = tk.QuantizationSpec(width=10, height=10)
         with pytest.raises(ValueError):
-            tk.TokenSequence(spec, tk.Anchor(5, 5, 1.0), ())
+            tk.TokenSequence(spec, tk.Anchor(5, 5, 1.0), [], [], [], [], [])
