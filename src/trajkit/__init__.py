@@ -74,7 +74,6 @@ from .simulate import (
 )
 from .splines import (
     ContinuousTrajectory,
-    OrientationTrack,
     PositionSpline,
     eval_trajectory,
     fit,
@@ -111,7 +110,7 @@ __all__ = [
     "DepthSource", "DepthMode", "Anchor", "QuantizationSpec",
     "TokenSequence", "quantize", "dequantize", "encode_sequence",
     "decode_sequence", "anchor_depth_from_prior",
-    "PositionSpline", "OrientationTrack", "ContinuousTrajectory", "slerp",
+    "PositionSpline", "ContinuousTrajectory", "slerp",
     "fit", "eval_trajectory", "resample", "reconstruction_error",
     "PendingPlan", "ControllerState", "ReplanEvent", "nearest_pending_index",
     "forward_direction", "keep_test", "refresh_pending", "merge_replan",

@@ -152,7 +152,7 @@ def unit_quaternions(rows) -> np.ndarray:
     return canonical_sign(q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CameraModel:
     """Pinhole camera: intrinsics K (pixels) and rigid camera-to-world extrinsics."""
 
@@ -275,7 +275,7 @@ def trajectory_columns(times, positions, eulers, grippers, min_samples: int) -> 
     return t, p, e, g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseTrajectory:
     """Ordered, strictly-increasing-time end-effector samples, stored as columns."""
 

@@ -56,7 +56,7 @@ class KeyframeSet:
         object.__setattr__(self, "reasons", reasons)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseTrajectory:
     """Keyframes plus sub-keyframes: the sparse planning/supervision representation.
 

@@ -24,7 +24,7 @@ from .geometry import (
     unit_quaternions,
 )
 from .keyframes import SparseTrajectory
-from .splines import ContinuousTrajectory, OrientationTrack, PositionSpline
+from .splines import ContinuousTrajectory, PositionSpline
 
 # Not called here since ticks are sampled in blocks and the state keeps its
 # quaternion, but kept bound: the stage tracer in bench/tracing.py wraps
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PendingPlan:
     """Not-yet-executed waypoints in the world frame.
 
@@ -111,7 +111,7 @@ class PendingPlan:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControllerState:
     """Executing-controller snapshot advanced exclusively by controller_step.
 
@@ -267,10 +267,8 @@ def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTra
                                  plan.positions[0], v_entry, t_entry - t_now)[None]  # one segment
     knots = np.concatenate([[t_now], knots_rest])
     spline = PositionSpline(knots, np.concatenate([transition, rest_coeffs], axis=0))
-    track = OrientationTrack.from_quaternions(
-        knots, np.vstack([state.current_wxyz, plan.orientations]))
-    gripper_values = np.concatenate([[state.active.gripper(t_now)], plan.grippers])
-    return ContinuousTrajectory(spline, track, knots, gripper_values)
+    return ContinuousTrajectory(spline, np.vstack([state.current_wxyz, plan.orientations]),
+                                np.concatenate([[state.active.gripper(t_now)], plan.grippers]))
 
 
 def merge_replan(state: ControllerState, new_waypoints: PendingPlan,

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Perturbation:
     """Target drift: from ``time`` on, remaining waypoints shift by ``offset``."""
 
@@ -42,7 +42,7 @@ class Perturbation:
         object.__setattr__(self, "offset", _as_vector(self.offset, 3, "perturbation offset"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One closed-loop run: plan, drift schedule, replan cadence, duration."""
 
@@ -75,7 +75,7 @@ class Scenario:
         return PendingPlan.from_sparse(self.initial_plan)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExecutionLog:
     commanded: DenseTrajectory
     replan_events: tuple

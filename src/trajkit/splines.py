@@ -33,7 +33,6 @@ from .keyframes import SparseTrajectory, insert_sub_keyframes, select_keyframes
 
 __all__ = [
     "PositionSpline",
-    "OrientationTrack",
     "ContinuousTrajectory",
     "slerp",
     "fit",
@@ -77,7 +76,12 @@ def _cubic_moments(t: np.ndarray, y: np.ndarray, bc_type: str, end_velocities):
     return solve_banded((1, 1), ab, rhs)
 
 
-@dataclass(frozen=True)
+def _cubic(dt, c):
+    """Segment polynomials c (..., 4, 3) at offsets dt (..., 1), by Horner's rule."""
+    return c[..., 0, :] + dt * (c[..., 1, :] + dt * (c[..., 2, :] + dt * c[..., 3, :]))
+
+
+@dataclass(frozen=True, eq=False)
 class PositionSpline:
     """Piecewise cubic position curve.
 
@@ -136,32 +140,30 @@ class PositionSpline:
     def domain(self) -> tuple:
         return float(self.knot_times[0]), float(self.knot_times[-1])
 
-    def _segment(self, t):
-        idx = np.searchsorted(self.knot_times, t, side="right") - 1
-        return _clamp(idx, 0, len(self.knot_times) - 2)
+    def _locate(self, t) -> tuple:
+        """Clamp t to the domain and find it on the knots.
+
+        Returns (i, seg, dt, c): i is the index of the last knot at or
+        before t, seg is i clamped to a segment, [0, n - 2], dt (..., 1) is
+        t minus the start of seg and c holds the coefficients of seg.
+        """
+        tt = _clamp(np.asarray(t, dtype=float), *self.domain)
+        i = np.searchsorted(self.knot_times, tt, side="right") - 1
+        seg = _clamp(i, 0, len(self.knot_times) - 2)
+        return i, seg, (tt - self.knot_times[seg])[..., None], self.coefficients[seg]
 
     def position(self, t):
         """Evaluate at scalar or array t (clamped to the domain)."""
-        tt = _clamp(np.asarray(t, dtype=float), *self.domain)
-        seg = self._segment(tt)
-        dt = (tt - self.knot_times[seg])[..., None]
-        c = self.coefficients[seg]
-        out = c[..., 0, :] + dt * (c[..., 1, :] + dt * (c[..., 2, :] + dt * c[..., 3, :]))
-        return out
+        _, _, dt, c = self._locate(t)
+        return _cubic(dt, c)
 
     def velocity(self, t):
         """First derivative at scalar or array t (clamped to the domain)."""
-        tt = _clamp(np.asarray(t, dtype=float), *self.domain)
-        seg = self._segment(tt)
-        dt = (tt - self.knot_times[seg])[..., None]
-        c = self.coefficients[seg]
+        _, _, dt, c = self._locate(t)
         return c[..., 1, :] + dt * (2.0 * c[..., 2, :] + dt * 3.0 * c[..., 3, :])
 
     def acceleration(self, t):
-        tt = _clamp(np.asarray(t, dtype=float), *self.domain)
-        seg = self._segment(tt)
-        dt = (tt - self.knot_times[seg])[..., None]
-        c = self.coefficients[seg]
+        _, _, dt, c = self._locate(t)
         return 2.0 * c[..., 2, :] + dt * 6.0 * c[..., 3, :]
 
 
@@ -196,100 +198,58 @@ def slerp(q0: UnitQuaternion, q1: UnitQuaternion, s: float) -> UnitQuaternion:
     return UnitQuaternion(*_slerp_rows(a[None], b[None], np.array([float(s)]))[0])
 
 
-@dataclass(frozen=True)
-class OrientationTrack:
-    """Per-knot orientations interpolated with SLERP between neighbors.
+@dataclass(frozen=True, eq=False)
+class ContinuousTrajectory:
+    """Evaluable trajectory on one knot grid, ``position.knot_times``.
 
-    Internally stores sign-aligned wxyz rows (consecutive dot products
-    >= 0) so each segment interpolates along the shorter arc.
+    Position is the cubic ``position``; orientation is SLERP between the
+    knots' ``wxyz`` rows, one per knot; the gripper holds each knot's 0/1
+    value in ``grippers`` until the next knot. Construction checks the
+    rows' unit norm to 1e-9 and stores them sign-aligned (consecutive dot
+    products >= 0), so each segment interpolates along the shorter arc.
     """
 
-    knot_times: np.ndarray
-    wxyz: np.ndarray  # (n, 4), sign-aligned
-
-    def __post_init__(self):
-        t = np.asarray(self.knot_times, dtype=float)
-        q = np.asarray(self.wxyz, dtype=float)
-        if t.ndim != 1 or len(t) < 1 or q.shape != (len(t), 4):
-            raise ValueError("knot_times and wxyz shapes do not match")
-        if len(t) > 1 and np.any(np.diff(t) <= 0):
-            raise ValueError("knot times must be strictly increasing")
-        norms = np.linalg.norm(q, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("orientation knots must be unit quaternions")
-        if len(t) > 1 and np.any(np.sum(q[:-1] * q[1:], axis=1) < 0):
-            raise ValueError("orientation knots must be sign-aligned")
-        t.flags.writeable = False
-        q.flags.writeable = False
-        object.__setattr__(self, "knot_times", t)
-        object.__setattr__(self, "wxyz", q)
-
-    @classmethod
-    def from_quaternions(cls, times, quats) -> "OrientationTrack":
-        """Build from (n, 4) unit wxyz knots, flipping signs for shortest arcs.
-
-        Row i is negated when an odd number of the consecutive dot products
-        up to it are negative, so every neighbor pair ends up with dot >= 0.
-        """
-        q = np.asarray(quats, dtype=float)
-        flips = np.where(np.sum(q[:-1] * q[1:], axis=1) < 0.0, -1.0, 1.0)
-        signs = np.concatenate([[1.0], np.cumprod(flips)])
-        return cls(np.asarray(times, dtype=float), q * signs[:, None])
-
-    def orientations(self, t) -> np.ndarray:
-        """(n, 4) sign-canonical wxyz rows at times t (clamped to the knots)."""
-        tt = np.asarray(t, dtype=float)
-        times, q = self.knot_times, self.wxyz
-        if len(times) == 1:
-            return canonical_sign(np.repeat(q, len(tt), axis=0))
-        i = _clamp(np.searchsorted(times, tt, side="right") - 1, 0, len(times) - 2)
-        s = _clamp((tt - times[i]) / (times[i + 1] - times[i]), 0.0, 1.0)
-        return _slerp_rows(q[i], q[i + 1], s)
-
-    def orientation(self, t: float) -> UnitQuaternion:
-        """SLERP within the bracketing knot pair (clamped to the domain)."""
-        return UnitQuaternion(*self.orientations(np.array([float(t)]))[0])
-
-
-@dataclass(frozen=True)
-class ContinuousTrajectory:
-    """Evaluable trajectory: cubic position, SLERP orientation, ZOH gripper."""
-
     position: PositionSpline
-    orientation: OrientationTrack
-    gripper_times: np.ndarray
-    gripper_values: np.ndarray
+    wxyz: np.ndarray  # (n_knots, 4), sign-aligned
+    grippers: np.ndarray  # (n_knots,) of {0, 1}
 
     def __post_init__(self):
-        gt = np.asarray(self.gripper_times, dtype=float)
-        if np.shape(self.gripper_values) != gt.shape or gt.ndim != 1 or len(gt) < 1:
-            raise ValueError("gripper schedule shapes do not match")
-        gv = gripper_column(self.gripper_values)
-        t0, t1 = self.position.domain
-        for name, knots in (("orientation", self.orientation.knot_times), ("gripper", gt)):
-            if abs(knots[0] - t0) > 1e-9 or abs(knots[-1] - t1) > 1e-9:
-                raise ValueError(f"{name} knots do not span the position domain")
-        gt.flags.writeable = False
-        object.__setattr__(self, "gripper_times", gt)
-        object.__setattr__(self, "gripper_values", gv)
+        n = len(self.position.knot_times)
+        q = np.asarray(self.wxyz, dtype=float)
+        if q.shape != (n, 4) or np.shape(self.grippers) != (n,):
+            raise ValueError(f"need one wxyz row and one gripper value for each of {n} knots")
+        if not np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= 1e-9):
+            raise ValueError("orientation knots must be unit quaternions")
+        # row i is negated when an odd number of the consecutive dot
+        # products up to it are negative
+        flips = np.where(np.sum(q[:-1] * q[1:], axis=1) < 0.0, -1.0, 1.0)
+        q = q * np.concatenate([[1.0], np.cumprod(flips)])[:, None]
+        q.flags.writeable = False
+        # the dataclass is frozen: write past __setattr__
+        vars(self).update(wxyz=q, grippers=gripper_column(self.grippers))
 
     @property
     def domain(self) -> tuple:
         return self.position.domain
 
     def gripper(self, t):
-        """Zero-order-hold gripper state at scalar or array t."""
-        idx = np.searchsorted(self.gripper_times, t, side="right") - 1
-        return self.gripper_values[np.maximum(idx, 0)]
+        """Zero-order-hold gripper state at scalar or array t (clamped to the domain)."""
+        return self.grippers[self.position._locate(t)[0]]
 
     def sample(self, times) -> tuple:
         """Evaluate at a 1-D array of times, each clamped to the domain.
 
         Returns positions (n, 3), sign-canonical wxyz quaternions (n, 4)
         and grippers (n,). Every other evaluator is a call of this one.
+        One knot lookup serves all three: the cubic and the SLERP use the
+        segment, the gripper the last knot at or before each time, so at
+        the end of the domain it takes the last knot's value.
         """
-        t = _clamp(np.asarray(times, dtype=float), *self.domain)
-        return self.position.position(t), self.orientation.orientations(t), self.gripper(t)
+        i, seg, dt, c = self.position._locate(times)
+        knots = self.position.knot_times
+        s = _clamp(dt[:, 0] / (knots[seg + 1] - knots[seg]), 0.0, 1.0)
+        return (_cubic(dt, c), _slerp_rows(self.wxyz[seg], self.wxyz[seg + 1], s),
+                self.grippers[i])
 
     def velocity(self, t: float) -> np.ndarray:
         """Positional velocity; zero outside the domain (the pose holds there)."""
@@ -308,10 +268,8 @@ def fit(sparse: SparseTrajectory, bc_type: str = "natural", end_velocities=None)
     """
     if len(sparse) < 2:
         raise InsufficientDataError("need >= 2 waypoints to fit a trajectory")
-    times = sparse.times
-    spline = PositionSpline.fit(times, sparse.positions, bc_type, end_velocities)
-    track = OrientationTrack.from_quaternions(times, eulers_to_quaternions(sparse.eulers))
-    return ContinuousTrajectory(spline, track, times, sparse.grippers)
+    spline = PositionSpline.fit(sparse.times, sparse.positions, bc_type, end_velocities)
+    return ContinuousTrajectory(spline, eulers_to_quaternions(sparse.eulers), sparse.grippers)
 
 
 def eval_trajectory(traj: ContinuousTrajectory, t: float) -> tuple:

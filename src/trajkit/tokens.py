@@ -113,7 +113,7 @@ class QuantizationSpec:
         return cls(width=cam.width, height=cam.height, **overrides)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TokenSequence:
     """Anchor plus one token block per waypoint, held as read-only int
     columns named as in the token file: depth bin ``d``, pixel ``u`` and

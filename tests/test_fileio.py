@@ -399,3 +399,38 @@ class TestAtomicWrites:
         assert oct(private.stat().st_mode & 0o777) == oct(0o600)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json",
                                                                "private.json"]
+
+
+def _controller_state():
+    scenario = line_scenario()
+    active = tk.fit(scenario.initial_plan)
+    return tk.ControllerState(0.0, active.position.position(0.0), active.wxyz[0],
+                              active.velocity(0.0), active, scenario.base_plan, 0.5)
+
+
+ARRAY_VALUES = {
+    "CameraModel": make_camera,
+    "DenseTrajectory": lambda: line_trajectory(n=5),
+    "SparseTrajectory": lambda: line_scenario().initial_plan,
+    "TokenSequence": lambda: token_sequence(
+        tk.QuantizationSpec.for_camera(make_camera()), tk.Anchor(50, 50, 1.0),
+        [(1, 2, 3, 0, (4, 5, 6)), (7, 8, 9, 1, (10, 11, 12))]),
+    "PendingPlan": lambda: line_scenario().base_plan,
+    "ControllerState": _controller_state,
+    "PositionSpline": lambda: tk.fit(line_scenario().initial_plan).position,
+    "ContinuousTrajectory": lambda: tk.fit(line_scenario().initial_plan),
+    "Perturbation": lambda: tk.Perturbation(0.1, [0.0, 0.02, 0.0]),
+    "Scenario": lambda: line_scenario([tk.Perturbation(0.1, [0.0, 0.02, 0.0])]),
+    "ExecutionLog": lambda: tk.ExecutionLog(line_trajectory(n=5), (), 0.0),
+}
+
+
+class TestArrayValueEquality:
+    """Array-holding values compare by identity; columns compare with np.array_equal."""
+
+    @pytest.mark.parametrize("name", ARRAY_VALUES)
+    def test_equal_copies_compare_without_raising(self, name):
+        a, b = ARRAY_VALUES[name](), ARRAY_VALUES[name]()
+        assert type(a).__name__ == name
+        assert (a == b) is False and (a != b) is True
+        assert (a == a) is True

@@ -198,13 +198,13 @@ class TestGripperSchedule:
         traj = tk.fit(sparse_from_arrays([0.0, 1.0], np.array([[0, 0, 0], [1, 0, 0]])))
         # a float must be rejected, not truncated to an int first
         with pytest.raises(ValueError, match="gripper"):
-            tk.ContinuousTrajectory(traj.position, traj.orientation, [0.0, 1.0], values)
+            tk.ContinuousTrajectory(traj.position, traj.wxyz, values)
 
     def test_stores_zero_one_as_read_only_ints(self):
         traj = tk.fit(sparse_from_arrays([0.0, 1.0], np.array([[0, 0, 0], [1, 0, 0]])))
-        cont = tk.ContinuousTrajectory(traj.position, traj.orientation, [0.0, 1.0], [1.0, 0.0])
-        assert cont.gripper_values.dtype == int and cont.gripper_values.tolist() == [1, 0]
-        assert not cont.gripper_values.flags.writeable
+        cont = tk.ContinuousTrajectory(traj.position, traj.wxyz, [1.0, 0.0])
+        assert cont.grippers.dtype == int and cont.grippers.tolist() == [1, 0]
+        assert not cont.grippers.flags.writeable
 
 
 class TestResample:
@@ -295,7 +295,7 @@ angles = st.floats(-math.pi, math.pi)
 @st.composite
 def orientation_knots(draw):
     """(times, (n, 4) wxyz knots) with near-parallel, antipodal and w == 0 rows."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 6))
     times = np.cumsum([draw(st.floats(0.01, 2.0)) for _ in range(n)])
     rows = tk.eulers_to_quaternions([[draw(angles) for _ in range(3)] for _ in range(n)])
     for i in range(1, n):
@@ -313,36 +313,55 @@ def orientation_knots(draw):
 
 
 def sample_times(draw, knots):
-    """Times before, on, between and after the knots."""
+    """Times before, on, between and after the knots; always the last knot."""
     span = knots[-1] - knots[0]
     return np.array([knots[0] - 1.0, knots[-1] + 1.0, *knots,
                      *(draw(st.floats(knots[0] - 0.5, knots[-1] + 0.5)) for _ in range(8)),
                      *(knots[0] + span * np.linspace(0.0, 1.0, 5))])
 
 
+def draw_trajectory(draw, times, rows):
+    pos = np.array([[draw(st.floats(-1, 1)) for _ in range(3)] for _ in times])
+    grip = [draw(st.integers(0, 1)) for _ in times]
+    return tk.ContinuousTrajectory(tk.PositionSpline.fit(times, pos), rows, grip), grip
+
+
+def three_lookup_sample(traj, rows, grippers, ts):
+    """Reference: the sampler as three separate lookups over the same knots:
+    the spline's own position lookup, one SLERP call per sample between the
+    bracketing knots of a chain sign-aligned here by a loop, and a
+    zero-order-hold gripper lookup."""
+    knots = traj.position.knot_times
+    sign, aligned = 1.0, [rows[0]]
+    for prev, row in zip(rows, rows[1:]):
+        sign = -sign if np.sum(prev * row) < 0.0 else sign  # flip on a negative raw dot
+        aligned.append(sign * row)
+    tt = np.clip(ts, knots[0], knots[-1])
+    seg = np.clip(np.searchsorted(knots, tt, side="right") - 1, 0, len(knots) - 2)
+    s = np.clip((tt - knots[seg]) / (knots[seg + 1] - knots[seg]), 0.0, 1.0)
+    quats = np.array([splines._slerp_rows(aligned[i][None], aligned[i + 1][None], s[[j]])[0]
+                      for j, i in enumerate(seg)])
+    hold = np.maximum(np.searchsorted(knots, tt, side="right") - 1, 0)
+    return traj.position.position(tt), quats, np.asarray(grippers)[hold]
+
+
 class TestBatchedSampler:
     """Every scalar evaluator is a one-row call of the batched sampler."""
 
     @given(orientation_knots(), st.data())
-    def test_orientation_rows_equal_scalar(self, knots, data):
+    def test_equals_three_lookup_reference(self, knots, data):
         times, rows = knots
-        track = tk.OrientationTrack.from_quaternions(times, rows)
+        traj, grip = draw_trajectory(data.draw, times, rows)
         ts = sample_times(data.draw, times)
-        batch = track.orientations(ts)
-        for t, row in zip(ts, batch):
-            assert np.array_equal(row, track.orientation(float(t)).as_array())
-        assert np.all(np.abs(np.linalg.norm(batch, axis=1) - 1.0) < 1e-12)
-        assert np.all(batch[:, 0] >= 0.0)
+        got = traj.sample(ts)
+        for column, want in zip(got, three_lookup_sample(traj, rows, grip, ts)):
+            assert np.array_equal(column, want)
+        assert got[2][-1] == grip[-1]  # at the end of the domain: the last knot's value
 
     @given(orientation_knots(), st.data())
     def test_trajectory_rows_equal_eval_trajectory(self, knots, data):
         times, rows = knots
-        assume(len(times) >= 2)
-        pos = np.array([[data.draw(st.floats(-1, 1)) for _ in range(3)] for _ in times])
-        grip = [data.draw(st.integers(0, 1)) for _ in times]
-        traj = tk.ContinuousTrajectory(tk.PositionSpline.fit(times, pos),
-                                       tk.OrientationTrack.from_quaternions(times, rows),
-                                       times, grip)
+        traj, _ = draw_trajectory(data.draw, times, rows)
         ts = sample_times(data.draw, times)
         positions, quats, grippers = traj.sample(ts)
         for i, t in enumerate(ts):
@@ -350,30 +369,40 @@ class TestBatchedSampler:
             assert np.array_equal(positions[i], p)
             assert np.array_equal(quats[i], q.as_array())
             assert grippers[i] == g
+        assert np.all(np.abs(np.linalg.norm(quats, axis=1) - 1.0) < 1e-12)
+        assert np.all(quats[:, 0] >= 0.0)
 
     @given(orientation_knots(), st.floats(-0.5, 1.5))
     def test_slerp_is_a_one_row_call(self, knots, s):
         _, rows = knots
         q0, q1 = tk.UnitQuaternion(*rows[0]), tk.UnitQuaternion(*rows[-1])
-        track = tk.OrientationTrack.from_quaternions([0.0, 1.0], [q0.as_array(), q1.as_array()])
+        traj = tk.ContinuousTrajectory(tk.PositionSpline.fit([0.0, 1.0], np.zeros((2, 3))),
+                                       [q0.as_array(), q1.as_array()], [0, 0])
         if 0.0 <= s <= 1.0:
-            assert tk.slerp(q0, q1, s) == track.orientation(s)
+            assert tk.slerp(q0, q1, s) == tk.eval_trajectory(traj, s)[1]
         assert tk.slerp(q0, q1, 0.0) == q0
         assert tk.slerp(q0, q1, 1.0) == q1
 
-    def test_one_knot_track_is_constant(self):
-        q = tk.euler_to_quaternion([0.3, -1.2, 2.5])
-        track = tk.OrientationTrack.from_quaternions([1.0], [-q.as_array()])
-        batch = track.orientations(np.array([-5.0, 1.0, 7.0]))
-        assert np.array_equal(batch, np.tile(q.as_array(), (3, 1)))
-        assert track.orientation(3.0) == q
-
-    def test_from_quaternions_aligns_signs_by_negation_only(self, rng):
+    def test_aligns_signs_by_negation_only(self, rng):
         rows = tk.eulers_to_quaternions(rng.uniform(-np.pi, np.pi, (50, 3)))
         rows[rng.integers(0, 2, 50) == 1] *= -1.0
-        track = tk.OrientationTrack.from_quaternions(np.arange(50.0), rows)
-        assert np.all(np.sum(track.wxyz[:-1] * track.wxyz[1:], axis=1) >= 0.0)
-        assert np.array_equal(np.abs(track.wxyz), np.abs(rows))
+        traj = tk.ContinuousTrajectory(tk.PositionSpline.fit(np.arange(50.0), np.zeros((50, 3))),
+                                       rows, np.zeros(50, dtype=int))
+        assert np.all(np.sum(traj.wxyz[:-1] * traj.wxyz[1:], axis=1) >= 0.0)
+        assert np.array_equal(np.abs(traj.wxyz), np.abs(rows))
+        assert not traj.wxyz.flags.writeable
+
+    @pytest.mark.parametrize("wxyz, grippers", [
+        (np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), [0, 1]),
+        (np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), [0, 1, 0]),
+        (np.tile([1.0, 0.0, 0.0, 0.0, 0.0], (3, 1)), [0, 1, 0]),
+        (np.tile([1.0, 1e-4, 0.0, 0.0], (3, 1)), [0, 1, 0]),
+        (np.tile([math.nan, 0.0, 0.0, 0.0], (3, 1)), [0, 1, 0]),
+    ], ids=["short-grippers", "short-wxyz", "wide-wxyz", "not-unit-to-1e-9", "nan-row"])
+    def test_needs_one_unit_row_and_one_gripper_per_knot(self, wxyz, grippers):
+        spline = tk.PositionSpline.fit([0.0, 1.0, 2.0], np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            tk.ContinuousTrajectory(spline, wxyz, grippers)
 
 
 @st.composite
