@@ -369,8 +369,17 @@ class TestBatchedSampler:
             assert np.array_equal(positions[i], p)
             assert np.array_equal(quats[i], q.as_array())
             assert grippers[i] == g
-        assert np.all(np.abs(np.linalg.norm(quats, axis=1) - 1.0) < 1e-12)
-        assert np.all(quats[:, 0] >= 0.0)
+
+    @given(orientation_knots(), st.data())
+    def test_orientation_rows_equal_scalar(self, knots, data):
+        times, rows = knots
+        traj, _ = draw_trajectory(data.draw, times, rows)
+        ts = sample_times(data.draw, times)
+        batch = traj.sample(ts)[1]
+        for t, row in zip(ts, batch):
+            assert np.array_equal(row, tk.eval_trajectory(traj, float(t))[1].as_array())
+        assert np.all(np.abs(np.linalg.norm(batch, axis=1) - 1.0) < 1e-12)
+        assert np.all(batch[:, 0] >= 0.0)
 
     @given(orientation_knots(), st.floats(-0.5, 1.5))
     def test_slerp_is_a_one_row_call(self, knots, s):
