@@ -434,6 +434,10 @@ def load_token_file(path) -> TokenSequence:
         )
     except ValueError as exc:
         raise SchemaError("anchor", str(exc)) from exc
+    try:
+        spec.depth_grid(anchor)
+    except ValueError as exc:
+        raise SchemaError("quantization", str(exc)) from exc
     blocks = _get(data, "blocks", list, "")
     r, d, u, v, g = (_typed_columns(blocks, _TOKEN_FIELDS)
                      or _per_record_columns(blocks, _TOKEN_FIELDS, "blocks"))

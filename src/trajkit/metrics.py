@@ -10,7 +10,6 @@ must share a dimension.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "MetricReport",
@@ -53,6 +52,35 @@ def _pair(a, b) -> tuple:
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}")
     return pa, pb
+
+
+# rows per block in _distances: its one work buffer holds this many rows of
+# the (n, m) matrix, which keeps it in cache
+_DIST_BLOCK_ROWS = 64
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix between the rows of a and b.
+
+    Squared coordinate differences are summed x, y, z before the square
+    root, the order of ``scipy.spatial.distance.cdist``, so the result is
+    bit-identical to it. Each block of rows is summed in place in the
+    output, with one reused work buffer for the later coordinates, so
+    peak memory is the output plus one block.
+    """
+    b_cols = b.T.copy()
+    out = np.empty((len(a), len(b)))
+    work = np.empty((min(len(a), _DIST_BLOCK_ROWS), len(b)))
+    for i in range(0, len(a), _DIST_BLOCK_ROWS):
+        pts, block = a[i:i + _DIST_BLOCK_ROWS], out[i:i + _DIST_BLOCK_ROWS]
+        diff = work[:len(pts)]
+        np.subtract(pts[:, 0, None], b_cols[0], out=block)
+        np.multiply(block, block, out=block)
+        for d in range(1, a.shape[1]):
+            np.subtract(pts[:, d, None], b_cols[d], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(block, diff, out=block)
+    return np.sqrt(out, out=out)
 
 
 def _wavefront(cost: np.ndarray, combine) -> np.ndarray:
@@ -128,7 +156,7 @@ def dtw(a, b, normalized: bool = False) -> float:
     by the length of the optimal warping path (traceback prefers the
     diagonal on ties).
     """
-    return _dtw(cdist(*_pair(a, b)), normalized)[1]
+    return _dtw(_distances(*_pair(a, b)), normalized)[1]
 
 
 def discrete_frechet(a, b) -> float:
@@ -137,7 +165,7 @@ def discrete_frechet(a, b) -> float:
     Exact DP (Eiter & Mannila, 1994): O(nm) work in O(n + m) NumPy
     steps, one per anti-diagonal.
     """
-    return _frechet(cdist(*_pair(a, b)))
+    return _frechet(_distances(*_pair(a, b)))
 
 
 def _frechet(dist: np.ndarray) -> float:
@@ -146,7 +174,7 @@ def _frechet(dist: np.ndarray) -> float:
 
 def hausdorff(a, b) -> float:
     """Symmetric point-set Hausdorff distance over the sample points."""
-    return _hausdorff(cdist(*_pair(a, b)))
+    return _hausdorff(_distances(*_pair(a, b)))
 
 
 def _hausdorff(dist: np.ndarray) -> float:
@@ -296,7 +324,7 @@ def full_report(pred, ref, tau: float = 0.05, dtw_normalized: bool = True) -> Me
     DTW, Frechet and Hausdorff share one distance matrix.
     """
     pa, pb = _pair(pred, ref)
-    dist = cdist(pa, pb)
+    dist = _distances(pa, pb)
     to_ref = _point_to_polyline(pa, pb)
     precision, recall, f1 = _coverage(to_ref, _point_to_polyline(pb, pa), tau)
     max_orth, mean_orth, median_orth = _orth_summary(to_ref)

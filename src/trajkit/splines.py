@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import InsufficientDataError
 from .geometry import (
@@ -44,36 +43,66 @@ __all__ = [
 
 
 def _cubic_moments(t: np.ndarray, y: np.ndarray, bc_type: str, end_velocities):
-    """Second-derivative knot values for an interpolating cubic spline.
+    """Second-derivative knot values for an interpolating cubic spline
+    through (n, 3) points.
 
     bc_type "natural" pins zero curvature at both ends; "clamped" pins the
     end first derivatives to ``end_velocities = (v0, v1)``.
     """
-    n = len(t)
     h = np.diff(t)
     slopes = np.diff(y, axis=0) / h[:, None]
-    # the tridiagonal system in banded form: rows hold the super-, main
-    # and sub-diagonal
-    ab = np.zeros((3, n))
-    ab[0, 2:] = h[1:]
-    ab[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
-    ab[2, :-2] = h[:-1]
-    rhs = np.zeros((n,) + y.shape[1:])
+    rhs = np.zeros(y.shape)
     rhs[1:-1] = 6.0 * (slopes[1:] - slopes[:-1])
+    # the tridiagonal system: row i has diag[i], upper[i] towards row i + 1
+    # and lower[i - 1] towards row i - 1
+    hs = h.tolist()
+    upper, lower = [0.0] + hs[1:], hs[:-1] + [0.0]
     # both end rows weigh their moment by 2h (natural: 2h * m = 0), so the
     # system stays diagonally dominant, LAPACK's partial pivoting never
     # swaps rows and the moments equal plain Thomas elimination bit for bit
-    ab[1, 0] = 2.0 * h[0]
-    ab[1, -1] = 2.0 * h[-1]
+    diag = [2.0 * hs[0]] + [2.0 * (a + b) for a, b in zip(hs, hs[1:])] + [2.0 * hs[-1]]
     if bc_type == "clamped":
         v0, v1 = (np.asarray(v, dtype=float) for v in end_velocities)
-        ab[0, 1] = h[0]
+        upper[0] = hs[0]
         rhs[0] = 6.0 * (slopes[0] - v0)
-        ab[2, -2] = h[-1]
+        lower[-1] = hs[-1]
         rhs[-1] = 6.0 * (v1 - slopes[-1])
     elif bc_type != "natural":
         raise ValueError(f"unknown boundary condition {bc_type!r}")
-    return solve_banded((1, 1), ab, rhs)
+    # diag bounds every band entry (diag >= 2h), so this covers the system
+    if not (all(map(math.isfinite, diag)) and np.all(np.isfinite(rhs))):
+        raise ValueError("knot spacings or point differences overflow the moment solve")
+    return _solve_tridiagonal(upper, diag, lower, rhs)
+
+
+def _solve_tridiagonal(upper: list, diag: list, lower: list, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system of :func:`_cubic_moments` for its (n, 3)
+    right-hand side, without pivoting; ``diag`` is overwritten.
+
+    Thomas elimination over Python floats, the three columns side by side,
+    in the operation order of LAPACK ``gtsv`` when it never swaps rows. The
+    result is therefore bit-identical to ``scipy.linalg.solve_banded`` on
+    these diagonally dominant systems. The ``0.0 * x[i + 2]`` term is
+    gtsv's second super-diagonal, which stays zero without row swaps; it
+    is kept so that signed zeros match too.
+    """
+    d = diag
+    x, y, z = rhs.T.tolist()
+    for i in range(len(d) - 1):
+        f = lower[i] / d[i]
+        d[i + 1] = d[i + 1] - f * upper[i]
+        x[i + 1] = x[i + 1] - f * x[i]
+        y[i + 1] = y[i + 1] - f * y[i]
+        z[i + 1] = z[i + 1] - f * z[i]
+    x[-1], y[-1], z[-1] = x[-1] / d[-1], y[-1] / d[-1], z[-1] / d[-1]
+    u, p = upper[-1], d[-2]
+    x[-2], y[-2], z[-2] = (x[-2] - u * x[-1]) / p, (y[-2] - u * y[-1]) / p, (z[-2] - u * z[-1]) / p
+    for i in range(len(d) - 3, -1, -1):
+        u, p = upper[i], d[i]
+        x[i] = (x[i] - u * x[i + 1] - 0.0 * x[i + 2]) / p
+        y[i] = (y[i] - u * y[i + 1] - 0.0 * y[i + 2]) / p
+        z[i] = (z[i] - u * z[i + 1] - 0.0 * z[i + 2]) / p
+    return np.array([x, y, z]).T
 
 
 def _cubic(dt, c):
@@ -124,10 +153,17 @@ class PositionSpline:
             raise ValueError(f"points shape {y.shape} does not match {len(t)} knots")
         if len(t) < 2:
             raise ValueError("need at least two waypoints")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("times must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("duplicate or decreasing timestamps")
-        if bc_type == "clamped" and end_velocities is None:
-            raise ValueError("clamped boundaries need end_velocities")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("points must be finite")
+        if bc_type == "clamped":
+            if end_velocities is None:
+                raise ValueError("clamped boundaries need end_velocities")
+            if not all(np.all(np.isfinite(v)) for v in end_velocities):
+                raise ValueError("end_velocities must be finite")
         m = _cubic_moments(t, y, bc_type, end_velocities)
         h = np.diff(t)[:, None]
         a0 = y[:-1]

@@ -74,7 +74,10 @@ class QuantizationSpec:
     """Bin layout for depth, image UV, and Euler-angle tokens.
 
     UV tokens are raw integer pixels over [0, width) x [0, height);
-    angles share a uniform grid over [-pi, pi).
+    angles share a uniform grid over [-pi, pi). The depth grid must stay
+    in front of the camera: ``depth_min > 0`` in absolute mode, and in
+    anchor-relative mode ``anchor.d - depth_delta_max > 0``, checked where
+    a spec meets its anchor.
     """
 
     width: int
@@ -102,6 +105,8 @@ class QuantizationSpec:
         object.__setattr__(self, "depth_max", float(self.depth_max))
         mode = DepthMode(self.depth_mode)
         object.__setattr__(self, "depth_mode", mode)
+        if mode is DepthMode.ABSOLUTE and not self.depth_min > 0:
+            raise ValueError(f"depth_min must be positive in absolute mode, got {self.depth_min}")
         if mode is DepthMode.ANCHOR_RELATIVE:
             if self.depth_delta_max is None or self.depth_delta_max <= 0:
                 raise ValueError("anchor_relative mode needs depth_delta_max > 0")
@@ -111,6 +116,18 @@ class QuantizationSpec:
     @classmethod
     def for_camera(cls, cam: CameraModel, **overrides) -> "QuantizationSpec":
         return cls(width=cam.width, height=cam.height, **overrides)
+
+    def depth_grid(self, anchor: Anchor) -> tuple:
+        """(offset, lo, hi): depth tokens bin ``depth - offset`` over [lo, hi].
+
+        Raises ``ValueError`` when an anchor-relative grid reaches depth <= 0.
+        """
+        if self.depth_mode is DepthMode.ANCHOR_RELATIVE:
+            if not anchor.d - self.depth_delta_max > 0:
+                raise ValueError(f"anchor depth {anchor.d} minus depth_delta_max "
+                                 f"{self.depth_delta_max} must be positive")
+            return anchor.d, -self.depth_delta_max, self.depth_delta_max
+        return 0.0, self.depth_min, self.depth_max
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +162,7 @@ class TokenSequence:
                               "(n, 3) for r")
         if not (0 <= self.anchor.u < s.width and 0 <= self.anchor.v < s.height):
             raise ValueError("anchor lies outside the image bounds")
+        s.depth_grid(self.anchor)  # raises when the grid reaches depth <= 0
         rows = {key: c.reshape(n, -1) for key, c in cols.items()}  # r is (n, 3), the rest (n, 1)
         bad = {key: ~((0 <= c) & (c < grid[key][1])) for key, c in rows.items()}
         i = _first(np.hstack(list(bad.values())).any(axis=1))
@@ -194,13 +212,6 @@ def dequantize(index, lo: float, hi: float, bins: int):
     return lo + (i + 0.5) * (hi - lo) / bins
 
 
-def _depth_grid(spec: QuantizationSpec, anchor: Anchor) -> tuple:
-    """(offset, lo, hi): depth tokens bin ``depth - offset`` over [lo, hi]."""
-    if spec.depth_mode is DepthMode.ANCHOR_RELATIVE:
-        return anchor.d, -spec.depth_delta_max, spec.depth_delta_max
-    return 0.0, spec.depth_min, spec.depth_max
-
-
 def encode_sequence(sparse: SparseTrajectory, anchor: Anchor, cam: CameraModel,
                     spec: QuantizationSpec) -> TokenSequence:
     """Tokenize a camera-frame sparse trajectory against an anchor.
@@ -220,7 +231,7 @@ def encode_sequence(sparse: SparseTrajectory, anchor: Anchor, cam: CameraModel,
     u, v, d = project(sparse.positions[:behind], cam)  # the rows before the first behind
     u_tok, v_tok = np.floor(u + 0.5), np.floor(v + 0.5)
     outside = ~((0 <= u_tok) & (u_tok < spec.width) & (0 <= v_tok) & (v_tok < spec.height))
-    offset, lo, hi = _depth_grid(spec, anchor)
+    offset, lo, hi = spec.depth_grid(anchor)
     depth = d - offset
     i = _first(outside | ~((lo <= depth) & (depth <= hi)))
     if i is not None:
@@ -239,14 +250,15 @@ def decode_sequence(tokens: TokenSequence, cam: CameraModel) -> SparseTrajectory
 
     Depth and angles dequantize to bin centers (anchor depth added back
     in anchor-relative mode) and UV tokens back-project through the
-    camera intrinsics; a non-positive decoded depth raises ``ValueError``.
+    camera intrinsics. Every bin center is in front of the camera, since
+    the spec and the sequence reject grids that reach depth <= 0.
     Timestamps are the abstract indices 0..N-1; real timing is assigned
     downstream by the detokenizer.
     """
     spec = tokens.spec
     if (spec.width, spec.height) != (cam.width, cam.height):
         raise SchemaError("spec.uv", "quantization UV dimensions do not match the camera")
-    offset, lo, hi = _depth_grid(spec, tokens.anchor)
+    offset, lo, hi = spec.depth_grid(tokens.anchor)
     depth = offset + dequantize(tokens.d, lo, hi, spec.depth_bins)
     positions = back_project(tokens.u, tokens.v, depth, cam)
     eulers = dequantize(tokens.r, -math.pi, math.pi, spec.angle_bins)

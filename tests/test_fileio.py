@@ -238,6 +238,21 @@ class TestTokenFile:
             fileio.load_token_file(path)
         assert info.value.path.startswith("quantization")
 
+    @pytest.mark.parametrize("damage", [
+        lambda q: q["depth"].update(min=-1.0), lambda q: q["depth"].update(min=0.0),
+        lambda q: q.update(depth_mode="anchor_relative", depth_delta_max=1.375),
+        lambda q: q.update(depth_mode="anchor_relative", depth_delta_max=2.0),
+    ], ids=["negative-min", "zero-min", "relative-to-zero", "relative-below-zero"])
+    def test_grid_reaching_non_positive_depth_names_quantization(self, tmp_path, damage):
+        path = tmp_path / "t.json"
+        fileio.save_token_file(self.make_sequence(), path)  # anchor depth 1.375
+        data = json.loads(path.read_text())
+        damage(data["quantization"])
+        path.write_text(json.dumps(data))
+        with pytest.raises(tk.SchemaError, match="depth") as info:
+            fileio.load_token_file(path)
+        assert info.value.path == "quantization"
+
     def test_out_of_range_block_rejected(self, tmp_path):
         seq = self.make_sequence()
         path = tmp_path / "t.json"

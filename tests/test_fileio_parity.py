@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -131,15 +131,22 @@ def token_payload(seq) -> dict:
 def token_sequences(draw):
     width, height = draw(st.integers(1, 700)), draw(st.integers(1, 500))
     depth_bins, angle_bins = draw(st.integers(2, 300)), draw(st.integers(2, 300))
-    lo, hi = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
     mode = draw(st.sampled_from(list(tk.DepthMode)))
     positive = st.sampled_from([5e-324, 1e-7, 1 / 3, 1e16, 1e22]) | st.floats(1e-300, 1e300)
-    delta = draw(positive if mode is tk.DepthMode.ANCHOR_RELATIVE else st.none() | positive)
+    # the depth grid stays in front of the camera: an absolute one starts at
+    # depth_min > 0, an anchor-relative one at anchor depth - delta > 0
+    relative = mode is tk.DepthMode.ANCHOR_RELATIVE
+    bounds = finite if relative else positive
+    lo, hi = sorted(draw(st.lists(bounds, min_size=2, max_size=2, unique=True)))
+    delta, depth = draw(positive if relative else st.none() | positive), draw(positive)
+    if relative:
+        delta, depth = sorted((delta, depth))
+        assume(delta < depth)
     spec = tk.QuantizationSpec(width, height, lo, hi, depth_bins, angle_bins, mode, delta)
     anchor = tk.Anchor(draw(st.floats(0, width, exclude_max=True)),
                        draw(st.sampled_from([0.0, 5e-324]) | st.floats(0, height,
                                                                         exclude_max=True)),
-                       draw(positive), draw(st.sampled_from(list(tk.DepthSource))))
+                       depth, draw(st.sampled_from(list(tk.DepthSource))))
     n = draw(st.integers(1, 6))
     column = lambda hi, shape=n: draw(arrays(int, shape, elements=st.integers(0, hi - 1)))
     return tk.TokenSequence(spec, anchor, column(depth_bins), column(width), column(height),
@@ -495,3 +502,75 @@ class TestGoldenFiles:
             a, b = getattr(got, column), getattr(want, column)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
         assert getattr(got, "keyframe_flags", None) == getattr(want, "keyframe_flags", None)
+
+
+# ---------------------------------------------------------------------------
+# save -> load -> save
+
+
+@st.composite
+def columns_like(draw, traj):
+    """Columns of the golden trajectory's length, with drawn finite values."""
+    n = len(traj.times)
+    times = sorted(draw(st.lists(finite, min_size=n, max_size=n, unique=True)))
+    triples = arrays(float, (n, 3), elements=finite)
+    return times, draw(triples), draw(triples), draw(arrays(int, n, elements=st.integers(0, 1)))
+
+
+def assert_save_load_save(save, load, obj, directory):
+    """save(obj, path), then load it and save what it returns: same bytes."""
+    first, second = directory / "a.json", directory / "b.json"
+    save(obj, first)
+    save(load(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+class TestSaveLoadSave:
+    """Each writer's output survives a load and a second save byte for byte.
+    Objects take the shape of the golden file of their kind (the scenario
+    plan that of the golden sparse bundle) and drawn finite values."""
+
+    GOLDEN = golden_objects()
+    positive = st.floats(1e-300, 1e300) | st.sampled_from([5e-324, 1e-7, 1 / 3, 1e22])
+
+    @given(st.data())
+    def test_dense_bundle(self, tmp_path_factory, data):
+        (dense, cam), meta = self.GOLDEN["golden_bundle.json"][1:]
+        traj = tk.DenseTrajectory(*data.draw(columns_like(dense)), dense.frame)
+        assert_save_load_save(lambda obj, path: fileio.save_bundle(*obj, path, meta=meta),
+                              fileio.load_bundle, (traj, cam), tmp_path_factory.getbasetemp())
+
+    @given(st.data())
+    def test_sparse_bundle(self, tmp_path_factory, data):
+        sparse, cam = self.GOLDEN["golden_sparse.json"][1]
+        traj = tk.SparseTrajectory(*data.draw(columns_like(sparse)), sparse.keyframe_flags,
+                                   sparse.frame)
+        assert_save_load_save(lambda obj, path: fileio.save_sparse_bundle(*obj, path),
+                              fileio.load_sparse_bundle, (traj, cam),
+                              tmp_path_factory.getbasetemp())
+
+    @given(st.data(), st.lists(st.tuples(st.floats(0.0, 1.0), arrays(float, 3, elements=finite)),
+                               max_size=3), positive, positive, positive, st.booleans(),
+           st.booleans())
+    def test_scenario(self, tmp_path_factory, data, perts, interval, rate, duration,
+                      enabled, delayed):
+        sparse = self.GOLDEN["golden_sparse.json"][1][0]
+        plan = tk.SparseTrajectory(*data.draw(columns_like(sparse)), sparse.keyframe_flags,
+                                   tk.Frame.WORLD)
+        scenario = tk.Scenario(plan, tuple(tk.Perturbation(s * duration, o) for s, o in perts),
+                               interval, rate, duration, enabled, delayed)
+        assert_save_load_save(fileio.save_scenario, fileio.load_scenario, scenario,
+                              tmp_path_factory.getbasetemp())
+
+    @given(st.data(), finite)
+    def test_execution_log(self, tmp_path_factory, data, final_error):
+        golden = self.GOLDEN["golden_log.json"][1][0]
+        commanded = tk.DenseTrajectory(*data.draw(columns_like(golden.commanded)),
+                                       golden.commanded.frame)
+        events = tuple(tk.ReplanEvent(data.draw(finite), data.draw(st.integers(0, 9)),
+                                      data.draw(st.just(math.nan) | finite),
+                                      data.draw(st.integers(-1, 9)), data.draw(st.booleans()))
+                       for _ in golden.replan_events)
+        assert_save_load_save(fileio.save_execution_log, fileio.load_execution_log,
+                              tk.ExecutionLog(commanded, events, final_error),
+                              tmp_path_factory.getbasetemp())

@@ -219,6 +219,44 @@ class TestLoopReference:
         assert_dp_metrics_match_loops(*pair)
 
 
+@st.composite
+def multi_scale_pairs(draw):
+    """Two point sets of one dimension, 1-150 points each (so rows span
+    several blocks of _distances), every axis on its own scale from 1e-6
+    to 1e6."""
+    dim = draw(st.sampled_from((2, 3)))
+    scales = np.array([draw(st.sampled_from((1e-6, 1e-3, 1.0, 1e3, 1e6))) for _ in range(dim)])
+    lengths = st.integers(1, 150)
+    a = draw(arrays(float, st.tuples(lengths, st.just(dim)), elements=st.floats(-1.0, 1.0)))
+    b = draw(arrays(float, st.tuples(lengths, st.just(dim)), elements=st.floats(-1.0, 1.0)))
+    return a * scales, b * scales
+
+
+class TestDistances:
+    """metrics._distances is the plain-NumPy stand-in for cdist, bit for bit."""
+
+    @given(multi_scale_pairs())
+    def test_equals_cdist(self, pair):
+        a, b = pair
+        assert np.array_equal(metrics._distances(a, b), cdist(a, b))
+
+    @given(polyline_pairs())
+    def test_equals_cdist_on_tie_grids(self, pair):
+        assert np.array_equal(metrics._distances(*pair), cdist(*pair))
+
+    def test_peak_memory_is_the_output_and_one_block(self, rng):
+        a, b = rng.normal(size=(1000, 3)), rng.normal(size=(700, 3))
+        tracemalloc.start()
+        try:
+            metrics._distances(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, one work block (358 kB) and NumPy's transient broadcast
+        # buffers; a second (n, m) buffer would add another 5.6 MB
+        assert peak - 1000 * 700 * 8 < metrics._DIST_BLOCK_ROWS * 700 * 8 + 256 * 1024
+
+
 class TestFrechet:
     def test_identical_is_zero(self, rng):
         p = rng.normal(size=(7, 2))

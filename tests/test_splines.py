@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 import trajkit as tk
 from trajkit import geometry, keyframes, splines
@@ -128,6 +129,20 @@ class TestFit:
         sparse = sparse_from_arrays([0.0], np.zeros((1, 3)))
         with pytest.raises(tk.InsufficientDataError):
             tk.fit(sparse)
+
+    @pytest.mark.parametrize("times, points, ends, name", [
+        ([0.0, 1.0, 2.0], [[0, 0, 0], [1, math.nan, 0], [2, 0, 0]], None, "points"),
+        ([0.0, 1.0, 2.0], np.zeros((3, 3)), ([0, 0, 0], [math.inf, 0, 0]), "end_velocities"),
+        ([0.0, 1.0, math.inf], np.zeros((3, 3)), None, "times"),
+    ], ids=["nan-point", "inf-end-velocity", "inf-knot-time"])
+    def test_non_finite_input_rejected(self, times, points, ends, name):
+        bc_type = "natural" if ends is None else "clamped"
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            tk.PositionSpline.fit(times, points, bc_type, ends)
+
+    def test_overflowing_spacing_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            tk.PositionSpline.fit([-1e308, 1e308], np.zeros((2, 3)))
 
 
 class TestSlerp:
@@ -477,3 +492,27 @@ class TestMomentSolve:
                 np.array(data.draw(st.lists(coords, min_size=3, max_size=3))))
         got = tk.splines._cubic_moments(t, y, bc_type, ends)
         assert np.array_equal(got, thomas_moments(t, y, bc_type, ends))
+
+    @given(st.integers(2, 60), st.sampled_from(("natural", "clamped")), st.data())
+    def test_equals_solve_banded(self, n, bc_type, data):
+        """The Python solver against LAPACK gtsv on the same bands, signed
+        zeros included (coordinates may be -0.0 or constant)."""
+        h = data.draw(st.lists(st.floats(1e-3, 100.0), min_size=n - 1, max_size=n - 1))
+        t = data.draw(st.floats(-50.0, 50.0)) + np.concatenate([[0.0], np.cumsum(h)])
+        assume(np.all(np.diff(t) > 0))
+        coords = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+        y = np.array(data.draw(st.lists(st.lists(coords, min_size=3, max_size=3),
+                                        min_size=n, max_size=n)))
+        ends = (np.array(data.draw(st.lists(coords, min_size=3, max_size=3))),
+                np.array(data.draw(st.lists(coords, min_size=3, max_size=3))))
+        hh, slopes = np.diff(t), np.diff(y, axis=0) / np.diff(t)[:, None]
+        ab, rhs = np.zeros((3, n)), np.zeros((n, 3))
+        ab[0, 2:], ab[2, :-2] = hh[1:], hh[:-1]
+        ab[1, 1:-1], ab[1, 0], ab[1, -1] = 2.0 * (hh[:-1] + hh[1:]), 2.0 * hh[0], 2.0 * hh[-1]
+        rhs[1:-1] = 6.0 * (slopes[1:] - slopes[:-1])
+        if bc_type == "clamped":
+            ab[0, 1], ab[2, -2] = hh[0], hh[-1]
+            rhs[0], rhs[-1] = 6.0 * (slopes[0] - ends[0]), 6.0 * (ends[1] - slopes[-1])
+        got = tk.splines._cubic_moments(t, y, bc_type, ends)
+        want = solve_banded((1, 1), ab, rhs)
+        assert got.tobytes() == want.tobytes()

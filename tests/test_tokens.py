@@ -110,12 +110,12 @@ class TestEncode:
         assert seq.d[0] == spec.depth_bins // 2
 
     def test_hand_quantized_block(self):
-        # oracle: project + quantize by hand; floor scheme puts depth 2.0
-        # of [0, 4] x 4 bins in bin 2
+        # oracle: project + quantize by hand; floor scheme puts depth 3.0
+        # of [1, 5] x 4 bins in bin 2
         cam = tk.CameraModel(np.eye(3), np.eye(4), 10, 10)
-        spec = tk.QuantizationSpec(width=10, height=10, depth_min=0.0,
-                                   depth_max=4.0, depth_bins=4)
-        sparse = camera_frame_sparse([[0.0, 0.0, 2.0]])
+        spec = tk.QuantizationSpec(width=10, height=10, depth_min=1.0,
+                                   depth_max=5.0, depth_bins=4)
+        sparse = camera_frame_sparse([[0.0, 0.0, 3.0]])
         seq = tk.encode_sequence(sparse, tk.Anchor(5.0, 5.0, 1.0), cam, spec)
         assert (seq.u[0], seq.v[0], seq.d[0]) == (0, 0, 2)
 
@@ -271,12 +271,13 @@ class TestEncodeBatched:
         assert seq.d.tolist() == [spec.depth_bins - 1 if last else 0]
 
     def test_non_positive_decoded_depth_raises(self, camera):
+        # bin 0 would decode to depth 0.2 - 0.5 < 0: the sequence is rejected
+        # where the anchor meets the spec, before anything decodes
         spec = tk.QuantizationSpec.for_camera(
             camera, depth_mode=tk.DepthMode.ANCHOR_RELATIVE, depth_delta_max=0.5)
-        seq = token_sequence(spec, tk.Anchor(50, 50, 0.2),
-                             [(200, 50, 50, 0, (0, 0, 0)), (0, 50, 50, 0, (0, 0, 0))])
-        with pytest.raises(ValueError, match="depth must be positive"):
-            tk.decode_sequence(seq, camera)
+        with pytest.raises(ValueError, match="depth_delta_max 0.5 must be positive"):
+            token_sequence(spec, tk.Anchor(50, 50, 0.2),
+                           [(200, 50, 50, 0, (0, 0, 0)), (0, 50, 50, 0, (0, 0, 0))])
 
 
 class TestDecode:
@@ -410,6 +411,22 @@ class TestSpecValidation:
     def test_non_finite_depth_range_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             tk.QuantizationSpec(width=100, height=100, **{field: value})
+
+    @pytest.mark.parametrize("depth_min", [-1.0, 0.0, -0.0])
+    def test_absolute_grid_must_stay_positive(self, depth_min):
+        with pytest.raises(ValueError, match="depth_min"):
+            tk.QuantizationSpec(width=320, height=240, depth_min=depth_min, depth_max=2.0)
+
+    @pytest.mark.parametrize("anchor_depth", [0.4, 0.3])  # the grid reaches 0.0 and -0.1
+    def test_anchor_relative_grid_must_stay_positive(self, camera, anchor_depth):
+        spec = tk.QuantizationSpec.for_camera(
+            camera, depth_mode=tk.DepthMode.ANCHOR_RELATIVE, depth_delta_max=0.4)
+        anchor = tk.Anchor(50, 50, anchor_depth)
+        with pytest.raises(ValueError, match="depth_delta_max"):
+            token_sequence(spec, anchor, [(0, 50, 50, 0, (0, 0, 0))])
+        with pytest.raises(ValueError, match="depth_delta_max"):
+            tk.encode_sequence(camera_frame_sparse([[0.0, 0.0, anchor_depth]]), anchor,
+                               camera, spec)
 
     def test_block_ranges_checked(self):
         spec = tk.QuantizationSpec(width=10, height=10, depth_bins=4)
