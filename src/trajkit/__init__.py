@@ -22,7 +22,6 @@ from .geometry import (
     CameraModel,
     DenseTrajectory,
     Frame,
-    UnitQuaternion,
     back_project,
     camera_to_world,
     euler_to_quaternion,
@@ -60,9 +59,7 @@ from .replan import (
     controller_step,
     forward_direction,
     keep_test,
-    merge_replan,
     nearest_pending_index,
-    refresh_pending,
 )
 from .simulate import (
     ExecutionLog,
@@ -79,7 +76,6 @@ from .splines import (
     fit,
     reconstruction_error,
     resample,
-    slerp,
 )
 from .tokens import (
     Anchor,
@@ -100,7 +96,7 @@ __all__ = [
     "TrajkitError", "InvalidCameraError", "BehindCameraError",
     "InsufficientDataError", "OutOfFrameError", "DepthRangeError",
     "SchemaError", "EmptyPlanError", "UndefinedDirectionError",
-    "Frame", "UnitQuaternion", "CameraModel",
+    "Frame", "CameraModel",
     "DenseTrajectory", "back_project", "project", "camera_to_world",
     "euler_to_quaternion", "quaternion_to_euler", "eulers_to_quaternions",
     "quaternions_to_eulers", "unit_quaternions", "normalize_angles",
@@ -110,11 +106,10 @@ __all__ = [
     "DepthSource", "DepthMode", "Anchor", "QuantizationSpec",
     "TokenSequence", "quantize", "dequantize", "encode_sequence",
     "decode_sequence", "anchor_depth_from_prior",
-    "PositionSpline", "ContinuousTrajectory", "slerp",
+    "PositionSpline", "ContinuousTrajectory",
     "fit", "eval_trajectory", "resample", "reconstruction_error",
     "PendingPlan", "ControllerState", "ReplanEvent", "nearest_pending_index",
-    "forward_direction", "keep_test", "refresh_pending", "merge_replan",
-    "controller_step",
+    "forward_direction", "keep_test", "controller_step",
     "Perturbation", "Scenario", "ExecutionLog",
     "oracle_planner", "run", "smoothness_check",
     "MetricReport", "REPORT_ROW_NAMES", "dtw", "discrete_frechet",

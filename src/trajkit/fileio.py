@@ -491,13 +491,16 @@ def load_scenario(path) -> Scenario:
             perts.append(Perturbation(time, offset))
         except ValueError as exc:
             raise SchemaError(ppath, str(exc)) from exc
+    durations = {}
+    for key in ("replan_interval", "control_rate", "duration"):
+        durations[key] = value = _get(data, key, float, "")
+        if not (math.isfinite(value) and value > 0):
+            raise SchemaError(key, f"must be finite and positive, got {value}")
     try:
         return Scenario(
             initial_plan=plan,
             perturbations=tuple(perts),
-            replan_interval=_get(data, "replan_interval", float, ""),
-            control_rate=_get(data, "control_rate", float, ""),
-            duration=_get(data, "duration", float, ""),
+            **durations,
             # an absent flag keeps its default
             replan_enabled=_get(data, "replan_enabled", bool, "", optional=True) is not False,
             delayed_planner=_get(data, "delayed_planner", bool, "", optional=True) is True,

@@ -1,7 +1,8 @@
 """Core 3D types and conversions.
 
-Unit quaternions, pinhole cameras, camera/world frame transforms,
-and finite-difference kinematics on timestamped end-effector trajectories.
+Unit quaternions as (n, 4) wxyz rows, pinhole cameras, camera/world
+frame transforms, and finite-difference kinematics on timestamped
+end-effector trajectories.
 All functions are pure and safe to call concurrently.
 
 Conventions:
@@ -24,7 +25,6 @@ from .errors import BehindCameraError, InsufficientDataError, InvalidCameraError
 
 __all__ = [
     "Frame",
-    "UnitQuaternion",
     "CameraModel",
     "DenseTrajectory",
     "back_project",
@@ -59,6 +59,12 @@ def _as_vector(value, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ``ValueError`` unless the scalar ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _clamp(x, lo, hi):
     """``np.clip(x, lo, hi)`` bit for bit, without its Python-level wrapper.
 
@@ -66,55 +72,6 @@ def _clamp(x, lo, hi):
     clip does, so clip's choice between -0.0 and 0.0 is kept too.
     """
     return np.minimum(hi, np.maximum(lo, x))
-
-
-@dataclass(frozen=True)
-class UnitQuaternion:
-    """Unit quaternion (w, x, y, z) with the sign fixed so w >= 0.
-
-    q and -q encode the same rotation; construction renormalizes and
-    canonicalizes (see :func:`unit_quaternions`) so equal rotations
-    serialize identically.
-    """
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        q = unit_quaternions([[self.w, self.x, self.y, self.z]])[0]
-        object.__setattr__(self, "w", float(q[0]))
-        object.__setattr__(self, "x", float(q[1]))
-        object.__setattr__(self, "y", float(q[2]))
-        object.__setattr__(self, "z", float(q[3]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    def rotation_matrix(self) -> np.ndarray:
-        """3x3 rotation matrix for this quaternion."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-
-    def angle_to(self, other: "UnitQuaternion") -> float:
-        """Geodesic rotation angle in radians between two orientations.
-
-        Uses the chord/atan2 form, which stays accurate for tiny angles
-        where acos of the dot product loses precision.
-        """
-        a = self.as_array()
-        b = other.as_array()
-        if np.dot(a, b) < 0.0:
-            b = -b
-        return 4.0 * math.atan2(float(np.linalg.norm(a - b)),
-                                float(np.linalg.norm(a + b)))
 
 
 # |norm - 1| below which a row counts as already normalized: one division by
@@ -391,15 +348,14 @@ def quaternions_to_eulers(quats) -> np.ndarray:
     return np.stack([rx, np.arcsin(sy), rz], axis=1)
 
 
-def euler_to_quaternion(euler_xyz) -> UnitQuaternion:
-    """Convert intrinsic x-y-z Euler angles (radians) to a unit quaternion."""
-    e = _as_vector(euler_xyz, 3, "euler_xyz")
-    return UnitQuaternion(*eulers_to_quaternions(e[None])[0])
+def euler_to_quaternion(euler_xyz) -> np.ndarray:
+    """One row of :func:`eulers_to_quaternions`: a (4,) wxyz row."""
+    return eulers_to_quaternions(_as_vector(euler_xyz, 3, "euler_xyz")[None])[0]
 
 
-def quaternion_to_euler(q: UnitQuaternion) -> np.ndarray:
-    """Recover intrinsic x-y-z Euler angles from a unit quaternion."""
-    return quaternions_to_eulers(q.as_array()[None])[0]
+def quaternion_to_euler(wxyz) -> np.ndarray:
+    """One row of :func:`quaternions_to_eulers`, for a (4,) wxyz row."""
+    return quaternions_to_eulers(_as_vector(wxyz, 4, "wxyz")[None])[0]
 
 
 def normalize_angles(angles) -> np.ndarray:

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import EmptyPlanError, UndefinedDirectionError
 from .geometry import (
     _as_vector,
+    _check_positive,
     eulers_to_quaternions,
     gripper_column,
-    quaternions_to_eulers,
     unit_quaternions,
 )
 from .keyframes import SparseTrajectory
@@ -39,8 +39,6 @@ __all__ = [
     "nearest_pending_index",
     "forward_direction",
     "keep_test",
-    "refresh_pending",
-    "merge_replan",
     "controller_step",
 ]
 
@@ -50,8 +48,8 @@ class PendingPlan:
     """Not-yet-executed waypoints in the world frame.
 
     ``orientations`` holds one wxyz row per waypoint; construction checks
-    the rows as :class:`UnitQuaternion` does (finite, norm within 1e-6 of
-    1) and stores them renormalized with w >= 0. ``times`` is an optional
+    the rows with :func:`unit_quaternions` (finite, norm within 1e-6 of 1)
+    and stores them renormalized with w >= 0. ``times`` is an optional
     execution schedule; when present the merge preserves it, otherwise
     waypoints are re-timed at a fixed segment duration.
     """
@@ -117,6 +115,8 @@ class ControllerState:
 
     Construction checks the current position and wxyz quaternion (finite,
     unit as in :func:`unit_quaternions`) and stores them read-only, w >= 0.
+    ``replan_interval``, ``segment_duration`` and ``transition_duration``
+    (when given) must be finite and positive.
     """
 
     current_time: float
@@ -130,8 +130,10 @@ class ControllerState:
     segment_duration: float = 1.0  # re-timing spacing for schedule-free plans
 
     def __post_init__(self):
-        if self.replan_interval <= 0:
-            raise ValueError("replan_interval must be positive")
+        _check_positive("replan_interval", self.replan_interval)
+        _check_positive("segment_duration", self.segment_duration)
+        if self.transition_duration is not None:
+            _check_positive("transition_duration", self.transition_duration)
         pos = _as_vector(self.current_position, 3, "current_position")
         quat = unit_quaternions([self.current_wxyz])[0]
         vel = np.asarray(self.current_velocity, dtype=float).reshape(3)
@@ -211,17 +213,6 @@ def _keep_from(current_pos, pending: PendingPlan) -> tuple:
     return (k if keep else k + 1), k, gamma
 
 
-def refresh_pending(current_pos, pending: PendingPlan) -> PendingPlan:
-    """Drop waypoints already passed: everything before the nearest one,
-    plus the nearest itself when it fails the keep test.
-
-    Ordering of survivors is preserved; the result may be empty when the
-    plan is complete.
-    """
-    start, _, _ = _keep_from(current_pos, pending)
-    return pending.tail(start)
-
-
 def _hermite_coeffs(p0, v0, p1, v1, duration: float) -> np.ndarray:
     """Local cubic coefficients matching position and velocity at both ends."""
     d = duration
@@ -247,7 +238,8 @@ def _plan_knots(state: ControllerState, plan: PendingPlan, transition_duration: 
 
 def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTrajectory:
     """Blend a refreshed (non-empty) plan into the active trajectory."""
-    transition_duration = state.transition_duration or state.replan_interval
+    transition_duration = (state.replan_interval if state.transition_duration is None
+                           else state.transition_duration)
     t_now = state.current_time
     knots_rest = _plan_knots(state, plan, transition_duration)
     t_entry = float(knots_rest[0])
@@ -271,38 +263,17 @@ def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTra
                                 np.concatenate([[state.active.gripper(t_now)], plan.grippers]))
 
 
-def merge_replan(state: ControllerState, new_waypoints: PendingPlan,
-                 transition_duration: float | None = None) -> ContinuousTrajectory | None:
-    """Merge a freshly inferred plan into the executing trajectory.
-
-    The incoming waypoints are refreshed against the current position;
-    a cubic Hermite transition then connects the current position and
-    velocity to the first surviving waypoint (entering with the refitted
-    remainder's initial velocity), and the remainder of the old
-    trajectory is discarded. Returns None when the refreshed plan is
-    empty, signaling plan completion.
-    """
-    if transition_duration is not None and transition_duration <= 0:
-        raise ValueError("transition_duration must be positive")
-    refreshed = refresh_pending(state.current_position, new_waypoints)
-    if len(refreshed) == 0:
-        return None
-    if transition_duration is not None:
-        state = replace(state, transition_duration=transition_duration)
-    return _merge_refreshed(state, refreshed)
-
-
 def controller_step(state: ControllerState, times,
                     replan_source: PendingPlan | None = None) -> tuple:
     """Merge an optional replan at current_time, then command the ticks at ``times``.
 
     ``times`` is a non-empty 1-D array of finite, strictly increasing tick
     times after current_time; all of them are sampled from the active
-    trajectory in one call. Returns (new_state, (times, positions,
-    eulers, grippers), event): new_state holds the last tick's time,
-    position, quaternion and velocity, and event is the
-    :class:`ReplanEvent` of a processed replan, stamped with the merge time
-    (the incoming current_time), or None.
+    trajectory in one call. Returns (new_state, (times, positions, wxyz,
+    grippers), event), with one sign-canonical wxyz row per tick.
+    new_state holds the last tick's time, position, quaternion and
+    velocity, and event is the :class:`ReplanEvent` of a processed replan,
+    stamped with the merge time (the incoming current_time), or None.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)):
@@ -322,9 +293,8 @@ def controller_step(state: ControllerState, times,
             active = _merge_refreshed(state, pending)
 
     pos, quats, grip = active.sample(t)
-    eul = quaternions_to_eulers(quats)
     t_last = float(t[-1])
     new_state = replace(state, current_time=t_last, current_position=pos[-1],
                         current_wxyz=quats[-1], current_velocity=active.velocity(t_last),
                         active=active, pending=pending)
-    return new_state, (t, pos, eul, grip), event
+    return new_state, (t, pos, quats, grip), event

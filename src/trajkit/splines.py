@@ -16,7 +16,6 @@ from .errors import InsufficientDataError
 from .geometry import (
     DenseTrajectory,
     Frame,
-    UnitQuaternion,
     _clamp,
     canonical_sign,
     eulers_to_quaternions,
@@ -33,7 +32,6 @@ from .keyframes import SparseTrajectory, insert_sub_keyframes, select_keyframes
 __all__ = [
     "PositionSpline",
     "ContinuousTrajectory",
-    "slerp",
     "fit",
     "eval_trajectory",
     "resample",
@@ -129,10 +127,14 @@ class PositionSpline:
         c = np.asarray(self.coefficients, dtype=float)
         if t.ndim != 1 or len(t) < 2:
             raise ValueError("need at least two knots")
+        if not np.isfinite(t).all():
+            raise ValueError("knot times must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("knot times must be strictly increasing")
         if c.shape != (len(t) - 1, 4, 3):
             raise ValueError(f"coefficients shape {c.shape} does not match knots")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         t.flags.writeable = False
         c.flags.writeable = False
         object.__setattr__(self, "knot_times", t)
@@ -221,19 +223,6 @@ def _slerp_rows(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
     return canonical_sign(out)
 
 
-def slerp(q0: UnitQuaternion, q1: UnitQuaternion, s: float) -> UnitQuaternion:
-    """Constant-angular-velocity interpolation along the shorter geodesic.
-
-    s = 0 returns q0 and s = 1 returns q1; when dot(q0, q1) < 0 the
-    second quaternion is negated so the shorter arc is taken.
-    """
-    a = q0.as_array()
-    b = q1.as_array()
-    if np.dot(a, b) < 0.0:
-        b = -b
-    return UnitQuaternion(*_slerp_rows(a[None], b[None], np.array([float(s)]))[0])
-
-
 @dataclass(frozen=True, eq=False)
 class ContinuousTrajectory:
     """Evaluable trajectory on one knot grid, ``position.knot_times``.
@@ -309,9 +298,10 @@ def fit(sparse: SparseTrajectory, bc_type: str = "natural", end_velocities=None)
 
 
 def eval_trajectory(traj: ContinuousTrajectory, t: float) -> tuple:
-    """Evaluate (position, quaternion, gripper) at time t, clamped to the domain."""
+    """One row of :meth:`ContinuousTrajectory.sample`: (position (3,), wxyz
+    (4,), gripper) at time t, clamped to the domain."""
     pos, quats, grips = traj.sample(np.array([float(t)]))
-    return pos[0], UnitQuaternion(*quats[0]), grips[0]
+    return pos[0], quats[0], grips[0]
 
 
 def resample(traj: ContinuousTrajectory, rate: float) -> DenseTrajectory:

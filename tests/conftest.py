@@ -1,5 +1,7 @@
 """Shared fixtures and builders for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -49,6 +51,18 @@ def helix_trajectory(n=8893, turns=1.0, rise=0.3, frame=Frame.WORLD) -> DenseTra
     pos = np.stack([np.sin(t), np.cos(t), rise * t], axis=1)
     return DenseTrajectory(t, pos, np.zeros((n, 3)),
                            np.zeros(n, dtype=int), frame)
+
+
+def geodesic_angle(a, b) -> float:
+    """Rotation angle in radians between two wxyz rows, q and -q alike.
+
+    The chord/atan2 form stays accurate for tiny angles, where acos of the
+    dot product loses precision.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if np.dot(a, b) < 0.0:
+        b = -b
+    return 4.0 * math.atan2(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
 
 
 def token_sequence(spec, anchor, blocks) -> TokenSequence:

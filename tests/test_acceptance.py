@@ -15,7 +15,8 @@ import pytest
 import trajkit as tk
 from trajkit import fileio
 from trajkit.cli import cli_main
-from conftest import assert_same_tokens, helix_trajectory, line_trajectory, make_camera
+from conftest import (assert_same_tokens, geodesic_angle, helix_trajectory, line_trajectory,
+                      make_camera)
 from test_keyframes import brute_force_keyframes, random_segmented_trajectory
 from test_metrics import dtw_brute, frechet_brute
 from test_simulate import line_scenario
@@ -70,7 +71,7 @@ def test_spline_interpolation_exactness():
             for i in range(n):
                 pos, quat, _ = tk.eval_trajectory(traj, t[i])
                 assert np.linalg.norm(pos - pts[i]) < 1e-9
-                assert quat.angle_to(tk.euler_to_quaternion(eul[i])) < 1e-9
+                assert geodesic_angle(quat, tk.euler_to_quaternion(eul[i])) < 1e-9
 
 
 def test_quartic_convergence_on_helix():
@@ -142,7 +143,7 @@ def test_closed_loop_shift_recovery_and_continuity():
         scenario = line_scenario([shift], replan_interval=0.5)
         active = tk.fit(scenario.initial_plan)
         pos0, quat0, _ = tk.eval_trajectory(active, 0.0)
-        state = tk.ControllerState(0.0, pos0, quat0.as_array(), active.velocity(0.0), active,
+        state = tk.ControllerState(0.0, pos0, quat0, active.velocity(0.0), active,
                                    tk.PendingPlan.from_sparse(scenario.initial_plan),
                                    scenario.replan_interval)
         dt = 1.0 / scenario.control_rate

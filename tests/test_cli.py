@@ -234,6 +234,21 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: perturbations[0]")
 
+    @pytest.mark.parametrize("field", ["control_rate", "duration", "replan_interval"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "0", "-0.5"])
+    def test_durations_must_be_finite_and_positive(self, tmp_path, capsys, field, value):
+        # json accepts NaN and Infinity; the loader must reject them by name
+        scenario = tmp_path / "scenario.json"
+        fileio.save_scenario(line_scenario(), scenario)
+        data = json.loads(scenario.read_text())
+        data[field] = "@"
+        scenario.write_text(json.dumps(data).replace('"@"', value))
+        out = tmp_path / "log.json"
+        code = cli_main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: {field}: must be finite and positive, got {float(value)}\n"
+
     def test_missing_file_is_1(self, tmp_path):
         code = cli_main(["plot-data", "--input", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o.csv")])

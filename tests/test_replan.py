@@ -1,6 +1,7 @@
 """Closed-loop merging: nearest waypoint, keep test, pending refresh, blending."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import trajkit as tk
+from conftest import geodesic_angle
 from test_splines import sparse_from_arrays
 
 
@@ -20,21 +22,30 @@ def line_plan(n=11, speed=0.1, t0=0.0, shift=(0.0, 0.0, 0.0)):
     return tk.PendingPlan(pos, quats, np.zeros(n, dtype=int), times=t)
 
 
-def line_state(n=11, speed=0.1, at_time=0.0):
+def line_state(n=11, speed=0.1, at_time=0.0, **changes):
     sparse = sparse_from_arrays(np.arange(n, dtype=float),
                                 np.stack([speed * np.arange(n), np.zeros(n), np.zeros(n)],
                                          axis=1))
     active = tk.fit(sparse)
     pos, quat, _ = tk.eval_trajectory(active, at_time)
-    return tk.ControllerState(
-        current_time=at_time,
-        current_position=pos,
-        current_wxyz=quat.as_array(),
-        current_velocity=active.velocity(at_time),
-        active=active,
-        pending=line_plan(n, speed),
-        replan_interval=0.5,
-    )
+    fields = dict(current_time=at_time, current_position=pos, current_wxyz=quat,
+                  current_velocity=active.velocity(at_time), active=active,
+                  pending=line_plan(n, speed), replan_interval=0.5)
+    return tk.ControllerState(**{**fields, **changes})
+
+
+def refresh(current_pos, plan):
+    """(pending plan, event) after one controller_step at t = 2 from
+    current_pos that processes the replan ``plan``."""
+    state, _, event = tk.controller_step(line_state(at_time=2.0, current_position=current_pos),
+                                         [2.01], plan)
+    return state.pending, event
+
+
+def merge(state, plan, transition_duration):
+    """The active trajectory after one controller_step that merges ``plan``."""
+    state = replace(state, transition_duration=transition_duration)
+    return tk.controller_step(state, [state.current_time + 1e-3], plan)[0].active
 
 
 class TestNearestPendingIndex:
@@ -124,24 +135,25 @@ class TestKeepTest:
 class TestRefreshPending:
     def test_behind_all_unchanged(self):
         plan = line_plan(5, speed=1.0)
-        refreshed = tk.refresh_pending([-1.0, 0, 0], plan)
-        assert len(refreshed) == 5
+        refreshed, event = refresh([-1.0, 0, 0], plan)
+        assert len(refreshed) == 5 and event.dropped_count == 0
         assert np.allclose(refreshed.positions, plan.positions)
 
     def test_past_first_waypoint_drops_it(self):
         plan = line_plan(5, speed=1.0)  # x at 0,1,2,3,4
-        refreshed = tk.refresh_pending([0.4, 0, 0], plan)
+        refreshed, event = refresh([0.4, 0, 0], plan)
         assert np.allclose(refreshed.positions[0], [1, 0, 0])
+        assert event.dropped_count == 1 and event.kstar_dropped
 
     def test_past_final_waypoint_empties(self):
         plan = line_plan(3, speed=1.0)
-        refreshed = tk.refresh_pending([2.5, 0, 0], plan)
-        assert len(refreshed) == 0
+        refreshed, event = refresh([2.5, 0, 0], plan)
+        assert len(refreshed) == 0 and event.dropped_count == 3
 
     def test_single_waypoint_kept(self):
         plan = tk.PendingPlan(np.array([[1.0, 0, 0]]), np.array([[1.0, 0.0, 0.0, 0.0]]), [0])
-        refreshed = tk.refresh_pending([5.0, 0, 0], plan)
-        assert len(refreshed) == 1
+        refreshed, event = refresh([5.0, 0, 0], plan)
+        assert len(refreshed) == 1 and event.dropped_count == 0
 
     def test_never_reorders_or_drops_later_indices(self, rng):
         for _ in range(100):
@@ -151,15 +163,15 @@ class TestRefreshPending:
                                   np.zeros(n, dtype=int))
             cur = rng.normal(size=3)
             k = tk.nearest_pending_index(cur, plan)
-            refreshed = tk.refresh_pending(cur, plan)
+            refreshed, event = refresh(cur, plan)
             dropped = n - len(refreshed)
-            assert dropped in (k, k + 1)
+            assert dropped == event.dropped_count and dropped in (k, k + 1)
             if len(refreshed):
                 assert np.allclose(refreshed.positions, pts[dropped:])
 
     def test_times_travel_with_waypoints(self):
         plan = line_plan(5, speed=1.0)
-        refreshed = tk.refresh_pending([1.4, 0, 0], plan)
+        refreshed, _ = refresh([1.4, 0, 0], plan)
         assert refreshed.times[0] == 2.0
 
 
@@ -167,7 +179,7 @@ class TestMergeReplan:
     def test_identical_replan_matches_old(self):
         # linear plan: refit of the suffix plus Hermite bridge is the same line
         state = line_state(at_time=2.3)
-        merged = tk.merge_replan(state, line_plan(), transition_duration=0.5)
+        merged = merge(state, line_plan(), transition_duration=0.5)
         grid = np.linspace(2.3, 10.0, 400)
         for tau in grid:
             old_pos, _, _ = tk.eval_trajectory(state.active, tau)
@@ -187,7 +199,7 @@ class TestMergeReplan:
         )
         goal = tk.PendingPlan(np.array([[0.3, 0.1, 0.2]]),
                               np.array([[1.0, 0.0, 0.0, 0.0]]), [1])
-        merged = tk.merge_replan(state, goal, transition_duration=2.0)
+        merged = merge(state, goal, transition_duration=2.0)
         t0, t1 = merged.domain
         assert (t0, t1) == (0.0, 2.0)  # the transition is the whole trajectory
         pos, _, grip = tk.eval_trajectory(merged, t1)
@@ -199,7 +211,7 @@ class TestMergeReplan:
     def test_shifted_plan_reaches_new_target_without_jump(self):
         state = line_state(at_time=3.0)
         shifted = line_plan(shift=(0.0, 0.02, 0.0))
-        merged = tk.merge_replan(state, shifted, transition_duration=0.5)
+        merged = merge(state, shifted, transition_duration=0.5)
         # no position jump at handoff
         old_pos, _, _ = tk.eval_trajectory(state.active, 3.0)
         new_pos, _, _ = tk.eval_trajectory(merged, 3.0)
@@ -211,7 +223,7 @@ class TestMergeReplan:
     def test_velocity_continuity_at_junctions(self):
         state = line_state(at_time=2.3)
         shifted = line_plan(shift=(0.01, -0.02, 0.005))
-        merged = tk.merge_replan(state, shifted, transition_duration=0.5)
+        merged = merge(state, shifted, transition_duration=0.5)
         spline = merged.position
         # start junction: transition begins with the controller velocity
         assert np.abs(spline.velocity(2.3) - state.current_velocity).max() < 1e-9
@@ -235,25 +247,25 @@ class TestMergeReplan:
         behind = tk.PendingPlan(np.array([[0.5, 0, 0], [0.6, 0, 0]]),
                                 np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), [0, 0],
                                 times=[5.0, 6.0])
-        assert tk.merge_replan(state, behind, transition_duration=0.5) is None
+        new_state, _, event = tk.controller_step(state, [10.001], behind)
+        # plan complete: nothing survives and execution stays on the active trajectory
+        assert len(new_state.pending) == 0 and event.dropped_count == 2
+        assert new_state.active is state.active
 
     def test_orientation_blends_to_plan(self):
         state = line_state(at_time=2.0)
         n = 11
         t = np.arange(n, dtype=float)
-        quats = np.tile(tk.euler_to_quaternion([0.0, 0.0, 0.7]).as_array(), (n, 1))
+        quats = np.tile(tk.euler_to_quaternion([0.0, 0.0, 0.7]), (n, 1))
         plan = tk.PendingPlan(np.stack([0.1 * t, 0 * t, 0 * t], axis=1), quats,
                               np.zeros(n, dtype=int), times=t)
-        merged = tk.merge_replan(state, plan, transition_duration=0.5)
+        merged = merge(state, plan, transition_duration=0.5)
         _, q_mid, _ = tk.eval_trajectory(merged, 2.5)  # halfway through transition
-        expected = tk.slerp(tk.UnitQuaternion(1, 0, 0, 0),
-                            tk.euler_to_quaternion([0.0, 0.0, 0.7]), 0.5)
-        assert q_mid.angle_to(expected) < 1e-9
+        assert geodesic_angle(q_mid, tk.euler_to_quaternion([0.0, 0.0, 0.35])) < 1e-9
 
     def test_invalid_transition_duration(self):
-        state = line_state(at_time=2.0)
-        with pytest.raises(ValueError):
-            tk.merge_replan(state, line_plan(), transition_duration=0.0)
+        with pytest.raises(ValueError, match="transition_duration"):
+            line_state(at_time=2.0, transition_duration=0.0)
 
 
 class TestControllerStep:
@@ -317,7 +329,7 @@ class TestPendingPlanQuaternions:
         rows = np.array([[-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1e-7]])
         plan = tk.PendingPlan(np.zeros((2, 3)), rows, [0, 1])
         for row, quat in zip(plan.orientations, rows):
-            assert np.array_equal(row, tk.UnitQuaternion(*quat).as_array())
+            assert np.array_equal(row, tk.unit_quaternions([quat])[0])
 
     @pytest.mark.parametrize("quats", [
         np.array([[1.0, 0.0, 0.0, 0.1], [1.0, 0.0, 0.0, 0.0]]),  # not unit
@@ -334,11 +346,7 @@ class TestPendingPlanQuaternions:
 
 class TestControllerStateBoundary:
     def state(self, **changes):
-        state = line_state(at_time=2.0)
-        fields = dict(current_time=state.current_time, current_position=state.current_position,
-                      current_wxyz=state.current_wxyz, current_velocity=state.current_velocity,
-                      active=state.active, pending=state.pending, replan_interval=0.5)
-        return tk.ControllerState(**{**fields, **changes})
+        return line_state(at_time=2.0, **changes)
 
     @pytest.mark.parametrize("position", [[0.2, math.nan, 0.0], [math.inf, 0.0, 0.0],
                                           [0.0, 0.0], [[0.0, 0.0, 0.0]], 0.0])
@@ -353,11 +361,26 @@ class TestControllerStateBoundary:
         with pytest.raises(ValueError, match="quaternion"):
             self.state(current_wxyz=wxyz)
 
+    @pytest.mark.parametrize("field", ["replan_interval", "segment_duration",
+                                       "transition_duration"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_durations_that_are_not_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+            self.state(**{field: value})
+
+    def test_transition_duration_defaults_to_the_interval(self):
+        timed = line_plan(shift=(0.0, 0.01, 0.0))
+        untimed = tk.PendingPlan(timed.positions, timed.orientations, timed.grippers)
+        for transition, entry in ((None, 2.5), (0.25, 2.25)):
+            state = self.state(transition_duration=transition)
+            merged = tk.controller_step(state, [2.001], untimed)[0].active
+            assert merged.position.knot_times[1] == entry
+
     def test_stores_canonical_read_only_arrays(self):
         state = self.state(current_position=[0.2, 0.0, 0.0], current_wxyz=[-1, 0, 0, 0])
         assert np.array_equal(state.current_wxyz, [1.0, 0.0, 0.0, 0.0])
-        # the same rule, and the same bits, as a UnitQuaternion
-        assert state.current_wxyz.tobytes() == tk.UnitQuaternion(-1, 0, 0, 0).as_array().tobytes()
+        # the same rule, and the same bits, as unit_quaternions
+        assert state.current_wxyz.tobytes() == tk.unit_quaternions([[-1, 0, 0, 0]])[0].tobytes()
         assert state.current_position.tolist() == [0.2, 0.0, 0.0]
         for column in (state.current_position, state.current_wxyz, state.current_velocity):
             assert not column.flags.writeable
@@ -444,8 +467,9 @@ class TestRefreshPendingProperty:
         quats = tk.eulers_to_quaternions(np.outer(np.arange(n), [0.1, -0.2, 0.3]))
         times = np.arange(n) + 0.5 if timed else None
         pending = tk.PendingPlan(positions, quats, np.arange(n) % 2, times)
-        refreshed = tk.refresh_pending(current, pending)
-        dropped = n - len(refreshed)
+        refreshed, event = refresh(current, pending)
+        dropped = event.dropped_count
+        assert len(refreshed) == n - dropped
         assert 0 <= dropped <= n
         assert np.array_equal(refreshed.positions, pending.positions[dropped:])
         assert np.array_equal(refreshed.orientations, pending.orientations[dropped:])

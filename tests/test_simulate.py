@@ -43,7 +43,7 @@ def run_loop(scenario):
     state = tk.ControllerState(
         current_time=t0,
         current_position=pos0,
-        current_wxyz=quat0.as_array(),
+        current_wxyz=quat0,
         current_velocity=active.velocity(t0),
         active=active,
         pending=tk.PendingPlan.from_sparse(scenario.initial_plan),
@@ -70,12 +70,12 @@ def run_loop(scenario):
             else:
                 replan_source = requested
             replan_tick += 1
-        state, (t, pos, eul, grip), event = tk.controller_step(state, [t_next], replan_source)
+        state, (t, pos, wxyz, grip), event = tk.controller_step(state, [t_next], replan_source)
         if event is not None:
             events.append(event)
         times.append(t[0])
         positions.append(pos[0])
-        eulers.append(eul[0])
+        eulers.append(tk.quaternion_to_euler(wxyz[0]))  # one tick at a time
         grippers.append(grip[0])
         k += 1
 
