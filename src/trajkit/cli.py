@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fileio
 from .errors import SchemaError, TrajkitError
-from .geometry import CameraModel, Frame, camera_to_world
+from .geometry import CameraModel, Frame, _check_positive, camera_to_world
 from .keyframes import SparseTrajectory, insert_sub_keyframes, select_keyframes
 from .metrics import full_report
 from .simulate import run as run_scenario
@@ -134,8 +134,7 @@ def _to_world(sparse: SparseTrajectory, cam: CameraModel) -> SparseTrajectory:
 
 
 def _cmd_detokenize(args) -> int:
-    if args.segment_duration <= 0:
-        raise ValueError("--segment-duration must be positive")
+    _check_positive("--segment-duration", args.segment_duration)
     if args.input is not None:
         if args.camera_from is None:
             raise ValueError("--camera-from is required with --input")

@@ -48,15 +48,29 @@ class Frame(str, Enum):
     WORLD = "world"
 
 
-def _as_vector(value, n: int, name: str) -> np.ndarray:
-    """A finite length-n float vector, as a read-only copy of ``value``."""
+def _as_array(value, shape: tuple, name: str) -> np.ndarray:
+    """A read-only float copy of ``value`` with finite entries and exactly
+    ``shape``; ``None`` as the leading length accepts any length.
+
+    Constructors store this copy, so a caller's array is never frozen or
+    shared.
+    """
     arr = np.array(value, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must be a length-{n} vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {arr}")
+    want = arr.shape[:1] + shape[1:] if shape[0] is None and arr.ndim else shape
+    if arr.shape != want:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}".replace("None", "n"))
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
+
+
+def _time_grid(values, name: str) -> np.ndarray:
+    """:func:`_as_array` of a 1-D time grid that must be strictly increasing."""
+    t = _as_array(values, (None,), name)
+    if (t[1:] <= t[:-1]).any():
+        raise ValueError(f"{name} must be strictly increasing")
+    return t
 
 
 def _check_positive(name: str, value) -> None:
@@ -119,8 +133,8 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
-        k = np.asarray(self.intrinsics, dtype=float)
-        ext = np.asarray(self.extrinsics_c2w, dtype=float)
+        k = np.array(self.intrinsics, dtype=float)
+        ext = np.array(self.extrinsics_c2w, dtype=float)
         if k.shape != (3, 3):
             raise InvalidCameraError(f"intrinsics must be 3x3, got {k.shape}")
         if ext.shape != (4, 4):
@@ -186,12 +200,14 @@ def _first(mask: np.ndarray) -> int | None:
 
 
 def gripper_column(values) -> np.ndarray:
-    """Check gripper states and return them as a read-only 1-D int array.
+    """Check a 1-D column of gripper states and return it as a read-only int copy.
 
     Values are checked before the int cast, so 0.7 raises a
     :class:`SampleError` naming its index instead of becoming 0.
     """
-    g = np.asarray(values).reshape(-1)
+    g = np.asarray(values)
+    if g.ndim != 1:
+        raise SampleError(f"gripper must be a 1-D array, got shape {g.shape}")
     i = _first((g != 0) & (g != 1))
     if i is not None:
         raise SampleError(f"gripper must be 0 or 1, got {g[i]}", i, "gripper")
@@ -257,7 +273,7 @@ def _point_rows(value, name: str) -> np.ndarray:
     """A (3,) point as one row, or (n, 3) rows as they are; finite floats."""
     p = np.asarray(value, dtype=float)
     if p.ndim != 2:
-        return _as_vector(p, 3, name)[None]
+        return _as_array(p, (3,), name)[None]
     if p.shape[1] != 3 or not np.isfinite(p).all():
         raise ValueError(f"{name} must be finite (n, 3) rows, got shape {p.shape}")
     return p
@@ -350,12 +366,12 @@ def quaternions_to_eulers(quats) -> np.ndarray:
 
 def euler_to_quaternion(euler_xyz) -> np.ndarray:
     """One row of :func:`eulers_to_quaternions`: a (4,) wxyz row."""
-    return eulers_to_quaternions(_as_vector(euler_xyz, 3, "euler_xyz")[None])[0]
+    return eulers_to_quaternions(_as_array(euler_xyz, (3,), "euler_xyz")[None])[0]
 
 
 def quaternion_to_euler(wxyz) -> np.ndarray:
     """One row of :func:`quaternions_to_eulers`, for a (4,) wxyz row."""
-    return quaternions_to_eulers(_as_vector(wxyz, 4, "wxyz")[None])[0]
+    return quaternions_to_eulers(_as_array(wxyz, (4,), "wxyz")[None])[0]
 
 
 def normalize_angles(angles) -> np.ndarray:
@@ -387,7 +403,7 @@ def finite_difference_accel(traj: DenseTrajectory, weights=None) -> tuple:
     if weights is None:
         w = np.ones(6)
     else:
-        w = _as_vector(weights, 6, "weights")
+        w = _as_array(weights, (6,), "weights")
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
     t = traj.times

@@ -107,7 +107,7 @@ def select_keyframes(traj: DenseTrajectory, alpha: float, weights=None) -> Keyfr
         weights: optional per-component weights for the magnitude
             (see :func:`finite_difference_accel`).
     """
-    if alpha <= 0:
+    if not alpha > 0:  # alpha = inf is valid: it selects no acceleration keyframes
         raise ValueError(f"alpha must be positive, got {alpha}")
     if len(traj) < 3:
         raise InsufficientDataError(

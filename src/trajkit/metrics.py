@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import _check_positive
+
 __all__ = [
     "MetricReport",
     "dtw",
@@ -241,8 +243,7 @@ def _orth_summary(to_ref: np.ndarray) -> tuple:
 
 def _coverage(to_ref: np.ndarray, to_pred: np.ndarray, tau: float) -> tuple:
     """(precision, recall, f1) from the pred->ref and ref->pred distances."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    _check_positive("tau", tau)
     precision = float(np.mean(to_ref <= tau))
     recall = float(np.mean(to_pred <= tau))
     f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)

@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import EmptyPlanError, UndefinedDirectionError
 from .geometry import (
-    _as_vector,
+    _as_array,
     _check_positive,
+    _time_grid,
     eulers_to_quaternions,
     gripper_column,
     unit_quaternions,
@@ -60,9 +61,7 @@ class PendingPlan:
     times: np.ndarray | None = None
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float).reshape(-1, 3)
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("plan positions must be finite")
+        pos = _as_array(self.positions, (None, 3), "plan positions")
         grip = gripper_column(self.grippers)
         quats = unit_quaternions(self.orientations)
         n = len(pos)
@@ -70,15 +69,10 @@ class PendingPlan:
             raise ValueError("plan field lengths do not match")
         times = self.times
         if times is not None:
-            times = np.asarray(times, dtype=float).reshape(-1)
+            times = _time_grid(times, "plan times")
             if len(times) != n:
                 raise ValueError("times length does not match waypoints")
-            if not np.all(np.isfinite(times)):
-                raise ValueError("plan times must be finite")
-            if n > 1 and np.any(np.diff(times) <= 0):
-                raise ValueError("plan times must be strictly increasing")
-            times.flags.writeable = False
-        pos.flags.writeable = quats.flags.writeable = False
+        quats.flags.writeable = False
         # the dataclass is frozen: write past __setattr__
         vars(self).update(positions=pos, orientations=quats, grippers=grip, times=times)
 
@@ -113,8 +107,9 @@ class PendingPlan:
 class ControllerState:
     """Executing-controller snapshot advanced exclusively by controller_step.
 
-    Construction checks the current position and wxyz quaternion (finite,
-    unit as in :func:`unit_quaternions`) and stores them read-only, w >= 0.
+    Construction checks the current position and velocity (finite (3,)
+    rows) and wxyz quaternion (unit as in :func:`unit_quaternions`, stored
+    with w >= 0), and stores read-only copies of all three.
     ``replan_interval``, ``segment_duration`` and ``transition_duration``
     (when given) must be finite and positive.
     """
@@ -134,10 +129,10 @@ class ControllerState:
         _check_positive("segment_duration", self.segment_duration)
         if self.transition_duration is not None:
             _check_positive("transition_duration", self.transition_duration)
-        pos = _as_vector(self.current_position, 3, "current_position")
+        pos = _as_array(self.current_position, (3,), "current_position")
         quat = unit_quaternions([self.current_wxyz])[0]
-        vel = np.asarray(self.current_velocity, dtype=float).reshape(3)
-        quat.flags.writeable = vel.flags.writeable = False
+        vel = _as_array(self.current_velocity, (3,), "current_velocity")
+        quat.flags.writeable = False
         vars(self).update(current_position=pos, current_wxyz=quat, current_velocity=vel)
         if self.current_time < self.active.domain[0] - 1e-9:
             raise ValueError("current_time precedes the active trajectory domain")
@@ -150,7 +145,7 @@ def nearest_pending_index(current_pos, pending: PendingPlan) -> int:
     """
     if len(pending) == 0:
         raise EmptyPlanError("no pending waypoints")
-    p = np.asarray(current_pos, dtype=float).reshape(3)
+    p = _as_array(current_pos, (3,), "current_pos")
     dists = np.linalg.norm(pending.positions - p, axis=1)
     return int(np.argmin(dists))
 
@@ -181,11 +176,11 @@ def keep_test(current_pos, waypoint, forward_dir) -> tuple:
 
     The waypoint is kept iff gamma > 0 (strictly); gamma == 0 drops it.
     """
-    d = np.asarray(forward_dir, dtype=float).reshape(3)
+    d = _as_array(forward_dir, (3,), "forward_dir")
     if abs(np.linalg.norm(d) - 1.0) > 1e-6:
         raise ValueError("forward_dir must be a unit vector")
-    gamma = float(np.dot(np.asarray(waypoint, dtype=float).reshape(3)
-                         - np.asarray(current_pos, dtype=float).reshape(3), d))
+    gamma = float(np.dot(_as_array(waypoint, (3,), "waypoint")
+                         - _as_array(current_pos, (3,), "current_pos"), d))
     return gamma, gamma > 0.0
 
 
@@ -275,11 +270,9 @@ def controller_step(state: ControllerState, times,
     velocity, and event is the :class:`ReplanEvent` of a processed replan,
     stamped with the merge time (the incoming current_time), or None.
     """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)):
-        raise ValueError("times must be a non-empty 1-D array of finite values")
-    if t[0] <= state.current_time or np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing and after current_time")
+    t = _time_grid(times, "times")
+    if len(t) == 0 or t[0] <= state.current_time:
+        raise ValueError("times must be non-empty and after current_time")
     event = None
     active, pending = state.active, state.pending
     if replan_source is not None and len(replan_source) == 0:

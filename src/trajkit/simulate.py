@@ -16,7 +16,7 @@ from .errors import InsufficientDataError
 from .geometry import (
     DenseTrajectory,
     Frame,
-    _as_vector,
+    _as_array,
     _check_positive,
     quaternions_to_eulers,
 )
@@ -49,7 +49,7 @@ class Perturbation:
         if not math.isfinite(self.time):
             raise ValueError(f"perturbation time must be finite, got {self.time}")
         object.__setattr__(self, "time", float(self.time))
-        object.__setattr__(self, "offset", _as_vector(self.offset, 3, "perturbation offset"))
+        object.__setattr__(self, "offset", _as_array(self.offset, (3,), "perturbation offset"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,10 @@ from .errors import InsufficientDataError
 from .geometry import (
     DenseTrajectory,
     Frame,
+    _as_array,
+    _check_positive,
     _clamp,
+    _time_grid,
     canonical_sign,
     eulers_to_quaternions,
     gripper_column,
@@ -45,7 +48,7 @@ def _cubic_moments(t: np.ndarray, y: np.ndarray, bc_type: str, end_velocities):
     through (n, 3) points.
 
     bc_type "natural" pins zero curvature at both ends; "clamped" pins the
-    end first derivatives to ``end_velocities = (v0, v1)``.
+    end first derivatives to the (3,) rows ``end_velocities = (v0, v1)``.
     """
     h = np.diff(t)
     slopes = np.diff(y, axis=0) / h[:, None]
@@ -60,7 +63,7 @@ def _cubic_moments(t: np.ndarray, y: np.ndarray, bc_type: str, end_velocities):
     # swaps rows and the moments equal plain Thomas elimination bit for bit
     diag = [2.0 * hs[0]] + [2.0 * (a + b) for a, b in zip(hs, hs[1:])] + [2.0 * hs[-1]]
     if bc_type == "clamped":
-        v0, v1 = (np.asarray(v, dtype=float) for v in end_velocities)
+        v0, v1 = end_velocities
         upper[0] = hs[0]
         rhs[0] = 6.0 * (slopes[0] - v0)
         lower[-1] = hs[-1]
@@ -123,20 +126,10 @@ class PositionSpline:
     coefficients: np.ndarray  # (n_segments, 4, 3)
 
     def __post_init__(self):
-        t = np.asarray(self.knot_times, dtype=float)
-        c = np.asarray(self.coefficients, dtype=float)
-        if t.ndim != 1 or len(t) < 2:
+        t = _time_grid(self.knot_times, "knot times")
+        if len(t) < 2:
             raise ValueError("need at least two knots")
-        if not np.isfinite(t).all():
-            raise ValueError("knot times must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("knot times must be strictly increasing")
-        if c.shape != (len(t) - 1, 4, 3):
-            raise ValueError(f"coefficients shape {c.shape} does not match knots")
-        if not np.isfinite(c).all():
-            raise ValueError("coefficients must be finite")
-        t.flags.writeable = False
-        c.flags.writeable = False
+        c = _as_array(self.coefficients, (len(t) - 1, 4, 3), "coefficients")
         object.__setattr__(self, "knot_times", t)
         object.__setattr__(self, "coefficients", c)
 
@@ -149,23 +142,14 @@ class PositionSpline:
         slopes instead, which restores fourth-order accuracy at the ends
         for smooth data.
         """
-        t = np.asarray(times, dtype=float)
-        y = np.asarray(points, dtype=float)
-        if y.shape != (len(t), 3):
-            raise ValueError(f"points shape {y.shape} does not match {len(t)} knots")
+        t = _time_grid(times, "times")
+        y = _as_array(points, (len(t), 3), "points")
         if len(t) < 2:
             raise ValueError("need at least two waypoints")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("times must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("duplicate or decreasing timestamps")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("points must be finite")
         if bc_type == "clamped":
             if end_velocities is None:
                 raise ValueError("clamped boundaries need end_velocities")
-            if not all(np.all(np.isfinite(v)) for v in end_velocities):
-                raise ValueError("end_velocities must be finite")
+            end_velocities = _as_array(end_velocities, (2, 3), "end_velocities")
         m = _cubic_moments(t, y, bc_type, end_velocities)
         h = np.diff(t)[:, None]
         a0 = y[:-1]
@@ -240,9 +224,9 @@ class ContinuousTrajectory:
 
     def __post_init__(self):
         n = len(self.position.knot_times)
-        q = np.asarray(self.wxyz, dtype=float)
-        if q.shape != (n, 4) or np.shape(self.grippers) != (n,):
-            raise ValueError(f"need one wxyz row and one gripper value for each of {n} knots")
+        q = _as_array(self.wxyz, (n, 4), "wxyz")
+        if np.shape(self.grippers) != (n,):
+            raise ValueError(f"need one gripper value for each of {n} knots")
         if not np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= 1e-9):
             raise ValueError("orientation knots must be unit quaternions")
         # row i is negated when an odd number of the consecutive dot
@@ -310,8 +294,7 @@ def resample(traj: ContinuousTrajectory, rate: float) -> DenseTrajectory:
     Samples sit at t0 + k/rate; the exact end of the domain replaces a
     coincident final grid point or is appended after it.
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    _check_positive("rate", rate)
     t0, t1 = traj.domain
     n_steps = int(math.floor((t1 - t0) * rate + 1e-9))
     times = t0 + np.arange(n_steps + 1) / rate

@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DepthRangeError, OutOfFrameError, SchemaError
-from .geometry import (CameraModel, Frame, SampleError, _clamp, _first, back_project,
-                       normalize_angles, project)
+from .geometry import (CameraModel, Frame, SampleError, _check_positive, _clamp, _first,
+                       back_project, normalize_angles, project)
 from .keyframes import SparseTrajectory
 
 __all__ = [
@@ -274,8 +274,8 @@ def anchor_depth_from_prior(u: float, v: float, object_pixel_extent: float,
     d = f * metric_extent / pixel_extent with f the mean of the two focal
     lengths.
     """
-    if object_pixel_extent <= 0 or object_metric_extent <= 0:
-        raise ValueError("object extents must be positive")
+    _check_positive("object_pixel_extent", object_pixel_extent)
+    _check_positive("object_metric_extent", object_metric_extent)
     k = cam.intrinsics
     focal = 0.5 * (k[0, 0] + k[1, 1])
     return focal * object_metric_extent / object_pixel_extent

@@ -249,6 +249,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: {field}: must be finite and positive, got {float(value)}\n"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--rate", "nan"), ("--rate", "inf"), ("--segment-duration", "nan"),
+        ("--segment-duration", "inf"), ("--tau", "nan"), ("--tau", "inf"), ("--alpha", "nan"),
+    ])
+    def test_non_finite_numeric_flag_is_a_validation_error(self, tmp_path, capsys, line_bundle,
+                                                           flag, value):
+        bundle, out = str(line_bundle[0]), tmp_path / "out.json"
+        sparse = tmp_path / "sparse.json"
+        fileio.save_sparse_bundle(
+            tk.SparseTrajectory([0.0, 1.0], np.eye(2, 3), np.zeros((2, 3)), [0, 0],
+                                (True, True), tk.Frame.WORLD), None, sparse)
+        argv = {
+            "--rate": ["detokenize", "--sparse", str(sparse), "--rate", value],
+            "--segment-duration": ["detokenize", "--sparse", str(sparse), "--rate", "10",
+                                   "--segment-duration", value],
+            "--tau": ["metrics", "--pred", bundle, "--ref", bundle, "--tau", value],
+            "--alpha": ["keyframes", "--input", bundle, "--alpha", value],
+        }[flag]
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert flag.lstrip("-") in err and "internal error" not in err, err
+        assert not out.exists()
+
     def test_missing_file_is_1(self, tmp_path):
         code = cli_main(["plot-data", "--input", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o.csv")])

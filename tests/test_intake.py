@@ -1,0 +1,91 @@
+"""Array intake: constructors store copies and never freeze or share a caller's array."""
+
+import numpy as np
+import pytest
+
+import trajkit as tk
+
+IDENTITY = [1.0, 0.0, 0.0, 0.0]
+
+
+def camera(args):
+    args.update(k=np.array([[100.0, 0.0, 50.0], [0.0, 100.0, 50.0], [0.0, 0.0, 1.0]]),
+                ext=np.eye(4))
+    return tk.CameraModel(args["k"], args["ext"], 100, 100)
+
+
+def columns(args):
+    args.update(t=np.arange(4.0), p=np.ones((4, 3)), e=np.zeros((4, 3)),
+                g=np.zeros(4, dtype=int))
+    return args["t"], args["p"], args["e"], args["g"]
+
+
+def dense(args):
+    return tk.DenseTrajectory(*columns(args), tk.Frame.WORLD)
+
+
+def sparse(args):
+    return tk.SparseTrajectory(*columns(args), (True,) * 4, tk.Frame.WORLD)
+
+
+def tokens(args):
+    args.update(d=np.array([3, 4]), u=np.array([10, 20]), v=np.array([30, 40]),
+                g=np.array([0, 1]), r=np.array([[1, 2, 3], [4, 5, 6]]))
+    return tk.TokenSequence(tk.QuantizationSpec(width=100, height=100),
+                            tk.Anchor(50.0, 50.0, 1.0, "sensor"),
+                            args["d"], args["u"], args["v"], args["g"], args["r"])
+
+
+def plan(args):
+    args.update(p=np.zeros((3, 3)), q=np.tile(IDENTITY, (3, 1)), g=np.zeros(3),
+                t=np.arange(3.0))
+    return tk.PendingPlan(args["p"], args["q"], args["g"], args["t"])
+
+
+def state(args):
+    active = tk.PositionSpline.fit([0.0, 1.0], np.zeros((2, 3)))
+    active = tk.ContinuousTrajectory(active, np.tile(IDENTITY, (2, 1)), [0, 0])
+    args.update(p=np.zeros(3), q=np.array(IDENTITY), v=np.ones(3))
+    return tk.ControllerState(0.5, args["p"], args["q"], args["v"], active,
+                              tk.PendingPlan(np.zeros((0, 3)), np.zeros((0, 4)), []), 0.1)
+
+
+def spline(args):
+    args.update(t=np.array([0.0, 1.0, 2.0]), c=np.ones((2, 4, 3)))
+    return tk.PositionSpline(args["t"], args["c"])
+
+
+def spline_fit(args):
+    args.update(t=np.array([0.0, 1.0, 2.0]), p=np.eye(3), v0=np.ones(3), v1=np.ones(3))
+    return tk.PositionSpline.fit(args["t"], args["p"], "clamped", (args["v0"], args["v1"]))
+
+
+def continuous(args):
+    args.update(q=np.tile(IDENTITY, (3, 1)), g=np.array([0, 1, 1]))
+    return tk.ContinuousTrajectory(spline({}), args["q"], args["g"])
+
+
+def perturbation(args):
+    args.update(offset=np.array([0.1, 0.0, 0.0]))
+    return tk.Perturbation(1.0, args["offset"])
+
+
+def stored(obj) -> dict:
+    return {name: value.copy() for name, value in vars(obj).items()
+            if isinstance(value, np.ndarray)}
+
+
+@pytest.mark.parametrize("build", [camera, dense, sparse, tokens, plan, state, spline,
+                                   spline_fit, continuous, perturbation],
+                         ids=lambda build: build.__name__)
+def test_caller_arrays_stay_writable_and_unshared(build):
+    args = {}
+    obj = build(args)
+    before = stored(obj)
+    for name, array in args.items():
+        assert array.flags.writeable, name
+        array += 1
+    after = stored(obj)
+    assert before.keys() == after.keys()
+    for name in before:
+        assert np.array_equal(before[name], after[name]), name

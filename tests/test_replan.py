@@ -131,6 +131,16 @@ class TestKeepTest:
         with pytest.raises(ValueError):
             tk.keep_test([0, 0, 0], [1, 0, 0], [2, 0, 0])
 
+    @pytest.mark.parametrize("call", [
+        lambda: tk.keep_test([math.nan, 0, 0], [1, 0, 0], [1, 0, 0]),
+        lambda: tk.keep_test([0, 0, 0], [1, math.inf, 0], [1, 0, 0]),
+        lambda: tk.nearest_pending_index([0, math.nan, 0], line_plan()),
+    ], ids=["keep-current", "keep-waypoint", "nearest-current"])
+    def test_non_finite_position_rejected(self, call):
+        # a NaN gamma would silently drop the waypoint, a NaN distance pick index 0
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
+
 
 class TestRefreshPending:
     def test_behind_all_unchanged(self):
@@ -354,6 +364,12 @@ class TestControllerStateBoundary:
         with pytest.raises(ValueError, match="current_position"):
             self.state(current_position=position)
 
+    @pytest.mark.parametrize("velocity", [[0.0, math.nan, 0.0], [[0.0], [0.0], [0.0]]],
+                             ids=["nan", "column"])
+    def test_rejects_bad_velocity(self, velocity):
+        with pytest.raises(ValueError, match="current_velocity"):
+            self.state(current_velocity=velocity)
+
     @pytest.mark.parametrize("wxyz", [[1.0, 0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.0],
                                       [math.nan, 0.0, 0.0, 0.0], [1.0, math.inf, 0.0, 0.0],
                                       [1.0, 0.0, 0.0], [[1.0, 0.0, 0.0, 0.0]], 1.0])
@@ -441,6 +457,16 @@ class TestPendingPlanGrippers:
                               [1.0, 0.0, True])
         assert plan.grippers.dtype == int and plan.grippers.tolist() == [1, 0, 1]
         assert not plan.grippers.flags.writeable
+
+
+class TestPendingPlanShapes:
+    @pytest.mark.parametrize("positions, grippers", [
+        (np.zeros(6), [0, 0]),
+        (np.zeros((2, 3)), [[0], [0]]),
+    ], ids=["flat-positions", "column-grippers"])
+    def test_rejects_columns_it_would_have_to_reshape(self, positions, grippers):
+        with pytest.raises(ValueError, match="shape"):
+            tk.PendingPlan(positions, np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), grippers)
 
 
 class TestPendingPlanFinite:

@@ -393,6 +393,12 @@ class TestAnchorDepthFromPrior:
         with pytest.raises(ValueError):
             tk.anchor_depth_from_prior(50, 50, 10.0, 0.0, camera)
 
+    @pytest.mark.parametrize("pixel, metric", [(math.nan, 0.5), (10.0, math.nan),
+                                               (math.inf, 0.5)])
+    def test_non_finite_extent_rejected(self, camera, pixel, metric):
+        with pytest.raises(ValueError, match="extent must be finite and positive"):
+            tk.anchor_depth_from_prior(50, 50, pixel, metric, camera)
+
 
 class TestSpecValidation:
     def test_bad_specs(self):
