@@ -10,7 +10,6 @@ metric suite.
 from .errors import (
     BehindCameraError,
     DepthRangeError,
-    EmptyPlanError,
     InsufficientDataError,
     InvalidCameraError,
     OutOfFrameError,
@@ -57,9 +56,6 @@ from .replan import (
     PendingPlan,
     ReplanEvent,
     controller_step,
-    forward_direction,
-    keep_test,
-    nearest_pending_index,
 )
 from .simulate import (
     ExecutionLog,
@@ -95,7 +91,7 @@ __version__ = "0.1.0"
 __all__ = [
     "TrajkitError", "InvalidCameraError", "BehindCameraError",
     "InsufficientDataError", "OutOfFrameError", "DepthRangeError",
-    "SchemaError", "EmptyPlanError", "UndefinedDirectionError",
+    "SchemaError", "UndefinedDirectionError",
     "Frame", "CameraModel",
     "DenseTrajectory", "back_project", "project", "camera_to_world",
     "euler_to_quaternion", "quaternion_to_euler", "eulers_to_quaternions",
@@ -108,8 +104,7 @@ __all__ = [
     "decode_sequence", "anchor_depth_from_prior",
     "PositionSpline", "ContinuousTrajectory",
     "fit", "eval_trajectory", "resample", "reconstruction_error",
-    "PendingPlan", "ControllerState", "ReplanEvent", "nearest_pending_index",
-    "forward_direction", "keep_test", "controller_step",
+    "PendingPlan", "ControllerState", "ReplanEvent", "controller_step",
     "Perturbation", "Scenario", "ExecutionLog",
     "oracle_planner", "run", "smoothness_check",
     "MetricReport", "REPORT_ROW_NAMES", "dtw", "discrete_frechet",

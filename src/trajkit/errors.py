@@ -58,9 +58,5 @@ class SchemaError(TrajkitError):
         super().__init__(f"{path}: {message}")
 
 
-class EmptyPlanError(TrajkitError):
-    """An operation that needs pending waypoints received an empty plan."""
-
-
 class UndefinedDirectionError(TrajkitError):
-    """No forward direction exists (single waypoint or coincident pair)."""
+    """No forward direction exists at k* (coincident waypoints)."""

@@ -79,6 +79,13 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _integral(name: str, value, error=ValueError) -> int:
+    """``int(value)``; raises ``error`` naming ``name`` unless ``value`` is integral."""
+    if not float(value).is_integer():
+        raise error(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def _clamp(x, lo, hi):
     """``np.clip(x, lo, hi)`` bit for bit, without its Python-level wrapper.
 
@@ -155,14 +162,16 @@ class CameraModel:
             raise InvalidCameraError("extrinsics rotation must have determinant +1")
         if np.abs(ext[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() > 1e-12:
             raise InvalidCameraError("extrinsics bottom row must be [0, 0, 0, 1]")
-        if not (int(self.width) > 0 and int(self.height) > 0):
+        width = _integral("width", self.width, InvalidCameraError)
+        height = _integral("height", self.height, InvalidCameraError)
+        if not (width > 0 and height > 0):
             raise InvalidCameraError("image dimensions must be positive")
         k.flags.writeable = False
         ext.flags.writeable = False
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "extrinsics_c2w", ext)
-        object.__setattr__(self, "width", int(self.width))
-        object.__setattr__(self, "height", int(self.height))
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
 
     @cached_property
     def intrinsics_inv(self) -> np.ndarray:
@@ -289,13 +298,15 @@ def back_project(u, v, d, cam: CameraModel) -> np.ndarray:
     """Lift pixels (u, v) at depths d (meters) to camera-frame points
     ``d * K^-1 @ [u, v, 1]``: scalars give one (3,) point, (n,) arrays give
     (n, 3) rows. z equals d for any valid upper-triangular K; the first
-    depth <= 0 raises ``ValueError``.
+    depth <= 0, and any u, v or d that is not finite, raises ``ValueError``.
     """
     d = np.asarray(d, dtype=float)
+    rows = np.stack(np.broadcast_arrays(u, v, 1.0), axis=-1).reshape(-1, 3)
+    if not (np.isfinite(rows).all() and np.isfinite(d).all()):
+        raise ValueError("u, v and d must be finite")
     bad = d[d <= 0]
     if bad.size:
         raise ValueError(f"depth must be positive, got {bad[0]}")
-    rows = np.stack(np.broadcast_arrays(u, v, 1.0), axis=-1).reshape(-1, 3)
     return (d.reshape(-1, 1) * _apply(cam.intrinsics_inv, rows)).reshape(d.shape + (3,))
 
 
@@ -350,6 +361,8 @@ def quaternions_to_eulers(quats) -> np.ndarray:
     q = np.asarray(quats, dtype=float)
     if q.ndim != 2 or q.shape[1] != 4:
         raise ValueError(f"quaternions must be an (n, 4) array, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("quaternions must be finite")
     w, x, y, z = q.T
     sy = _clamp(2 * (x * z + w * y), -1.0, 1.0)
     r01 = 2 * (x * y - w * z)

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InsufficientDataError
-from .geometry import (DenseTrajectory, Frame, _clamp, finite_difference_accel,
+from .geometry import (DenseTrajectory, Frame, _clamp, _integral, finite_difference_accel,
                        trajectory_columns)
 
 __all__ = [
@@ -40,7 +40,7 @@ class KeyframeSet:
     reasons: tuple  # frozenset[KeyframeReason] per index
 
     def __post_init__(self):
-        indices = tuple(int(i) for i in self.indices)
+        indices = tuple(_integral("indices", i) for i in self.indices)
         reasons = tuple(frozenset(r) for r in self.reasons)
         if len(indices) != len(reasons):
             raise ValueError("indices and reasons must have equal length")

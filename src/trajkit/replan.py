@@ -7,7 +7,8 @@ segment that matches position and velocity at both junctions.
 
 A ControllerState is a single-owner state machine: exactly one agent
 advances it through controller_step; replan payloads arrive as immutable
-values and are merged synchronously inside a step.
+values and are merged synchronously inside a step, whose ReplanEvent
+reports the keep decision.
 """
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyPlanError, UndefinedDirectionError
+from .errors import UndefinedDirectionError
 from .geometry import (
     _as_array,
     _check_positive,
@@ -37,9 +38,6 @@ __all__ = [
     "PendingPlan",
     "ControllerState",
     "ReplanEvent",
-    "nearest_pending_index",
-    "forward_direction",
-    "keep_test",
     "controller_step",
 ]
 
@@ -110,8 +108,8 @@ class ControllerState:
     Construction checks the current position and velocity (finite (3,)
     rows) and wxyz quaternion (unit as in :func:`unit_quaternions`, stored
     with w >= 0), and stores read-only copies of all three.
-    ``replan_interval``, ``segment_duration`` and ``transition_duration``
-    (when given) must be finite and positive.
+    ``replan_interval`` (also the length of the transition segment a merge
+    inserts) and ``segment_duration`` must be finite and positive.
     """
 
     current_time: float
@@ -121,14 +119,11 @@ class ControllerState:
     active: ContinuousTrajectory
     pending: PendingPlan
     replan_interval: float
-    transition_duration: float | None = None  # defaults to replan_interval
     segment_duration: float = 1.0  # re-timing spacing for schedule-free plans
 
     def __post_init__(self):
         _check_positive("replan_interval", self.replan_interval)
         _check_positive("segment_duration", self.segment_duration)
-        if self.transition_duration is not None:
-            _check_positive("transition_duration", self.transition_duration)
         pos = _as_array(self.current_position, (3,), "current_position")
         quat = unit_quaternions([self.current_wxyz])[0]
         vel = _as_array(self.current_velocity, (3,), "current_velocity")
@@ -138,55 +133,10 @@ class ControllerState:
             raise ValueError("current_time precedes the active trajectory domain")
 
 
-def nearest_pending_index(current_pos, pending: PendingPlan) -> int:
-    """Index of the pending waypoint closest to the current position.
-
-    Ties break toward the lowest index.
-    """
-    if len(pending) == 0:
-        raise EmptyPlanError("no pending waypoints")
-    p = _as_array(current_pos, (3,), "current_pos")
-    dists = np.linalg.norm(pending.positions - p, axis=1)
-    return int(np.argmin(dists))
-
-
-def forward_direction(pending: PendingPlan, k_star: int) -> np.ndarray:
-    """Unit preferred-motion direction at waypoint k_star.
-
-    Forward difference toward the next waypoint, or backward difference
-    from the previous one when k_star is last.
-    """
-    n = len(pending)
-    if n < 2:
-        raise UndefinedDirectionError("forward direction needs >= 2 waypoints")
-    if not 0 <= k_star < n:
-        raise ValueError(f"k_star {k_star} out of range")
-    if k_star < n - 1:
-        diff = pending.positions[k_star + 1] - pending.positions[k_star]
-    else:
-        diff = pending.positions[k_star] - pending.positions[k_star - 1]
-    norm = float(np.linalg.norm(diff))
-    if norm == 0.0:
-        raise UndefinedDirectionError("coincident waypoints give no direction")
-    return diff / norm
-
-
-def keep_test(current_pos, waypoint, forward_dir) -> tuple:
-    """Directional consistency margin gamma = (waypoint - current) . dir.
-
-    The waypoint is kept iff gamma > 0 (strictly); gamma == 0 drops it.
-    """
-    d = _as_array(forward_dir, (3,), "forward_dir")
-    if abs(np.linalg.norm(d) - 1.0) > 1e-6:
-        raise ValueError("forward_dir must be a unit vector")
-    gamma = float(np.dot(_as_array(waypoint, (3,), "waypoint")
-                         - _as_array(current_pos, (3,), "current_pos"), d))
-    return gamma, gamma > 0.0
-
-
 @dataclass(frozen=True)
 class ReplanEvent:
-    """One merge decision: when it happened and what the keep test saw."""
+    """One merge decision: when it happened and what the keep test in
+    controller_step saw; ``dropped_count`` is k*, or k* + 1 if k* was dropped."""
 
     time: float
     dropped_count: int
@@ -195,17 +145,21 @@ class ReplanEvent:
     kstar_dropped: bool
 
 
-def _keep_from(current_pos, pending: PendingPlan) -> tuple:
-    """(index of the first surviving waypoint, k*, gamma at k*) of a refresh."""
-    if len(pending) == 0:
-        raise EmptyPlanError("cannot refresh an empty plan")
-    if len(pending) == 1:
-        # single goal: keep unconditionally, direction is undefined
+def _keep_from(current_pos: np.ndarray, pending: PendingPlan) -> tuple:
+    """(first surviving index, k*, gamma at k*) of a non-empty plan: k* is the nearest
+    waypoint (lowest index on ties), kept iff gamma = (p[k*] - current) . d > 0 with d
+    the unit forward (at the last: backward) difference. A lone goal is kept, gamma nan."""
+    positions = pending.positions
+    n = len(positions)
+    if n == 1:
         return 0, 0, math.nan
-    k = nearest_pending_index(current_pos, pending)
-    direction = forward_direction(pending, k)
-    gamma, keep = keep_test(current_pos, pending.positions[k], direction)
-    return (k if keep else k + 1), k, gamma
+    k = int(np.argmin(np.linalg.norm(positions - current_pos, axis=1)))
+    diff = positions[k + 1] - positions[k] if k < n - 1 else positions[k] - positions[k - 1]
+    norm = float(np.linalg.norm(diff))
+    if norm == 0.0:
+        raise UndefinedDirectionError("coincident waypoints give no direction")
+    gamma = float(np.dot(positions[k] - current_pos, diff / norm))
+    return (k if gamma > 0.0 else k + 1), k, gamma
 
 
 def _hermite_coeffs(p0, v0, p1, v1, duration: float) -> np.ndarray:
@@ -218,25 +172,24 @@ def _hermite_coeffs(p0, v0, p1, v1, duration: float) -> np.ndarray:
     return np.stack([a0, a1, a2, a3])
 
 
-def _plan_knots(state: ControllerState, plan: PendingPlan, transition_duration: float) -> np.ndarray:
+def _plan_knots(state: ControllerState, plan: PendingPlan) -> np.ndarray:
     """Knot times for the refreshed plan, preserving its schedule when it
-    still lies ahead and re-timing otherwise."""
-    t_now = state.current_time
+    still lies ahead and re-timing otherwise; the transition spans
+    ``replan_interval``."""
+    t_now, transition = state.current_time, state.replan_interval
     if plan.times is not None:
         if plan.times[0] > t_now + 1e-9:
             return plan.times.copy()
         # schedule already overrun: shift it so the first knot lands at
         # the end of the transition window
-        return plan.times + (t_now + transition_duration - plan.times[0])
-    return t_now + transition_duration + np.arange(len(plan)) * state.segment_duration
+        return plan.times + (t_now + transition - plan.times[0])
+    return t_now + transition + np.arange(len(plan)) * state.segment_duration
 
 
 def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTrajectory:
     """Blend a refreshed (non-empty) plan into the active trajectory."""
-    transition_duration = (state.replan_interval if state.transition_duration is None
-                           else state.transition_duration)
     t_now = state.current_time
-    knots_rest = _plan_knots(state, plan, transition_duration)
+    knots_rest = _plan_knots(state, plan)
     t_entry = float(knots_rest[0])
 
     if len(plan) >= 2:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DepthRangeError, OutOfFrameError, SchemaError
 from .geometry import (CameraModel, Frame, SampleError, _check_positive, _clamp, _first,
-                       back_project, normalize_angles, project)
+                       _integral, back_project, normalize_angles, project)
 from .keyframes import SparseTrajectory
 
 __all__ = [
@@ -90,6 +90,8 @@ class QuantizationSpec:
     depth_delta_max: float | None = None
 
     def __post_init__(self):
+        for name in ("width", "height", "depth_bins", "angle_bins"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
         if self.depth_bins < 2 or self.angle_bins < 2:
@@ -99,8 +101,6 @@ class QuantizationSpec:
             raise ValueError("depth_min, depth_max and depth_delta_max must be finite")
         if not self.depth_max > self.depth_min:
             raise ValueError("depth_max must exceed depth_min")
-        for name in ("width", "height", "depth_bins", "angle_bins"):
-            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "depth_min", float(self.depth_min))
         object.__setattr__(self, "depth_max", float(self.depth_max))
         mode = DepthMode(self.depth_mode)

@@ -36,6 +36,15 @@ class TestBackProject:
         with pytest.raises(ValueError):
             tk.back_project(50, 50, -1.0, camera)
 
+    @pytest.mark.parametrize("u, v, d", [
+        (math.nan, 1.0, math.nan), (50.0, 50.0, math.inf), (math.inf, 50.0, 1.0),
+        (50.0, -math.inf, 1.0), ([50.0, 50.0], [50.0, math.nan], [1.0, 1.0]),
+    ], ids=["nan-u-d", "inf-d", "inf-u", "inf-v", "nan-row"])
+    def test_non_finite_inputs_rejected(self, camera, u, v, d):
+        # d <= 0 lets a NaN depth through, and inf lifts to an infinite point
+        with pytest.raises(ValueError, match="^u, v and d must be finite$"):
+            tk.back_project(u, v, d, camera)
+
     def test_singular_intrinsics_rejected(self):
         k = np.array([[0.0, 0.0, 50.0], [0.0, 100.0, 50.0], [0.0, 0.0, 1.0]])
         with pytest.raises(tk.InvalidCameraError):
@@ -260,6 +269,14 @@ class TestBatchedConversions:
     def test_unit_quaternions_rejects(self, bad):
         with pytest.raises(ValueError):
             tk.unit_quaternions(bad)
+
+    @pytest.mark.parametrize("bad", [[[math.nan, 0.0, 0.0, 0.0]],
+                                     [[1.0, 0.0, 0.0, 0.0], [0.0, math.inf, 0.0, 0.0]]],
+                             ids=["nan", "inf"])
+    def test_quaternions_to_eulers_rejects_non_finite_rows(self, bad):
+        # the gimbal branch would report rz = 0 for a NaN row
+        with pytest.raises(ValueError, match="^quaternions must be finite$"):
+            tk.quaternions_to_eulers(bad)
 
 
 class TestFiniteDifferenceAccel:

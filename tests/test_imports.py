@@ -8,14 +8,22 @@ Python/NumPy, bit-equal to ``scipy.linalg.solve_banded`` and
 a 2-vCPU x86_64 VM (Python 3.11, NumPy 2.4, SciPy 1.17) loading SciPy for
 those two calls took a cold ``import trajkit.cli`` from about 0.27 to
 0.71 s and from 27 to 67 MB of peak RSS.
+
+The public API is guarded too: every ``__all__`` name resolves, once, and
+the replan helpers that ``controller_step`` replaced stay deleted.
 """
 
+import dataclasses
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import trajkit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,3 +37,24 @@ def test_import_loads_no_scipy(module):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+MODULES = [trajkit] + [importlib.import_module(f"trajkit.{info.name}")
+                      for info in pkgutil.iter_modules(trajkit.__path__)]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if hasattr(m, "__all__")],
+                         ids=lambda module: module.__name__)
+def test_every_exported_name_resolves_once(module):
+    assert len(module.__all__) == len(set(module.__all__))
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_replan_helpers_are_gone():
+    # controller_step and its ReplanEvent are the whole replan API
+    for name in ("nearest_pending_index", "forward_direction", "keep_test", "EmptyPlanError"):
+        assert name not in trajkit.__all__
+        for mod in (trajkit, trajkit.replan, trajkit.errors):
+            assert not hasattr(mod, name), (mod.__name__, name)
+    fields = {field.name for field in dataclasses.fields(trajkit.ControllerState)}
+    assert "transition_duration" not in fields

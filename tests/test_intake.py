@@ -1,4 +1,5 @@
-"""Array intake: constructors store copies and never freeze or share a caller's array."""
+"""Intake: constructors store copies and never freeze or share a caller's array,
+and integer fields take integral values only."""
 
 import numpy as np
 import pytest
@@ -89,3 +90,32 @@ def test_caller_arrays_stay_writable_and_unshared(build):
     assert before.keys() == after.keys()
     for name in before:
         assert np.array_equal(before[name], after[name]), name
+
+
+K = [[100.0, 0.0, 50.0], [0.0, 100.0, 50.0], [0.0, 0.0, 1.0]]
+ENDPOINT = frozenset([tk.KeyframeReason.FORCED_ENDPOINT])
+
+
+@pytest.mark.parametrize("build, read, field, error", [
+    (lambda x: tk.CameraModel(K, np.eye(4), x, 99), lambda c: c.width, "width",
+     tk.InvalidCameraError),
+    (lambda x: tk.CameraModel(K, np.eye(4), 100, x), lambda c: c.height, "height",
+     tk.InvalidCameraError),
+    (lambda x: tk.QuantizationSpec(width=x, height=50), lambda s: s.width, "width", ValueError),
+    (lambda x: tk.QuantizationSpec(width=100, height=x), lambda s: s.height, "height",
+     ValueError),
+    (lambda x: tk.QuantizationSpec(100, 50, depth_bins=x), lambda s: s.depth_bins,
+     "depth_bins", ValueError),
+    (lambda x: tk.QuantizationSpec(100, 50, angle_bins=x), lambda s: s.angle_bins,
+     "angle_bins", ValueError),
+    (lambda x: tk.KeyframeSet((0, x, 5), (ENDPOINT,) * 3), lambda k: k.indices[1], "indices",
+     ValueError),
+], ids=["camera-width", "camera-height", "spec-width", "spec-height", "spec-depth-bins",
+        "spec-angle-bins", "keyframe-index"])
+def test_integer_fields_reject_fractions(build, read, field, error):
+    # a fraction used to be truncated: 2.7 stored as 2
+    with pytest.raises(error, match=f"^{field} must be an integer, got 2.7$"):
+        build(2.7)
+    for integral in (3.0, np.int64(3)):  # integral floats and NumPy ints stay valid
+        value = read(build(integral))
+        assert value == 3 and type(value) is int

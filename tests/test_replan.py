@@ -1,4 +1,5 @@
-"""Closed-loop merging: nearest waypoint, keep test, pending refresh, blending."""
+"""Closed-loop merging through controller_step: the keep decision its
+ReplanEvent reports, pending refresh, blending."""
 
 import math
 from dataclasses import replace
@@ -22,6 +23,12 @@ def line_plan(n=11, speed=0.1, t0=0.0, shift=(0.0, 0.0, 0.0)):
     return tk.PendingPlan(pos, quats, np.zeros(n, dtype=int), times=t)
 
 
+def untimed_plan(positions):
+    positions = np.asarray(positions, dtype=float)
+    n = len(positions)
+    return tk.PendingPlan(positions, np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), np.zeros(n, dtype=int))
+
+
 def line_state(n=11, speed=0.1, at_time=0.0, **changes):
     sparse = sparse_from_arrays(np.arange(n, dtype=float),
                                 np.stack([speed * np.arange(n), np.zeros(n), np.zeros(n)],
@@ -42,104 +49,117 @@ def refresh(current_pos, plan):
     return state.pending, event
 
 
-def merge(state, plan, transition_duration):
-    """The active trajectory after one controller_step that merges ``plan``."""
-    state = replace(state, transition_duration=transition_duration)
+def merge(state, plan, replan_interval):
+    """The active trajectory after one controller_step that merges ``plan``
+    with a transition of ``replan_interval``."""
+    state = replace(state, replan_interval=replan_interval)
     return tk.controller_step(state, [state.current_time + 1e-3], plan)[0].active
 
 
-class TestNearestPendingIndex:
+def keep_reference(current, positions):
+    """(k*, gamma at k*, k* dropped) of the keep test, by a loop over the
+    waypoints; None when the waypoints at k* coincide and give no direction.
+
+    k* is the lowest index at the minimum distance, the direction is the
+    forward unit difference at k* (the backward one at the last waypoint),
+    and k* is dropped iff gamma <= 0. gamma takes the NumPy operations the
+    controller is documented to use, so a gamma of exactly 0 decides alike.
+    """
+    current = np.asarray(current, dtype=float)
+    k, best = 0, math.inf
+    for i, p in enumerate(positions):
+        dist = math.sqrt(sum(x * x for x in p - current))
+        if dist < best:  # strict, so a tie keeps the lower index
+            k, best = i, dist
+    last = k == len(positions) - 1
+    diff = positions[k] - positions[k - 1] if last else positions[k + 1] - positions[k]
+    norm = np.linalg.norm(diff)
+    if norm == 0.0:
+        return None
+    gamma = float(np.dot(positions[k] - current, diff / norm))
+    return k, gamma, gamma <= 0.0
+
+
+class TestNearestWaypoint:
+    """k* as the ReplanEvent reports it."""
+
+    PLAN = [[1.0, 0, 0], [2, 0, 0], [3, 0, 0]]
+
     def test_all_ahead(self):
-        plan = tk.PendingPlan(np.array([[1.0, 0, 0], [2, 0, 0], [3, 0, 0]]),
-                              np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), [0, 0, 0])
-        assert tk.nearest_pending_index([0, 0, 0], plan) == 0
+        assert refresh([0, 0, 0], untimed_plan(self.PLAN))[1].kstar == 0
 
     def test_between(self):
-        plan = tk.PendingPlan(np.array([[1.0, 0, 0], [2, 0, 0], [3, 0, 0]]),
-                              np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), [0, 0, 0])
-        assert tk.nearest_pending_index([2.1, 0, 0], plan) == 1
+        assert refresh([2.1, 0, 0], untimed_plan(self.PLAN))[1].kstar == 1
 
     def test_tie_takes_lowest(self):
-        # oracle: exhaustive distance scan with the declared tie rule
-        plan = tk.PendingPlan(np.array([[1.0, 0, 0], [2, 0, 0], [3, 0, 0]]),
-                              np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), [0, 0, 0])
         current = np.array([1.5, 0, 0])
-        dists = [np.linalg.norm(p - current) for p in plan.positions]
-        best = min(range(3), key=lambda i: (dists[i], i))
-        assert tk.nearest_pending_index(current, plan) == best == 0
-
-    def test_empty_plan(self):
-        plan = tk.PendingPlan(np.empty((0, 3)), np.empty((0, 4)), [])
-        with pytest.raises(tk.EmptyPlanError):
-            tk.nearest_pending_index([0, 0, 0], plan)
+        assert refresh(current, untimed_plan(self.PLAN))[1].kstar == 0
+        assert keep_reference(current, np.array(self.PLAN))[0] == 0
 
 
 class TestForwardDirection:
+    """The direction at k*, seen through gamma = (p[k*] - current) . d."""
+
     def test_interior_points_forward(self):
         plan = line_plan(5, speed=1.0)
-        for k in range(4):
-            assert np.allclose(tk.forward_direction(plan, k), [1, 0, 0])
+        for k in range(5):
+            _, event = refresh(plan.positions[k] - [0.2, 0.0, 0.0], plan)
+            assert event.kstar == k and abs(event.gamma_at_kstar - 0.2) < 1e-12
 
     def test_last_uses_backward_difference(self):
-        plan = tk.PendingPlan(np.array([[0.0, 0, 0], [0, 1, 0]]),
-                              np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), [0, 0])
-        assert np.allclose(tk.forward_direction(plan, 1), [0, 1, 0])
+        # along the backward difference [0, 1, 0] the last waypoint lies behind
+        _, event = refresh([0.0, 1.2, 0.0], untimed_plan([[0.0, 0, 0], [0, 1, 0]]))
+        assert event.kstar == 1 and abs(event.gamma_at_kstar - (-0.2)) < 1e-12
+        assert event.kstar_dropped and event.dropped_count == 2
 
     def test_random_polyline_vs_oracle(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 10))
             pts = rng.normal(size=(n, 3))
-            plan = tk.PendingPlan(pts, np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
-                                  np.zeros(n, dtype=int))
-            for k in range(n):
-                diff = pts[k + 1] - pts[k] if k < n - 1 else pts[k] - pts[k - 1]
-                expected = diff / np.linalg.norm(diff)
-                assert np.allclose(tk.forward_direction(plan, k), expected, atol=1e-12)
+            cur = rng.normal(size=3)
+            _, event = refresh(cur, untimed_plan(pts))
+            k = event.kstar
+            diff = pts[k + 1] - pts[k] if k < n - 1 else pts[k] - pts[k - 1]
+            expected = np.dot(pts[k] - cur, diff / np.linalg.norm(diff))
+            assert abs(event.gamma_at_kstar - expected) < 1e-12
 
-    def test_single_waypoint_undefined(self):
-        plan = tk.PendingPlan(np.array([[1.0, 0, 0]]), np.array([[1.0, 0.0, 0.0, 0.0]]), [0])
+    def test_coincident_waypoints_at_kstar_undefined(self):
+        # k* = 1 (the tie with 2 takes the lower index) and p[2] == p[1]
+        plan = untimed_plan([[0.0, 0, 0], [1, 0, 0], [1, 0, 0]])
         with pytest.raises(tk.UndefinedDirectionError):
-            tk.forward_direction(plan, 0)
+            refresh([1.1, 0.0, 0.0], plan)
 
 
 class TestKeepTest:
+    """k* is kept iff gamma > 0."""
+
+    PLAN = [[1.0, 0, 0], [2, 0, 0], [3, 0, 0]]
+
     def test_ahead_keeps(self):
-        gamma, keep = tk.keep_test([0, 0, 0], [1, 0, 0], [1, 0, 0])
-        assert gamma == 1.0 and keep
+        _, event = refresh([0, 0, 0], untimed_plan(self.PLAN))
+        assert event.gamma_at_kstar == 1.0 and not event.kstar_dropped
+        assert event.dropped_count == 0
 
     def test_behind_drops(self):
         # oracle: direct dot product
-        gamma, keep = tk.keep_test([2.2, 0, 0], [2, 0, 0], [1, 0, 0])
-        assert abs(gamma - (-0.2)) < 1e-12 and not keep
+        _, event = refresh([2.2, 0, 0], untimed_plan(self.PLAN))
+        assert abs(event.gamma_at_kstar - (-0.2)) < 1e-12 and event.kstar_dropped
+        assert event.dropped_count == 2
 
     def test_exact_boundary_drops(self):
-        gamma, keep = tk.keep_test([2, 0, 0], [2, 0, 0], [1, 0, 0])
-        assert gamma == 0.0 and not keep
+        _, event = refresh([2, 0, 0], untimed_plan(self.PLAN))
+        assert event.gamma_at_kstar == 0.0 and event.kstar_dropped
 
     def test_scale_invariant_decision(self, rng):
         for _ in range(100):
-            cur, wp = rng.normal(size=(2, 3))
-            d = rng.normal(size=3)
-            d /= np.linalg.norm(d)
-            gamma, keep = tk.keep_test(cur, wp, d)
+            pts = rng.normal(size=(int(rng.integers(2, 5)), 3))
+            cur = rng.normal(size=3)
+            _, event = refresh(cur, untimed_plan(pts))
             scale = float(rng.uniform(0.1, 50))
-            gamma_s, keep_s = tk.keep_test(scale * cur, scale * wp, d)
-            assert keep == keep_s
-            assert abs(gamma_s - scale * gamma) < 1e-9 * max(1, abs(gamma_s))
-
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(ValueError):
-            tk.keep_test([0, 0, 0], [1, 0, 0], [2, 0, 0])
-
-    @pytest.mark.parametrize("call", [
-        lambda: tk.keep_test([math.nan, 0, 0], [1, 0, 0], [1, 0, 0]),
-        lambda: tk.keep_test([0, 0, 0], [1, math.inf, 0], [1, 0, 0]),
-        lambda: tk.nearest_pending_index([0, math.nan, 0], line_plan()),
-    ], ids=["keep-current", "keep-waypoint", "nearest-current"])
-    def test_non_finite_position_rejected(self, call):
-        # a NaN gamma would silently drop the waypoint, a NaN distance pick index 0
-        with pytest.raises(ValueError, match="must be finite"):
-            call()
+            _, scaled = refresh(scale * cur, untimed_plan(scale * pts))
+            assert (scaled.kstar, scaled.kstar_dropped) == (event.kstar, event.kstar_dropped)
+            gamma_s = scaled.gamma_at_kstar
+            assert abs(gamma_s - scale * event.gamma_at_kstar) < 1e-9 * max(1, abs(gamma_s))
 
 
 class TestRefreshPending:
@@ -169,10 +189,9 @@ class TestRefreshPending:
         for _ in range(100):
             n = int(rng.integers(2, 12))
             pts = rng.normal(size=(n, 3))
-            plan = tk.PendingPlan(pts, np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
-                                  np.zeros(n, dtype=int))
+            plan = untimed_plan(pts)
             cur = rng.normal(size=3)
-            k = tk.nearest_pending_index(cur, plan)
+            k, _, _ = keep_reference(cur, pts)
             refreshed, event = refresh(cur, plan)
             dropped = n - len(refreshed)
             assert dropped == event.dropped_count and dropped in (k, k + 1)
@@ -189,7 +208,7 @@ class TestMergeReplan:
     def test_identical_replan_matches_old(self):
         # linear plan: refit of the suffix plus Hermite bridge is the same line
         state = line_state(at_time=2.3)
-        merged = merge(state, line_plan(), transition_duration=0.5)
+        merged = merge(state, line_plan(), replan_interval=0.5)
         grid = np.linspace(2.3, 10.0, 400)
         for tau in grid:
             old_pos, _, _ = tk.eval_trajectory(state.active, tau)
@@ -209,7 +228,7 @@ class TestMergeReplan:
         )
         goal = tk.PendingPlan(np.array([[0.3, 0.1, 0.2]]),
                               np.array([[1.0, 0.0, 0.0, 0.0]]), [1])
-        merged = merge(state, goal, transition_duration=2.0)
+        merged = merge(state, goal, replan_interval=2.0)
         t0, t1 = merged.domain
         assert (t0, t1) == (0.0, 2.0)  # the transition is the whole trajectory
         pos, _, grip = tk.eval_trajectory(merged, t1)
@@ -221,7 +240,7 @@ class TestMergeReplan:
     def test_shifted_plan_reaches_new_target_without_jump(self):
         state = line_state(at_time=3.0)
         shifted = line_plan(shift=(0.0, 0.02, 0.0))
-        merged = merge(state, shifted, transition_duration=0.5)
+        merged = merge(state, shifted, replan_interval=0.5)
         # no position jump at handoff
         old_pos, _, _ = tk.eval_trajectory(state.active, 3.0)
         new_pos, _, _ = tk.eval_trajectory(merged, 3.0)
@@ -233,7 +252,7 @@ class TestMergeReplan:
     def test_velocity_continuity_at_junctions(self):
         state = line_state(at_time=2.3)
         shifted = line_plan(shift=(0.01, -0.02, 0.005))
-        merged = merge(state, shifted, transition_duration=0.5)
+        merged = merge(state, shifted, replan_interval=0.5)
         spline = merged.position
         # start junction: transition begins with the controller velocity
         assert np.abs(spline.velocity(2.3) - state.current_velocity).max() < 1e-9
@@ -269,13 +288,9 @@ class TestMergeReplan:
         quats = np.tile(tk.euler_to_quaternion([0.0, 0.0, 0.7]), (n, 1))
         plan = tk.PendingPlan(np.stack([0.1 * t, 0 * t, 0 * t], axis=1), quats,
                               np.zeros(n, dtype=int), times=t)
-        merged = merge(state, plan, transition_duration=0.5)
+        merged = merge(state, plan, replan_interval=0.5)
         _, q_mid, _ = tk.eval_trajectory(merged, 2.5)  # halfway through transition
         assert geodesic_angle(q_mid, tk.euler_to_quaternion([0.0, 0.0, 0.35])) < 1e-9
-
-    def test_invalid_transition_duration(self):
-        with pytest.raises(ValueError, match="transition_duration"):
-            line_state(at_time=2.0, transition_duration=0.0)
 
 
 class TestControllerStep:
@@ -377,18 +392,17 @@ class TestControllerStateBoundary:
         with pytest.raises(ValueError, match="quaternion"):
             self.state(current_wxyz=wxyz)
 
-    @pytest.mark.parametrize("field", ["replan_interval", "segment_duration",
-                                       "transition_duration"])
+    @pytest.mark.parametrize("field", ["replan_interval", "segment_duration"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_durations_that_are_not_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
             self.state(**{field: value})
 
-    def test_transition_duration_defaults_to_the_interval(self):
+    def test_transition_spans_the_replan_interval(self):
         timed = line_plan(shift=(0.0, 0.01, 0.0))
         untimed = tk.PendingPlan(timed.positions, timed.orientations, timed.grippers)
-        for transition, entry in ((None, 2.5), (0.25, 2.25)):
-            state = self.state(transition_duration=transition)
+        for interval, entry in ((0.5, 2.5), (0.25, 2.25)):
+            state = self.state(replan_interval=interval)
             merged = tk.controller_step(state, [2.001], untimed)[0].active
             assert merged.position.knot_times[1] == entry
 
@@ -415,12 +429,10 @@ class TestControllerStateBoundary:
         state = line_state(at_time=2.3)
         plan = line_plan(shift=(0.0, 0.01, 0.0))
         new_state, _, event = tk.controller_step(state, [2.31], plan)
-        k = tk.nearest_pending_index(state.current_position, plan)
-        gamma, keep = tk.keep_test(state.current_position, plan.positions[k],
-                                   tk.forward_direction(plan, k))
+        k, gamma, dropped = keep_reference(state.current_position, plan.positions)
         assert event == tk.ReplanEvent(2.3, len(plan) - len(new_state.pending), gamma, k,
-                                       not keep)
-        assert event.dropped_count == (k if keep else k + 1)
+                                       dropped)
+        assert event.dropped_count == k + dropped
 
 
 class TestPendingPlanSlices:
@@ -502,6 +514,47 @@ class TestRefreshPendingProperty:
         assert np.array_equal(refreshed.grippers, pending.grippers[dropped:])
         if timed:
             assert np.array_equal(refreshed.times, pending.times[dropped:])
-        # survivors start at the nearest waypoint, or just after it
-        k = tk.nearest_pending_index(current, pending)
-        assert dropped in ((0,) if n == 1 else (k, k + 1))
+        if n > 1:  # survivors start at the nearest waypoint, or just after it
+            k, _, kstar_dropped = keep_reference(current, positions)
+            assert dropped == k + kstar_dropped
+
+
+quarters = st.integers(-8, 8).map(lambda i: i / 4)  # exact differences and distances
+grid_point = st.tuples(quarters, quarters, quarters)
+
+
+@st.composite
+def keep_cases(draw):
+    """(positions, current): 2-12 waypoints on a quarter grid, and a current
+    position that is free, at an exact distance tie between two waypoints,
+    or on the plane through a waypoint perpendicular to its direction."""
+    positions = np.array(draw(st.lists(grid_point, min_size=2, max_size=12)))
+    n = len(positions)
+    case = draw(st.sampled_from(["free", "tie", "perpendicular"]))
+    if case == "free":
+        return positions, np.array(draw(grid_point))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    if case == "tie":
+        return positions, (positions[i] + positions[j]) / 2
+    # a small offset (nothing else on the grid is nearer) along only the axes
+    # the direction at i does not move in: every term of gamma is an exact 0
+    diff = positions[i + 1] - positions[i] if i < n - 1 else positions[i] - positions[i - 1]
+    return positions, positions[i] + np.array(draw(grid_point)) / 64 * (diff == 0)
+
+
+class TestKeepDecisionProperty:
+    @given(keep_cases())
+    def test_event_equals_the_loop_reference(self, case):
+        positions, current = case
+        plan = untimed_plan(positions)
+        expected = keep_reference(current, positions)
+        if expected is None:
+            with pytest.raises(tk.UndefinedDirectionError):
+                refresh(current, plan)
+            return
+        k, gamma, dropped = expected
+        pending, event = refresh(current, plan)
+        assert (event.kstar, event.kstar_dropped, event.dropped_count) == (k, dropped,
+                                                                           k + dropped)
+        assert abs(event.gamma_at_kstar - gamma) <= 1e-12
+        assert len(pending) == len(positions) - event.dropped_count
