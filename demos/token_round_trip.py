@@ -20,8 +20,7 @@ n = 8
 depths = np.linspace(0.8, 1.6, n)
 pixels_u = np.linspace(140.0, 200.0, n)
 pixels_v = np.linspace(130.0, 110.0, n)
-points = np.array([tk.back_project(u, v, d, cam)
-                   for u, v, d in zip(pixels_u, pixels_v, depths)])
+points = tk.back_project(pixels_u, pixels_v, depths, cam)
 eulers = np.stack([np.zeros(n), np.zeros(n), np.linspace(0.0, 0.6, n)], axis=1)
 grippers = (np.arange(n) >= n - 2).astype(int)
 sparse = tk.SparseTrajectory(np.arange(n, dtype=float), points, eulers, grippers,
@@ -51,6 +50,6 @@ rel_err = np.linalg.norm(tk.decode_sequence(rel_seq, cam).positions - points, ax
 print(f"anchor-relative mode (+-0.5 m around anchor): max {rel_err.max() * 1000:.2f} mm")
 
 # prior-scale depth: a 6 cm object spanning 16 px at f = 320 px
-d_prior = tk.anchor_depth_from_prior(170, 120, object_pixel_extent=16.0,
-                                     object_metric_extent=0.06, cam=cam)
+d_prior = tk.anchor_depth_from_prior(object_pixel_extent=16.0, object_metric_extent=0.06,
+                                     cam=cam)
 print(f"prior-scale anchor depth for a 6 cm object over 16 px: {d_prior:.3f} m")

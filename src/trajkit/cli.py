@@ -18,7 +18,7 @@ from . import fileio
 from .errors import SchemaError, TrajkitError
 from .geometry import CameraModel, Frame, _check_positive, camera_to_world
 from .keyframes import SparseTrajectory, insert_sub_keyframes, select_keyframes
-from .metrics import full_report
+from .metrics import MetricReport, full_report
 from .simulate import run as run_scenario
 from .splines import fit, resample
 from .tokens import Anchor, QuantizationSpec, decode_sequence, encode_sequence
@@ -155,10 +155,10 @@ def _cmd_detokenize(args) -> int:
     return 0
 
 
-def _report_pair(pred_path, ref_path, tau: float) -> dict:
+def _report_pair(pred_path, ref_path, tau: float) -> MetricReport:
     pred, _ = fileio.load_bundle(pred_path)
     ref, _ = fileio.load_bundle(ref_path)
-    return full_report(pred.positions, ref.positions, tau=tau).as_dict()
+    return full_report(pred.positions, ref.positions, tau=tau)
 
 
 def _cmd_metrics(args) -> int:
@@ -175,14 +175,13 @@ def _cmd_metrics(args) -> int:
             "version": fileio.FORMAT_VERSION,
             "pairs": {
                 n: _report_pair(os.path.join(args.pred, n), os.path.join(args.ref, n),
-                                args.tau)
+                                args.tau).as_dict()
                 for n in names
             },
         }
         fileio._write_json(payload, args.out)
     else:
-        # single-pair reports carry exactly the ten row names plus config
-        fileio._write_json(_report_pair(args.pred, args.ref, args.tau), args.out)
+        fileio.save_metric_report(_report_pair(args.pred, args.ref, args.tau), args.out)
     return 0
 
 

@@ -324,7 +324,7 @@ def _bundle_payload(traj, cam, meta, keyframe_flags=None) -> dict:
         payload["camera"] = _camera_to_dict(cam)
     payload["samples"] = _sample_rows(traj)
     if keyframe_flags is not None:
-        payload["keyframe_flags"] = list(keyframe_flags)
+        payload["keyframe_flags"] = keyframe_flags.tolist()
     if meta is not None:
         payload["meta"] = meta
     return payload
@@ -460,7 +460,7 @@ def save_scenario(scenario: Scenario, path) -> None:
         "initial_plan": {
             "frame": plan.frame.value,
             "samples": _sample_rows(plan),
-            "keyframe_flags": list(plan.keyframe_flags),
+            "keyframe_flags": plan.keyframe_flags.tolist(),
         },
         "perturbations": [
             {"time": p.time, "offset": [float(x) for x in p.offset]}

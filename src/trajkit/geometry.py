@@ -80,9 +80,11 @@ def _check_positive(name: str, value) -> None:
 
 
 def _integral(name: str, value, error=ValueError) -> int:
-    """``int(value)``; raises ``error`` naming ``name`` unless ``value`` is integral."""
-    if not float(value).is_integer():
-        raise error(f"{name} must be an integer, got {value}")
+    """``int(value)`` of an int, NumPy int or integral float; raises ``error``
+    naming ``name`` for anything else, bools and strings included."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer, float, np.floating))
+                                       and float(value).is_integer()):
+        raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -278,16 +280,6 @@ class DenseTrajectory:
         return len(self.times)
 
 
-def _point_rows(value, name: str) -> np.ndarray:
-    """A (3,) point as one row, or (n, 3) rows as they are; finite floats."""
-    p = np.asarray(value, dtype=float)
-    if p.ndim != 2:
-        return _as_array(p, (3,), name)[None]
-    if p.shape[1] != 3 or not np.isfinite(p).all():
-        raise ValueError(f"{name} must be finite (n, 3) rows, got shape {p.shape}")
-    return p
-
-
 def _apply(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``m @ x`` for every row x, as a stack of matrix-vector products: this
     is bit-equal to the one-point product, while ``rows @ m.T`` is not."""
@@ -295,52 +287,45 @@ def _apply(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def back_project(u, v, d, cam: CameraModel) -> np.ndarray:
-    """Lift pixels (u, v) at depths d (meters) to camera-frame points
-    ``d * K^-1 @ [u, v, 1]``: scalars give one (3,) point, (n,) arrays give
-    (n, 3) rows. z equals d for any valid upper-triangular K; the first
-    depth <= 0, and any u, v or d that is not finite, raises ``ValueError``.
+    """Lift pixels (u, v) at depths d (meters), three (n,) columns of one
+    length, to (n, 3) camera-frame rows ``d * K^-1 @ [u, v, 1]``. z equals
+    d for any valid upper-triangular K; a column that is not finite, and
+    the first depth <= 0, raise ``ValueError``.
     """
-    d = np.asarray(d, dtype=float)
-    rows = np.stack(np.broadcast_arrays(u, v, 1.0), axis=-1).reshape(-1, 3)
-    if not (np.isfinite(rows).all() and np.isfinite(d).all()):
-        raise ValueError("u, v and d must be finite")
+    u = _as_array(u, (None,), "u")
+    n = len(u)
+    rows = np.stack([u, _as_array(v, (n,), "v"), np.ones(n)], axis=1)
+    d = _as_array(d, (n,), "d")
     bad = d[d <= 0]
     if bad.size:
         raise ValueError(f"depth must be positive, got {bad[0]}")
-    return (d.reshape(-1, 1) * _apply(cam.intrinsics_inv, rows)).reshape(d.shape + (3,))
+    return d[:, None] * _apply(cam.intrinsics_inv, rows)
 
 
 def project(p_cam, cam: CameraModel) -> tuple:
-    """Project camera-frame points onto the image plane: one (3,) point
-    gives (u, v, d) floats in pixels/meters, (n, 3) rows give three (n,)
-    arrays. Exact inverse of :func:`back_project` on the z > 0 half-space;
-    the first point with z <= 0 raises :class:`BehindCameraError`.
+    """Project (n, 3) camera-frame rows onto the image plane as three (n,)
+    columns (u, v, d) in pixels/meters. Exact inverse of
+    :func:`back_project` on the z > 0 half-space; the first point with
+    z <= 0 raises :class:`BehindCameraError`.
     """
-    p = _point_rows(p_cam, "p_cam")
+    p = _as_array(p_cam, (None, 3), "p_cam")
     behind = p[p[:, 2] <= 0, 2]
     if behind.size:
         raise BehindCameraError(f"point has non-positive depth z={behind[0]}")
     h = _apply(cam.intrinsics, p)
-    u, v, d = h[:, 0] / h[:, 2], h[:, 1] / h[:, 2], p[:, 2].copy()
-    return (float(u[0]), float(v[0]), float(d[0])) if np.ndim(p_cam) == 1 else (u, v, d)
+    return h[:, 0] / h[:, 2], h[:, 1] / h[:, 2], p[:, 2].copy()
 
 
 def camera_to_world(p_cam, cam: CameraModel) -> np.ndarray:
-    """Apply the rigid camera-to-world extrinsics to a (3,) point or (n, 3) rows."""
+    """Apply the rigid camera-to-world extrinsics to (n, 3) rows."""
     ext = cam.extrinsics_c2w
-    return (_apply(ext[:3, :3], _point_rows(p_cam, "p_cam")) + ext[:3, 3]).reshape(
-        np.shape(p_cam))
+    return _apply(ext[:3, :3], _as_array(p_cam, (None, 3), "p_cam")) + ext[:3, 3]
 
 
 def eulers_to_quaternions(eulers) -> np.ndarray:
     """Convert (n, 3) intrinsic x-y-z Euler angles (radians) to (n, 4)
     unit, sign-canonical wxyz rows."""
-    e = np.asarray(eulers, dtype=float)
-    if e.ndim != 2 or e.shape[1] != 3:
-        raise ValueError(f"eulers must be an (n, 3) array, got shape {e.shape}")
-    if not np.all(np.isfinite(e)):
-        raise ValueError("eulers must be finite")
-    half = 0.5 * e
+    half = 0.5 * _as_array(eulers, (None, 3), "eulers")
     cx, cy, cz = np.cos(half).T
     sx, sy, sz = np.sin(half).T
     # qx(a) * qy(b) * qz(c), matching R = Rx @ Ry @ Rz
@@ -358,12 +343,7 @@ def quaternions_to_eulers(quats) -> np.ndarray:
     Reads the needed entries of each row's rotation matrix; near gimbal
     lock (|ry| -> pi/2) the returned triple is the rz = 0 representative.
     """
-    q = np.asarray(quats, dtype=float)
-    if q.ndim != 2 or q.shape[1] != 4:
-        raise ValueError(f"quaternions must be an (n, 4) array, got shape {q.shape}")
-    if not np.isfinite(q).all():
-        raise ValueError("quaternions must be finite")
-    w, x, y, z = q.T
+    w, x, y, z = _as_array(quats, (None, 4), "quaternions").T
     sy = _clamp(2 * (x * z + w * y), -1.0, 1.0)
     r01 = 2 * (x * y - w * z)
     r10 = 2 * (x * y + w * z)

@@ -61,22 +61,23 @@ class SparseTrajectory:
     """Keyframes plus sub-keyframes: the sparse planning/supervision representation.
 
     Stored as the same read-only columns as :class:`DenseTrajectory`, plus
-    one keyframe flag per waypoint.
+    a read-only bool column flagging the waypoints that are keyframes.
     """
 
     times: np.ndarray  # (N,)
     positions: np.ndarray  # (N, 3)
     eulers: np.ndarray  # (N, 3)
     grippers: np.ndarray  # (N,) of {0, 1}
-    keyframe_flags: tuple
+    keyframe_flags: np.ndarray  # (N,) of bool
     frame: Frame
 
     def __post_init__(self):
         columns = trajectory_columns(self.times, self.positions, self.eulers,
                                      self.grippers, min_samples=1)
-        flags = tuple(bool(f) for f in self.keyframe_flags)
-        if len(flags) != len(columns[0]):
-            raise ValueError("keyframe_flags must align with waypoints")
+        flags = np.array(self.keyframe_flags)
+        if flags.dtype != bool or flags.shape != columns[0].shape:
+            raise ValueError("keyframe_flags must be one bool per waypoint")
+        flags.flags.writeable = False
         for name, column in zip(("times", "positions", "eulers", "grippers"), columns):
             object.__setattr__(self, name, column)
         object.__setattr__(self, "keyframe_flags", flags)
@@ -162,8 +163,7 @@ def insert_sub_keyframes(traj: DenseTrajectory, keys: KeyframeSet, n: int) -> Sp
     # nearest-sample lookup serves every grid point
     taus = np.concatenate([grids[0, :1], grids[:, 1:].ravel()])
     src = _nearest_sample(times, taus)
-    segment_flags = [False] * (n - 2) + [True]
-    flags = [True] + segment_flags * len(grids)
+    flags = np.arange(len(taus)) % (n - 1) == 0  # every (n - 1)-th waypoint is a keyframe
     return SparseTrajectory(taus, traj.positions[src], traj.eulers[src], traj.grippers[src],
                             flags, traj.frame)
 

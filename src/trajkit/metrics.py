@@ -299,20 +299,9 @@ class MetricReport:
     config: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        """Serializable mapping keyed by the canonical report row names."""
-        values = (
-            self.cover_f1,
-            self.cover_precision,
-            self.dtw,
-            self.endpoint_err,
-            self.frechet,
-            self.hausdorff,
-            self.max_orth_dist,
-            self.mean_orth_dist,
-            self.median_orth_dist,
-            self.startpoint_err,
-        )
-        out = {name: float(v) for name, v in zip(REPORT_ROW_NAMES, values)}
+        """Serializable mapping keyed by the canonical report row names; row
+        "cover f1" holds field ``cover_f1``, and so on."""
+        out = {name: float(getattr(self, name.replace(" ", "_"))) for name in REPORT_ROW_NAMES}
         out["config"] = dict(self.config)
         return out
 

@@ -163,13 +163,16 @@ class PositionSpline:
         return float(self.knot_times[0]), float(self.knot_times[-1])
 
     def _locate(self, t) -> tuple:
-        """Clamp t to the domain and find it on the knots.
+        """Clamp t to the domain and find it on the knots; t must be finite.
 
         Returns (i, seg, dt, c): i is the index of the last knot at or
         before t, seg is i clamped to a segment, [0, n - 2], dt (..., 1) is
         t minus the start of seg and c holds the coefficients of seg.
         """
-        tt = _clamp(np.asarray(t, dtype=float), *self.domain)
+        tt = np.asarray(t, dtype=float)
+        if not np.isfinite(tt).all():
+            raise ValueError("evaluation times must be finite")
+        tt = _clamp(tt, *self.domain)
         i = np.searchsorted(self.knot_times, tt, side="right") - 1
         seg = _clamp(i, 0, len(self.knot_times) - 2)
         return i, seg, (tt - self.knot_times[seg])[..., None], self.coefficients[seg]
@@ -309,14 +312,15 @@ def resample(traj: ContinuousTrajectory, rate: float) -> DenseTrajectory:
 def end_slope_estimates(times, positions) -> tuple:
     """Second-order one-sided end derivatives of densely sampled positions.
 
-    Returns (v0, v1), the quadratic-fit velocity estimates at the first
+    Takes (n,) strictly increasing times and (n, 3) finite positions, n >= 3,
+    and returns (v0, v1), the quadratic-fit velocity estimates at the first
     and last sample. Feeding these to a clamped fit removes the O(h^2)
     boundary error a natural spline incurs on curved data.
     """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(positions, dtype=float)
+    t = _time_grid(times, "times")
     if len(t) < 3:
         raise InsufficientDataError("need >= 3 samples to estimate end slopes")
+    y = _as_array(positions, (len(t), 3), "positions")
 
     def lagrange_derivative(ts, ys, at):
         t0, t1, t2 = ts

@@ -239,7 +239,7 @@ def encode_sequence(sparse: SparseTrajectory, anchor: Anchor, cam: CameraModel,
             raise OutOfFrameError(i, float(u[i]), float(v[i]))
         raise DepthRangeError(i, float(depth[i]), lo, hi)
     if behind is not None:
-        project(sparse.positions[behind], cam)  # raises BehindCameraError
+        project(sparse.positions[behind:behind + 1], cam)  # raises BehindCameraError
     r = quantize(normalize_angles(sparse.eulers), -math.pi, math.pi, spec.angle_bins)
     return TokenSequence(spec, anchor, quantize(depth, lo, hi, spec.depth_bins),
                          u_tok.astype(int), v_tok.astype(int), sparse.grippers, r)
@@ -264,11 +264,11 @@ def decode_sequence(tokens: TokenSequence, cam: CameraModel) -> SparseTrajectory
     eulers = dequantize(tokens.r, -math.pi, math.pi, spec.angle_bins)
     n = len(tokens)
     return SparseTrajectory(np.arange(n, dtype=float), positions, eulers, tokens.g,
-                            (True,) * n, Frame.CAMERA)
+                            np.ones(n, bool), Frame.CAMERA)
 
 
-def anchor_depth_from_prior(u: float, v: float, object_pixel_extent: float,
-                            object_metric_extent: float, cam: CameraModel) -> float:
+def anchor_depth_from_prior(object_pixel_extent: float, object_metric_extent: float,
+                            cam: CameraModel) -> float:
     """Estimate anchor depth from a known object size via similar triangles.
 
     d = f * metric_extent / pixel_extent with f the mean of the two focal

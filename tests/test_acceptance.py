@@ -96,7 +96,7 @@ def test_token_round_trip_bound_and_bit_exact_serialization(tmp_path):
         us = rng.uniform(0.0, 99.0, n)
         vs = rng.uniform(0.0, 99.0, n)
         ds = rng.uniform(0.15, 2.95, n)
-        pts = np.array([tk.back_project(u, v, d, cam) for u, v, d in zip(us, vs, ds)])
+        pts = tk.back_project(us, vs, ds, cam)
         sparse = sparse_from_arrays(np.arange(n, dtype=float), pts,
                                     frame=tk.Frame.CAMERA)
         seq = tk.encode_sequence(sparse, tk.Anchor(50, 50, 1.0), cam, spec)

@@ -1,4 +1,5 @@
-"""Every narrative demo under demos/ runs to completion against src/."""
+"""Every narrative demo under demos/ runs to completion against src/, with
+every warning turned into an error."""
 
 import os
 import subprocess
@@ -14,6 +15,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    result = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

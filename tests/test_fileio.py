@@ -63,7 +63,7 @@ class TestBundleRoundTrip:
         path = tmp_path / "sparse.json"
         fileio.save_sparse_bundle(sparse, None, path)
         loaded, _ = fileio.load_sparse_bundle(path)
-        assert loaded.keyframe_flags == flags
+        assert loaded.keyframe_flags.tolist() == list(flags)
         assert np.array_equal(loaded.positions, sparse.positions)
 
     def test_meta_preserved_opaque(self, tmp_path):

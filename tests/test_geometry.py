@@ -18,31 +18,40 @@ from conftest import line_trajectory, make_camera, rigid, rot_z
 class TestBackProject:
     def test_identity_intrinsics(self):
         cam = tk.CameraModel(np.eye(3), np.eye(4), 10, 10)
-        assert np.allclose(tk.back_project(0, 0, 2.0, cam), [0, 0, 2])
+        assert np.allclose(tk.back_project([0], [0], [2.0], cam), [[0, 0, 2]])
 
     def test_principal_point_on_axis(self, camera):
-        assert np.allclose(tk.back_project(50, 50, 1.0, camera), [0, 0, 1])
+        assert np.allclose(tk.back_project([50], [50], [1.0], camera), [[0, 0, 1]])
 
     def test_off_axis_pixel(self, camera):
         # oracle: general 3x3 inverse then scale by depth
         expected = 2.0 * np.linalg.inv(camera.intrinsics) @ np.array([150.0, 50.0, 1.0])
-        got = tk.back_project(150, 50, 2.0, camera)
-        assert np.allclose(got, expected, atol=1e-12)
-        assert np.allclose(got, [2, 0, 2])
+        got = tk.back_project([150], [50], [2.0], camera)
+        assert np.allclose(got, [expected], atol=1e-12)
+        assert np.allclose(got, [[2, 0, 2]])
 
     def test_nonpositive_depth_rejected(self, camera):
-        with pytest.raises(ValueError):
-            tk.back_project(50, 50, 0.0, camera)
-        with pytest.raises(ValueError):
-            tk.back_project(50, 50, -1.0, camera)
+        with pytest.raises(ValueError, match="depth must be positive"):
+            tk.back_project([50], [50], [0.0], camera)
+        with pytest.raises(ValueError, match="depth must be positive"):
+            tk.back_project([50], [50], [-1.0], camera)
 
-    @pytest.mark.parametrize("u, v, d", [
-        (math.nan, 1.0, math.nan), (50.0, 50.0, math.inf), (math.inf, 50.0, 1.0),
-        (50.0, -math.inf, 1.0), ([50.0, 50.0], [50.0, math.nan], [1.0, 1.0]),
+    @pytest.mark.parametrize("u, v, d, name", [
+        ([math.nan], [1.0], [math.nan], "u"), ([50.0], [50.0], [math.inf], "d"),
+        ([math.inf], [50.0], [1.0], "u"), ([50.0], [-math.inf], [1.0], "v"),
+        ([50.0, 50.0], [50.0, math.nan], [1.0, 1.0], "v"),
     ], ids=["nan-u-d", "inf-d", "inf-u", "inf-v", "nan-row"])
-    def test_non_finite_inputs_rejected(self, camera, u, v, d):
+    def test_non_finite_inputs_rejected(self, camera, u, v, d, name):
         # d <= 0 lets a NaN depth through, and inf lifts to an infinite point
-        with pytest.raises(ValueError, match="^u, v and d must be finite$"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            tk.back_project(u, v, d, camera)
+
+    @pytest.mark.parametrize("u, v, d, name", [
+        ([10, 20], [10, 20], 1.0, "d"), (10, 10, [1.0, 2.0], "u"),
+        ([10, 20], [10], [1.0, 2.0], "v"), ([[10, 20]], [10, 20], [1.0, 2.0], "u"),
+    ], ids=["scalar-d", "scalar-u", "short-v", "2-d-u"])
+    def test_columns_of_one_length_only(self, camera, u, v, d, name):
+        with pytest.raises(ValueError, match=f"^{name} must have shape"):
             tk.back_project(u, v, d, camera)
 
     def test_singular_intrinsics_rejected(self):
@@ -54,33 +63,38 @@ class TestBackProject:
 class TestProject:
     def test_identity(self):
         cam = tk.CameraModel(np.eye(3), np.eye(4), 10, 10)
-        assert tk.project([0, 0, 2], cam) == (0.0, 0.0, 2.0)
+        assert np.array_equal(tk.project([[0, 0, 2]], cam), [[0.0], [0.0], [2.0]])
 
     def test_forward_of_back_project(self, camera):
-        u, v, d = tk.project([2, 0, 2], camera)
-        assert (u, v, d) == (150.0, 50.0, 2.0)
+        u, v, d = tk.project([[2, 0, 2]], camera)
+        assert (u.tolist(), v.tolist(), d.tolist()) == ([150.0], [50.0], [2.0])
 
     def test_round_trip_random(self, camera, rng):
-        for _ in range(1000):
-            p = rng.uniform([-1, -1, 0.1], [1, 1, 5])
-            u, v, d = tk.project(p, camera)
-            assert np.linalg.norm(tk.back_project(u, v, d, camera) - p) < 1e-9
+        p = rng.uniform([-1, -1, 0.1], [1, 1, 5], size=(1000, 3))
+        u, v, d = tk.project(p, camera)
+        assert np.linalg.norm(tk.back_project(u, v, d, camera) - p, axis=1).max() < 1e-9
 
     def test_behind_camera(self, camera):
         with pytest.raises(tk.BehindCameraError):
-            tk.project([0, 0, -1], camera)
+            tk.project([[0, 0, -1]], camera)
         with pytest.raises(tk.BehindCameraError):
-            tk.project([0, 0, 0], camera)
+            tk.project([[0, 0, 0]], camera)
+
+    def test_one_point_is_rejected(self, camera):
+        with pytest.raises(ValueError, match=r"^p_cam must have shape \(n, 3\), got \(3,\)$"):
+            tk.project([0, 0, 1.0], camera)
 
 
 class TestCameraToWorld:
     def test_identity_extrinsics(self, camera):
-        p = np.array([0.3, -0.2, 1.5])
+        p = np.array([[0.3, -0.2, 1.5]])
         assert np.allclose(tk.camera_to_world(p, camera), p)
 
     def test_pure_translation(self):
         cam = make_camera(extrinsics=rigid(np.eye(3), [1, 0, 0]))
-        assert np.allclose(tk.camera_to_world([0, 0, 1], cam), [1, 0, 1])
+        assert np.allclose(tk.camera_to_world([[0, 0, 1]], cam), [[1, 0, 1]])
+        with pytest.raises(ValueError, match=r"^p_cam must have shape \(n, 3\), got \(3,\)$"):
+            tk.camera_to_world([0, 0, 1], cam)
 
     def test_rotation_plus_translation(self, rng):
         # oracle: explicit homogeneous 4x4 multiply
@@ -88,16 +102,15 @@ class TestCameraToWorld:
         cam = make_camera(extrinsics=ext)
         p = rng.normal(size=3)
         expected = (ext @ np.append(p, 1.0))[:3]
-        assert np.allclose(tk.camera_to_world(p, cam), expected, atol=1e-12)
+        assert np.allclose(tk.camera_to_world([p], cam), [expected], atol=1e-12)
 
     def test_rigidity(self, rng):
         ext = rigid(rot_z(0.7), [0.1, 0.2, 0.3])
         cam = make_camera(extrinsics=ext)
-        for _ in range(50):
-            a, b = rng.normal(size=(2, 3))
-            da = np.linalg.norm(a - b)
-            db = np.linalg.norm(tk.camera_to_world(a, cam) - tk.camera_to_world(b, cam))
-            assert abs(da - db) < 1e-9
+        a, b = rng.normal(size=(2, 50, 3))
+        da = np.linalg.norm(a - b, axis=1)
+        db = np.linalg.norm(tk.camera_to_world(a, cam) - tk.camera_to_world(b, cam), axis=1)
+        assert np.abs(da - db).max() < 1e-9
 
 
 @st.composite
@@ -117,9 +130,8 @@ points_ahead = arrays(float, st.tuples(st.integers(1, 40), st.just(3)),
 
 
 class TestBatchedTransforms:
-    """Each transform has one implementation: rows give, bit for bit, what
-    the per-point matrix-vector product gives, and one point is the
-    one-row case."""
+    """Each transform has one form: rows (or columns) give, bit for bit,
+    what the per-point matrix-vector product gives."""
 
     @given(posed_cameras(), points_ahead)
     def test_project_rows_equal_per_point_product(self, cam, points):
@@ -127,8 +139,6 @@ class TestBatchedTransforms:
         for i, p in enumerate(points):
             h = cam.intrinsics @ p
             assert (u[i], v[i], d[i]) == (h[0] / h[2], h[1] / h[2], p[2])
-            assert tk.project(p, cam) == (u[i], v[i], d[i])
-            assert type(tk.project(p, cam)[0]) is float
 
     @given(posed_cameras(), points_ahead)
     def test_camera_to_world_rows_equal_per_point_product(self, cam, points):
@@ -136,7 +146,6 @@ class TestBatchedTransforms:
         ext = cam.extrinsics_c2w
         for i, p in enumerate(points):
             assert np.array_equal(world[i], ext[:3, :3] @ p + ext[:3, 3])
-            assert np.array_equal(tk.camera_to_world(p, cam), world[i])
 
     @given(posed_cameras(), points_ahead)
     def test_back_project_rows_equal_per_point_product(self, cam, uvd):
@@ -145,7 +154,6 @@ class TestBatchedTransforms:
         for i in range(len(d)):
             expected = d[i] * (cam.intrinsics_inv @ np.array([u[i], v[i], 1.0]))
             assert np.array_equal(points[i], expected)
-            assert np.array_equal(tk.back_project(u[i], v[i], d[i], cam), expected)
 
     def test_first_bad_row_raises_without_warnings(self, camera):
         rows = np.array([[0.0, 0.0, 1.0], [1e300, 0.0, 1e-300], [0.0, 0.0, -2.0],
@@ -158,15 +166,15 @@ class TestBatchedTransforms:
                 tk.back_project([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, -2.0, 0.0], camera)
         with pytest.raises(ValueError, match="must be finite"):
             tk.camera_to_world([[0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]], camera)
-        with pytest.raises(ValueError, match=r"\(n, 3\) rows, got shape \(1, 2\)"):
+        with pytest.raises(ValueError, match=r"^p_cam must have shape \(n, 3\), got \(1, 2\)$"):
             tk.camera_to_world([[0.0, 1.0]], camera)
 
     def test_inputs_are_left_writeable(self, camera):
-        point, rows = np.array([0.1, 0.2, 1.0]), np.array([[0.1, 0.2, 1.0]])
-        tk.project(point, camera)
+        rows, column = np.array([[0.1, 0.2, 1.0]]), np.array([1.0])
         tk.project(rows, camera)
-        tk.camera_to_world(point, camera)
-        assert point.flags.writeable and rows.flags.writeable
+        tk.camera_to_world(rows, camera)
+        tk.back_project(column, column, column, camera)
+        assert rows.flags.writeable and column.flags.writeable
 
 
 def matrix(wxyz) -> np.ndarray:

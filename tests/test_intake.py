@@ -96,7 +96,7 @@ K = [[100.0, 0.0, 50.0], [0.0, 100.0, 50.0], [0.0, 0.0, 1.0]]
 ENDPOINT = frozenset([tk.KeyframeReason.FORCED_ENDPOINT])
 
 
-@pytest.mark.parametrize("build, read, field, error", [
+INTEGER_FIELDS = pytest.mark.parametrize("build, read, field, error", [
     (lambda x: tk.CameraModel(K, np.eye(4), x, 99), lambda c: c.width, "width",
      tk.InvalidCameraError),
     (lambda x: tk.CameraModel(K, np.eye(4), 100, x), lambda c: c.height, "height",
@@ -112,6 +112,9 @@ ENDPOINT = frozenset([tk.KeyframeReason.FORCED_ENDPOINT])
      ValueError),
 ], ids=["camera-width", "camera-height", "spec-width", "spec-height", "spec-depth-bins",
         "spec-angle-bins", "keyframe-index"])
+
+
+@INTEGER_FIELDS
 def test_integer_fields_reject_fractions(build, read, field, error):
     # a fraction used to be truncated: 2.7 stored as 2
     with pytest.raises(error, match=f"^{field} must be an integer, got 2.7$"):
@@ -119,3 +122,12 @@ def test_integer_fields_reject_fractions(build, read, field, error):
     for integral in (3.0, np.int64(3)):  # integral floats and NumPy ints stay valid
         value = read(build(integral))
         assert value == 3 and type(value) is int
+
+
+@INTEGER_FIELDS
+@pytest.mark.parametrize("value", ["4", True, np.True_, None, [4]],
+                         ids=["str", "bool", "numpy-bool", "none", "list"])
+def test_integer_fields_reject_strings_and_bools(build, read, field, error, value):
+    # "100" used to be stored as 100 and True as 1
+    with pytest.raises(error, match=f"^{field} must be an integer, got "):
+        build(value)

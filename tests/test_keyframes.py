@@ -207,7 +207,7 @@ class TestInsertSubKeyframes:
             keys = tk.select_keyframes(traj, alpha=1.0)
             n = int(rng.integers(2, 9))
             t = traj.times
-            ref_times, ref_src = [], []
+            ref_times, ref_src, ref_flags = [], [], []
             for seg, (i0, i1) in enumerate(zip(keys.indices, keys.indices[1:])):
                 for j, tau in enumerate(np.linspace(t[i0], t[i1], n)):
                     if seg > 0 and j == 0:
@@ -215,9 +215,11 @@ class TestInsertSubKeyframes:
                     hi = min(max(int(np.searchsorted(t, tau)), 1), len(t) - 1)
                     ref_times.append(tau)
                     ref_src.append(hi - 1 if tau - t[hi - 1] <= t[hi] - tau else hi)
+                    ref_flags.append(j in (0, n - 1))
             sparse = tk.insert_sub_keyframes(traj, keys, n)
             assert np.array_equal(sparse.times, ref_times)
             assert np.array_equal(sparse.positions, traj.positions[ref_src])
+            assert sparse.keyframe_flags.tolist() == ref_flags
             assert np.array_equal(sparse.grippers, traj.grippers[ref_src])
 
     def test_tie_prefers_earlier_sample(self):
@@ -251,3 +253,29 @@ class TestInsertSubKeyframes:
         keys = tk.select_keyframes(traj, alpha=1.0)
         with pytest.raises(ValueError):
             tk.insert_sub_keyframes(traj, keys, 1)
+
+
+def sparse_with_flags(flags):
+    return tk.SparseTrajectory(np.arange(3.0), np.zeros((3, 3)), np.zeros((3, 3)),
+                               np.zeros(3, dtype=int), flags, tk.Frame.WORLD)
+
+
+class TestKeyframeFlags:
+    @pytest.mark.parametrize("flags", [
+        [2, "no", None], [1, 0, 1], np.array([1.0, 0.0, 1.0]), [True, False, None],
+        [True, False], [[True, False, True]], True,
+    ], ids=["mixed", "ints", "floats", "none", "short", "2-d", "scalar"])
+    def test_rejects_anything_but_one_bool_per_waypoint(self, flags):
+        # [2, "no", None] used to be stored as (True, True, False)
+        with pytest.raises(ValueError, match="^keyframe_flags must be one bool per waypoint$"):
+            sparse_with_flags(flags)
+
+    def test_stored_as_a_read_only_bool_column(self):
+        flags = np.array([True, False, True])
+        sparse = sparse_with_flags(flags)
+        assert sparse.keyframe_flags.dtype == bool and sparse.keyframe_flags.shape == (3,)
+        assert not sparse.keyframe_flags.flags.writeable and flags.flags.writeable
+        flags[1] = True
+        assert sparse.keyframe_flags.tolist() == [True, False, True]
+        assert sparse_with_flags((True, False, False)).keyframe_flags.tolist() == [
+            True, False, False]

@@ -224,6 +224,37 @@ class TestEval:
         assert abs(changes[0] - 2.0) < 0.011  # ZOH switches at the knot
 
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_times(self, t):
+        traj = tk.fit(sparse_from_arrays([0.0, 1.0], np.array([[0, 0, 0], [1, 0, 0]])))
+        # NaN used to give NaN rows with gripper 0, and infinities were clamped
+        calls = [lambda: traj.sample(np.array([0.5, t])), lambda: tk.eval_trajectory(traj, t),
+                 lambda: traj.position.position(t), lambda: traj.gripper(t)]
+        if math.isnan(t):  # infinities lie outside the domain, where velocity is zero
+            calls.append(lambda: traj.velocity(t))
+        for call in calls:
+            with pytest.raises(ValueError, match="^evaluation times must be finite$"):
+                call()
+
+
+class TestEndSlopeEstimates:
+    @pytest.mark.parametrize("times, positions, match", [
+        ([0.0, 0.0, 1.0], np.eye(3), "^times must be strictly increasing$"),
+        ([0.0, 1.0, 2.0], [[0, 0, 0], [math.nan, 0, 0], [1, 0, 0]], "^positions must be finite$"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], r"^positions must have shape \(3, 3\), got \(3,\)$"),
+    ], ids=["repeated-time", "nan-position", "flat-positions"])
+    def test_rejects_malformed_input(self, times, positions, match):
+        # each used to return NaN or scalar slopes
+        with pytest.raises(ValueError, match=match):
+            splines.end_slope_estimates(times, positions)
+
+    def test_exact_on_a_parabola(self):
+        t = np.array([0.0, 0.1, 0.3, 0.6, 1.0])
+        positions = np.stack([t * t, 2 * t, 0 * t], axis=1)
+        v0, v1 = splines.end_slope_estimates(t, positions)
+        assert np.allclose(v0, [0.0, 2.0, 0.0]) and np.allclose(v1, [2.0, 2.0, 0.0])
+
+
 class TestGripperSchedule:
     @pytest.mark.parametrize("values", [[0.5, 1.2], [1.0, 0.3], [2, 0], [0, math.inf]])
     def test_rejects_values_outside_zero_one(self, values):

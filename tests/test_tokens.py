@@ -157,7 +157,7 @@ def encode_reference(sparse, anchor, cam, spec):
     d_col, u_col, v_col, r_col = [], [], [], []
     relative = spec.depth_mode is tk.DepthMode.ANCHOR_RELATIVE
     for i, (position, euler) in enumerate(zip(sparse.positions, sparse.eulers)):
-        u, v, d = tk.project(position, cam)
+        u, v, d = (float(c[0]) for c in tk.project([position], cam))
         u_tok, v_tok = math.floor(u + 0.5), math.floor(v + 0.5)
         if not (0 <= u_tok < spec.width and 0 <= v_tok < spec.height):
             raise tk.OutOfFrameError(i, u, v)
@@ -334,7 +334,7 @@ class TestRoundTrip:
         us = rng.uniform(0, 99, n)
         vs = rng.uniform(0, 99, n)
         ds = rng.uniform(0.15, 2.95, n)
-        pts = np.array([tk.back_project(u, v, d, camera) for u, v, d in zip(us, vs, ds)])
+        pts = tk.back_project(us, vs, ds, camera)
         sparse = camera_frame_sparse(pts)
         seq = tk.encode_sequence(sparse, tk.Anchor(50, 50, 1.0), camera, spec)
         decoded = tk.decode_sequence(seq, camera)
@@ -360,7 +360,7 @@ class TestRoundTrip:
             camera, depth_mode=tk.DepthMode.ANCHOR_RELATIVE, depth_delta_max=0.4)
         anchor = tk.Anchor(50, 50, 1.5)
         ds = rng.uniform(1.2, 1.8, 30)
-        pts = np.array([tk.back_project(50, 50, d, camera) for d in ds])
+        pts = tk.back_project(np.full(30, 50), np.full(30, 50), ds, camera)
         sparse = camera_frame_sparse(pts)
         seq = tk.encode_sequence(sparse, anchor, camera, spec)
         decoded = tk.decode_sequence(seq, camera)
@@ -370,34 +370,33 @@ class TestRoundTrip:
 
 class TestAnchorDepthFromPrior:
     def test_similar_triangles(self, camera):
-        assert tk.anchor_depth_from_prior(50, 50, 50.0, 0.5, camera) == 1.0
+        assert tk.anchor_depth_from_prior(50.0, 0.5, camera) == 1.0
 
     def test_inverse_proportionality(self, camera):
-        d1 = tk.anchor_depth_from_prior(50, 50, 40.0, 0.5, camera)
-        d2 = tk.anchor_depth_from_prior(50, 50, 80.0, 0.5, camera)
+        d1 = tk.anchor_depth_from_prior(40.0, 0.5, camera)
+        d2 = tk.anchor_depth_from_prior(80.0, 0.5, camera)
         assert abs(d1 - 2 * d2) < 1e-12
 
     def test_synthetic_cube_recovery(self, camera):
         # oracle: forward pinhole projection of a cube's vertical edge
         d_true = 1.7
         edge_m = 0.2
-        top = tk.project([0.0, -edge_m / 2, d_true], camera)
-        bottom = tk.project([0.0, edge_m / 2, d_true], camera)
-        pixel_extent = bottom[1] - top[1]
-        d_est = tk.anchor_depth_from_prior(50, 50, pixel_extent, edge_m, camera)
+        _, (top, bottom), _ = tk.project([[0.0, -edge_m / 2, d_true], [0.0, edge_m / 2, d_true]],
+                                         camera)
+        d_est = tk.anchor_depth_from_prior(bottom - top, edge_m, camera)
         assert abs(d_est - d_true) / d_true < 0.01
 
     def test_zero_extent_rejected(self, camera):
         with pytest.raises(ValueError):
-            tk.anchor_depth_from_prior(50, 50, 0.0, 0.5, camera)
+            tk.anchor_depth_from_prior(0.0, 0.5, camera)
         with pytest.raises(ValueError):
-            tk.anchor_depth_from_prior(50, 50, 10.0, 0.0, camera)
+            tk.anchor_depth_from_prior(10.0, 0.0, camera)
 
     @pytest.mark.parametrize("pixel, metric", [(math.nan, 0.5), (10.0, math.nan),
                                                (math.inf, 0.5)])
     def test_non_finite_extent_rejected(self, camera, pixel, metric):
         with pytest.raises(ValueError, match="extent must be finite and positive"):
-            tk.anchor_depth_from_prior(50, 50, pixel, metric, camera)
+            tk.anchor_depth_from_prior(pixel, metric, camera)
 
 
 class TestSpecValidation:
