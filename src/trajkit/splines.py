@@ -263,12 +263,13 @@ class ContinuousTrajectory:
         return (_cubic(dt, c), _slerp_rows(self.wxyz[seg], self.wxyz[seg + 1], s),
                 self.grippers[i])
 
-    def velocity(self, t: float) -> np.ndarray:
-        """Positional velocity; zero outside the domain (the pose holds there)."""
+    def velocity(self, t):
+        """Positional velocity at scalar or array t; zero outside the domain
+        (the pose holds there)."""
         t0, t1 = self.domain
-        if t < t0 or t > t1:
-            return np.zeros(3)
-        return self.position.velocity(t)
+        tt = np.asarray(t, dtype=float)
+        v = self.position.velocity(tt)
+        return np.where(((tt < t0) | (tt > t1))[..., None], 0.0, v)
 
 
 def fit(sparse: SparseTrajectory, bc_type: str = "natural", end_velocities=None) -> ContinuousTrajectory:

@@ -229,12 +229,20 @@ class TestEval:
         traj = tk.fit(sparse_from_arrays([0.0, 1.0], np.array([[0, 0, 0], [1, 0, 0]])))
         # NaN used to give NaN rows with gripper 0, and infinities were clamped
         calls = [lambda: traj.sample(np.array([0.5, t])), lambda: tk.eval_trajectory(traj, t),
-                 lambda: traj.position.position(t), lambda: traj.gripper(t)]
-        if math.isnan(t):  # infinities lie outside the domain, where velocity is zero
-            calls.append(lambda: traj.velocity(t))
+                 lambda: traj.position.position(t), lambda: traj.gripper(t),
+                 lambda: traj.velocity(t)]
         for call in calls:
             with pytest.raises(ValueError, match="^evaluation times must be finite$"):
                 call()
+
+    def test_velocity_takes_arrays(self):
+        traj = tk.fit(sparse_from_arrays([0.0, 1.0, 2.0], np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0]])))
+        times = np.array([-0.5, 0.0, 0.3, 1.0, 1.7, 2.0, 2.5])
+        # a one-point evaluator used to raise on the truth value of an array
+        expected = np.array([traj.velocity(t) for t in times])
+        assert np.array_equal(traj.velocity(times), expected)
+        assert not expected[[0, -1]].any()  # the pose holds outside the domain
+        assert np.array_equal(expected[1:-1], traj.position.velocity(times[1:-1]))
 
 
 class TestEndSlopeEstimates:
