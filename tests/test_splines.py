@@ -238,7 +238,6 @@ class TestEval:
     def test_velocity_takes_arrays(self):
         traj = tk.fit(sparse_from_arrays([0.0, 1.0, 2.0], np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0]])))
         times = np.array([-0.5, 0.0, 0.3, 1.0, 1.7, 2.0, 2.5])
-        # a one-point evaluator used to raise on the truth value of an array
         expected = np.array([traj.velocity(t) for t in times])
         assert np.array_equal(traj.velocity(times), expected)
         assert not expected[[0, -1]].any()  # the pose holds outside the domain
