@@ -40,7 +40,8 @@ fileio.save_bundle(bundle, cam, work / "demo.json")
 
 cli("keyframes", "--input", work / "demo.json", "--alpha", "2.0",
     "--subframes", "12", "--out", work / "sparse.json")
-cli("tokenize", "--input", work / "sparse.json", "--camera-from", work / "demo.json",
+# the sparse bundle carries the camera, so tokenize needs no --camera-from
+cli("tokenize", "--input", work / "sparse.json",
     "--anchor", "160,120,1.2", "--out", work / "tokens.json")
 cli("detokenize", "--input", work / "tokens.json", "--camera-from", work / "demo.json",
     "--rate", "100", "--segment-duration", "0.2", "--out", work / "rebuilt.json")

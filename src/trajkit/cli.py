@@ -48,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tokenize", help="encode a camera-frame sparse bundle to tokens")
     p.add_argument("--input", required=True, help="sparse trajectory bundle (camera frame)")
-    p.add_argument("--camera-from", required=True,
-                   help="bundle whose camera block supplies intrinsics/extrinsics")
+    p.add_argument("--camera-from",
+                   help="bundle whose camera block to use (default: the input's own camera)")
     p.add_argument("--spec", help="quantization spec JSON (defaults if omitted)")
     p.add_argument("--anchor", required=True, metavar="U,V,D",
                    help="depth-augmented anchor, comma separated")
@@ -63,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", help="token file")
     src.add_argument("--sparse", help="sparse trajectory bundle")
     p.add_argument("--camera-from",
-                   help="bundle with the camera block (required for --input, and for "
-                        "camera-frame --sparse bundles)")
+                   help="bundle with the camera block (required for --input; "
+                        "default for --sparse: the bundle's own camera)")
     p.add_argument("--rate", type=float, required=True, help="output sample rate, Hz")
     p.add_argument("--segment-duration", type=float, default=1.0,
                    help="seconds per waypoint interval for token input (default 1.0)")
@@ -87,11 +87,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_camera(path) -> CameraModel:
-    data = fileio._read_json(path)
-    if "camera" not in data:
-        raise SchemaError("camera", f"{path} carries no camera block")
-    return fileio._camera_from_dict(data["camera"], "camera")
+def _camera(args, own=None) -> CameraModel:
+    """The ``--camera-from`` bundle's camera if that flag is given, else the input's ``own``."""
+    if args.camera_from is not None:
+        data = fileio._read_json(args.camera_from)
+        if "camera" not in data:
+            raise SchemaError("camera", f"{args.camera_from} carries no camera block")
+        return fileio._camera_from_dict(data["camera"], "camera")
+    if own is None:
+        raise ValueError("the input carries no camera: pass --camera-from")
+    return own
 
 
 def _cmd_keyframes(args) -> int:
@@ -103,8 +108,8 @@ def _cmd_keyframes(args) -> int:
 
 
 def _cmd_tokenize(args) -> int:
-    sparse, _ = fileio.load_sparse_bundle(args.input)
-    cam = _load_camera(args.camera_from)
+    sparse, own = fileio.load_sparse_bundle(args.input)
+    cam = _camera(args, own)
     if args.spec is not None:
         data = fileio._read_json(args.spec)
         spec = fileio.parse_quantization(data.get("quantization", data))
@@ -136,20 +141,14 @@ def _to_world(sparse: SparseTrajectory, cam: CameraModel) -> SparseTrajectory:
 def _cmd_detokenize(args) -> int:
     _check_positive("--segment-duration", args.segment_duration)
     if args.input is not None:
-        if args.camera_from is None:
-            raise ValueError("--camera-from is required with --input")
-        cam = _load_camera(args.camera_from)
+        cam = _camera(args)
         tokens = fileio.load_token_file(args.input)
         sparse = _retime(decode_sequence(tokens, cam), args.segment_duration)
         sparse = _to_world(sparse, cam)
     else:
-        sparse, cam = fileio.load_sparse_bundle(args.sparse)
+        sparse, own = fileio.load_sparse_bundle(args.sparse)
         if sparse.frame is Frame.CAMERA:
-            if cam is None and args.camera_from is None:
-                raise ValueError("camera-frame sparse bundle needs --camera-from")
-            if args.camera_from is not None:
-                cam = _load_camera(args.camera_from)
-            sparse = _to_world(sparse, cam)
+            sparse = _to_world(sparse, _camera(args, own))
     dense = resample(fit(sparse), args.rate)
     fileio.save_bundle(dense, None, args.out)
     return 0

@@ -18,7 +18,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import SchemaError
-from .geometry import CameraModel, DenseTrajectory, Frame, SampleError
+from .geometry import CameraModel, DenseTrajectory, Frame, SampleError, _finite_real
 from .keyframes import SparseTrajectory
 from .metrics import MetricReport
 from .replan import ReplanEvent
@@ -158,11 +158,11 @@ def _get(obj: dict, key: str, kind, path: str, optional: bool = False):
 
 
 def _float(value, path: str) -> float:
-    """A JSON number as a float; an integer beyond the float range is a SchemaError."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise SchemaError(path, "number out of float range") from None
+    """A JSON number as a float; NaN, Infinity and ints beyond the float range are SchemaErrors."""
+    if not _finite_real(value):
+        raise SchemaError(path, "number out of float range" if isinstance(value, int)
+                          else f"must be finite, got {value}")
+    return float(value)
 
 
 def _number_list(obj: dict, key: str, n: int, path: str, kind=float) -> list:
@@ -211,7 +211,8 @@ _TOKEN_FIELDS = (("r", int, 3), ("d", int, 0), ("u", int, 0), ("v", int, 0), ("g
 
 def _typed_columns(records: list, fields: tuple):
     """The columns of ``fields`` as arrays when every field of every record
-    has its type and length, checked a whole column at a time; else None."""
+    has its type and length and is finite, checked a whole column at a
+    time; else None."""
     if not records or set(map(type, records)) != {dict}:
         return None
     try:
@@ -232,6 +233,8 @@ def _typed_columns(records: list, fields: tuple):
         try:
             column = np.fromiter(values, float if kind is float else int, len(values))
         except OverflowError:  # an integer beyond the float or int64 range
+            return None
+        if kind is float and not np.isfinite(column).all():  # NaN or Infinity literals
             return None
         columns.append(column.reshape(len(records), width) if width else column)
     return tuple(columns)
@@ -265,11 +268,10 @@ def _parse_trajectory(obj: dict, path: str, frame: Frame, sparse: bool):
     """The ``samples`` (and for sparse, ``keyframe_flags``) of ``obj`` as a
     DenseTrajectory or SparseTrajectory.
 
-    Field types are checked on whole columns; only when that check fails
-    does the per-sample pass run, to name the first faulty field. Values
-    (finiteness, time order, sample count) are checked on whole columns by
-    the trajectory constructor, whose first bad index becomes the error
-    path.
+    Field types and finiteness are checked on whole columns; only when
+    that check fails does the per-sample pass run, to name the first faulty
+    field. Time order and sample count are checked on whole columns by the
+    trajectory constructor, whose first bad index becomes the error path.
     """
     samples_path = _join(path, "samples")
     samples = _get(obj, "samples", list, path)
@@ -494,7 +496,7 @@ def load_scenario(path) -> Scenario:
     durations = {}
     for key in ("replan_interval", "control_rate", "duration"):
         durations[key] = value = _get(data, key, float, "")
-        if not (math.isfinite(value) and value > 0):
+        if not value > 0:
             raise SchemaError(key, f"must be finite and positive, got {value}")
     try:
         return Scenario(

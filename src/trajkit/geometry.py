@@ -73,17 +73,34 @@ def _time_grid(values, name: str) -> np.ndarray:
     return t
 
 
+def _finite_real(value) -> bool:
+    """Whether ``value`` is an int, NumPy number or float (not a bool) with a finite float value."""
+    try:
+        return (isinstance(value, (int, np.integer, float, np.floating))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _real(name: str, value) -> float:
+    """``float(value)`` of a finite real, else a ``ValueError`` naming ``name``."""
+    if not _finite_real(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def _check_positive(name: str, value) -> None:
-    """Raise ``ValueError`` unless the scalar ``value`` is finite and > 0."""
-    if not (math.isfinite(value) and value > 0):
+    """Raise ``ValueError`` unless ``value`` is a finite real > 0."""
+    if not (_finite_real(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _integral(name: str, value, error=ValueError) -> int:
-    """``int(value)`` of an int, NumPy int or integral float; raises ``error``
-    naming ``name`` for anything else, bools and strings included."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer, float, np.floating))
-                                       and float(value).is_integer()):
+    """``int(value)`` of an int, NumPy int or integral float within the float
+    range; raises ``error`` naming ``name`` for anything else."""
+    if type(value) is int and not _finite_real(value):
+        raise error(f"{name} is beyond the float range")
+    if not (_finite_real(value) and float(value).is_integer()):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
 

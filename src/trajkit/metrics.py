@@ -142,23 +142,14 @@ def _warping_path_length(acc: np.ndarray) -> int:
     return length
 
 
-def _dtw(dist: np.ndarray, normalized: bool) -> tuple:
-    """(raw sum, reported value) of DTW over a distance matrix, from one
-    accumulator pass."""
-    acc = _wavefront(dist, np.add)
-    total = float(acc[-1, -1])
-    return total, (total / _warping_path_length(acc) if normalized else total)
-
-
-def dtw(a, b, normalized: bool = False) -> float:
+def dtw(a, b) -> float:
     """Dynamic time warping distance with Euclidean cost and sum aggregation.
 
     Exact DP over match/insert/delete steps: O(nm) work in O(n + m)
-    NumPy steps, one per anti-diagonal. The normalized variant divides
-    by the length of the optimal warping path (traceback prefers the
-    diagonal on ties).
+    NumPy steps, one per anti-diagonal. :func:`full_report` reports this
+    sum divided by the length of the optimal warping path.
     """
-    return _dtw(_distances(*_pair(a, b)), normalized)[1]
+    return float(_wavefront(_distances(*_pair(a, b)), np.add)[-1, -1])
 
 
 def discrete_frechet(a, b) -> float:
@@ -306,11 +297,11 @@ class MetricReport:
         return out
 
 
-def full_report(pred, ref, tau: float = 0.05, dtw_normalized: bool = True) -> MetricReport:
+def full_report(pred, ref, tau: float = 0.05) -> MetricReport:
     """Evaluate every metric for a predicted polyline against a reference.
 
-    DTW defaults to the path-length-normalized value; the raw sum is
-    echoed in the config block alongside tau and the metric directions.
+    DTW is divided by the length of the optimal warping path; the raw sum
+    is echoed in the config block alongside tau and the metric directions.
     DTW, Frechet and Hausdorff share one distance matrix.
     """
     pa, pb = _pair(pred, ref)
@@ -318,12 +309,13 @@ def full_report(pred, ref, tau: float = 0.05, dtw_normalized: bool = True) -> Me
     to_ref = _point_to_polyline(pa, pb)
     precision, recall, f1 = _coverage(to_ref, _point_to_polyline(pb, pa), tau)
     max_orth, mean_orth, median_orth = _orth_summary(to_ref)
-    dtw_raw, dtw_value = _dtw(dist, dtw_normalized)
+    dtw_acc = _wavefront(dist, np.add)
+    dtw_raw = float(dtw_acc[-1, -1])
     start_err, end_err = endpoint_errors(pa, pb)
     return MetricReport(
         cover_f1=f1,
         cover_precision=precision,
-        dtw=dtw_value,
+        dtw=dtw_raw / _warping_path_length(dtw_acc),
         endpoint_err=end_err,
         frechet=_frechet(dist),
         hausdorff=_hausdorff(dist),
@@ -333,7 +325,7 @@ def full_report(pred, ref, tau: float = 0.05, dtw_normalized: bool = True) -> Me
         startpoint_err=start_err,
         config={
             "tau": float(tau),
-            "dtw_normalized": bool(dtw_normalized),
+            "dtw_normalized": True,
             "dtw_raw": dtw_raw,
             "cover_recall": float(recall),
             "coverage_precision_direction": "pred_to_ref",

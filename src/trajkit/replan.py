@@ -193,7 +193,7 @@ def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTra
     t_entry = float(knots_rest[0])
 
     if len(plan) >= 2:
-        remainder = PositionSpline.fit(knots_rest, plan.positions, bc_type="natural")
+        remainder = PositionSpline.fit(knots_rest, plan.positions)
         v_entry = remainder.velocity(t_entry)
         rest_coeffs = remainder.coefficients
     else:

@@ -6,7 +6,6 @@ the commanded stream and every replan event. Deterministic: identical
 scenarios produce bit-identical logs.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +17,7 @@ from .geometry import (
     Frame,
     _as_array,
     _check_positive,
+    _real,
     quaternions_to_eulers,
 )
 from .keyframes import SparseTrajectory
@@ -46,9 +46,7 @@ class Perturbation:
     offset: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.time):
-            raise ValueError(f"perturbation time must be finite, got {self.time}")
-        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "time", _real("perturbation time", self.time))
         object.__setattr__(self, "offset", _as_array(self.offset, (3,), "perturbation offset"))
 
 

@@ -43,12 +43,10 @@ __all__ = [
 ]
 
 
-def _cubic_moments(t: np.ndarray, y: np.ndarray, bc_type: str, end_velocities):
+def _cubic_moments(t: np.ndarray, y: np.ndarray, end_velocities):
     """Second-derivative knot values for an interpolating cubic spline
-    through (n, 3) points.
-
-    bc_type "natural" pins zero curvature at both ends; "clamped" pins the
-    end first derivatives to the (3,) rows ``end_velocities = (v0, v1)``.
+    through (n, 3) points: natural ends, or ends clamped to the (3,) first
+    derivatives ``end_velocities = (v0, v1)`` when given.
     """
     h = np.diff(t)
     slopes = np.diff(y, axis=0) / h[:, None]
@@ -62,14 +60,12 @@ def _cubic_moments(t: np.ndarray, y: np.ndarray, bc_type: str, end_velocities):
     # system stays diagonally dominant, LAPACK's partial pivoting never
     # swaps rows and the moments equal plain Thomas elimination bit for bit
     diag = [2.0 * hs[0]] + [2.0 * (a + b) for a, b in zip(hs, hs[1:])] + [2.0 * hs[-1]]
-    if bc_type == "clamped":
+    if end_velocities is not None:
         v0, v1 = end_velocities
         upper[0] = hs[0]
         rhs[0] = 6.0 * (slopes[0] - v0)
         lower[-1] = hs[-1]
         rhs[-1] = 6.0 * (v1 - slopes[-1])
-    elif bc_type != "natural":
-        raise ValueError(f"unknown boundary condition {bc_type!r}")
     # diag bounds every band entry (diag >= 2h), so this covers the system
     if not (all(map(math.isfinite, diag)) and np.all(np.isfinite(rhs))):
         raise ValueError("knot spacings or point differences overflow the moment solve")
@@ -134,23 +130,20 @@ class PositionSpline:
         object.__setattr__(self, "coefficients", c)
 
     @classmethod
-    def fit(cls, times, points, bc_type: str = "natural", end_velocities=None) -> "PositionSpline":
+    def fit(cls, times, points, end_velocities=None) -> "PositionSpline":
         """Interpolating cubic spline through (times, points).
 
-        Natural boundaries (zero end curvature) by default; pass
-        bc_type="clamped" with ``end_velocities=(v0, v1)`` to pin the end
-        slopes instead, which restores fourth-order accuracy at the ends
-        for smooth data.
+        Natural ends (zero end curvature); ``end_velocities=(v0, v1)`` clamps
+        the end slopes instead, which restores fourth-order accuracy at the
+        ends for smooth data.
         """
         t = _time_grid(times, "times")
         y = _as_array(points, (len(t), 3), "points")
         if len(t) < 2:
             raise ValueError("need at least two waypoints")
-        if bc_type == "clamped":
-            if end_velocities is None:
-                raise ValueError("clamped boundaries need end_velocities")
+        if end_velocities is not None:
             end_velocities = _as_array(end_velocities, (2, 3), "end_velocities")
-        m = _cubic_moments(t, y, bc_type, end_velocities)
+        m = _cubic_moments(t, y, end_velocities)
         h = np.diff(t)[:, None]
         a0 = y[:-1]
         a1 = np.diff(y, axis=0) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
@@ -186,10 +179,6 @@ class PositionSpline:
         """First derivative at scalar or array t (clamped to the domain)."""
         _, _, dt, c = self._locate(t)
         return c[..., 1, :] + dt * (2.0 * c[..., 2, :] + dt * 3.0 * c[..., 3, :])
-
-    def acceleration(self, t):
-        _, _, dt, c = self._locate(t)
-        return 2.0 * c[..., 2, :] + dt * 6.0 * c[..., 3, :]
 
 
 def _slerp_rows(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -272,16 +261,16 @@ class ContinuousTrajectory:
         return np.where(((tt < t0) | (tt > t1))[..., None], 0.0, v)
 
 
-def fit(sparse: SparseTrajectory, bc_type: str = "natural", end_velocities=None) -> ContinuousTrajectory:
+def fit(sparse: SparseTrajectory, end_velocities=None) -> ContinuousTrajectory:
     """Fit a continuous trajectory through sparse waypoints.
 
-    Positions get an interpolating cubic spline (natural boundaries by
-    default), orientations a sign-aligned SLERP chain, and the gripper a
-    zero-order hold that changes only at knot times.
+    Positions get an interpolating cubic spline (natural ends unless
+    ``end_velocities`` clamps them), orientations a sign-aligned SLERP
+    chain, and the gripper a zero-order hold that changes only at knot times.
     """
     if len(sparse) < 2:
         raise InsufficientDataError("need >= 2 waypoints to fit a trajectory")
-    spline = PositionSpline.fit(sparse.times, sparse.positions, bc_type, end_velocities)
+    spline = PositionSpline.fit(sparse.times, sparse.positions, end_velocities)
     return ContinuousTrajectory(spline, eulers_to_quaternions(sparse.eulers), sparse.grippers)
 
 
@@ -335,16 +324,15 @@ def end_slope_estimates(times, positions) -> tuple:
     return v0, v1
 
 
-def reconstruction_error(dense_gt: DenseTrajectory, n_sub: int,
-                         alpha: float = math.inf, weights=None) -> tuple:
+def reconstruction_error(dense_gt: DenseTrajectory, n_sub: int) -> tuple:
     """Max deviation of the keyframe -> sub-keyframe -> fit pipeline from dense truth.
 
-    Selects keyframes on the dense trajectory, inserts ``n_sub``
-    equally-spaced samples per segment, refits, and measures the largest
-    position deviation at every dense sample. The refit clamps the end
-    slopes to derivative estimates from the dense data, so for smooth
-    curves the error decays with the fourth power of the sub-keyframe
-    spacing.
+    Takes the endpoints and the gripper toggles of the dense trajectory as
+    keyframes, inserts ``n_sub`` equally-spaced samples per segment,
+    refits, and measures the largest position deviation at every dense
+    sample. The refit clamps the end slopes to derivative estimates from
+    the dense data, so for smooth curves the error decays with the fourth
+    power of the sub-keyframe spacing.
 
     Sub-keyframe poses snap to the nearest recorded sample, which adds a
     floor of (speed * sample spacing / 2) whenever the sub-keyframe grid
@@ -355,7 +343,7 @@ def reconstruction_error(dense_gt: DenseTrajectory, n_sub: int,
         (max_err, per_segment): the global maximum and the per-keyframe-
         segment maxima.
     """
-    keys = select_keyframes(dense_gt, alpha, weights)
+    keys = select_keyframes(dense_gt, math.inf)
     for i0, i1 in zip(keys.indices, keys.indices[1:]):
         if i1 - i0 + 1 < 4 * n_sub:
             raise InsufficientDataError(
@@ -364,7 +352,7 @@ def reconstruction_error(dense_gt: DenseTrajectory, n_sub: int,
             )
     sparse = insert_sub_keyframes(dense_gt, keys, n_sub)
     v0, v1 = end_slope_estimates(dense_gt.times, dense_gt.positions)
-    cont = fit(sparse, bc_type="clamped", end_velocities=(v0, v1))
+    cont = fit(sparse, end_velocities=(v0, v1))
     errors = np.linalg.norm(
         cont.position.position(dense_gt.times) - dense_gt.positions, axis=1
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DepthRangeError, OutOfFrameError, SchemaError
 from .geometry import (CameraModel, Frame, SampleError, _check_positive, _clamp, _first,
-                       _integral, back_project, normalize_angles, project)
+                       _integral, _real, back_project, normalize_angles, project)
 from .keyframes import SparseTrajectory
 
 __all__ = [
@@ -58,14 +58,12 @@ class Anchor:
     depth_source: DepthSource = DepthSource.SENSOR
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.u, self.v, self.d)):
-            raise ValueError("anchor coordinates must be finite")
+        for name in ("u", "v", "d"):
+            object.__setattr__(self, name, _real(f"anchor {name}", getattr(self, name)))
         if self.u < 0 or self.v < 0:
             raise ValueError(f"anchor pixel ({self.u}, {self.v}) must be non-negative")
         if self.d <= 0:
             raise ValueError(f"anchor depth must be positive, got {self.d}")
-        for name in ("u", "v", "d"):
-            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "depth_source", DepthSource(self.depth_source))
 
 
@@ -96,13 +94,13 @@ class QuantizationSpec:
             raise ValueError("image dimensions must be positive")
         if self.depth_bins < 2 or self.angle_bins < 2:
             raise ValueError("bin counts must be >= 2")
-        depths = (self.depth_min, self.depth_max, self.depth_delta_max)
-        if not all(math.isfinite(x) for x in depths if x is not None):
-            raise ValueError("depth_min, depth_max and depth_delta_max must be finite")
+        object.__setattr__(self, "depth_min", _real("depth_min", self.depth_min))
+        object.__setattr__(self, "depth_max", _real("depth_max", self.depth_max))
+        if self.depth_delta_max is not None:
+            delta = _real("depth_delta_max", self.depth_delta_max)
+            object.__setattr__(self, "depth_delta_max", delta)
         if not self.depth_max > self.depth_min:
             raise ValueError("depth_max must exceed depth_min")
-        object.__setattr__(self, "depth_min", float(self.depth_min))
-        object.__setattr__(self, "depth_max", float(self.depth_max))
         mode = DepthMode(self.depth_mode)
         object.__setattr__(self, "depth_mode", mode)
         if mode is DepthMode.ABSOLUTE and not self.depth_min > 0:
@@ -110,8 +108,6 @@ class QuantizationSpec:
         if mode is DepthMode.ANCHOR_RELATIVE:
             if self.depth_delta_max is None or self.depth_delta_max <= 0:
                 raise ValueError("anchor_relative mode needs depth_delta_max > 0")
-        if self.depth_delta_max is not None:
-            object.__setattr__(self, "depth_delta_max", float(self.depth_delta_max))
 
     @classmethod
     def for_camera(cls, cam: CameraModel, **overrides) -> "QuantizationSpec":

@@ -1,6 +1,7 @@
 """CLI pipelines: sparsify, tokenize, detokenize, metrics, simulate, plot-data."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,42 @@ class TestTokenizeDetokenize:
         tokens = fileio.load_token_file(tokens_path)
         assert tokens.spec.depth_bins == 64
 
+    def test_tokenize_takes_the_input_bundles_camera(self, tmp_path, camera_bundle):
+        # keyframes writes the camera into the sparse bundle, so --camera-from
+        # is optional and naming the dense bundle changes nothing
+        bundle_path, _, _ = camera_bundle
+        sparse_path = tmp_path / "sparse.json"
+        assert cli_main(["keyframes", "--input", str(bundle_path), "--alpha", "5.0",
+                         "--subframes", "12", "--out", str(sparse_path)]) == 0
+        outs = [tmp_path / "own.json", tmp_path / "from.json"]
+        for extra, out in zip(([], ["--camera-from", str(bundle_path)]), outs):
+            assert cli_main(["tokenize", "--input", str(sparse_path), *extra,
+                             "--anchor", "50,50,1.2", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_detokenize_tokens_without_camera_names_the_flag(self, tmp_path, capsys):
+        tokens, out = tmp_path / "tokens.json", tmp_path / "dense.json"
+        cam = make_camera()
+        fileio.save_token_file(token_sequence(tk.QuantizationSpec.for_camera(cam),
+                                              tk.Anchor(50, 50, 1.0),
+                                              [(40, 30, 60, 0, (100, 140, 20))] * 2), tokens)
+        code = cli_main(["detokenize", "--input", str(tokens), "--rate", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--camera-from" in err
+
+    def test_camera_from_without_camera_block_is_a_schema_error(self, tmp_path, capsys,
+                                                                 camera_bundle, line_bundle):
+        bundle_path, _, _ = camera_bundle
+        world_path, _ = line_bundle  # saved without a camera block
+        sparse_path, out = tmp_path / "sparse.json", tmp_path / "tokens.json"
+        assert cli_main(["keyframes", "--input", str(bundle_path), "--alpha", "5.0",
+                         "--subframes", "4", "--out", str(sparse_path)]) == 0
+        capsys.readouterr()
+        code = cli_main(["tokenize", "--input", str(sparse_path), "--camera-from",
+                         str(world_path), "--anchor", "50,50,1.2", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == f"error: camera: {world_path} carries no camera block\n"
 
     def test_to_world_moves_positions_and_keeps_orientations(self, tmp_path):
         # yawed 90 degrees and offset: positions move by the extrinsics, while
@@ -223,6 +260,23 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: samples[0].t: ")
 
+    def test_token_integer_beyond_float_range_is_a_validation_error(self, tmp_path, capsys):
+        # used to print "internal error: OverflowError"; the value is not echoed
+        cam = make_camera()
+        bundle, tokens = tmp_path / "cam.json", tmp_path / "tokens.json"
+        fileio.save_bundle(line_trajectory(n=3, frame=tk.Frame.CAMERA), cam, bundle)
+        fileio.save_token_file(token_sequence(tk.QuantizationSpec.for_camera(cam),
+                                              tk.Anchor(50, 50, 1.0),
+                                              [(40, 30, 60, 0, (100, 140, 20))] * 2), tokens)
+        data = json.loads(tokens.read_text())
+        data["quantization"]["angle"]["bins"] = 10**400
+        tokens.write_text(json.dumps(data))
+        code = cli_main(["detokenize", "--input", str(tokens), "--camera-from", str(bundle),
+                         "--rate", "1", "--out", str(tmp_path / "dense.json")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: quantization: angle_bins is beyond the float range\n"
+
     def test_non_finite_perturbation_is_a_validation_error(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         fileio.save_scenario(line_scenario([tk.Perturbation(3.0, [0.02, 0, 0])]), scenario)
@@ -247,7 +301,9 @@ class TestExitCodes:
         code = cli_main(["simulate", "--scenario", str(scenario), "--out", str(out)])
         assert code == 1 and not out.exists()
         err = capsys.readouterr().err
-        assert err == f"error: {field}: must be finite and positive, got {float(value)}\n"
+        # NaN and Infinity are rejected as literals, before the range check
+        want = "finite and positive" if math.isfinite(float(value)) else "finite"
+        assert err == f"error: {field}: must be {want}, got {float(value)}\n"
 
     @pytest.mark.parametrize("flag, value", [
         ("--rate", "nan"), ("--rate", "inf"), ("--segment-duration", "nan"),

@@ -99,7 +99,7 @@ SAMPLE_FAULTS = {
     "gripper": (lambda s: s[1].update(gripper=3), "samples[1].gripper"),
     "repeated-t": (lambda s: s[1].update(t=0.0), "samples[1].t"),
     "missing-pos": (lambda s: s[0].pop("pos"), "samples[0].pos"),
-    "nan-pos": (lambda s: s[1]["pos"].__setitem__(2, math.nan), "samples[1]"),
+    "nan-pos": (lambda s: s[1]["pos"].__setitem__(2, math.nan), "samples[1].pos[2]"),
     "bool-in-pos": (lambda s: s[0]["pos"].__setitem__(1, True), "samples[0].pos[1]"),
     "interior-t-decrease": (lambda s: s[2].update(t=0.5), "samples[2].t"),
     # integers too large for a float
@@ -266,9 +266,9 @@ class TestTokenFile:
 
 class TestScenarioAndLog:
     @pytest.mark.parametrize("damage, where", [
-        (lambda p: p.update(time=math.nan), "perturbations[0]"),
-        (lambda p: p["offset"].__setitem__(1, math.nan), "perturbations[0]"),
-        (lambda p: p["offset"].__setitem__(0, -math.inf), "perturbations[0]"),
+        (lambda p: p.update(time=math.nan), "perturbations[0].time"),
+        (lambda p: p["offset"].__setitem__(1, math.nan), "perturbations[0].offset[1]"),
+        (lambda p: p["offset"].__setitem__(0, -math.inf), "perturbations[0].offset[0]"),
     ], ids=["nan-time", "nan-offset", "inf-offset"])
     def test_non_finite_perturbation_names_path(self, tmp_path, damage, where):
         path = tmp_path / "scenario.json"
@@ -383,6 +383,35 @@ class TestHugeNumbers:
         with pytest.raises(tk.SchemaError) as info:
             load(path)
         assert info.value.path == where
+
+
+class TestNonFiniteLiterals:
+    """JSON's non-standard NaN and Infinity literals are SchemaErrors naming
+    their path, so every file that loads can be saved back."""
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("save, obj, load, damage, where", [
+        (fileio.save_execution_log, tk.run(line_scenario(duration=2.0)),
+         fileio.load_execution_log, lambda d: d.update(final_error="@"), "final_error"),
+        (fileio.save_execution_log, tk.run(line_scenario(duration=2.0)),
+         fileio.load_execution_log, lambda d: d["replan_events"][0].update(time="@"),
+         "replan_events[0].time"),
+        (lambda o, p: fileio.save_bundle(line_trajectory(n=3), make_camera(), p), None,
+         fileio.load_bundle,
+         lambda d: d["camera"]["intrinsics"].__setitem__(0, "@"), "camera.intrinsics[0]"),
+        (fileio.save_token_file, TestTokenFile().make_sequence(), fileio.load_token_file,
+         lambda d: d["anchor"].update(u="@"), "anchor.u"),
+    ], ids=["final-error", "event-time", "camera", "anchor"])
+    def test_names_path(self, tmp_path, save, obj, load, damage, where, literal):
+        path = tmp_path / "file.json"
+        save(obj, path)
+        data = json.loads(path.read_text())
+        damage(data)
+        path.write_text(json.dumps(data).replace('"@"', literal))
+        with pytest.raises(tk.SchemaError) as info:
+            load(path)
+        assert info.value.path == where
+        assert str(info.value) == f"{where}: must be finite, got {float(literal)}"
 
 
 class TestAtomicWrites:

@@ -9,12 +9,14 @@ a 2-vCPU x86_64 VM (Python 3.11, NumPy 2.4, SciPy 1.17) loading SciPy for
 those two calls took a cold ``import trajkit.cli`` from about 0.27 to
 0.71 s and from 27 to 67 MB of peak RSS.
 
-The public API is guarded too: every ``__all__`` name resolves, once, and
-the replan helpers that ``controller_step`` replaced stay deleted.
+The public API is guarded too: every ``__all__`` name resolves, once, the
+replan helpers that ``controller_step`` replaced stay deleted, and so do the
+options whose value the inputs already fix.
 """
 
 import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -58,3 +60,19 @@ def test_replan_helpers_are_gone():
             assert not hasattr(mod, name), (mod.__name__, name)
     fields = {field.name for field in dataclasses.fields(trajkit.ControllerState)}
     assert "transition_duration" not in fields
+
+
+@pytest.mark.parametrize("function, option", [
+    (trajkit.fit, "bc_type"), (trajkit.PositionSpline.fit, "bc_type"),
+    (trajkit.full_report, "dtw_normalized"), (trajkit.dtw, "normalized"),
+    (trajkit.reconstruction_error, "alpha"), (trajkit.reconstruction_error, "weights"),
+], ids=["fit-bc_type", "spline-fit-bc_type", "full_report-dtw_normalized", "dtw-normalized",
+        "reconstruction_error-alpha", "reconstruction_error-weights"])
+def test_options_the_inputs_decide_stay_removed(function, option):
+    # end_velocities decides the spline ends, and the report always
+    # normalizes DTW (the raw sum is config["dtw_raw"])
+    assert option not in inspect.signature(function).parameters
+
+
+def test_position_spline_has_no_acceleration():
+    assert not hasattr(trajkit.PositionSpline, "acceleration")

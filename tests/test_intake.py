@@ -1,5 +1,8 @@
 """Intake: constructors store copies and never freeze or share a caller's array,
-and integer fields take integral values only."""
+integer fields take integral values only, and scalar real fields take finite
+reals only."""
+
+import math
 
 import numpy as np
 import pytest
@@ -58,7 +61,7 @@ def spline(args):
 
 def spline_fit(args):
     args.update(t=np.array([0.0, 1.0, 2.0]), p=np.eye(3), v0=np.ones(3), v1=np.ones(3))
-    return tk.PositionSpline.fit(args["t"], args["p"], "clamped", (args["v0"], args["v1"]))
+    return tk.PositionSpline.fit(args["t"], args["p"], (args["v0"], args["v1"]))
 
 
 def continuous(args):
@@ -131,3 +134,42 @@ def test_integer_fields_reject_strings_and_bools(build, read, field, error, valu
     # "100" used to be stored as 100 and True as 1
     with pytest.raises(error, match=f"^{field} must be an integer, got "):
         build(value)
+
+
+@INTEGER_FIELDS
+def test_integer_fields_reject_ints_beyond_the_float_range(build, read, field, error):
+    # 10**400 used to escape as an OverflowError; the message does not echo it
+    with pytest.raises(error, match=f"^{field} is beyond the float range$"):
+        build(10**400)
+
+
+REAL_FIELDS = pytest.mark.parametrize("build, read, field", [
+    (lambda x: tk.Anchor(x, 50, 1.0), lambda a: a.u, "anchor u"),
+    (lambda x: tk.Anchor(50, x, 1.0), lambda a: a.v, "anchor v"),
+    (lambda x: tk.Anchor(50, 50, x), lambda a: a.d, "anchor d"),
+    (lambda x: tk.QuantizationSpec(100, 100, depth_min=x), lambda s: s.depth_min, "depth_min"),
+    (lambda x: tk.QuantizationSpec(100, 100, depth_max=x), lambda s: s.depth_max, "depth_max"),
+    (lambda x: tk.QuantizationSpec(100, 100, depth_mode="anchor_relative", depth_delta_max=x),
+     lambda s: s.depth_delta_max, "depth_delta_max"),
+    (lambda x: tk.Perturbation(x, [0.1, 0.0, 0.0]), lambda p: p.time, "perturbation time"),
+], ids=["anchor-u", "anchor-v", "anchor-d", "depth-min", "depth-max", "depth-delta-max",
+        "perturbation-time"])
+
+
+@REAL_FIELDS
+@pytest.mark.parametrize("value", ["1", True, np.True_, [1.0], math.nan, math.inf, 10**400],
+                         ids=["str", "bool", "numpy-bool", "list", "nan", "inf", "huge"])
+def test_real_fields_reject_everything_but_finite_reals(build, read, field, value):
+    # True used to be stored as 1.0, and "1" raised a TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be a finite real number, got "):
+        build(value)
+    for real in (2, np.int64(2), np.float32(2.0)):  # ints and NumPy numbers stay valid
+        stored = read(build(real))
+        assert stored == 2.0 and type(stored) is float
+
+
+@pytest.mark.parametrize("value", [True, "0.1", None, 10**400])
+def test_positive_reals_reject_bools_and_strings(value):
+    # True used to pass as 1 and "0.1" raised a TypeError
+    with pytest.raises(ValueError, match="^tau must be finite and positive, got "):
+        tk.coverage([[0.0, 0.0]], [[0.0, 0.0]], value)

@@ -140,7 +140,7 @@ def point_to_polyline_loop(points, ref):
 
 def assert_dp_metrics_match_loops(a, b):
     assert tk.dtw(a, b) == dtw_loop(a, b)
-    assert tk.dtw(a, b, normalized=True) == dtw_loop(a, b, normalized=True)
+    assert tk.full_report(a, b).dtw == dtw_loop(a, b, normalized=True)
     assert tk.discrete_frechet(a, b) == frechet_loop(a, b)
 
 
@@ -165,7 +165,7 @@ class TestDTW:
     def test_identical_is_zero(self, rng):
         p = rng.normal(size=(8, 3))
         assert tk.dtw(p, p) == 0.0
-        assert tk.dtw(p, p, normalized=True) == 0.0
+        assert tk.full_report(p, p).dtw == 0.0
 
     def test_single_points(self):
         assert tk.dtw([[0.0, 0.0]], [[3.0, 4.0]]) == 5.0
@@ -185,7 +185,7 @@ class TestDTW:
         b = np.array([[0.0, 1.0], [1.0, 1.0]])
         # unique optimal path: two diagonal matches of cost 1
         assert abs(tk.dtw(a, b) - 2.0) < 1e-12
-        assert abs(tk.dtw(a, b, normalized=True) - 1.0) < 1e-12
+        assert abs(tk.full_report(a, b).dtw - 1.0) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -492,8 +492,8 @@ class TestFullReport:
     def test_components_match_from_oracles(self, rng):
         pred = rng.normal(size=(5, 2))
         ref = rng.normal(size=(5, 2))
-        report = tk.full_report(pred, ref, tau=0.3, dtw_normalized=False)
-        assert report.dtw == pytest.approx(dtw_brute(pred, ref), abs=1e-12)
+        report = tk.full_report(pred, ref, tau=0.3)
+        assert report.config["dtw_raw"] == pytest.approx(dtw_brute(pred, ref), abs=1e-12)
         assert report.frechet == pytest.approx(frechet_brute(pred, ref), abs=1e-12)
         assert report.hausdorff == pytest.approx(tk.hausdorff(pred, ref))
         p, r, f1 = tk.coverage(pred, ref, 0.3)
@@ -501,14 +501,14 @@ class TestFullReport:
         start, end = tk.endpoint_errors(pred, ref)
         assert report.startpoint_err == start and report.endpoint_err == end
 
-    @given(polyline_pairs(max_len=20), st.sampled_from((0.05, 0.5, 2.0)), st.booleans())
-    def test_rows_equal_standalone_metrics(self, pair, tau, dtw_normalized):
+    @given(polyline_pairs(max_len=20), st.sampled_from((0.05, 0.5, 2.0)))
+    def test_rows_equal_standalone_metrics(self, pair, tau):
         pred, ref = pair
-        report = tk.full_report(pred, ref, tau=tau, dtw_normalized=dtw_normalized)
+        report = tk.full_report(pred, ref, tau=tau)
         precision, recall, f1 = tk.coverage(pred, ref, tau)
         assert (report.cover_precision, report.config["cover_recall"], report.cover_f1) == \
             (precision, recall, f1)
-        assert report.dtw == tk.dtw(pred, ref, normalized=dtw_normalized)
+        assert report.dtw == dtw_loop(pred, ref, normalized=True)
         assert report.config["dtw_raw"] == tk.dtw(pred, ref)
         assert report.frechet == tk.discrete_frechet(pred, ref)
         assert report.hausdorff == tk.hausdorff(pred, ref)

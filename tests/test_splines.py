@@ -117,9 +117,17 @@ class TestFit:
     def test_natural_end_curvature_zero(self, rng):
         t = np.linspace(0, 4, 9)
         pts = rng.normal(size=(9, 3))
-        spline = tk.fit(sparse_from_arrays(t, pts)).position
-        assert np.abs(spline.acceleration(t[0])).max() < 1e-9
-        assert np.abs(spline.acceleration(t[-1])).max() < 1e-9
+        c = tk.fit(sparse_from_arrays(t, pts)).position.coefficients
+        h = t[-1] - t[-2]
+        assert np.abs(2 * c[0, 2]).max() < 1e-9
+        assert np.abs(2 * c[-1, 2] + 6 * h * c[-1, 3]).max() < 1e-9
+
+    def test_end_velocities_clamp_the_ends(self, rng):
+        # end velocities used to be ignored unless bc_type was "clamped"
+        t = np.linspace(0, 4, 9)
+        ends = np.array([[5.0] * 3, [9.0] * 3])
+        spline = tk.PositionSpline.fit(t, rng.normal(size=(9, 3)), ends)
+        assert np.abs(spline.velocity(t[[0, -1]]) - ends).max() < 1e-9
 
     def test_duplicate_timestamps_rejected(self):
         with pytest.raises(ValueError):
@@ -136,9 +144,8 @@ class TestFit:
         ([0.0, 1.0, math.inf], np.zeros((3, 3)), None, "times"),
     ], ids=["nan-point", "inf-end-velocity", "inf-knot-time"])
     def test_non_finite_input_rejected(self, times, points, ends, name):
-        bc_type = "natural" if ends is None else "clamped"
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            tk.PositionSpline.fit(times, points, bc_type, ends)
+            tk.PositionSpline.fit(times, points, ends)
 
     @pytest.mark.parametrize("knots, coefficients, name", [
         ([0.0, 1.0], np.full((1, 4, 3), math.nan), "coefficients"),
@@ -483,10 +490,9 @@ def sparse_plans(draw):
 
 
 class TestFitInterpolatesKnots:
-    @given(sparse_plans(), st.sampled_from(("natural", "clamped")))
-    def test_knots_reproduced(self, sparse, bc_type):
-        ends = (np.zeros(3), np.ones(3)) if bc_type == "clamped" else None
-        traj = tk.fit(sparse, bc_type, ends)
+    @given(sparse_plans(), st.booleans())
+    def test_knots_reproduced(self, sparse, clamped):
+        traj = tk.fit(sparse, end_velocities=(np.zeros(3), np.ones(3)) if clamped else None)
         positions, quats, grippers = traj.sample(sparse.times)
         scale = 1.0 + np.abs(sparse.positions).max()
         assert np.abs(positions - sparse.positions).max() < 1e-9 * scale
@@ -495,9 +501,9 @@ class TestFitInterpolatesKnots:
         assert np.array_equal(grippers, sparse.grippers)
 
 
-def thomas_moments(t, y, bc_type, end_velocities):
+def thomas_moments(t, y, end_velocities):
     """Reference: the spline moments by plain Thomas elimination, natural
-    end rows written as ``1 * m = 0``."""
+    end rows (``end_velocities`` None) written as ``1 * m = 0``."""
     n = len(t)
     h = np.diff(t)
     slopes = np.diff(y, axis=0) / h[:, None]
@@ -505,7 +511,7 @@ def thomas_moments(t, y, bc_type, end_velocities):
     rhs = np.zeros((n, 3))
     lower[1:-1], diag[1:-1], upper[1:-1] = h[:-1], 2.0 * (h[:-1] + h[1:]), h[1:]
     rhs[1:-1] = 6.0 * (slopes[1:] - slopes[:-1])
-    if bc_type == "clamped":
+    if end_velocities is not None:
         diag[0], upper[0], rhs[0] = 2.0 * h[0], h[0], 6.0 * (slopes[0] - end_velocities[0])
         lower[-1], diag[-1] = h[-1], 2.0 * h[-1]
         rhs[-1] = 6.0 * (end_velocities[1] - slopes[-1])
@@ -523,8 +529,8 @@ def thomas_moments(t, y, bc_type, end_velocities):
 class TestMomentSolve:
     # knot spacings above 1 s are where pivoting on a unit natural end row
     # would reorder the elimination
-    @given(st.integers(2, 60), st.sampled_from(("natural", "clamped")), st.data())
-    def test_equals_thomas_elimination(self, n, bc_type, data):
+    @given(st.integers(2, 60), st.booleans(), st.data())
+    def test_equals_thomas_elimination(self, n, clamped, data):
         h = data.draw(st.lists(st.floats(1e-3, 100.0), min_size=n - 1, max_size=n - 1))
         t = data.draw(st.floats(-50.0, 50.0)) + np.concatenate([[0.0], np.cumsum(h)])
         assume(np.all(np.diff(t) > 0))
@@ -533,11 +539,12 @@ class TestMomentSolve:
                                         min_size=n, max_size=n)))
         ends = (np.array(data.draw(st.lists(coords, min_size=3, max_size=3))),
                 np.array(data.draw(st.lists(coords, min_size=3, max_size=3))))
-        got = tk.splines._cubic_moments(t, y, bc_type, ends)
-        assert np.array_equal(got, thomas_moments(t, y, bc_type, ends))
+        ends = ends if clamped else None
+        got = tk.splines._cubic_moments(t, y, ends)
+        assert np.array_equal(got, thomas_moments(t, y, ends))
 
-    @given(st.integers(2, 60), st.sampled_from(("natural", "clamped")), st.data())
-    def test_equals_solve_banded(self, n, bc_type, data):
+    @given(st.integers(2, 60), st.booleans(), st.data())
+    def test_equals_solve_banded(self, n, clamped, data):
         """The Python solver against LAPACK gtsv on the same bands, signed
         zeros included (coordinates may be -0.0 or constant)."""
         h = data.draw(st.lists(st.floats(1e-3, 100.0), min_size=n - 1, max_size=n - 1))
@@ -553,9 +560,9 @@ class TestMomentSolve:
         ab[0, 2:], ab[2, :-2] = hh[1:], hh[:-1]
         ab[1, 1:-1], ab[1, 0], ab[1, -1] = 2.0 * (hh[:-1] + hh[1:]), 2.0 * hh[0], 2.0 * hh[-1]
         rhs[1:-1] = 6.0 * (slopes[1:] - slopes[:-1])
-        if bc_type == "clamped":
+        if clamped:
             ab[0, 1], ab[2, -2] = hh[0], hh[-1]
             rhs[0], rhs[-1] = 6.0 * (slopes[0] - ends[0]), 6.0 * (ends[1] - slopes[-1])
-        got = tk.splines._cubic_moments(t, y, bc_type, ends)
+        got = tk.splines._cubic_moments(t, y, ends if clamped else None)
         want = solve_banded((1, 1), ab, rhs)
         assert got.tobytes() == want.tobytes()
