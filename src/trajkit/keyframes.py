@@ -7,14 +7,15 @@ with equally-time-spaced sub-keyframes whose poses come from the nearest
 recorded sample, keeping supervision on observed data.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InsufficientDataError
-from .geometry import (DenseTrajectory, Frame, _clamp, _integral, finite_difference_accel,
-                       trajectory_columns)
+from .geometry import (DenseTrajectory, Frame, _clamp, _finite_real, _integral,
+                       finite_difference_accel, trajectory_columns)
 
 __all__ = [
     "KeyframeReason",
@@ -104,12 +105,14 @@ def select_keyframes(traj: DenseTrajectory, alpha: float, weights=None) -> Keyfr
 
     Args:
         traj: demonstration with >= 3 samples.
-        alpha: acceleration threshold, > 0.
+        alpha: acceleration threshold, a real > 0; ``inf`` selects only
+            the endpoints and the gripper toggles.
         weights: optional per-component weights for the magnitude
             (see :func:`finite_difference_accel`).
     """
-    if not alpha > 0:  # alpha = inf is valid: it selects no acceleration keyframes
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not ((_finite_real(alpha) and alpha > 0)
+            or (isinstance(alpha, (float, np.floating)) and alpha == math.inf)):
+        raise ValueError(f"alpha must be a positive real number or inf, got {alpha!r}")
     if len(traj) < 3:
         raise InsufficientDataError(
             f"keyframe selection needs >= 3 samples, got {len(traj)}"

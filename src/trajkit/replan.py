@@ -12,7 +12,7 @@ reports the keep decision.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import UndefinedDirectionError
 from .geometry import (
     _as_array,
     _check_positive,
+    _real,
     _time_grid,
     eulers_to_quaternions,
     gripper_column,
@@ -105,11 +106,19 @@ class PendingPlan:
 class ControllerState:
     """Executing-controller snapshot advanced exclusively by controller_step.
 
-    Construction checks the current position and velocity (finite (3,)
-    rows) and wxyz quaternion (unit as in :func:`unit_quaternions`, stored
-    with w >= 0), and stores read-only copies of all three.
+    Construction checks ``current_time`` (a finite real, not before the
+    active trajectory's domain), the current position and velocity (finite
+    (3,) rows) and wxyz quaternion (unit as in :func:`unit_quaternions`,
+    stored with w >= 0), and stores read-only copies of all three.
     ``replan_interval`` (also the length of the transition segment a merge
     inserts) and ``segment_duration`` must be finite and positive.
+
+    After a merge, segments 1.. of ``active`` are the natural fit of
+    ``pending`` on ``active.position.knot_times[1:]``. controller_step
+    marks the states it returns that keep this invariant, and the next
+    merge reuses those segments when its refreshed plan has the same
+    positions and knots. A state built by hand is not marked, since its
+    ``active`` may be any trajectory, so its first merge refits.
     """
 
     current_time: float
@@ -120,17 +129,45 @@ class ControllerState:
     pending: PendingPlan
     replan_interval: float
     segment_duration: float = 1.0  # re-timing spacing for schedule-free plans
+    _fits_pending = False  # the invariant above; not a field, set by _checked only
 
     def __post_init__(self):
         _check_positive("replan_interval", self.replan_interval)
         _check_positive("segment_duration", self.segment_duration)
+        t = _real("current_time", self.current_time)
         pos = _as_array(self.current_position, (3,), "current_position")
         quat = unit_quaternions([self.current_wxyz])[0]
         vel = _as_array(self.current_velocity, (3,), "current_velocity")
         quat.flags.writeable = False
-        vars(self).update(current_position=pos, current_wxyz=quat, current_velocity=vel)
-        if self.current_time < self.active.domain[0] - 1e-9:
+        vars(self).update(current_time=t, current_position=pos, current_wxyz=quat,
+                          current_velocity=vel)
+        if t < self.active.domain[0] - 1e-9:
             raise ValueError("current_time precedes the active trajectory domain")
+
+    @classmethod
+    def _checked(cls, current_time, current_position, current_wxyz, current_velocity, active,
+                 pending, replan_interval, segment_duration,
+                 fits_pending: bool) -> "ControllerState":
+        """Wrap fields whose checks above the caller has proven: a float time
+        in ``active``'s domain, a sampled wxyz row, a fresh velocity row and
+        the durations of a checked state; ``fits_pending`` says whether the
+        invariant above holds. The position and quaternion rows are copied,
+        since they are views of a block the caller hands out; the position
+        and velocity are checked finite, since sampling finite coefficients
+        can still overflow."""
+        pos, quat = current_position.copy(), current_wxyz.copy()
+        if not np.isfinite(pos).all():
+            raise ValueError("current_position must be finite")
+        if not np.isfinite(current_velocity).all():
+            raise ValueError("current_velocity must be finite")
+        for row in (pos, quat, current_velocity):
+            row.flags.writeable = False
+        state = object.__new__(cls)
+        vars(state).update(current_time=current_time, current_position=pos, current_wxyz=quat,
+                           current_velocity=current_velocity, active=active, pending=pending,
+                           replan_interval=replan_interval, segment_duration=segment_duration,
+                           _fits_pending=fits_pending)
+        return state
 
 
 @dataclass(frozen=True)
@@ -173,42 +210,63 @@ def _hermite_coeffs(p0, v0, p1, v1, duration: float) -> np.ndarray:
 
 
 def _plan_knots(state: ControllerState, plan: PendingPlan) -> np.ndarray:
-    """Knot times for the refreshed plan, preserving its schedule when it
-    still lies ahead and re-timing otherwise; the transition spans
-    ``replan_interval``."""
+    """Knot times of the merged trajectory: current_time, then the refreshed
+    plan's knots, preserving its schedule when it still lies ahead and
+    re-timing otherwise; the transition spans ``replan_interval``.
+
+    A schedule that lies ahead is already checked; a shifted or re-timed one
+    is checked here, since a large offset can round adjacent knots together.
+    """
     t_now, transition = state.current_time, state.replan_interval
+    if plan.times is not None and plan.times[0] > t_now + 1e-9:
+        knots = np.concatenate([[t_now], plan.times])
+        knots.flags.writeable = False
+        return knots
     if plan.times is not None:
-        if plan.times[0] > t_now + 1e-9:
-            return plan.times.copy()
         # schedule already overrun: shift it so the first knot lands at
         # the end of the transition window
-        return plan.times + (t_now + transition - plan.times[0])
-    return t_now + transition + np.arange(len(plan)) * state.segment_duration
+        rest = plan.times + (t_now + transition - plan.times[0])
+    else:
+        rest = t_now + transition + np.arange(len(plan)) * state.segment_duration
+    return _time_grid(np.concatenate([[t_now], rest]), "knot times")
 
 
 def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTrajectory:
-    """Blend a refreshed (non-empty) plan into the active trajectory."""
-    t_now = state.current_time
-    knots_rest = _plan_knots(state, plan)
-    t_entry = float(knots_rest[0])
+    """Blend a refreshed (non-empty) plan into the active trajectory.
 
-    if len(plan) >= 2:
-        remainder = PositionSpline.fit(knots_rest, plan.positions)
-        v_entry = remainder.velocity(t_entry)
-        rest_coeffs = remainder.coefficients
-    else:
+    When the state keeps the invariant stated on :class:`ControllerState`
+    and the plan has the positions of ``state.pending`` and the knots of the
+    active trajectory after its transition, the natural fit of the plan is
+    segments 1.. of the active trajectory, so they are reused, not refit.
+    """
+    t_now = state.current_time
+    knots = _plan_knots(state, plan)
+    t_entry = float(knots[1])
+    held = state.active.position
+
+    if len(plan) == 1:
         # lone goal: no plan velocity exists, carry the active trajectory's
         # velocity at the entry time (zero past its end) so an unchanged
         # plan tail keeps the executing profile
         v_entry = state.active.velocity(t_entry)
         rest_coeffs = np.empty((0, 4, 3))
+    elif (state._fits_pending and len(held.knot_times) == len(plan) + 1
+            and len(state.pending) == len(plan)
+            and np.array_equal(held.knot_times[1:], knots[1:])
+            and np.array_equal(state.pending.positions, plan.positions)):
+        v_entry = held.velocity(t_entry)
+        rest_coeffs = held.coefficients[1:]
+    else:
+        remainder = PositionSpline.fit(knots[1:], plan.positions)
+        v_entry = remainder.velocity(t_entry)
+        rest_coeffs = remainder.coefficients
 
     transition = _hermite_coeffs(state.current_position, state.current_velocity,
                                  plan.positions[0], v_entry, t_entry - t_now)[None]  # one segment
-    knots = np.concatenate([[t_now], knots_rest])
-    spline = PositionSpline(knots, np.concatenate([transition, rest_coeffs], axis=0))
-    return ContinuousTrajectory(spline, np.vstack([state.current_wxyz, plan.orientations]),
-                                np.concatenate([[state.active.gripper(t_now)], plan.grippers]))
+    spline = PositionSpline._checked(knots, np.concatenate([transition, rest_coeffs], axis=0))
+    return ContinuousTrajectory._checked(
+        spline, np.vstack([state.current_wxyz, plan.orientations]),
+        np.concatenate([[state.active.gripper(t_now)], plan.grippers]))
 
 
 def controller_step(state: ControllerState, times,
@@ -227,20 +285,21 @@ def controller_step(state: ControllerState, times,
     if len(t) == 0 or t[0] <= state.current_time:
         raise ValueError("times must be non-empty and after current_time")
     event = None
-    active, pending = state.active, state.pending
+    active, pending, fits_pending = state.active, state.pending, state._fits_pending
     if replan_source is not None and len(replan_source) == 0:
         # planner reports nothing left: plan complete, keep executing
-        pending = replan_source
+        pending, fits_pending = replan_source, False
     elif replan_source is not None:
         start, k, gamma = _keep_from(state.current_position, replan_source)
         event = ReplanEvent(state.current_time, start, gamma, k, start > k)
         pending = replan_source.tail(start)
-        if len(pending) > 0:
+        fits_pending = len(pending) > 0
+        if fits_pending:
             active = _merge_refreshed(state, pending)
 
     pos, quats, grip = active.sample(t)
     t_last = float(t[-1])
-    new_state = replace(state, current_time=t_last, current_position=pos[-1],
-                        current_wxyz=quats[-1], current_velocity=active.velocity(t_last),
-                        active=active, pending=pending)
+    new_state = ControllerState._checked(t_last, pos[-1], quats[-1], active.velocity(t_last),
+                                         active, pending, state.replan_interval,
+                                         state.segment_duration, fits_pending)
     return new_state, (t, pos, quats, grip), event

@@ -130,6 +130,19 @@ class PositionSpline:
         object.__setattr__(self, "coefficients", c)
 
     @classmethod
+    def _checked(cls, knot_times, coefficients) -> "PositionSpline":
+        """Wrap knots that already passed the checks above and are read-only,
+        and a fresh coefficient array of the matching shape, without copying
+        either. Only the coefficients' finiteness is checked: arithmetic on
+        finite knots and points can still overflow."""
+        if not np.isfinite(coefficients).all():
+            raise ValueError("coefficients must be finite")
+        coefficients.flags.writeable = False
+        spline = object.__new__(cls)
+        vars(spline).update(knot_times=knot_times, coefficients=coefficients)
+        return spline
+
+    @classmethod
     def fit(cls, times, points, end_velocities=None) -> "PositionSpline":
         """Interpolating cubic spline through (times, points).
 
@@ -149,7 +162,7 @@ class PositionSpline:
         a1 = np.diff(y, axis=0) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
         a2 = m[:-1] / 2.0
         a3 = (m[1:] - m[:-1]) / (6.0 * h)
-        return cls(t, np.stack([a0, a1, a2, a3], axis=1))
+        return cls._checked(t, np.stack([a0, a1, a2, a3], axis=1))
 
     @property
     def domain(self) -> tuple:
@@ -199,6 +212,16 @@ def _slerp_rows(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
     return canonical_sign(out)
 
 
+def _sign_aligned(q: np.ndarray) -> np.ndarray:
+    """A read-only copy of the wxyz rows ``q`` with consecutive dot products >= 0."""
+    # row i is negated when an odd number of the consecutive dot products up
+    # to it are negative
+    flips = np.where(np.sum(q[:-1] * q[1:], axis=1) < 0.0, -1.0, 1.0)
+    q = q * np.concatenate([[1.0], np.cumprod(flips)])[:, None]
+    q.flags.writeable = False
+    return q
+
+
 @dataclass(frozen=True, eq=False)
 class ContinuousTrajectory:
     """Evaluable trajectory on one knot grid, ``position.knot_times``.
@@ -221,13 +244,18 @@ class ContinuousTrajectory:
             raise ValueError(f"need one gripper value for each of {n} knots")
         if not np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= 1e-9):
             raise ValueError("orientation knots must be unit quaternions")
-        # row i is negated when an odd number of the consecutive dot
-        # products up to it are negative
-        flips = np.where(np.sum(q[:-1] * q[1:], axis=1) < 0.0, -1.0, 1.0)
-        q = q * np.concatenate([[1.0], np.cumprod(flips)])[:, None]
-        q.flags.writeable = False
         # the dataclass is frozen: write past __setattr__
-        vars(self).update(wxyz=q, grippers=gripper_column(self.grippers))
+        vars(self).update(wxyz=_sign_aligned(q), grippers=gripper_column(self.grippers))
+
+    @classmethod
+    def _checked(cls, position, wxyz, grippers) -> "ContinuousTrajectory":
+        """Wrap fresh columns whose rows already passed the checks above, one
+        per knot of ``position``: unit wxyz rows (as :func:`unit_quaternions`
+        returns them) and 0/1 int grippers. Only the sign alignment runs."""
+        grippers.flags.writeable = False
+        traj = object.__new__(cls)
+        vars(traj).update(position=position, wxyz=_sign_aligned(wxyz), grippers=grippers)
+        return traj
 
     @property
     def domain(self) -> tuple:

@@ -577,3 +577,74 @@ class TestSaveLoadSave:
         assert_save_load_save(fileio.save_execution_log, fileio.load_execution_log,
                               tk.ExecutionLog(commanded, events, final_error),
                               tmp_path_factory.getbasetemp())
+
+
+# ---------------------------------------------------------------------------
+# mutated files
+
+
+def mutation_documents() -> dict:
+    """name -> (parsed JSON document, loader, saver of what the loader returns):
+    the golden files and a scenario whose plan is the golden sparse trajectory."""
+    docs = {}
+    for name, (writer, _, _) in golden_objects().items():
+        save = getattr(fileio, writer)
+        if writer in ("save_bundle", "save_sparse_bundle"):
+            save = (lambda save: lambda loaded, path: save(*loaded, path))(save)
+        docs[name] = json.loads((DATA / name).read_text()), LOADERS[writer], save
+    sparse = golden_objects()["golden_sparse.json"][1][0]
+    scenario = tk.Scenario(sparse, (tk.Perturbation(0.5, [0.1, -0.0, 1e22]),), 0.1, 100.0, 1.0,
+                           True, True)
+    docs["scenario"] = scenario_payload(scenario), fileio.load_scenario, fileio.save_scenario
+    return docs
+
+
+MUTATION_DOCUMENTS = mutation_documents()
+DELETE = object()
+# what a mutated node becomes: json.dumps writes NaN and the infinities as the
+# non-standard literals the reader accepts, and 10**400 as an integer literal
+REPLACEMENTS = [DELETE, None, "x", True, False, 0, -0.0, 1e308, 10**400, math.nan, math.inf,
+                -math.inf, [], {}]
+
+
+def draw_node(data, document) -> tuple:
+    """(parent, key) of a node drawn by descending from the root: a child is
+    drawn at each level, then either taken or descended into, so the few
+    scalar fields weigh as much as the many sample values."""
+    node = document
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child) or data.draw(st.booleans()):
+            return node, key
+        node = child
+
+
+class TestMutatedFiles:
+    """Replacing or deleting one or two nodes of a valid file either gives a
+    SchemaError or a file that loads, and what it loads saves without error
+    (the writers refuse non-finite numbers, so the loaders must too)."""
+
+    @settings(max_examples=80)
+    @pytest.mark.parametrize("name", sorted(MUTATION_DOCUMENTS))
+    @given(st.data())
+    def test_raises_schema_error_or_loads_and_saves(self, tmp_path_factory, name, data):
+        document, load, save = MUTATION_DOCUMENTS[name]
+        document = json.loads(json.dumps(document))  # a deep copy
+        for _ in range(data.draw(st.integers(1, 2))):
+            if not document:
+                break
+            parent, key = draw_node(data, document)
+            replacement = data.draw(st.sampled_from(REPLACEMENTS))
+            if replacement is DELETE:
+                del parent[key]
+            else:
+                parent[key] = json.loads(json.dumps(replacement))
+        directory = tmp_path_factory.getbasetemp()
+        (directory / "mutated.json").write_text(json.dumps(document))
+        try:
+            loaded = load(directory / "mutated.json")
+        except tk.SchemaError:
+            return
+        save(loaded, directory / "saved.json")

@@ -1,5 +1,7 @@
 """Keyframe selection and sub-keyframe insertion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,20 @@ class TestSelectKeyframes:
             tk.select_keyframes(traj, alpha=0.0)
         with pytest.raises(tk.InsufficientDataError):
             tk.select_keyframes(line_trajectory(n=2), alpha=1.0)
+
+    @pytest.mark.parametrize("alpha", [True, False, "1", None, math.nan, np.float64(math.nan),
+                                       0, -0.0, -1.0, -math.inf])
+    def test_alpha_must_be_a_positive_real(self, alpha):
+        # a bool is not taken as 1, nor a string compared with a TypeError
+        with pytest.raises(ValueError, match="^alpha must be a positive real number"):
+            tk.select_keyframes(line_trajectory(n=10), alpha)
+
+    @pytest.mark.parametrize("alpha", [math.inf, np.float64(math.inf)])
+    def test_infinite_alpha_keeps_endpoints_and_gripper_toggles(self, alpha):
+        traj = helix_trajectory(n=101)
+        traj = tk.DenseTrajectory(traj.times, traj.positions, traj.eulers,
+                                  (np.arange(101) >= 40).astype(int), tk.Frame.WORLD)
+        assert tk.select_keyframes(traj, alpha).indices == (0, 40, 100)
 
 
 class TestInsertSubKeyframes:

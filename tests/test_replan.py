@@ -6,12 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import trajkit as tk
 from conftest import geodesic_angle
+from test_simulate import curved_scenario
 from test_splines import sparse_from_arrays
 
 
@@ -398,6 +399,38 @@ class TestControllerStateBoundary:
         with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
             self.state(**{field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "0.5", None])
+    def test_rejects_times_that_are_not_finite_reals(self, value):
+        with pytest.raises(ValueError, match="^current_time must be a finite real number"):
+            self.state(current_time=value)
+
+    @pytest.mark.parametrize("times, at_time", [([0.0, 1e-300, 1.0], 2.0), (None, 1e17)],
+                             ids=["shifted-schedule", "re-timed-late"])
+    def test_rejects_knots_that_round_together(self, times, at_time):
+        # the overrun schedule is shifted by 2.5, which rounds its first two
+        # knots together; at 1e17 the transition and the segments are below
+        # one ulp, so the re-timed knots all round to current_time
+        plan = tk.PendingPlan([[1.3, 0.0, 0.0], [1.4, 0.0, 0.0], [1.5, 0.0, 0.0]],
+                              np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zeros(3), times)
+        with pytest.raises(ValueError, match="must be strictly increasing"):
+            tk.controller_step(self.state(current_time=at_time), [at_time + 1000.0], plan)
+
+    def test_rejects_transition_coefficients_that_overflow(self):
+        state = self.state(current_velocity=[1e308, 0.0, 0.0], replan_interval=1e-3)
+        with pytest.raises(ValueError, match="^coefficients must be finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            tk.controller_step(state, [2.0005], line_plan(shift=(0.0, 0.01, 0.0)))
+
+    def test_rejects_a_sampled_position_that_overflows(self):
+        # finite coefficients whose cubic overflows one time unit in
+        spline = tk.PositionSpline([0.0, 2.0], [[[0.0] * 3, [0.0] * 3, [1e308] * 3, [1e308] * 3]])
+        active = tk.ContinuousTrajectory(spline, np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), [0, 0])
+        state = self.state(current_time=0.0, current_position=[0.0] * 3,
+                           current_velocity=[0.0] * 3, active=active)
+        with pytest.raises(ValueError, match="^current_position must be finite"), \
+                np.errstate(over="ignore"):
+            tk.controller_step(state, [1.0])
+
     def test_transition_spans_the_replan_interval(self):
         timed = line_plan(shift=(0.0, 0.01, 0.0))
         untimed = tk.PendingPlan(timed.positions, timed.orientations, timed.grippers)
@@ -454,6 +487,77 @@ class TestPendingPlanSlices:
                     continue
                 assert np.array_equal(got, want) and got.dtype == want.dtype, name
                 assert not got.flags.writeable, name
+
+
+def assert_same_bits(a, b, name):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def assert_same_columns(got, want, names):
+    for name in names:
+        assert_same_bits(getattr(got, name), getattr(want, name), name)
+        assert not getattr(got, name).flags.writeable, name
+
+
+class TestTrustedConstructors:
+    """Each private ``_checked`` constructor gives what public construction
+    of the same inputs gives."""
+
+    def active(self, rng, n=6):
+        t = np.cumsum(rng.uniform(0.1, 1.0, n))
+        return tk.fit(sparse_from_arrays(t, rng.normal(size=(n, 3)), rng.uniform(-3, 3, (n, 3)),
+                                         rng.integers(0, 2, n)))
+
+    def test_position_spline(self, rng):
+        knots = self.active(rng).position.knot_times
+        coefficients = rng.normal(size=(len(knots) - 1, 4, 3))
+        trusted = tk.PositionSpline._checked(knots, coefficients.copy())
+        assert_same_columns(trusted, tk.PositionSpline(knots, coefficients),
+                            ("knot_times", "coefficients"))
+        coefficients[-1, 3, 2] = math.inf
+        with pytest.raises(ValueError, match="^coefficients must be finite"):
+            tk.PositionSpline._checked(knots, coefficients)
+
+    def test_position_spline_fit(self, rng):
+        fitted = self.active(rng).position
+        assert_same_columns(fitted, tk.PositionSpline(fitted.knot_times, fitted.coefficients),
+                            ("knot_times", "coefficients"))
+
+    def test_continuous_trajectory(self, rng):
+        spline = self.active(rng).position
+        n = len(spline.knot_times)
+        wxyz = tk.eulers_to_quaternions(rng.uniform(-3, 3, (n, 3)))
+        assert (np.sum(wxyz[:-1] * wxyz[1:], axis=1) < 0.0).any()  # the alignment flips rows
+        grippers = rng.integers(0, 2, n)
+        trusted = tk.ContinuousTrajectory._checked(spline, wxyz.copy(), grippers.copy())
+        public = tk.ContinuousTrajectory(spline, wxyz, grippers)
+        assert trusted.position is public.position
+        assert_same_columns(trusted, public, ("wxyz", "grippers"))
+
+    def test_controller_state(self, rng):
+        active = self.active(rng)
+        times = np.linspace(*active.domain, 7)[1:]
+        pos, quats, _ = active.sample(times)
+        t, vel = float(times[-1]), active.velocity(times[-1])
+        plan = tk.PendingPlan.from_sparse(sparse_from_arrays([0.0, 1.0], np.eye(2, 3)))
+        fields = (t, pos[-1], quats[-1], vel, active, plan, 0.25, 0.5)
+        trusted = tk.ControllerState._checked(*fields, False)
+        public = tk.ControllerState(*fields)
+        assert_same_columns(trusted, public,
+                            ("current_position", "current_wxyz", "current_velocity"))
+        assert trusted.current_time == public.current_time and type(trusted.current_time) is float
+        for name in ("active", "pending", "replan_interval", "segment_duration"):
+            assert getattr(trusted, name) is getattr(public, name), name
+        # the sampled rows are copied: the block they came from stays the caller's
+        assert not np.shares_memory(trusted.current_position, pos)
+        assert not np.shares_memory(trusted.current_wxyz, quats)
+        for name, row in (("current_position", pos[-1]), ("current_velocity", vel)):
+            bad = dict(zip(("current_position", "current_velocity"), (pos[-1], vel.copy())))
+            bad[name] = np.where(np.arange(3) == 1, math.nan, row)
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                tk.ControllerState._checked(t, bad["current_position"], quats[-1],
+                                            bad["current_velocity"], active, plan, 0.25, 0.5,
+                                            False)
 
 
 class TestPendingPlanGrippers:
@@ -558,3 +662,92 @@ class TestKeepDecisionProperty:
                                                                            k + dropped)
         assert abs(event.gamma_at_kstar - gamma) <= 1e-12
         assert len(pending) == len(positions) - event.dropped_count
+
+
+EMPTY_PLAN = tk.PendingPlan(np.zeros((0, 3)), np.zeros((0, 4)), np.zeros(0, dtype=int))
+
+
+def drive(scenario, timed: bool, refit: bool) -> list:
+    """(state, block, event) of each controller_step of a closed loop over the
+    scenario's plan, three ticks per replan interval, fed the oracle planner's
+    plans (with their schedule only when ``timed``).
+
+    With ``refit`` the state's pending plan is emptied before each step that
+    gets a plan: the merge does not read it otherwise, but it can then never
+    reuse the held fit, so every merge refits.
+    """
+    active = tk.fit(scenario.initial_plan)
+    t0, t_end = active.domain
+    pos, quat, _ = tk.eval_trajectory(active, t0)
+    state = tk.ControllerState(t0, pos, quat, active.velocity(t0), active, scenario.base_plan,
+                               scenario.replan_interval, segment_duration=0.05)
+    steps, delayed = [], None
+    interval = scenario.replan_interval
+    for k in range(1, int((t_end - t0) / interval) + 1):
+        plan = tk.oracle_planner(scenario, state.current_time)
+        if not timed:
+            plan = tk.PendingPlan(plan.positions, plan.orientations, plan.grippers)
+        if scenario.delayed_planner:
+            plan, delayed = delayed, plan
+        if refit and plan is not None:
+            state = replace(state, pending=EMPTY_PLAN)
+        times = t0 + (k - 1 + np.arange(1, 4) / 3) * interval
+        state, block, event = tk.controller_step(state, times, plan)
+        steps.append((state, block, event))
+    return steps
+
+
+drift = st.floats(0.002, 0.03) | st.floats(-0.03, -0.002)  # nonzero: it moves the waypoints
+
+
+class TestHeldFitReuse:
+    """A merge from a state that controller_step returned, whose plan has the
+    pending positions and the held knots, takes segments 1.. of the active
+    trajectory instead of refitting them."""
+
+    def test_merges_reuse_the_held_fit(self, monkeypatch):
+        calls = []
+        fit = tk.PositionSpline.fit
+        monkeypatch.setattr(tk.PositionSpline, "fit",
+                            classmethod(lambda cls, *args: calls.append(args) or fit(*args)))
+        log = tk.run(curved_scenario())
+        # one fit of the initial plan, then one per merge that cannot reuse
+        assert 1 < len(calls) < len(log.replan_events) / 2
+
+    def test_a_state_built_by_hand_refits(self):
+        # mid-segment, with the active fit's waypoints after the first as the
+        # pending plan: the held segments are a fit of all six waypoints, not
+        # the natural fit of the last five, though knots and positions match
+        t = np.arange(6.0)
+        sparse = sparse_from_arrays(t, np.stack([np.sin(t), t**2 / 10, np.zeros(6)], axis=1))
+        active = tk.fit(sparse)
+        plan = tk.PendingPlan.from_sparse(sparse).tail(1)
+        pos, quat, _ = tk.eval_trajectory(active, 0.5)
+        state = tk.ControllerState(0.5, pos, quat, active.velocity(0.5), active, plan, 0.5)
+        got = tk.controller_step(state, [0.6], plan)[0].active.position
+        want = tk.controller_step(replace(state, pending=EMPTY_PLAN), [0.6], plan)[0]
+        assert_same_bits(got.coefficients, want.active.position.coefficients, "coefficients")
+
+    @settings(max_examples=25)  # each example drives two loops of up to 80 merges
+    @given(interval=st.floats(0.005, 0.05), timed=st.booleans(), delayed=st.booleans(),
+           drifts=st.lists(st.tuples(st.floats(0.0, 0.4), arrays(float, 3, elements=drift)),
+                           max_size=2))
+    def test_equals_a_forced_refit_bit_for_bit(self, interval, timed, delayed, drifts):
+        scenario = curved_scenario([tk.Perturbation(t, offset) for t, offset in drifts],
+                                   replan_interval=interval, delayed_planner=delayed)
+        got, want = drive(scenario, timed, refit=False), drive(scenario, timed, refit=True)
+        assert len(got) == len(want)
+        for (state, block, event), (ref_state, ref_block, ref_event) in zip(got, want):
+            for name, a, b in zip(("times", "positions", "wxyz", "grippers"), block, ref_block):
+                assert_same_bits(a, b, name)
+            assert repr(event) == repr(ref_event)  # nan and -0.0 alike
+            assert state.current_time == ref_state.current_time
+            for name in ("current_position", "current_wxyz", "current_velocity"):
+                assert_same_bits(getattr(state, name), getattr(ref_state, name), name)
+            active, ref_active = state.active, ref_state.active
+            assert_same_bits(active.position.knot_times, ref_active.position.knot_times, "knots")
+            assert_same_bits(active.position.coefficients, ref_active.position.coefficients,
+                             "coefficients")
+            assert_same_bits(active.wxyz, ref_active.wxyz, "wxyz")
+            assert_same_bits(active.grippers, ref_active.grippers, "grippers")
+            assert_same_bits(state.pending.positions, ref_state.pending.positions, "pending")
