@@ -399,8 +399,8 @@ def finite_difference_accel(traj: DenseTrajectory, weights=None) -> tuple:
 
     Args:
         traj: trajectory with >= 3 samples.
-        weights: optional per-component non-negative weights (length 6,
-            default all ones) mixed into the L2 magnitude.
+        weights: optional per-component non-negative real (not bool) weights
+            (length 6, default all ones) mixed into the L2 magnitude.
 
     Returns:
         (times, magnitudes): arrays over the interior samples
@@ -414,6 +414,8 @@ def finite_difference_accel(traj: DenseTrajectory, weights=None) -> tuple:
         w = np.ones(6)
     else:
         w = _as_array(weights, (6,), "weights")
+        if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(weights, dtype=object).flat):
+            raise ValueError("weights must be real numbers, not bools")
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
     t = traj.times

@@ -152,9 +152,10 @@ def insert_sub_keyframes(traj: DenseTrajectory, keys: KeyframeSet, n: int) -> Sp
     the earlier sample) while keeping the exact grid timestamp.
 
     Args:
-        n: samples per segment including both endpoints; n == 2 returns
-            exactly the keyframes.
+        n: samples per segment including both endpoints, an integer >= 2
+            (an integral float counts); n == 2 returns exactly the keyframes.
     """
+    n = _integral("samples per segment", n)
     if n < 2:
         raise ValueError(f"samples per segment must be >= 2, got {n}")
     if keys.indices[-1] != len(traj) - 1 or keys.indices[0] != 0:

@@ -112,13 +112,6 @@ class ControllerState:
     stored with w >= 0), and stores read-only copies of all three.
     ``replan_interval`` (also the length of the transition segment a merge
     inserts) and ``segment_duration`` must be finite and positive.
-
-    After a merge, segments 1.. of ``active`` are the natural fit of
-    ``pending`` on ``active.position.knot_times[1:]``. controller_step
-    marks the states it returns that keep this invariant, and the next
-    merge reuses those segments when its refreshed plan has the same
-    positions and knots. A state built by hand is not marked, since its
-    ``active`` may be any trajectory, so its first merge refits.
     """
 
     current_time: float
@@ -126,10 +119,8 @@ class ControllerState:
     current_wxyz: np.ndarray  # (4,)
     current_velocity: np.ndarray  # (3,)
     active: ContinuousTrajectory
-    pending: PendingPlan
     replan_interval: float
     segment_duration: float = 1.0  # re-timing spacing for schedule-free plans
-    _fits_pending = False  # the invariant above; not a field, set by _checked only
 
     def __post_init__(self):
         _check_positive("replan_interval", self.replan_interval)
@@ -146,15 +137,13 @@ class ControllerState:
 
     @classmethod
     def _checked(cls, current_time, current_position, current_wxyz, current_velocity, active,
-                 pending, replan_interval, segment_duration,
-                 fits_pending: bool) -> "ControllerState":
+                 replan_interval, segment_duration) -> "ControllerState":
         """Wrap fields whose checks above the caller has proven: a float time
         in ``active``'s domain, a sampled wxyz row, a fresh velocity row and
-        the durations of a checked state; ``fits_pending`` says whether the
-        invariant above holds. The position and quaternion rows are copied,
-        since they are views of a block the caller hands out; the position
-        and velocity are checked finite, since sampling finite coefficients
-        can still overflow."""
+        the durations of a checked state. The position and quaternion rows
+        are copied, since they are views of a block the caller hands out; the
+        position and velocity are checked finite, since sampling finite
+        coefficients can still overflow."""
         pos, quat = current_position.copy(), current_wxyz.copy()
         if not np.isfinite(pos).all():
             raise ValueError("current_position must be finite")
@@ -164,9 +153,8 @@ class ControllerState:
             row.flags.writeable = False
         state = object.__new__(cls)
         vars(state).update(current_time=current_time, current_position=pos, current_wxyz=quat,
-                           current_velocity=current_velocity, active=active, pending=pending,
-                           replan_interval=replan_interval, segment_duration=segment_duration,
-                           _fits_pending=fits_pending)
+                           current_velocity=current_velocity, active=active,
+                           replan_interval=replan_interval, segment_duration=segment_duration)
         return state
 
 
@@ -234,15 +222,14 @@ def _plan_knots(state: ControllerState, plan: PendingPlan) -> np.ndarray:
 def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTrajectory:
     """Blend a refreshed (non-empty) plan into the active trajectory.
 
-    When the state keeps the invariant stated on :class:`ControllerState`
-    and the plan has the positions of ``state.pending`` and the knots of the
-    active trajectory after its transition, the natural fit of the plan is
-    segments 1.. of the active trajectory, so they are reused, not refit.
+    When the active trajectory came from a merge of a plan with these
+    positions and has these knots after its transition, its segments 1..
+    are the natural fit of the plan, so they are reused, not refit.
     """
     t_now = state.current_time
     knots = _plan_knots(state, plan)
     t_entry = float(knots[1])
-    held = state.active.position
+    held, fit_points = state.active.position, state.active._fit_points
 
     if len(plan) == 1:
         # lone goal: no plan velocity exists, carry the active trajectory's
@@ -250,10 +237,8 @@ def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTra
         # plan tail keeps the executing profile
         v_entry = state.active.velocity(t_entry)
         rest_coeffs = np.empty((0, 4, 3))
-    elif (state._fits_pending and len(held.knot_times) == len(plan) + 1
-            and len(state.pending) == len(plan)
-            and np.array_equal(held.knot_times[1:], knots[1:])
-            and np.array_equal(state.pending.positions, plan.positions)):
+    elif (fit_points is not None and np.array_equal(fit_points, plan.positions)
+            and np.array_equal(held.knot_times[1:], knots[1:])):
         v_entry = held.velocity(t_entry)
         rest_coeffs = held.coefficients[1:]
     else:
@@ -266,7 +251,8 @@ def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTra
     spline = PositionSpline._checked(knots, np.concatenate([transition, rest_coeffs], axis=0))
     return ContinuousTrajectory._checked(
         spline, np.vstack([state.current_wxyz, plan.orientations]),
-        np.concatenate([[state.active.gripper(t_now)], plan.grippers]))
+        np.concatenate([[state.active.gripper(t_now)], plan.grippers]),
+        plan.positions if len(plan) > 1 else None)
 
 
 def controller_step(state: ControllerState, times,
@@ -279,27 +265,22 @@ def controller_step(state: ControllerState, times,
     grippers), event), with one sign-canonical wxyz row per tick.
     new_state holds the last tick's time, position, quaternion and
     velocity, and event is the :class:`ReplanEvent` of a processed replan,
-    stamped with the merge time (the incoming current_time), or None.
+    stamped with the merge time (the incoming current_time), or None. The
+    waypoints a replan merges are ``replan_source.tail(event.dropped_count)``.
     """
     t = _time_grid(times, "times")
     if len(t) == 0 or t[0] <= state.current_time:
         raise ValueError("times must be non-empty and after current_time")
-    event = None
-    active, pending, fits_pending = state.active, state.pending, state._fits_pending
-    if replan_source is not None and len(replan_source) == 0:
-        # planner reports nothing left: plan complete, keep executing
-        pending, fits_pending = replan_source, False
-    elif replan_source is not None:
+    event, active = None, state.active
+    # an empty plan means the planner reports nothing left: keep executing
+    if replan_source is not None and len(replan_source) > 0:
         start, k, gamma = _keep_from(state.current_position, replan_source)
         event = ReplanEvent(state.current_time, start, gamma, k, start > k)
-        pending = replan_source.tail(start)
-        fits_pending = len(pending) > 0
-        if fits_pending:
-            active = _merge_refreshed(state, pending)
+        if start < len(replan_source):
+            active = _merge_refreshed(state, replan_source.tail(start))
 
     pos, quats, grip = active.sample(t)
     t_last = float(t[-1])
     new_state = ControllerState._checked(t_last, pos[-1], quats[-1], active.velocity(t_last),
-                                         active, pending, state.replan_interval,
-                                         state.segment_duration, fits_pending)
+                                         active, state.replan_interval, state.segment_duration)
     return new_state, (t, pos, quats, grip), event

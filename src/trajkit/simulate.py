@@ -136,7 +136,6 @@ def run(scenario: Scenario) -> ExecutionLog:
         current_wxyz=quat0,
         current_velocity=active.velocity(t0),
         active=active,
-        pending=scenario.base_plan,
         replan_interval=interval,
     )
 
@@ -193,7 +192,10 @@ def smoothness_check(log: ExecutionLog, v_max: float, a_max: float) -> tuple:
 
     Returns (passed, first_violation_time); the timestamp is None when
     the log is within bounds everywhere, including across replan merges.
+    Both bounds must be finite and positive.
     """
+    _check_positive("v_max", v_max)
+    _check_positive("a_max", a_max)
     traj = log.commanded
     if len(traj) < 3:
         raise InsufficientDataError("smoothness check needs >= 3 samples")

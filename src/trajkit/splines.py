@@ -19,6 +19,7 @@ from .geometry import (
     _as_array,
     _check_positive,
     _clamp,
+    _integral,
     _time_grid,
     canonical_sign,
     eulers_to_quaternions,
@@ -236,6 +237,7 @@ class ContinuousTrajectory:
     position: PositionSpline
     wxyz: np.ndarray  # (n_knots, 4), sign-aligned
     grippers: np.ndarray  # (n_knots,) of {0, 1}
+    _fit_points = None  # not a field: set by _checked only
 
     def __post_init__(self):
         n = len(self.position.knot_times)
@@ -248,13 +250,16 @@ class ContinuousTrajectory:
         vars(self).update(wxyz=_sign_aligned(q), grippers=gripper_column(self.grippers))
 
     @classmethod
-    def _checked(cls, position, wxyz, grippers) -> "ContinuousTrajectory":
+    def _checked(cls, position, wxyz, grippers, fit_points) -> "ContinuousTrajectory":
         """Wrap fresh columns whose rows already passed the checks above, one
         per knot of ``position``: unit wxyz rows (as :func:`unit_quaternions`
-        returns them) and 0/1 int grippers. Only the sign alignment runs."""
+        returns them) and 0/1 int grippers. Only the sign alignment runs.
+        ``fit_points``, kept as ``_fit_points``, are read-only points whose
+        natural fit on ``position.knot_times[1:]`` is segments 1.., or None."""
         grippers.flags.writeable = False
         traj = object.__new__(cls)
-        vars(traj).update(position=position, wxyz=_sign_aligned(wxyz), grippers=grippers)
+        vars(traj).update(position=position, wxyz=_sign_aligned(wxyz), grippers=grippers,
+                          _fit_points=fit_points)
         return traj
 
     @property
@@ -269,10 +274,11 @@ class ContinuousTrajectory:
         """Evaluate at a 1-D array of times, each clamped to the domain.
 
         Returns positions (n, 3), sign-canonical wxyz quaternions (n, 4)
-        and grippers (n,). Every other evaluator is a call of this one.
-        One knot lookup serves all three: the cubic and the SLERP use the
-        segment, the gripper the last knot at or before each time, so at
-        the end of the domain it takes the last knot's value.
+        and grippers (n,), from one knot lookup (``velocity``, ``gripper``
+        and the :class:`PositionSpline` evaluators make their own): the
+        cubic and the SLERP use the segment, the gripper the last knot at or
+        before each time, so at the end of the domain it takes the last
+        knot's value.
         """
         i, seg, dt, c = self.position._locate(times)
         knots = self.position.knot_times
@@ -371,6 +377,7 @@ def reconstruction_error(dense_gt: DenseTrajectory, n_sub: int) -> tuple:
         (max_err, per_segment): the global maximum and the per-keyframe-
         segment maxima.
     """
+    n_sub = _integral("samples per segment", n_sub)
     keys = select_keyframes(dense_gt, math.inf)
     for i0, i1 in zip(keys.indices, keys.indices[1:]):
         if i1 - i0 + 1 < 4 * n_sub:

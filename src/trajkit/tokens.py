@@ -177,11 +177,14 @@ class TokenSequence:
         return len(self.d)
 
 
-def _check_grid(lo: float, hi: float, bins: int) -> None:
+def _check_grid(lo: float, hi: float, bins: int) -> tuple:
+    """(lo, hi, bins) as checked floats lo < hi and an int bins >= 2."""
+    lo, hi, bins = _real("lo", lo), _real("hi", hi), _integral("bins", bins)
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
     if not hi > lo:
         raise ValueError(f"invalid range [{lo}, {hi}]")
+    return lo, hi, bins
 
 
 def quantize(value, lo: float, hi: float, bins: int):
@@ -190,7 +193,7 @@ def quantize(value, lo: float, hi: float, bins: int):
     Element-wise: an array gives an int array of its shape, a scalar a
     NumPy int. Infinities clamp to the end bins; NaN raises ``ValueError``.
     """
-    _check_grid(lo, hi, bins)
+    lo, hi, bins = _check_grid(lo, hi, bins)
     x = np.asarray(value, dtype=float)
     if np.isnan(x).any():
         raise ValueError("cannot quantize NaN")
@@ -200,7 +203,7 @@ def quantize(value, lo: float, hi: float, bins: int):
 
 def dequantize(index, lo: float, hi: float, bins: int):
     """Center of bin ``index`` over [lo, hi], element-wise over an array."""
-    _check_grid(lo, hi, bins)
+    lo, hi, bins = _check_grid(lo, hi, bins)
     i = np.asarray(index)
     bad = ~((0 <= i) & (i < bins))
     if bad.any():

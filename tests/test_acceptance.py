@@ -144,7 +144,6 @@ def test_closed_loop_shift_recovery_and_continuity():
         active = tk.fit(scenario.initial_plan)
         pos0, quat0, _ = tk.eval_trajectory(active, 0.0)
         state = tk.ControllerState(0.0, pos0, quat0, active.velocity(0.0), active,
-                                   tk.PendingPlan.from_sparse(scenario.initial_plan),
                                    scenario.replan_interval)
         dt = 1.0 / scenario.control_rate
         merges = 0

@@ -449,7 +449,7 @@ def _controller_state():
     scenario = line_scenario()
     active = tk.fit(scenario.initial_plan)
     return tk.ControllerState(0.0, active.position.position(0.0), active.wxyz[0],
-                              active.velocity(0.0), active, scenario.base_plan, 0.5)
+                              active.velocity(0.0), active, 0.5)
 
 
 ARRAY_VALUES = {

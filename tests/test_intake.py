@@ -50,8 +50,7 @@ def state(args):
     active = tk.PositionSpline.fit([0.0, 1.0], np.zeros((2, 3)))
     active = tk.ContinuousTrajectory(active, np.tile(IDENTITY, (2, 1)), [0, 0])
     args.update(p=np.zeros(3), q=np.array(IDENTITY), v=np.ones(3))
-    return tk.ControllerState(0.5, args["p"], args["q"], args["v"], active,
-                              tk.PendingPlan(np.zeros((0, 3)), np.zeros((0, 4)), []), 0.1)
+    return tk.ControllerState(0.5, args["p"], args["q"], args["v"], active, 0.1)
 
 
 def spline(args):

@@ -162,6 +162,14 @@ class TestSelectKeyframes:
         with pytest.raises(ValueError, match="^alpha must be a positive real number"):
             tk.select_keyframes(line_trajectory(n=10), alpha)
 
+    @pytest.mark.parametrize("weights", [[True] * 6, np.ones(6, bool),
+                                         [1.0, 1.0, True, 1.0, 1.0, 1.0]],
+                             ids=["bool-list", "bool-array", "one-bool"])
+    def test_weights_must_not_be_bools(self, weights):
+        # a bool is not taken as a weight of 1
+        with pytest.raises(ValueError, match="^weights must be real numbers"):
+            tk.select_keyframes(line_trajectory(n=10), 1.0, weights=weights)
+
     @pytest.mark.parametrize("alpha", [math.inf, np.float64(math.inf)])
     def test_infinite_alpha_keeps_endpoints_and_gripper_toggles(self, alpha):
         traj = helix_trajectory(n=101)
@@ -269,6 +277,22 @@ class TestInsertSubKeyframes:
         keys = tk.select_keyframes(traj, alpha=1.0)
         with pytest.raises(ValueError):
             tk.insert_sub_keyframes(traj, keys, 1)
+
+    def test_integral_float_count_counts_as_its_int(self):
+        traj = helix_trajectory(n=101)
+        keys = tk.select_keyframes(traj, alpha=1.0)
+        got, want = (tk.insert_sub_keyframes(traj, keys, n) for n in (12.0, 12))
+        for name in ("times", "positions", "eulers", "grippers", "keyframe_flags"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("n", [2.5, "12", True, None, math.nan, math.inf])
+    def test_count_must_be_an_integer(self, n):
+        traj = line_trajectory(n=10)
+        keys = tk.select_keyframes(traj, alpha=1.0)
+        with pytest.raises(ValueError, match="^samples per segment must be an integer"):
+            tk.insert_sub_keyframes(traj, keys, n)
+        with pytest.raises(ValueError, match="^samples per segment must be an integer"):
+            tk.reconstruction_error(traj, n)
 
 
 def sparse_with_flags(flags):

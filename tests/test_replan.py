@@ -1,5 +1,5 @@
 """Closed-loop merging through controller_step: the keep decision its
-ReplanEvent reports, pending refresh, blending."""
+ReplanEvent reports, the surviving waypoints, blending."""
 
 import math
 from dataclasses import replace
@@ -38,16 +38,30 @@ def line_state(n=11, speed=0.1, at_time=0.0, **changes):
     pos, quat, _ = tk.eval_trajectory(active, at_time)
     fields = dict(current_time=at_time, current_position=pos, current_wxyz=quat,
                   current_velocity=active.velocity(at_time), active=active,
-                  pending=line_plan(n, speed), replan_interval=0.5)
+                  replan_interval=0.5)
     return tk.ControllerState(**{**fields, **changes})
 
 
 def refresh(current_pos, plan):
-    """(pending plan, event) after one controller_step at t = 2 from
-    current_pos that processes the replan ``plan``."""
-    state, _, event = tk.controller_step(line_state(at_time=2.0, current_position=current_pos),
-                                         [2.01], plan)
-    return state.pending, event
+    """(surviving waypoints, event) after one controller_step at t = 2 from
+    current_pos that processes the replan ``plan``; checks that knots 1.. of
+    the merged trajectory carry the survivors' positions, orientations (up
+    to sign) and grippers, and that with no survivors nothing is merged."""
+    state = line_state(at_time=2.0, current_position=current_pos)
+    new_state, _, event = tk.controller_step(state, [2.01], plan)
+    survivors, merged = plan.tail(event.dropped_count), new_state.active
+    if len(survivors) == 0:
+        assert merged is state.active
+        return survivors, event
+    knots = merged.position.knot_times
+    at_knots = merged.position.position(knots[1:])
+    # each knot before the last starts its own segment, so it is hit exactly
+    assert np.array_equal(at_knots[:-1], survivors.positions[:-1])
+    assert np.allclose(at_knots[-1], survivors.positions[-1], rtol=1e-12, atol=1e-12)
+    signs = np.sign(np.sum(merged.wxyz[1:] * survivors.orientations, axis=1))
+    assert np.array_equal(merged.wxyz[1:], signs[:, None] * survivors.orientations)
+    assert np.array_equal(merged.grippers[1:], survivors.grippers)
+    return survivors, event
 
 
 def merge(state, plan, replan_interval):
@@ -224,7 +238,6 @@ class TestMergeReplan:
             current_wxyz=[1, 0, 0, 0],
             current_velocity=[0.0, 0.0, 0.0],
             active=state.active,
-            pending=state.pending,
             replan_interval=0.5,
         )
         goal = tk.PendingPlan(np.array([[0.3, 0.1, 0.2]]),
@@ -279,7 +292,7 @@ class TestMergeReplan:
                                 times=[5.0, 6.0])
         new_state, _, event = tk.controller_step(state, [10.001], behind)
         # plan complete: nothing survives and execution stays on the active trajectory
-        assert len(new_state.pending) == 0 and event.dropped_count == 2
+        assert event.dropped_count == len(behind) == 2
         assert new_state.active is state.active
 
     def test_orientation_blends_to_plan(self):
@@ -328,8 +341,7 @@ class TestControllerStep:
         empty = tk.PendingPlan(np.empty((0, 3)), np.empty((0, 4)), [])
         new_state, (_, pos, _, _), diag = tk.controller_step(
             state, [state.current_time + 0.05], empty)
-        assert diag is None
-        assert len(new_state.pending) == 0
+        assert diag is None and new_state.active is state.active
         # execution continues on the existing trajectory
         expected, _, _ = tk.eval_trajectory(state.active, 5.05)
         assert np.allclose(pos[0], expected)
@@ -463,9 +475,7 @@ class TestControllerStateBoundary:
         plan = line_plan(shift=(0.0, 0.01, 0.0))
         new_state, _, event = tk.controller_step(state, [2.31], plan)
         k, gamma, dropped = keep_reference(state.current_position, plan.positions)
-        assert event == tk.ReplanEvent(2.3, len(plan) - len(new_state.pending), gamma, k,
-                                       dropped)
-        assert event.dropped_count == k + dropped
+        assert event == tk.ReplanEvent(2.3, k + dropped, gamma, k, dropped)
 
 
 class TestPendingPlanSlices:
@@ -529,24 +539,27 @@ class TestTrustedConstructors:
         wxyz = tk.eulers_to_quaternions(rng.uniform(-3, 3, (n, 3)))
         assert (np.sum(wxyz[:-1] * wxyz[1:], axis=1) < 0.0).any()  # the alignment flips rows
         grippers = rng.integers(0, 2, n)
-        trusted = tk.ContinuousTrajectory._checked(spline, wxyz.copy(), grippers.copy())
+        fit_points = rng.normal(size=(n - 1, 3))
+        trusted = tk.ContinuousTrajectory._checked(spline, wxyz.copy(), grippers.copy(),
+                                                   fit_points)
         public = tk.ContinuousTrajectory(spline, wxyz, grippers)
         assert trusted.position is public.position
         assert_same_columns(trusted, public, ("wxyz", "grippers"))
+        # only the trusted constructor records the points its tail interpolates
+        assert trusted._fit_points is fit_points and public._fit_points is None
 
     def test_controller_state(self, rng):
         active = self.active(rng)
         times = np.linspace(*active.domain, 7)[1:]
         pos, quats, _ = active.sample(times)
         t, vel = float(times[-1]), active.velocity(times[-1])
-        plan = tk.PendingPlan.from_sparse(sparse_from_arrays([0.0, 1.0], np.eye(2, 3)))
-        fields = (t, pos[-1], quats[-1], vel, active, plan, 0.25, 0.5)
-        trusted = tk.ControllerState._checked(*fields, False)
+        fields = (t, pos[-1], quats[-1], vel, active, 0.25, 0.5)
+        trusted = tk.ControllerState._checked(*fields)
         public = tk.ControllerState(*fields)
         assert_same_columns(trusted, public,
                             ("current_position", "current_wxyz", "current_velocity"))
         assert trusted.current_time == public.current_time and type(trusted.current_time) is float
-        for name in ("active", "pending", "replan_interval", "segment_duration"):
+        for name in ("active", "replan_interval", "segment_duration"):
             assert getattr(trusted, name) is getattr(public, name), name
         # the sampled rows are copied: the block they came from stays the caller's
         assert not np.shares_memory(trusted.current_position, pos)
@@ -556,8 +569,7 @@ class TestTrustedConstructors:
             bad[name] = np.where(np.arange(3) == 1, math.nan, row)
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 tk.ControllerState._checked(t, bad["current_position"], quats[-1],
-                                            bad["current_velocity"], active, plan, 0.25, 0.5,
-                                            False)
+                                            bad["current_velocity"], active, 0.25, 0.5)
 
 
 class TestPendingPlanGrippers:
@@ -664,22 +676,23 @@ class TestKeepDecisionProperty:
         assert len(pending) == len(positions) - event.dropped_count
 
 
-EMPTY_PLAN = tk.PendingPlan(np.zeros((0, 3)), np.zeros((0, 4)), np.zeros(0, dtype=int))
+def refit_next(state):
+    """The state with its active trajectory rebuilt through the public
+    constructor, which records no fit points, so the next merge refits."""
+    active = state.active
+    return replace(state, active=tk.ContinuousTrajectory(active.position, active.wxyz,
+                                                         active.grippers))
 
 
-def drive(scenario, timed: bool, refit: bool) -> list:
+def drive(scenario, timed: bool, rebuild=None) -> list:
     """(state, block, event) of each controller_step of a closed loop over the
     scenario's plan, three ticks per replan interval, fed the oracle planner's
-    plans (with their schedule only when ``timed``).
-
-    With ``refit`` the state's pending plan is emptied before each step that
-    gets a plan: the merge does not read it otherwise, but it can then never
-    reuse the held fit, so every merge refits.
-    """
+    plans (with their schedule only when ``timed``). ``rebuild``, when given,
+    maps the state before each step that gets a plan."""
     active = tk.fit(scenario.initial_plan)
     t0, t_end = active.domain
     pos, quat, _ = tk.eval_trajectory(active, t0)
-    state = tk.ControllerState(t0, pos, quat, active.velocity(t0), active, scenario.base_plan,
+    state = tk.ControllerState(t0, pos, quat, active.velocity(t0), active,
                                scenario.replan_interval, segment_duration=0.05)
     steps, delayed = [], None
     interval = scenario.replan_interval
@@ -689,44 +702,80 @@ def drive(scenario, timed: bool, refit: bool) -> list:
             plan = tk.PendingPlan(plan.positions, plan.orientations, plan.grippers)
         if scenario.delayed_planner:
             plan, delayed = delayed, plan
-        if refit and plan is not None:
-            state = replace(state, pending=EMPTY_PLAN)
+        if rebuild is not None and plan is not None:
+            state = rebuild(state)
         times = t0 + (k - 1 + np.arange(1, 4) / 3) * interval
         state, block, event = tk.controller_step(state, times, plan)
         steps.append((state, block, event))
     return steps
 
 
+def fit_calls(monkeypatch) -> list:
+    """The argument tuples of every later ``PositionSpline.fit`` call."""
+    calls = []
+    fit = tk.PositionSpline.fit
+    monkeypatch.setattr(tk.PositionSpline, "fit",
+                        classmethod(lambda cls, *args: calls.append(args) or fit(*args)))
+    return calls
+
+
+def assert_same_steps(got, want):
+    """The blocks and merged coefficients of two drives are equal bit for bit."""
+    for (state, block, _), (ref_state, ref_block, _) in zip(got, want, strict=True):
+        for name, a, b in zip(("times", "positions", "wxyz", "grippers"), block, ref_block):
+            assert_same_bits(a, b, name)
+        assert_same_bits(state.active.position.coefficients,
+                         ref_state.active.position.coefficients, "coefficients")
+
+
 drift = st.floats(0.002, 0.03) | st.floats(-0.03, -0.002)  # nonzero: it moves the waypoints
 
 
 class TestHeldFitReuse:
-    """A merge from a state that controller_step returned, whose plan has the
-    pending positions and the held knots, takes segments 1.. of the active
-    trajectory instead of refitting them."""
+    """A merge whose active trajectory came from a merge of a plan with the
+    same positions, and whose knots match the held ones, takes segments 1..
+    of the active trajectory instead of refitting them."""
 
     def test_merges_reuse_the_held_fit(self, monkeypatch):
-        calls = []
-        fit = tk.PositionSpline.fit
-        monkeypatch.setattr(tk.PositionSpline, "fit",
-                            classmethod(lambda cls, *args: calls.append(args) or fit(*args)))
+        calls = fit_calls(monkeypatch)
         log = tk.run(curved_scenario())
         # one fit of the initial plan, then one per merge that cannot reuse
         assert 1 < len(calls) < len(log.replan_events) / 2
 
-    def test_a_state_built_by_hand_refits(self):
+    def test_a_state_built_by_hand_refits(self, monkeypatch):
         # mid-segment, with the active fit's waypoints after the first as the
-        # pending plan: the held segments are a fit of all six waypoints, not
-        # the natural fit of the last five, though knots and positions match
+        # plan: the held segments are a fit of all six waypoints, not the
+        # natural fit of the last five, though knots and positions match
         t = np.arange(6.0)
         sparse = sparse_from_arrays(t, np.stack([np.sin(t), t**2 / 10, np.zeros(6)], axis=1))
         active = tk.fit(sparse)
         plan = tk.PendingPlan.from_sparse(sparse).tail(1)
         pos, quat, _ = tk.eval_trajectory(active, 0.5)
-        state = tk.ControllerState(0.5, pos, quat, active.velocity(0.5), active, plan, 0.5)
+        state = tk.ControllerState(0.5, pos, quat, active.velocity(0.5), active, 0.5)
+        want = tk.PositionSpline.fit(plan.times, plan.positions)
+        calls = fit_calls(monkeypatch)
         got = tk.controller_step(state, [0.6], plan)[0].active.position
-        want = tk.controller_step(replace(state, pending=EMPTY_PLAN), [0.6], plan)[0]
-        assert_same_bits(got.coefficients, want.active.position.coefficients, "coefficients")
+        assert len(calls) == 1
+        assert_same_bits(got.coefficients[1:], want.coefficients, "coefficients")
+
+    def test_a_replaced_state_keeps_reusing(self, monkeypatch):
+        # the fit points travel with the active trajectory, so a state that
+        # dataclasses.replace rebuilds between steps still reuses the held fit
+        scenario = curved_scenario()
+        want = drive(scenario, True, refit_next)
+        calls = fit_calls(monkeypatch)
+        got = drive(scenario, True, replace)
+        merges = sum(state.active is not prev.active
+                     for (prev, _, _), (state, _, _) in zip(got, got[1:]))
+        assert 1 < len(calls) < merges
+        assert_same_steps(got, want)
+
+    def test_a_drift_between_replans_with_the_same_knots_refits(self):
+        # the drift lands between two replans whose plans have the same
+        # knots, so only the positions tell the held fit is stale
+        scenario = curved_scenario([tk.Perturbation(0.125, [0.015625] * 3)],
+                                   replan_interval=0.015625)
+        assert_same_steps(drive(scenario, True), drive(scenario, True, refit_next))
 
     @settings(max_examples=25)  # each example drives two loops of up to 80 merges
     @given(interval=st.floats(0.005, 0.05), timed=st.booleans(), delayed=st.booleans(),
@@ -735,7 +784,7 @@ class TestHeldFitReuse:
     def test_equals_a_forced_refit_bit_for_bit(self, interval, timed, delayed, drifts):
         scenario = curved_scenario([tk.Perturbation(t, offset) for t, offset in drifts],
                                    replan_interval=interval, delayed_planner=delayed)
-        got, want = drive(scenario, timed, refit=False), drive(scenario, timed, refit=True)
+        got, want = drive(scenario, timed), drive(scenario, timed, refit_next)
         assert len(got) == len(want)
         for (state, block, event), (ref_state, ref_block, ref_event) in zip(got, want):
             for name, a, b in zip(("times", "positions", "wxyz", "grippers"), block, ref_block):
@@ -750,4 +799,3 @@ class TestHeldFitReuse:
                              "coefficients")
             assert_same_bits(active.wxyz, ref_active.wxyz, "wxyz")
             assert_same_bits(active.grippers, ref_active.grippers, "grippers")
-            assert_same_bits(state.pending.positions, ref_state.pending.positions, "pending")

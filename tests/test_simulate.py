@@ -46,7 +46,6 @@ def run_loop(scenario):
         current_wxyz=quat0,
         current_velocity=active.velocity(t0),
         active=active,
-        pending=tk.PendingPlan.from_sparse(scenario.initial_plan),
         replan_interval=scenario.replan_interval,
     )
 
@@ -381,6 +380,15 @@ class TestSmoothnessCheck:
                                  np.zeros((2, 3)), [0, 0], tk.Frame.WORLD)
         with pytest.raises(tk.InsufficientDataError):
             tk.smoothness_check(tk.ExecutionLog(two, (), 0.0), 1.0, 1.0)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1"])
+    @pytest.mark.parametrize("name", ["v_max", "a_max"])
+    def test_bounds_must_be_finite_and_positive(self, name, bound):
+        # a NaN bound would pass every log, and a bool is not taken as 1
+        log = tk.run(line_scenario(duration=1.0))
+        bounds = {"v_max": 1.0, "a_max": 10.0, name: bound}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            tk.smoothness_check(log, **bounds)
 
 
 def smoothness_loop(log, v_max, a_max):

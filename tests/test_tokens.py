@@ -59,6 +59,26 @@ class TestQuantize:
         with pytest.raises(ValueError):
             tk.dequantize(4, 0.0, 1.0, 4)
 
+    @pytest.mark.parametrize("bins", [2.5, "4", True, None, math.nan, math.inf])
+    def test_bins_must_be_an_integer(self, bins):
+        for call in (tk.quantize, tk.dequantize):
+            with pytest.raises(ValueError, match="^bins must be an integer"):
+                call(1, 0.0, 1.0, bins)
+
+    def test_integral_float_bins_give_int_indices(self):
+        got = tk.quantize([0.1, 0.6], 0.0, 1.0, 4.0)
+        assert got.dtype == tk.quantize([0.1, 0.6], 0.0, 1.0, 4).dtype and got.tolist() == [0, 2]
+        assert tk.dequantize(np.array([0, 2]), 0.0, 1.0, 4.0).tolist() == [0.125, 0.625]
+
+    @pytest.mark.parametrize("name, lo, hi", [
+        ("hi", 0.0, math.inf), ("lo", -math.inf, 1.0), ("lo", math.nan, 1.0),
+        ("hi", 0.0, True), ("lo", False, 1.0), ("hi", 0.0, "1"), ("lo", None, 1.0),
+    ])
+    def test_range_ends_must_be_finite_reals(self, name, lo, hi):
+        for call in (tk.quantize, tk.dequantize):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+                call(0, lo, hi, 4)
+
 
 def quantize_reference(value, lo, hi, bins):
     """The scalar quantizer, one Python float at a time."""
