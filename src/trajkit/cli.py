@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import fileio
-from .errors import SchemaError, TrajkitError
+from .errors import TrajkitError
 from .geometry import CameraModel, Frame, _check_positive, camera_to_world
 from .keyframes import SparseTrajectory, insert_sub_keyframes, select_keyframes
 from .metrics import MetricReport, full_report
@@ -90,10 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _camera(args, own=None) -> CameraModel:
     """The ``--camera-from`` bundle's camera if that flag is given, else the input's ``own``."""
     if args.camera_from is not None:
-        data = fileio._read_json(args.camera_from)
-        if "camera" not in data:
-            raise SchemaError("camera", f"{args.camera_from} carries no camera block")
-        return fileio._camera_from_dict(data["camera"], "camera")
+        return fileio._load_camera(args.camera_from)
     if own is None:
         raise ValueError("the input carries no camera: pass --camera-from")
     return own

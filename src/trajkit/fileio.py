@@ -122,10 +122,10 @@ def _write_text(text: str, path) -> None:
         raise
 
 
-def _read_json(path) -> dict:
+def _read_json(path, parse_float=float) -> dict:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=parse_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(str(path), f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -314,6 +314,32 @@ def _camera_from_dict(obj, path: str) -> CameraModel:
         return CameraModel(k, ext, width, height)
     except Exception as exc:
         raise SchemaError(path, str(exc)) from exc
+
+
+def _float_literal(value):
+    """A float literal that ``parse_float=str.encode`` left as bytes, as the
+    float the decoder would have made; any other value as it is."""
+    return float(value) if isinstance(value, bytes) else value
+
+
+def _load_camera(path) -> CameraModel:
+    """The camera block of the bundle at ``path``, without a float per sample.
+
+    The whole file is parsed, so invalid JSON anywhere raises as in a full
+    load, but each float literal stays its bytes (JSON never yields bytes).
+    Only the block's fields and the items of its list fields become floats,
+    by the decoder's own correctly rounded ``float``: those are all the
+    numbers :func:`_camera_from_dict` reads, and it refuses anything deeper
+    whatever that holds, so the camera and every error are a full parse's.
+    """
+    data = _read_json(path, parse_float=str.encode)
+    if "camera" not in data:
+        raise SchemaError("camera", f"{path} carries no camera block")
+    block = data["camera"]
+    if isinstance(block, dict):
+        block = {key: [*map(_float_literal, value)] if isinstance(value, list)
+                 else _float_literal(value) for key, value in block.items()}
+    return _camera_from_dict(block, "camera")
 
 
 def _bundle_payload(traj, cam, meta, keyframe_flags=None) -> dict:

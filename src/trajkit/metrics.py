@@ -175,8 +175,10 @@ def _hausdorff(dist: np.ndarray) -> float:
 
 
 # pred points per block in _point_to_polyline: bounds its five (rows, segments)
-# work arrays to about 40 kB per ref segment, whatever the pred length
-_BLOCK_ROWS = 1024
+# work arrays to 2.5 kB per ref segment, whatever the pred length, so they
+# stay in cache and are reused from the heap instead of freshly mapped pages
+# (on 100-300-point pairs, faster than 32, 128 or 1024 rows)
+_BLOCK_ROWS = 64
 
 
 def _point_to_polyline(points: np.ndarray, ref: np.ndarray) -> np.ndarray:

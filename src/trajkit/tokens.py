@@ -202,9 +202,15 @@ def quantize(value, lo: float, hi: float, bins: int):
 
 
 def dequantize(index, lo: float, hi: float, bins: int):
-    """Center of bin ``index`` over [lo, hi], element-wise over an array."""
+    """Center of bin ``index`` over [lo, hi], element-wise over an array.
+
+    ``index`` must be integers: an int, a NumPy integer or an integer
+    array, never a bool or a float (a fraction is no bin number).
+    """
     lo, hi, bins = _check_grid(lo, hi, bins)
     i = np.asarray(index)
+    if not np.issubdtype(i.dtype, np.integer):
+        raise ValueError(f"index must be an integer or an integer array, got {i.dtype}")
     bad = ~((0 <= i) & (i < bins))
     if bad.any():
         raise ValueError(f"bin index {i[bad][0]} out of [0, {bins})")

@@ -140,6 +140,69 @@ class TestTokenizeDetokenize:
         assert code == 1 and not out.exists()
         assert capsys.readouterr().err == f"error: camera: {world_path} carries no camera block\n"
 
+    # (edit of the --camera-from bundle's JSON text, the error it gives); "@"
+    # holds the place of intrinsics[0], as json.dumps cannot write some
+    # literals, and gets back its own value where an edit leaves it
+    CAMERA_FAULTS = {
+        "invalid-json-after-block": (lambda text: text[:-1], None),
+        "overflow": (lambda text: text.replace('"@"', "1e400"),
+                     "camera.intrinsics[0]: must be finite, got inf"),
+        "nan": (lambda text: text.replace('"@"', "NaN"),
+                "camera.intrinsics[0]: must be finite, got nan"),
+        "number-as-string": (lambda text: text.replace('"@"', '"100.0"'),
+                             "camera.intrinsics[0]: expected a number"),
+        "float-width": (lambda text: text.replace('"width": 100', '"width": 100.0'),
+                        "camera.width: expected an integer, got float"),
+        "width-beyond-float-range": (lambda text: text.replace('"width": 100', '"width": 1e400'),
+                                     "camera.width: expected an integer, got float"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(CAMERA_FAULTS))
+    def test_camera_from_faults_are_validation_errors(self, tmp_path, capsys, camera_bundle,
+                                                      fault):
+        # --camera-from reads only the camera block's numbers, but a file that
+        # is not valid JSON anywhere is still refused, with a full load's error
+        bundle_path, _, _ = camera_bundle
+        sparse_path, out = tmp_path / "sparse.json", tmp_path / "tokens.json"
+        assert cli_main(["keyframes", "--input", str(bundle_path), "--alpha", "5.0",
+                         "--subframes", "4", "--out", str(sparse_path)]) == 0
+        capsys.readouterr()
+        data = json.loads(bundle_path.read_text())
+        k0, data["camera"]["intrinsics"][0] = data["camera"]["intrinsics"][0], "@"
+        edit, message = self.CAMERA_FAULTS[fault]
+        damaged = tmp_path / "damaged.json"
+        damaged.write_text(edit(json.dumps(data)).replace('"@"', repr(k0)))
+        code = cli_main(["tokenize", "--input", str(sparse_path), "--camera-from",
+                         str(damaged), "--anchor", "50,50,1.2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        if message is None:
+            assert err.startswith(f"error: {damaged}: not valid JSON: ") and err.count("\n") == 1
+        else:
+            assert err == f"error: {message}\n"
+
+    def test_camera_from_duplicate_camera_key_takes_the_last(self, tmp_path, capsys,
+                                                            camera_bundle):
+        # as in a full parse, the last of two "camera" keys is the block read
+        bundle_path, _, _ = camera_bundle
+        sparse_path, own, out = (tmp_path / n for n in ("sparse.json", "own.json", "out.json"))
+        assert cli_main(["keyframes", "--input", str(bundle_path), "--alpha", "5.0",
+                         "--subframes", "4", "--out", str(sparse_path)]) == 0
+        argv = ["tokenize", "--input", str(sparse_path), "--anchor", "50,50,1.2"]
+        assert cli_main([*argv, "--camera-from", str(bundle_path), "--out", str(own)]) == 0
+        text = bundle_path.read_text().rstrip()
+        bad = '"camera": {"width": 1.5}'
+        good_last, bad_last = tmp_path / "good_last.json", tmp_path / "bad_last.json"
+        good_last.write_text("{" + bad + "," + text[1:])
+        bad_last.write_text(text[:-1] + "," + bad + "}")
+        capsys.readouterr()
+        assert cli_main([*argv, "--camera-from", str(good_last), "--out", str(out)]) == 0
+        assert out.read_bytes() == own.read_bytes()
+        out.unlink()
+        assert cli_main([*argv, "--camera-from", str(bad_last), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: camera.intrinsics: missing required field\n"
+        assert not out.exists()
+
     def test_to_world_moves_positions_and_keeps_orientations(self, tmp_path):
         # yawed 90 degrees and offset: positions move by the extrinsics, while
         # orientation tokens pass through unchanged

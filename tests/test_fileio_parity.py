@@ -621,6 +621,24 @@ def draw_node(data, document) -> tuple:
         node = child
 
 
+def mutate(data, document: dict, focus=None) -> None:
+    """Replace or delete one or two nodes of ``document`` in place. With a
+    ``focus`` key, half the nodes are drawn under ``document[focus]`` while
+    that is a non-empty object or array."""
+    for _ in range(data.draw(st.integers(1, 2))):
+        if not document:
+            break
+        root = document.get(focus)
+        if not (isinstance(root, (dict, list)) and root and data.draw(st.booleans())):
+            root = document
+        parent, key = draw_node(data, root)
+        replacement = data.draw(st.sampled_from(REPLACEMENTS))
+        if replacement is DELETE:
+            del parent[key]
+        else:
+            parent[key] = json.loads(json.dumps(replacement))
+
+
 class TestMutatedFiles:
     """Replacing or deleting one or two nodes of a valid file either gives a
     SchemaError or a file that loads, and what it loads saves without error
@@ -632,15 +650,7 @@ class TestMutatedFiles:
     def test_raises_schema_error_or_loads_and_saves(self, tmp_path_factory, name, data):
         document, load, save = MUTATION_DOCUMENTS[name]
         document = json.loads(json.dumps(document))  # a deep copy
-        for _ in range(data.draw(st.integers(1, 2))):
-            if not document:
-                break
-            parent, key = draw_node(data, document)
-            replacement = data.draw(st.sampled_from(REPLACEMENTS))
-            if replacement is DELETE:
-                del parent[key]
-            else:
-                parent[key] = json.loads(json.dumps(replacement))
+        mutate(data, document)
         directory = tmp_path_factory.getbasetemp()
         (directory / "mutated.json").write_text(json.dumps(document))
         try:
@@ -648,3 +658,52 @@ class TestMutatedFiles:
         except tk.SchemaError:
             return
         save(loaded, directory / "saved.json")
+
+
+def camera_outcome(read, path) -> tuple:
+    """The camera ``read`` gives, as exact bytes and ints, or its SchemaError."""
+    try:
+        cam = read(path)
+    except tk.SchemaError as exc:
+        return "error", exc.path, str(exc)
+    return (cam.intrinsics.tobytes(), cam.extrinsics_c2w.tobytes(),
+            type(cam.width), cam.width, type(cam.height), cam.height)
+
+
+def full_parse_camera(path) -> tk.CameraModel:
+    """The camera block through a full parse, every float literal a float."""
+    data = fileio._read_json(path)
+    if "camera" not in data:
+        raise tk.SchemaError("camera", f"{path} carries no camera block")
+    return fileio._camera_from_dict(data["camera"], "camera")
+
+
+class TestCameraRead:
+    """``_load_camera`` (floats only for the camera block) gives a
+    bit-equal camera, or the same SchemaError, as a full parse of the same
+    mutated dense bundle."""
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_same_camera_or_same_error(self, tmp_path_factory, data):
+        document = json.loads(json.dumps(MUTATION_DOCUMENTS["golden_bundle.json"][0]))
+        mutate(data, document, focus="camera")
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_text(json.dumps(document))
+        assert (camera_outcome(fileio._load_camera, path)
+                == camera_outcome(full_parse_camera, path))
+
+    def test_golden_camera(self):
+        path = DATA / "golden_bundle.json"
+        assert (camera_outcome(fileio._load_camera, path)
+                == camera_outcome(lambda p: fileio.load_bundle(p)[1], path))
+
+    def test_deeply_nested_field(self, tmp_path):
+        # refused as a full parse refuses it, with no recursion through the nesting
+        document = json.loads(json.dumps(MUTATION_DOCUMENTS["golden_bundle.json"][0]))
+        document["camera"]["intrinsics"][0] = json.loads("[" * 600 + "1.5" + "]" * 600)
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(document))
+        outcome = camera_outcome(fileio._load_camera, path)
+        assert outcome == camera_outcome(full_parse_camera, path)
+        assert outcome[:2] == ("error", "camera.intrinsics[0]")

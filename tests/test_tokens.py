@@ -59,6 +59,14 @@ class TestQuantize:
         with pytest.raises(ValueError):
             tk.dequantize(4, 0.0, 1.0, 4)
 
+    @pytest.mark.parametrize("index", [1.5, True, np.array([0.5, 2.7]), np.float64(2.0),
+                                       np.array([True, False]), "1"],
+                             ids=["float", "bool", "floats", "integral-float", "bools", "str"])
+    def test_dequantize_index_must_be_integers(self, index):
+        # a fraction or a bool is no bin number
+        with pytest.raises(ValueError, match="^index must be an integer"):
+            tk.dequantize(index, 0.0, 1.0, 4)
+
     @pytest.mark.parametrize("bins", [2.5, "4", True, None, math.nan, math.inf])
     def test_bins_must_be_an_integer(self, bins):
         for call in (tk.quantize, tk.dequantize):
