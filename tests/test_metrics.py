@@ -402,7 +402,9 @@ class TestPolylineLoopReference:
         assert np.array_equal(_point_to_polyline(points, ref),
                               point_to_polyline_loop(points, ref))
 
-    @pytest.mark.parametrize("extra", (-1, 0, 1, metrics._BLOCK_ROWS + 3))
+    # literal extras keep the case ids fixed when _BLOCK_ROWS is retuned;
+    # 1027 adds many full blocks and a short tail to the one-block count
+    @pytest.mark.parametrize("extra", (-1, 0, 1, 1027))
     def test_point_counts_straddling_blocks(self, rng, extra):
         points = rng.normal(size=(metrics._BLOCK_ROWS + extra, 3))
         ref = rng.normal(size=(6, 3))
