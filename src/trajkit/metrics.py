@@ -40,6 +40,13 @@ REPORT_ROW_NAMES = (
 
 
 def _as_polyline(points, name: str) -> np.ndarray:
+    if isinstance(points, np.ndarray):
+        real = points.dtype.kind in "iuf"
+    else:
+        real = all(isinstance(x, (int, np.integer, float, np.floating)) and not isinstance(x, bool)
+                   for x in np.asarray(points, dtype=object).flat)
+    if not real:
+        raise ValueError(f"{name} must hold real numbers, not bools or strings")
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] not in (2, 3):
         raise ValueError(f"{name} must be an (N, 2) or (N, 3) array, got {arr.shape}")
@@ -56,8 +63,9 @@ def _pair(a, b) -> tuple:
     return pa, pb
 
 
-# rows per block in _distances: its one work buffer holds this many rows of
-# the (n, m) matrix, which keeps it in cache
+# rows per block in _distances, and per _distances call in _scan_distances:
+# a work buffer holds this many rows of the (n, m) matrix, which keeps it in
+# cache
 _DIST_BLOCK_ROWS = 64
 
 
@@ -85,39 +93,76 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _wavefront(cost: np.ndarray, combine) -> np.ndarray:
-    """Accumulator of the warping DP over an (n, m) cost matrix.
+def _scan_distances(a: np.ndarray, b: np.ndarray, acc=None) -> float:
+    """Hausdorff distance between the points of a and b.
 
-    ``acc[i, j] = combine(cost[i, j], min(acc[i-1, j-1], acc[i-1, j], acc[i, j-1]))``
-    with ``combine`` either ``np.add`` (DTW) or ``np.maximum`` (Frechet).
-    The first row and column are ``combine(combine.accumulate(edge[1:]),
-    cost[0, 0])``, the summation order of the row-by-row loop. The other
-    cells are filled one anti-diagonal ``i + j = k`` at a time: in the
-    C-ordered flat view a diagonal, and each of its three predecessors,
-    is a slice with stride ``m - 1``, so each step is three ufunc calls.
-    Every cell gets the same operands as in the row-by-row loop, so the
-    result is bit-identical to it.
+    Takes ``_distances`` blocks of ``_DIST_BLOCK_ROWS`` rows of a, one at
+    a time, keeping each block's row minima and a running column minimum,
+    and writes each block to the same rows of ``acc`` when it is given.
+    No full distance matrix is held.
     """
-    n, m = cost.shape
-    acc = np.empty((n, m))
-    acc[0, 0] = cost[0, 0]
-    acc[0, 1:] = combine(combine.accumulate(cost[0, 1:]), cost[0, 0])
-    acc[1:, 0] = combine(combine.accumulate(cost[1:, 0]), cost[0, 0])
-    if n == 1 or m == 1:
-        return acc
-    flat_acc, flat_cost = acc.ravel(), cost.ravel()
-    best = np.empty(min(n, m))
-    step = m - 1
-    for k in range(2, n + m - 1):
-        lo, hi = max(1, k - m + 1), min(n - 1, k - 1)
-        first, stop = k + lo * step, k + hi * step + 1  # flat (lo, k - lo) and past (hi, k - hi)
-        b = best[:hi - lo + 1]
-        # the diagonal, up and left predecessors are m + 1, m and 1 flat cells back
-        np.minimum(flat_acc[first - m - 1:stop - m - 1:step],
-                   flat_acc[first - m:stop - m:step], out=b)
-        np.minimum(b, flat_acc[first - 1:stop - 1:step], out=b)
-        combine(flat_cost[first:stop:step], b, out=flat_acc[first:stop:step])
-    return acc
+    near_a, near_b = np.empty(len(a)), np.full(len(b), np.inf)
+    for i in range(0, len(a), _DIST_BLOCK_ROWS):
+        block = _distances(a[i:i + _DIST_BLOCK_ROWS], b)
+        if acc is not None:
+            acc[i:i + len(block)] = block
+        block.min(axis=1, out=near_a[i:i + len(block)])
+        np.minimum(near_b, block.min(axis=0), out=near_b)
+    return float(max(near_a.max(), near_b.max()))
+
+
+def _warping(a: np.ndarray, b: np.ndarray) -> tuple:
+    """DTW accumulator, discrete Frechet and Hausdorff distances in one pass.
+
+    Both DPs are ``acc[i, j] = combine(cost[i, j], min(acc[i-1, j-1],
+    acc[i-1, j], acc[i, j-1]))``, with ``combine`` ``+`` for DTW and
+    ``max`` for Frechet, and bit-identical to the row-by-row loop: their
+    first row and column are preset as ``cost[0, 0]`` plus the running
+    sum (DTW) or as the running maximum (Frechet) of the edge costs.
+
+    Anti-diagonal ``i + j = k`` is row ``k + 2`` of a skewed buffer with
+    cell (i, j) at column ``i + 1``, and i runs along the shorter input:
+    the DP of the transposed cost matrix is the transposed DP, since min
+    is exact and the presets are symmetric. Column 0, the two leading
+    rows and the cells with ``j < 0`` are zero, so an edge cell's minimum
+    is zero and it keeps its preset, while every interior cell reads its
+    three predecessors in the two rows above. The buffer starts as the
+    cost matrix, with DTW presets on the edges, and each row is summed in
+    place; Frechet keeps only the last three diagonals, in a ring beside
+    copies of the DTW rows, so one pair of minimum calls serves both.
+
+    Returns the DTW accumulator as an (n, m) view of the buffer, the
+    Frechet distance and the Hausdorff distance.
+    """
+    swap = len(a) > len(b)
+    short, long = (b, a) if swap else (a, b)
+    s, w = len(short), len(long)
+    buf = np.zeros((s + w + 1, s + 1))
+    step = buf.strides[0]
+    acc = np.lib.stride_tricks.as_strided(buf[2:, 1:], (s, w), (step + buf.itemsize, step))
+    haus = _scan_distances(short, long, acc)
+    top, side = np.maximum.accumulate(acc[0]), np.maximum.accumulate(acc[:, 0])
+    acc[0, 1:] = np.add.accumulate(acc[0, 1:]) + acc[0, 0]
+    acc[1:, 0] = np.add.accumulate(acc[1:, 0]) + acc[0, 0]
+    # ring rows are [DTW diagonal | Frechet diagonal], each with its zero column 0
+    ring, best = np.zeros((3, 2 * s + 2)), np.empty(2 * s + 1)
+    best_dtw, best_fr = best[:s], best[s + 1:]
+    slots = [(ring[x, :s + 1], ring[x, s + 2:], ring[y, :-1], ring[y, 1:], ring[z, :-1])
+             for x, y, z in ((2, 1, 0), (0, 2, 1), (1, 0, 2))]
+    # one slot per diagonal, turning the ring; zip stops at the last diagonal
+    for k, (row, cost, (dtw_new, fr_new, up, left, diag)) in enumerate(
+            zip(buf[2:], buf[2:, 1:], slots * (s + w))):
+        np.minimum(diag, up, out=best)
+        np.minimum(best, left, out=best)
+        np.maximum(cost, best_fr, out=fr_new)
+        np.add(cost, best_dtw, out=cost)
+        dtw_new[:] = row
+        # the edge costs hold DTW presets; Frechet's edges are running maxima
+        if k < w:
+            fr_new[0] = top[k]
+        if k < s:
+            fr_new[k] = side[k]
+    return (acc.T if swap else acc), float(fr_new[-1]), haus
 
 
 def _warping_path_length(acc: np.ndarray) -> int:
@@ -146,32 +191,25 @@ def dtw(a, b) -> float:
     """Dynamic time warping distance with Euclidean cost and sum aggregation.
 
     Exact DP over match/insert/delete steps: O(nm) work in O(n + m)
-    NumPy steps, one per anti-diagonal. :func:`full_report` reports this
-    sum divided by the length of the optimal warping path.
+    NumPy steps, one per anti-diagonal, in the pass that also fills
+    discrete Frechet. :func:`full_report` reports this sum divided by the
+    length of the optimal warping path.
     """
-    return float(_wavefront(_distances(*_pair(a, b)), np.add)[-1, -1])
+    return float(_warping(*_pair(a, b))[0][-1, -1])
 
 
 def discrete_frechet(a, b) -> float:
     """Discrete Frechet distance: min over couplings of the max matched distance.
 
     Exact DP (Eiter & Mannila, 1994): O(nm) work in O(n + m) NumPy
-    steps, one per anti-diagonal.
+    steps, one per anti-diagonal, in the pass that also fills DTW.
     """
-    return _frechet(_distances(*_pair(a, b)))
-
-
-def _frechet(dist: np.ndarray) -> float:
-    return float(_wavefront(dist, np.maximum)[-1, -1])
+    return _warping(*_pair(a, b))[1]
 
 
 def hausdorff(a, b) -> float:
     """Symmetric point-set Hausdorff distance over the sample points."""
-    return _hausdorff(_distances(*_pair(a, b)))
-
-
-def _hausdorff(dist: np.ndarray) -> float:
-    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+    return _scan_distances(*_pair(a, b))
 
 
 # pred points per block in _point_to_polyline: bounds its five (rows, segments)
@@ -304,14 +342,14 @@ def full_report(pred, ref, tau: float = 0.05) -> MetricReport:
 
     DTW is divided by the length of the optimal warping path; the raw sum
     is echoed in the config block alongside tau and the metric directions.
-    DTW, Frechet and Hausdorff share one distance matrix.
+    DTW and Frechet are filled in one pass, which also gathers Hausdorff,
+    block by block, without holding a full distance matrix.
     """
     pa, pb = _pair(pred, ref)
-    dist = _distances(pa, pb)
     to_ref = _point_to_polyline(pa, pb)
     precision, recall, f1 = _coverage(to_ref, _point_to_polyline(pb, pa), tau)
     max_orth, mean_orth, median_orth = _orth_summary(to_ref)
-    dtw_acc = _wavefront(dist, np.add)
+    dtw_acc, frechet, haus = _warping(pa, pb)
     dtw_raw = float(dtw_acc[-1, -1])
     start_err, end_err = endpoint_errors(pa, pb)
     return MetricReport(
@@ -319,8 +357,8 @@ def full_report(pred, ref, tau: float = 0.05) -> MetricReport:
         cover_precision=precision,
         dtw=dtw_raw / _warping_path_length(dtw_acc),
         endpoint_err=end_err,
-        frechet=_frechet(dist),
-        hausdorff=_hausdorff(dist),
+        frechet=frechet,
+        hausdorff=haus,
         max_orth_dist=max_orth,
         mean_orth_dist=mean_orth,
         median_orth_dist=median_orth,

@@ -195,8 +195,8 @@ class TestDTW:
 class TestLoopReference:
     """The wavefront DP is bit-identical to the double loops it replaced."""
 
-    SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (3, 8), (60, 2), (2, 60), (60, 7),
-              (33, 47), (60, 60)]
+    SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (2, 3), (3, 2), (3, 8), (1, 60), (60, 1),
+              (60, 2), (2, 60), (60, 7), (33, 47), (59, 60), (60, 59), (60, 60)]
 
     @pytest.mark.parametrize("n, m", SHAPES)
     def test_real_coordinates(self, rng, n, m):
@@ -217,6 +217,15 @@ class TestLoopReference:
     @given(polyline_pairs())
     def test_property(self, pair):
         assert_dp_metrics_match_loops(*pair)
+
+    @pytest.mark.parametrize("n, m", [(9, 23), (23, 9), (17, 17)])
+    def test_distance_blocks(self, rng, monkeypatch, n, m):
+        # many short blocks of _distances rows, and a partial last block
+        monkeypatch.setattr(metrics, "_DIST_BLOCK_ROWS", 4)
+        a, b = rng.normal(size=(n, 3)), rng.normal(size=(m, 3))
+        assert_dp_metrics_match_loops(a, b)
+        dist = cdist(a, b)
+        assert tk.hausdorff(a, b) == max(dist.min(axis=1).max(), dist.min(axis=0).max())
 
 
 @st.composite
@@ -536,6 +545,20 @@ class TestFullReport:
                      "endpoint_err", "cover_f1", "cover_precision"):
             assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-9)
 
+    def test_peak_memory_below_two_and_a_half_matrices(self, rng):
+        n = m = 1000
+        pred, ref = rng.normal(size=(n, 3)), rng.normal(size=(m, 3))
+        tracemalloc.start()
+        try:
+            tk.full_report(pred, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the skewed DTW buffer is (n + m + 1) x (min(n, m) + 1), about two
+        # matrices here; a full distance matrix or a second full accumulator
+        # beside it would pass three
+        assert peak < 2.5 * n * m * 8
+
     def test_all_metrics_nonnegative(self, rng):
         for _ in range(20):
             report = tk.full_report(random_polyline(rng, 8), random_polyline(rng, 8))
@@ -545,3 +568,26 @@ class TestFullReport:
             assert 0.0 <= report.cover_f1 <= 1.0
             assert 0.0 <= report.cover_precision <= 1.0
             assert report.hausdorff <= report.frechet + 1e-12
+
+
+class TestIntake:
+    """Metric inputs must hold real numbers: a bool or a string is not read
+    as a coordinate."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: tk.dtw([[True, 0.5]], [[1.0, 0.5]]),
+        lambda: tk.discrete_frechet(np.array([[True, False]]), [[1.0, 0.0]]),
+        lambda: tk.hausdorff([["1", "2"]], [[1.0, 2.0]]),
+        lambda: tk.full_report([["1", "2"]], [[1.0, 2.0]]).dtw,
+    ], ids=["dtw-bool-list", "frechet-bool-array", "hausdorff-str-list", "report-str-list"])
+    def test_rejects_bools_and_strings(self, call):
+        with pytest.raises(ValueError, match="^a must hold real numbers"):
+            call()
+
+    def test_names_the_second_input(self):
+        with pytest.raises(ValueError, match="^b must hold real numbers"):
+            tk.dtw([[1.0, 2.0]], np.array([["1", "2"]]))
+
+    def test_accepts_integer_and_numpy_scalars(self):
+        assert tk.dtw([[0, 0]], [(np.float32(3.0), np.int64(4))]) == 5.0
+        assert tk.dtw(np.array([[0, 0]], dtype=np.uint8), [[3.0, 4.0]]) == 5.0
