@@ -7,6 +7,7 @@ coverage, collected into a single ten-metric report. Polylines are
 must share a dimension.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,23 +44,36 @@ def _as_polyline(points, name: str) -> np.ndarray:
     if isinstance(points, np.ndarray):
         real = points.dtype.kind in "iuf"
     else:
+        points = np.asarray(points, dtype=object)  # a ragged list gives a 1-D array of rows
         real = all(isinstance(x, (int, np.integer, float, np.floating)) and not isinstance(x, bool)
-                   for x in np.asarray(points, dtype=object).flat)
+                   for x in points.flat)
+    if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] not in (2, 3):
+        raise ValueError(f"{name} must be an (N, 2) or (N, 3) array, got {points.shape}")
     if not real:
         raise ValueError(f"{name} must hold real numbers, not bools or strings")
     arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] not in (2, 3):
-        raise ValueError(f"{name} must be an (N, 2) or (N, 3) array, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite coordinates")
     return arr
 
 
 def _pair(a, b) -> tuple:
+    """Both inputs checked, with distances between their points finite.
+
+    The squared extent of the two inputs together, summed over axes,
+    bounds every squared distance the kernels form, so when it is finite
+    no kernel overflows.
+    """
     pa = _as_polyline(a, "a")
     pb = _as_polyline(b, "b")
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}")
+    lo = np.minimum(pa.min(axis=0), pb.min(axis=0)).tolist()
+    hi = np.maximum(pa.max(axis=0), pb.max(axis=0)).tolist()
+    # Python floats overflow to inf without a warning
+    if not math.isfinite(sum((h - x) * (h - x) for h, x in zip(hi, lo))):
+        raise ValueError("a and b span too wide a range: the distances between "
+                         "their points overflow")
     return pa, pb
 
 
@@ -93,25 +107,33 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _scan_distances(a: np.ndarray, b: np.ndarray, acc=None) -> float:
-    """Hausdorff distance between the points of a and b.
+def _scan_distances(a: np.ndarray, b: np.ndarray, acc=None, to_b=None) -> tuple:
+    """Hausdorff distance between the points of a and b, and the distance
+    from each point of b to the nearest point of a.
 
     Takes ``_distances`` blocks of ``_DIST_BLOCK_ROWS`` rows of a, one at
     a time, keeping each block's row minima and a running column minimum,
     and writes each block to the same rows of ``acc`` when it is given.
-    No full distance matrix is held.
+    When ``to_b`` is given, each block and its row minima also feed
+    ``_project_block``, which writes the distance from those points of a
+    to the polyline b into the same rows of ``to_b``. No full distance
+    matrix is held.
     """
     near_a, near_b = np.empty(len(a)), np.full(len(b), np.inf)
+    segs = None if to_b is None else _segments(b, a)
     for i in range(0, len(a), _DIST_BLOCK_ROWS):
-        block = _distances(a[i:i + _DIST_BLOCK_ROWS], b)
+        rows = slice(i, i + _DIST_BLOCK_ROWS)
+        block = _distances(a[rows], b)
         if acc is not None:
-            acc[i:i + len(block)] = block
-        block.min(axis=1, out=near_a[i:i + len(block)])
+            acc[rows] = block
+        block.min(axis=1, out=near_a[rows])
         np.minimum(near_b, block.min(axis=0), out=near_b)
-    return float(max(near_a.max(), near_b.max()))
+        if segs is not None:
+            _project_block(a[rows], block, near_a[rows], segs, to_b[rows])
+    return float(max(near_a.max(), near_b.max())), near_b
 
 
-def _warping(a: np.ndarray, b: np.ndarray) -> tuple:
+def _warping(a: np.ndarray, b: np.ndarray, project: bool = False) -> tuple:
     """DTW accumulator, discrete Frechet and Hausdorff distances in one pass.
 
     Both DPs are ``acc[i, j] = combine(cost[i, j], min(acc[i-1, j-1],
@@ -131,8 +153,15 @@ def _warping(a: np.ndarray, b: np.ndarray) -> tuple:
     place; Frechet keeps only the last three diagonals, in a ring beside
     copies of the DTW rows, so one pair of minimum calls serves both.
 
+    With ``project``, the point-to-polyline distances of both directions
+    come from the same distances: shorter to longer from each block as
+    ``_scan_distances`` fills it, longer to shorter from the filled cost
+    matrix, read transposed before the presets and the DP overwrite it.
+
     Returns the DTW accumulator as an (n, m) view of the buffer, the
-    Frechet distance and the Hausdorff distance.
+    Frechet distance, the Hausdorff distance and, with ``project``, the
+    pair (distances from a to the polyline b, from b to the polyline a),
+    else None.
     """
     swap = len(a) > len(b)
     short, long = (b, a) if swap else (a, b)
@@ -140,7 +169,12 @@ def _warping(a: np.ndarray, b: np.ndarray) -> tuple:
     buf = np.zeros((s + w + 1, s + 1))
     step = buf.strides[0]
     acc = np.lib.stride_tricks.as_strided(buf[2:, 1:], (s, w), (step + buf.itemsize, step))
-    haus = _scan_distances(short, long, acc)
+    to_long = np.empty(s) if project else None
+    haus, near_long = _scan_distances(short, long, acc, to_long)
+    dists = None
+    if project:
+        to_short = _point_to_polyline(long, short, acc.T, near_long)
+        dists = (to_short, to_long) if swap else (to_long, to_short)
     top, side = np.maximum.accumulate(acc[0]), np.maximum.accumulate(acc[:, 0])
     acc[0, 1:] = np.add.accumulate(acc[0, 1:]) + acc[0, 0]
     acc[1:, 0] = np.add.accumulate(acc[1:, 0]) + acc[0, 0]
@@ -162,7 +196,7 @@ def _warping(a: np.ndarray, b: np.ndarray) -> tuple:
             fr_new[0] = top[k]
         if k < s:
             fr_new[k] = side[k]
-    return (acc.T if swap else acc), float(fr_new[-1]), haus
+    return (acc.T if swap else acc), float(fr_new[-1]), haus, dists
 
 
 def _warping_path_length(acc: np.ndarray) -> int:
@@ -209,63 +243,133 @@ def discrete_frechet(a, b) -> float:
 
 def hausdorff(a, b) -> float:
     """Symmetric point-set Hausdorff distance over the sample points."""
-    return _scan_distances(*_pair(a, b))
+    return _scan_distances(*_pair(a, b))[0]
 
 
-# pred points per block in _point_to_polyline: bounds its five (rows, segments)
-# work arrays to 2.5 kB per ref segment, whatever the pred length, so they
-# stay in cache and are reused from the heap instead of freshly mapped pages
-# (on 100-300-point pairs, faster than 32, 128 or 1024 rows)
+# points per block in _point_to_polyline: bounds each block's distances and
+# pruning work arrays to 0.5 kB per ref vertex, whatever the point count, so
+# they stay in cache and are reused from the heap instead of freshly mapped
+# pages
 _BLOCK_ROWS = 64
 
+# relative slack of the segment pruning bound in _project_block
+_SLACK = 1e-12
 
-def _point_to_polyline(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Distance from each point to the nearest location on the ref polyline
-    (exact segment projection, not vertex-nearest).
 
-    Works one coordinate at a time on (rows, segments) arrays, reused
-    through ``out=`` block by block. The operation order is fixed: the
-    projection dot product sums x, z, y in 3-D (x, y in 2-D), the order
-    of ``einsum("psd,sd->ps")``; ``t`` is clamped bounds-first, equal to
+def _segments(ref: np.ndarray, points: np.ndarray) -> tuple:
+    """The segments of the ref polyline, as ``_project_block`` reads them
+    for the given points.
+
+    Returns a (3 * dim + 1, m - 1) table whose columns hold a segment's
+    start, end, direction ``end - start`` and squared length (1 for a
+    zero-length segment), and each segment's reach ``(L * (1 + 2 *
+    _SLACK) + 2 * _SLACK * scale) / (1 - 2 * _SLACK)``, for its length L
+    and the largest absolute coordinate, scale, of points and ref.
+    """
+    starts, ends = ref[:-1], ref[1:]
+    dirs = ends - starts
+    lens_sq = np.einsum("ij,ij->i", dirs, dirs)
+    table = np.vstack([starts.T, ends.T, dirs.T, np.where(lens_sq == 0.0, 1.0, lens_sq)])
+    scale = max(np.abs(ref).max(), np.abs(points).max())
+    reach = np.sqrt(lens_sq) * ((1.0 + 2.0 * _SLACK) / (1.0 - 2.0 * _SLACK))
+    reach += 2.0 * _SLACK * scale / (1.0 - 2.0 * _SLACK)
+    return table, reach
+
+
+def _project_block(pts: np.ndarray, dist: np.ndarray, near: np.ndarray, segs: tuple,
+                   out: np.ndarray) -> None:
+    """Write to ``out`` the distance from each of pts to the polyline whose
+    segments ``segs`` holds (from ``_segments``), given ``dist``, the
+    distances from pts to the polyline's vertices, and ``near``, their row
+    minima. Exact segment projection, not vertex-nearest.
+
+    A segment [s, e] of length L is projected only when the lower bound
+    ``lb = (|p - s| + |p - e| - L) / 2`` on its distance from p, which
+    follows from the triangle inequality, is at most the upper bound
+    ``ub``, p's nearest-vertex distance, plus a slack of ``_SLACK *
+    (|p - s| + |p - e| + L + scale)``, scale being the largest absolute
+    coordinate of either input. The candidates are projected in chunks of
+    at most a sixteenth of the block's point-segment pairs, so the scratch
+    stays bounded per block however many pass.
+
+    Why the slack never prunes the computed minimum: a segment at p's
+    nearest vertex has lb <= ub, so it always passes, and it holds a point
+    within ub of p. Any computed residual is the distance from p to some
+    point of its segment (every clamped ``t`` gives one), off by the
+    rounding of a few operations: a few units in the last place of
+    ``|p - s| + |p - e| + L + scale``, the coordinates entering because
+    the foot is rounded at their magnitude. lb and ub are rounded by as
+    little. The slack is about 9,000 such units, so a pruned segment lies
+    far enough beyond ub that its computed residual exceeds the one at the
+    nearest vertex. Inputs whose distances overflow are rejected by
+    ``_pair`` first.
+
+    Each candidate's operations and their order are fixed, which keeps
+    the result bit-identical to a scalar loop over every segment: the dot
+    product sums x, z, y in 3-D (x, y in 2-D), the order of
+    ``einsum("psd,sd->ps")``; ``t`` is clamped bounds-first, equal to
     ``np.clip``; each foot coordinate is ``(1 - t) * s + t * e``, which
     keeps feet exactly on the endpoints at t = 0 and t = 1; and squared
     residuals sum x, y, z, the order of ``np.linalg.norm``. The square
     root is taken after the row minimum, which is the same value because
     ``sqrt`` is monotone.
     """
-    if len(ref) == 1:
-        return np.linalg.norm(points - ref[0], axis=1)
-    starts = ref[:-1]
-    ends = ref[1:]
-    dirs = ends - starts
-    lens_sq = np.einsum("ij,ij->i", dirs, dirs)
-    lens_sq = np.where(lens_sq == 0.0, 1.0, lens_sq)  # degenerate segments
-    axes = (0, 2, 1) if ref.shape[1] == 3 else (0, 1)
-    shape = (min(len(points), _BLOCK_ROWS), len(starts))
-    t, u, a, b, sq = (np.empty(shape) for _ in range(5))
+    table, reach = segs
+    nseg, dim = table.shape[1], pts.shape[1]
+    if nseg == 0:  # a one-point polyline: its vertex is the nearest point
+        out[:] = near
+        return
+    # lb <= ub + slack, rearranged as |p - s| + |p - e| - reach <= 2 ub / (1 - 2 * _SLACK)
+    bound = np.add(dist[:, :-1], dist[:, 1:])
+    bound -= reach
+    flat = (bound <= (near * (2.0 / (1.0 - 2.0 * _SLACK)))[:, None]).ravel().nonzero()[0]
+    del bound
+    chunk = max(dist.size // 16, 1)
+    out.fill(np.inf)
+    for c in range(0, len(flat), chunk):
+        r, j = np.divmod(flat[c:c + chunk], nseg)
+        p, g = pts.T.take(r, axis=1), table.take(j, axis=1)
+        s, e = g[:dim], g[dim:2 * dim]
+        diff = p - s
+        diff *= g[2 * dim:3 * dim]
+        t = diff[0] + diff[-1]  # x then z in 3-D, then y
+        if dim == 3:
+            t += diff[1]
+        t /= g[3 * dim]
+        np.minimum(1.0, np.maximum(0.0, t, out=t), out=t)
+        foot = np.multiply(1.0 - t, s, out=diff)
+        foot += t * e
+        np.subtract(p, foot, out=foot)
+        foot *= foot
+        sq = np.add.reduce(foot, axis=0)
+        # every row keeps the segments at its nearest vertex, so each of the rows
+        # r[0]..r[-1] starts in this chunk, a row split between chunks at its ends
+        lo, hi = r[0], r[-1] + 1
+        part = np.minimum.reduceat(sq, r.searchsorted(np.arange(lo, hi)))
+        np.minimum(out[lo:hi], part, out=out[lo:hi])
+    np.sqrt(out, out=out)
+
+
+def _point_to_polyline(points: np.ndarray, ref: np.ndarray, dist=None, near=None) -> np.ndarray:
+    """Distance from each point to the nearest location on the ref polyline
+    (exact segment projection, not vertex-nearest).
+
+    Runs ``_project_block`` on blocks of ``_BLOCK_ROWS`` points. Each
+    block's distances to the ref vertices come from ``_distances``, or,
+    when a caller already holds them, from the same rows of ``dist``, the
+    (n, m) distances from points to the ref vertices, with their row
+    minima ``near`` (``_warping`` passes its filled cost matrix).
+    """
+    segs = _segments(ref, points)
     out = np.empty(len(points))
     for i in range(0, len(points), _BLOCK_ROWS):
-        pts = points[i:i + _BLOCK_ROWS]
-        rows = len(pts)
-        bt, bu, ba, bb, bsq = t[:rows], u[:rows], a[:rows], b[:rows], sq[:rows]
-        for k, d in enumerate(axes):  # the first term starts each sum
-            np.subtract(pts[:, d, None], starts[:, d], out=ba)
-            np.multiply(ba, dirs[:, d], out=ba if k else bt)
-            if k:
-                np.add(bt, ba, out=bt)
-        np.divide(bt, lens_sq, out=bt)
-        np.minimum(1.0, np.maximum(0.0, bt, out=bt), out=bt)
-        np.subtract(1.0, bt, out=bu)
-        for d in range(ref.shape[1]):
-            np.multiply(bu, starts[:, d], out=ba)
-            np.multiply(bt, ends[:, d], out=bb)
-            np.add(ba, bb, out=ba)
-            np.subtract(pts[:, d, None], ba, out=ba)
-            np.multiply(ba, ba, out=ba if d else bsq)
-            if d:
-                np.add(bsq, ba, out=bsq)
-        np.min(bsq, axis=1, out=out[i:i + rows])
-    return np.sqrt(out, out=out)
+        rows = slice(i, i + _BLOCK_ROWS)
+        if dist is None:
+            block = _distances(points[rows], ref)
+            _project_block(points[rows], block, block.min(axis=1), segs, out[rows])
+        else:
+            _project_block(points[rows], dist[rows], near[rows], segs, out[rows])
+    return out
 
 
 def _orth_summary(to_ref: np.ndarray) -> tuple:
@@ -274,7 +378,6 @@ def _orth_summary(to_ref: np.ndarray) -> tuple:
 
 def _coverage(to_ref: np.ndarray, to_pred: np.ndarray, tau: float) -> tuple:
     """(precision, recall, f1) from the pred->ref and ref->pred distances."""
-    _check_positive("tau", tau)
     precision = float(np.mean(to_ref <= tau))
     recall = float(np.mean(to_pred <= tau))
     f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
@@ -290,11 +393,13 @@ def orthogonal_distances(pred, ref) -> tuple:
     return _orth_summary(_point_to_polyline(pa, pb))
 
 
+def _endpoint_errors(pa: np.ndarray, pb: np.ndarray) -> tuple:
+    return float(np.linalg.norm(pa[0] - pb[0])), float(np.linalg.norm(pa[-1] - pb[-1]))
+
+
 def endpoint_errors(pred, ref) -> tuple:
     """(start_err, end_err): Euclidean distances between first and last points."""
-    pa, pb = _pair(pred, ref)
-    return (float(np.linalg.norm(pa[0] - pb[0])),
-            float(np.linalg.norm(pa[-1] - pb[-1])))
+    return _endpoint_errors(*_pair(pred, ref))
 
 
 def coverage(pred, ref, tau: float) -> tuple:
@@ -305,6 +410,7 @@ def coverage(pred, ref, tau: float) -> tuple:
     polyline; f1 their harmonic mean (0 when both vanish).
     """
     pa, pb = _pair(pred, ref)
+    _check_positive("tau", tau)
     return _coverage(_point_to_polyline(pa, pb), _point_to_polyline(pb, pa), tau)
 
 
@@ -343,15 +449,17 @@ def full_report(pred, ref, tau: float = 0.05) -> MetricReport:
     DTW is divided by the length of the optimal warping path; the raw sum
     is echoed in the config block alongside tau and the metric directions.
     DTW and Frechet are filled in one pass, which also gathers Hausdorff,
-    block by block, without holding a full distance matrix.
+    block by block, without holding a full distance matrix. The same
+    distances bound the point-to-polyline projections of both directions,
+    for the orthogonal distances and coverage.
     """
     pa, pb = _pair(pred, ref)
-    to_ref = _point_to_polyline(pa, pb)
-    precision, recall, f1 = _coverage(to_ref, _point_to_polyline(pb, pa), tau)
+    _check_positive("tau", tau)
+    dtw_acc, frechet, haus, (to_ref, to_pred) = _warping(pa, pb, project=True)
+    precision, recall, f1 = _coverage(to_ref, to_pred, tau)
     max_orth, mean_orth, median_orth = _orth_summary(to_ref)
-    dtw_acc, frechet, haus = _warping(pa, pb)
     dtw_raw = float(dtw_acc[-1, -1])
-    start_err, end_err = endpoint_errors(pa, pb)
+    start_err, end_err = _endpoint_errors(pa, pb)
     return MetricReport(
         cover_f1=f1,
         cover_precision=precision,

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from trajkit import cli, fileio
 from trajkit.cli import cli_main
 from conftest import line_trajectory, make_camera, rigid, rot_z, token_sequence
 from test_simulate import line_scenario
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -255,6 +261,29 @@ class TestMetricsCommand:
         data = json.loads(out.read_text())
         assert sorted(data["pairs"]) == ["run0.json", "run1.json"]
         assert data["pairs"]["run0.json"]["dtw"] == 0.0
+
+    def test_overflowing_distances_print_one_error_line(self, tmp_path):
+        # a pair whose distances overflow fails with the one error line: no
+        # RuntimeWarning from the kernels, no report holding inf or nan
+        t = np.array([0.0, 1.0])
+        paths = []
+        for name, pos in (("pred", [[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                          ("ref", [[-1e200, 0.0, 0.0], [0.0, 1.0, 0.0]])):
+            paths.append(tmp_path / f"{name}.json")
+            fileio.save_bundle(tk.DenseTrajectory(t, np.array(pos), np.zeros((2, 3)),
+                                                  np.zeros(2, dtype=int), tk.Frame.WORLD),
+                               None, paths[-1])
+        out = tmp_path / "report.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", "from trajkit.cli import main; main()", "metrics",
+             "--pred", str(paths[0]), "--ref", str(paths[1]), "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == 1
+        assert result.stderr == ("error: a and b span too wide a range: the distances "
+                                 "between their points overflow\n")
+        assert not out.exists()
 
 
 class TestSimulateCommand:

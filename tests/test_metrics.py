@@ -438,6 +438,49 @@ class TestPolylineLoopReference:
         # a full (3000, 1999, 3) temporary alone would be 8.8 block sizes
         assert peak < 6 * block_bytes
 
+    @given(st.one_of(multi_scale_pairs(), polyline_pairs()),
+           st.lists(st.integers(1, 3), min_size=1, max_size=150),
+           st.sampled_from((0.0, -1e2, 1e8)))
+    def test_pruned_projection_property(self, pair, repeats, offset):
+        # repeated ref vertices make zero-length segments; an offset far from
+        # the origin makes the projections' rounding large against the distances
+        points, ref = pair
+        ref = np.repeat(ref, repeats[:len(ref)] + [1] * (len(ref) - len(repeats)), axis=0)
+        points, ref = points + offset, ref + offset
+        assert np.array_equal(_point_to_polyline(points, ref),
+                              point_to_polyline_loop(points, ref))
+
+    def test_near_tie_far_from_origin(self):
+        # coordinates near 100, distances of a few units in the last place: a
+        # pruning slack taken from the distances alone drops the segment that
+        # holds the computed minimum (1.5306e-13 instead of 1.5106e-13)
+        ref = np.array([[100.00000000000004, 99.99999999999997], [99.99999999999999, 100.0],
+                        [99.99999999999996, 99.99999999999999]])
+        points = np.array([[100.00000000000009, 100.00000000000011]])
+        assert np.array_equal(_point_to_polyline(points, ref),
+                              point_to_polyline_loop(points, ref))
+
+    def test_candidate_heavy_blocks(self, rng):
+        # far points against a tightly folded ref: no segment can be pruned, so
+        # every block projects in many chunks, with rows split between chunks
+        ref = np.tile([[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0]], (20, 1)) + 1e-9 * rng.normal(size=(40, 3))
+        points = 100.0 + rng.normal(size=(70, 3))
+        assert np.array_equal(_point_to_polyline(points, ref),
+                              point_to_polyline_loop(points, ref))
+
+    def test_peak_memory_bounded_per_block_candidate_heavy(self, rng):
+        ref = np.tile([[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0]], (1000, 1)) + 1e-9 * rng.normal(size=(2000, 3))
+        points = 100.0 + rng.normal(size=(3000, 3))
+        block_bytes = metrics._BLOCK_ROWS * (len(ref) - 1) * 8
+        tracemalloc.start()
+        try:
+            _point_to_polyline(points, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the same bound as for random points, where 6-14% of the pairs are candidates
+        assert peak < 6 * block_bytes
+
 
 class TestEndpointErrors:
     def test_identical(self, rng):
@@ -531,6 +574,19 @@ class TestFullReport:
         with pytest.raises(ValueError):
             tk.full_report(rng.normal(size=(4, 2)), rng.normal(size=(5, 2)), tau=0.0)
 
+    @pytest.mark.parametrize("n, m", [(23, 41), (41, 23)])
+    def test_rows_equal_standalone_metrics_in_small_blocks(self, rng, monkeypatch, n, m):
+        # the projections run on many scan blocks and many transposed blocks
+        monkeypatch.setattr(metrics, "_DIST_BLOCK_ROWS", 4)
+        monkeypatch.setattr(metrics, "_BLOCK_ROWS", 5)
+        grids = (rng.integers(-2, 3, (n, 3)).astype(float), rng.integers(-2, 3, (m, 3)).astype(float))
+        for pred, ref in ((rng.normal(size=(n, 3)), rng.normal(size=(m, 3))), grids):
+            report = tk.full_report(pred, ref, tau=0.5)
+            assert (report.max_orth_dist, report.mean_orth_dist, report.median_orth_dist) == \
+                tk.orthogonal_distances(pred, ref)
+            assert (report.cover_precision, report.config["cover_recall"], report.cover_f1) == \
+                tk.coverage(pred, ref, 0.5)
+
     def test_rigid_invariance(self, rng):
         from conftest import rot_z
         pred = rng.normal(size=(6, 3))
@@ -587,6 +643,29 @@ class TestIntake:
     def test_names_the_second_input(self):
         with pytest.raises(ValueError, match="^b must hold real numbers"):
             tk.dtw([[1.0, 2.0]], np.array([["1", "2"]]))
+
+    def test_ragged_rows_name_the_shape(self):
+        with pytest.raises(ValueError, match=r"^a must be an \(N, 2\) or \(N, 3\) array"):
+            tk.dtw([[1.0, 2.0], [3.0]], [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("call", [tk.dtw, tk.discrete_frechet, tk.hausdorff,
+                                      tk.orthogonal_distances, tk.endpoint_errors,
+                                      lambda a, b: tk.coverage(a, b, 0.05), tk.full_report],
+                             ids=["dtw", "frechet", "hausdorff", "orth", "endpoints",
+                                  "coverage", "report"])
+    def test_overflowing_distances_rejected(self, call):
+        # finite coordinates whose squared distances overflow would give dtw =
+        # inf and max_orth_dist = nan, with RuntimeWarnings, if let through
+        a, b = [[1e200, 0.0], [0.0, 0.0]], [[-1e200, 0.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="^a and b span too wide a range"):
+            call(a, b)
+        with pytest.raises(ValueError, match="^a and b span too wide a range"):
+            call(b, a)
+
+    def test_widest_finite_span_accepted(self):
+        a, b = [[1e150, 0.0], [0.0, 0.0]], [[-1e150, 0.0], [0.0, 1.0]]
+        payload = tk.full_report(a, b).as_dict()
+        assert all(math.isfinite(payload[name]) for name in REPORT_ROW_NAMES)
 
     def test_accepts_integer_and_numpy_scalars(self):
         assert tk.dtw([[0, 0]], [(np.float32(3.0), np.int64(4))]) == 5.0
