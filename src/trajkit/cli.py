@@ -154,7 +154,10 @@ def _cmd_detokenize(args) -> int:
 def _report_pair(pred_path, ref_path, tau: float) -> MetricReport:
     pred, _ = fileio.load_bundle(pred_path)
     ref, _ = fileio.load_bundle(ref_path)
-    return full_report(pred.positions, ref.positions, tau=tau)
+    try:
+        return full_report(pred.positions, ref.positions, tau=tau)
+    except ValueError as exc:  # name the pair: in directory mode there are many
+        raise ValueError(f"{pred_path} vs {ref_path}: {exc}") from None
 
 
 def _cmd_metrics(args) -> int:
@@ -194,11 +197,9 @@ def _cmd_plot_data(args) -> int:
     p = traj.positions
     seg_speed = np.linalg.norm(np.diff(p, axis=0), axis=1) / np.diff(t)
     speeds = np.append(seg_speed, seg_speed[-1])  # hold last segment speed
-    lines = ["t,x,y,z,speed"]
-    for i in range(len(t)):
-        row = (t[i], p[i, 0], p[i, 1], p[i, 2], speeds[i])
-        lines.append(",".join(repr(float(x)) for x in row))
-    fileio._write_text("\n".join(lines) + "\n", args.out)
+    rows = zip(t.tolist(), *p.T.tolist(), speeds.tolist())
+    fileio._write_text("t,x,y,z,speed\n" + "".join("%r,%r,%r,%r,%r\n" % row for row in rows),
+                       args.out)
     return 0
 
 

@@ -48,13 +48,27 @@ class Frame(str, Enum):
     WORLD = "world"
 
 
+def _check_reals(value, name: str, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` holds real numbers
+    only: an ndarray of int, uint or float dtype, or lists and tuples, to
+    any depth, of such arrays, ints, floats and NumPy numbers. A bool or a
+    string, which a float cast reads as a number, is not one."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _check_reals(item, name, error)
+    elif not (value.dtype.kind in "iuf" if isinstance(value, np.ndarray) else
+              isinstance(value, (int, np.integer, float, np.floating)) and not isinstance(value, bool)):
+        raise error(f"{name} must hold real numbers, not bools or strings")
+
+
 def _as_array(value, shape: tuple, name: str) -> np.ndarray:
-    """A read-only float copy of ``value`` with finite entries and exactly
+    """A read-only float copy of ``value``, real and finite, with exactly
     ``shape``; ``None`` as the leading length accepts any length.
 
     Constructors store this copy, so a caller's array is never frozen or
     shared.
     """
+    _check_reals(value, name)
     arr = np.array(value, dtype=float)
     want = arr.shape[:1] + shape[1:] if shape[0] is None and arr.ndim else shape
     if arr.shape != want:
@@ -137,6 +151,7 @@ def unit_quaternions(rows) -> np.ndarray:
     unit to rounding are kept bit for bit, so canonicalizing twice changes
     nothing.
     """
+    _check_reals(rows, "quaternions")
     q = np.array(rows, dtype=float)
     if q.ndim != 2 or q.shape[1] != 4:
         raise ValueError(f"quaternions must be an (n, 4) array, got shape {q.shape}")
@@ -159,6 +174,7 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
+        _check_reals([self.intrinsics, self.extrinsics_c2w], "camera matrices", InvalidCameraError)
         k = np.array(self.intrinsics, dtype=float)
         ext = np.array(self.extrinsics_c2w, dtype=float)
         if k.shape != (3, 3):
@@ -252,6 +268,8 @@ def trajectory_columns(times, positions, eulers, grippers, min_samples: int) -> 
     grippers must be 0 or 1, times strictly increasing, and N >= min_samples;
     a violation raises :class:`SampleError` naming the first bad sample.
     """
+    for name, column in (("times", times), ("positions", positions), ("eulers", eulers)):
+        _check_reals(column, name, SampleError)
     t = np.array(times, dtype=float)
     p = np.array(positions, dtype=float)
     e = np.array(eulers, dtype=float)
@@ -414,8 +432,6 @@ def finite_difference_accel(traj: DenseTrajectory, weights=None) -> tuple:
         w = np.ones(6)
     else:
         w = _as_array(weights, (6,), "weights")
-        if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(weights, dtype=object).flat):
-            raise ValueError("weights must be real numbers, not bools")
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
     t = traj.times

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _check_positive
+from .geometry import _check_positive, _check_reals
 
 __all__ = [
     "MetricReport",
@@ -41,16 +41,11 @@ REPORT_ROW_NAMES = (
 
 
 def _as_polyline(points, name: str) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        real = points.dtype.kind in "iuf"
-    else:
-        points = np.asarray(points, dtype=object)  # a ragged list gives a 1-D array of rows
-        real = all(isinstance(x, (int, np.integer, float, np.floating)) and not isinstance(x, bool)
-                   for x in points.flat)
-    if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] not in (2, 3):
-        raise ValueError(f"{name} must be an (N, 2) or (N, 3) array, got {points.shape}")
-    if not real:
-        raise ValueError(f"{name} must hold real numbers, not bools or strings")
+    # a ragged list gives a 1-D array of rows
+    shape = (points if isinstance(points, np.ndarray) else np.asarray(points, dtype=object)).shape
+    if len(shape) != 2 or shape[0] < 1 or shape[1] not in (2, 3):
+        raise ValueError(f"{name} must be an (N, 2) or (N, 3) array, got {shape}")
+    _check_reals(points, name)
     arr = np.asarray(points, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite coordinates")
@@ -77,9 +72,10 @@ def _pair(a, b) -> tuple:
     return pa, pb
 
 
-# rows per block in _distances, and per _distances call in _scan_distances:
-# a work buffer holds this many rows of the (n, m) matrix, which keeps it in
-# cache
+# rows per block in _distances, per _distances call in _scan_distances and
+# per _project_block call: a block's distances and pruning work arrays take
+# 0.5 kB per vertex of the other input, whatever the row count, so they stay
+# in cache and are reused from the heap instead of freshly mapped pages
 _DIST_BLOCK_ROWS = 64
 
 
@@ -117,7 +113,7 @@ def _scan_distances(a: np.ndarray, b: np.ndarray, acc=None, to_b=None) -> tuple:
     When ``to_b`` is given, each block and its row minima also feed
     ``_project_block``, which writes the distance from those points of a
     to the polyline b into the same rows of ``to_b``. No full distance
-    matrix is held.
+    matrix is held. Every point-to-polyline distance starts here.
     """
     near_a, near_b = np.empty(len(a)), np.full(len(b), np.inf)
     segs = None if to_b is None else _segments(b, a)
@@ -156,7 +152,8 @@ def _warping(a: np.ndarray, b: np.ndarray, project: bool = False) -> tuple:
     With ``project``, the point-to-polyline distances of both directions
     come from the same distances: shorter to longer from each block as
     ``_scan_distances`` fills it, longer to shorter from the filled cost
-    matrix, read transposed before the presets and the DP overwrite it.
+    matrix, read transposed in blocks of ``_DIST_BLOCK_ROWS`` rows before
+    the presets and the DP overwrite it.
 
     Returns the DTW accumulator as an (n, m) view of the buffer, the
     Frechet distance, the Hausdorff distance and, with ``project``, the
@@ -173,7 +170,10 @@ def _warping(a: np.ndarray, b: np.ndarray, project: bool = False) -> tuple:
     haus, near_long = _scan_distances(short, long, acc, to_long)
     dists = None
     if project:
-        to_short = _point_to_polyline(long, short, acc.T, near_long)
+        to_short, segs = np.empty(w), _segments(short, long)
+        for i in range(0, w, _DIST_BLOCK_ROWS):
+            rows = slice(i, i + _DIST_BLOCK_ROWS)
+            _project_block(long[rows], acc.T[rows], near_long[rows], segs, to_short[rows])
         dists = (to_short, to_long) if swap else (to_long, to_short)
     top, side = np.maximum.accumulate(acc[0]), np.maximum.accumulate(acc[:, 0])
     acc[0, 1:] = np.add.accumulate(acc[0, 1:]) + acc[0, 0]
@@ -245,12 +245,6 @@ def hausdorff(a, b) -> float:
     """Symmetric point-set Hausdorff distance over the sample points."""
     return _scan_distances(*_pair(a, b))[0]
 
-
-# points per block in _point_to_polyline: bounds each block's distances and
-# pruning work arrays to 0.5 kB per ref vertex, whatever the point count, so
-# they stay in cache and are reused from the heap instead of freshly mapped
-# pages
-_BLOCK_ROWS = 64
 
 # relative slack of the segment pruning bound in _project_block
 _SLACK = 1e-12
@@ -350,25 +344,13 @@ def _project_block(pts: np.ndarray, dist: np.ndarray, near: np.ndarray, segs: tu
     np.sqrt(out, out=out)
 
 
-def _point_to_polyline(points: np.ndarray, ref: np.ndarray, dist=None, near=None) -> np.ndarray:
+def _point_to_polyline(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Distance from each point to the nearest location on the ref polyline
-    (exact segment projection, not vertex-nearest).
-
-    Runs ``_project_block`` on blocks of ``_BLOCK_ROWS`` points. Each
-    block's distances to the ref vertices come from ``_distances``, or,
-    when a caller already holds them, from the same rows of ``dist``, the
-    (n, m) distances from points to the ref vertices, with their row
-    minima ``near`` (``_warping`` passes its filled cost matrix).
+    (exact segment projection, not vertex-nearest), projected block by
+    block as ``_scan_distances`` computes the distances to the ref vertices.
     """
-    segs = _segments(ref, points)
     out = np.empty(len(points))
-    for i in range(0, len(points), _BLOCK_ROWS):
-        rows = slice(i, i + _BLOCK_ROWS)
-        if dist is None:
-            block = _distances(points[rows], ref)
-            _project_block(points[rows], block, block.min(axis=1), segs, out[rows])
-        else:
-            _project_block(points[rows], dist[rows], near[rows], segs, out[rows])
+    _scan_distances(points, ref, to_b=out)
     return out
 
 

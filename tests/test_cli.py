@@ -262,27 +262,47 @@ class TestMetricsCommand:
         assert sorted(data["pairs"]) == ["run0.json", "run1.json"]
         assert data["pairs"]["run0.json"]["dtw"] == 0.0
 
-    def test_overflowing_distances_print_one_error_line(self, tmp_path):
-        # a pair whose distances overflow fails with the one error line: no
-        # RuntimeWarning from the kernels, no report holding inf or nan
+    @staticmethod
+    def _overflowing_pair(pred_path, ref_path):
         t = np.array([0.0, 1.0])
-        paths = []
-        for name, pos in (("pred", [[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-                          ("ref", [[-1e200, 0.0, 0.0], [0.0, 1.0, 0.0]])):
-            paths.append(tmp_path / f"{name}.json")
+        for path, pos in ((pred_path, [[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                          (ref_path, [[-1e200, 0.0, 0.0], [0.0, 1.0, 0.0]])):
             fileio.save_bundle(tk.DenseTrajectory(t, np.array(pos), np.zeros((2, 3)),
                                                   np.zeros(2, dtype=int), tk.Frame.WORLD),
-                               None, paths[-1])
-        out = tmp_path / "report.json"
+                               None, path)
+
+    @staticmethod
+    def _metrics_process(pred, ref, out):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", "from trajkit.cli import main; main()", "metrics",
-             "--pred", str(paths[0]), "--ref", str(paths[1]), "--out", str(out)],
+             "--pred", str(pred), "--ref", str(ref), "--out", str(out)],
             capture_output=True, text=True, env=env)
+
+    def test_overflowing_distances_print_one_error_line(self, tmp_path):
+        # a pair whose distances overflow fails with the one error line, naming
+        # both bundles: no RuntimeWarning from the kernels, no report holding
+        # inf or nan
+        pred, ref, out = tmp_path / "pred.json", tmp_path / "ref.json", tmp_path / "report.json"
+        self._overflowing_pair(pred, ref)
+        result = self._metrics_process(pred, ref, out)
         assert result.returncode == 1
-        assert result.stderr == ("error: a and b span too wide a range: the distances "
-                                 "between their points overflow\n")
+        assert result.stderr == (f"error: {pred} vs {ref}: a and b span too wide a range: "
+                                 "the distances between their points overflow\n")
+        assert not out.exists()
+
+    def test_directory_mode_names_the_overflowing_pair(self, tmp_path):
+        pred_dir, ref_dir, out = tmp_path / "pred", tmp_path / "ref", tmp_path / "agg.json"
+        for d in (pred_dir, ref_dir):
+            d.mkdir()
+            fileio.save_bundle(line_trajectory(), None, d / "run0.json")
+        self._overflowing_pair(pred_dir / "run1.json", ref_dir / "run1.json")
+        result = self._metrics_process(pred_dir, ref_dir, out)
+        assert result.returncode == 1
+        assert result.stderr == (f"error: {pred_dir / 'run1.json'} vs {ref_dir / 'run1.json'}: "
+                                 "a and b span too wide a range: the distances between their "
+                                 "points overflow\n")
         assert not out.exists()
 
 
@@ -309,6 +329,26 @@ class TestPlotData:
         assert len(lines) == len(traj) + 1
         speed = float(lines[1].split(",")[4])
         assert abs(speed - 1.0) < 1e-9  # 1 m over 1 s
+
+    def test_rows_equal_the_per_value_repr(self, tmp_path, rng):
+        # every value is written as repr(float(x)), signed zeros, subnormal-scale
+        # and integral-looking floats included
+        n = 500
+        pos = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 18, (n, 1))
+        pos.flat[rng.choice(pos.size, 30, replace=False)] = [-0.0, 1e-300, 1e17] * 10
+        t = np.cumsum(rng.uniform(1e-3, 1.0, n))
+        bundle, out = tmp_path / "b.json", tmp_path / "plot.csv"
+        fileio.save_bundle(tk.DenseTrajectory(t, pos, np.zeros((n, 3)), np.zeros(n, dtype=int),
+                                              tk.Frame.WORLD), None, bundle)
+        assert cli_main(["plot-data", "--input", str(bundle), "--out", str(out)]) == 0
+        traj, _ = fileio.load_bundle(bundle)
+        t, p = traj.times, traj.positions
+        seg_speed = np.linalg.norm(np.diff(p, axis=0), axis=1) / np.diff(t)
+        speeds = np.append(seg_speed, seg_speed[-1])
+        lines = ["t,x,y,z,speed"] + [
+            ",".join(repr(float(x)) for x in (t[i], p[i, 0], p[i, 1], p[i, 2], speeds[i]))
+            for i in range(n)]
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_keeps_a_file_named_like_a_temp_file(self, tmp_path, line_bundle):
         bundle_path, _ = line_bundle

@@ -1,6 +1,6 @@
 """Intake: constructors store copies and never freeze or share a caller's array,
-integer fields take integral values only, and scalar real fields take finite
-reals only."""
+integer fields take integral values only, scalar real fields take finite
+reals only, and array fields take real numbers only."""
 
 import math
 
@@ -172,3 +172,21 @@ def test_positive_reals_reject_bools_and_strings(value):
     # True used to pass as 1 and "0.1" raised a TypeError
     with pytest.raises(ValueError, match="^tau must be finite and positive, got "):
         tk.coverage([[0.0, 0.0]], [[0.0, 0.0]], value)
+
+
+@pytest.mark.parametrize("build, field, error", [
+    (lambda x: tk.PositionSpline.fit([0.0, x, 2.0], np.eye(3)), "times", ValueError),
+    (lambda x: tk.PositionSpline.fit([0.0, 1.0, 2.0], [[x, 0, 0], [0, 1, 0], [0, 0, 1]]),
+     "points", ValueError),
+    (lambda x: tk.unit_quaternions([[x, 0, 0, 0]]), "quaternions", ValueError),
+    (lambda x: tk.DenseTrajectory([0.0, x], np.zeros((2, 3)), np.zeros((2, 3)), [0, 0],
+                                  tk.Frame.WORLD), "times", ValueError),
+    (lambda x: tk.CameraModel(K[:2] + [[0.0, 0.0, x]], np.eye(4), 100, 100), "camera matrices",
+     tk.InvalidCameraError),
+], ids=["spline-times", "spline-points", "quaternions", "dense-times", "camera-intrinsics"])
+@pytest.mark.parametrize("value", [True, np.True_, "1.5"], ids=["bool", "numpy-bool", "str"])
+def test_array_fields_reject_bools_and_strings(build, field, error, value):
+    # inside a list, True used to be read as 1.0 and "1.5" as 1.5
+    with pytest.raises(error, match=f"^{field} must hold real numbers, not bools or strings$"):
+        build(value)
+    build(1.0)  # the same list of reals is valid

@@ -167,7 +167,7 @@ class TestSelectKeyframes:
                              ids=["bool-list", "bool-array", "one-bool"])
     def test_weights_must_not_be_bools(self, weights):
         # a bool is not taken as a weight of 1
-        with pytest.raises(ValueError, match="^weights must be real numbers"):
+        with pytest.raises(ValueError, match="^weights must hold real numbers"):
             tk.select_keyframes(line_trajectory(n=10), 1.0, weights=weights)
 
     @pytest.mark.parametrize("alpha", [math.inf, np.float64(math.inf)])

@@ -353,7 +353,7 @@ class TestOrthogonalDistances:
         pred = rng.normal(size=(50, 3))
         ref = rng.normal(size=(9, 3))
         whole = _point_to_polyline(pred, ref)
-        monkeypatch.setattr(metrics, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(metrics, "_DIST_BLOCK_ROWS", 7)
         assert np.array_equal(_point_to_polyline(pred, ref), whole)
 
     def test_single_point_ref(self):
@@ -411,11 +411,11 @@ class TestPolylineLoopReference:
         assert np.array_equal(_point_to_polyline(points, ref),
                               point_to_polyline_loop(points, ref))
 
-    # literal extras keep the case ids fixed when _BLOCK_ROWS is retuned;
+    # literal extras keep the case ids fixed when _DIST_BLOCK_ROWS is retuned;
     # 1027 adds many full blocks and a short tail to the one-block count
     @pytest.mark.parametrize("extra", (-1, 0, 1, 1027))
     def test_point_counts_straddling_blocks(self, rng, extra):
-        points = rng.normal(size=(metrics._BLOCK_ROWS + extra, 3))
+        points = rng.normal(size=(metrics._DIST_BLOCK_ROWS + extra, 3))
         ref = rng.normal(size=(6, 3))
         assert np.array_equal(_point_to_polyline(points, ref),
                               point_to_polyline_loop(points, ref))
@@ -428,7 +428,7 @@ class TestPolylineLoopReference:
 
     def test_peak_memory_bounded_per_block(self, rng):
         points, ref = rng.normal(size=(3000, 3)), rng.normal(size=(2000, 3))
-        block_bytes = metrics._BLOCK_ROWS * (len(ref) - 1) * 8
+        block_bytes = metrics._DIST_BLOCK_ROWS * (len(ref) - 1) * 8
         tracemalloc.start()
         try:
             _point_to_polyline(points, ref)
@@ -471,7 +471,7 @@ class TestPolylineLoopReference:
     def test_peak_memory_bounded_per_block_candidate_heavy(self, rng):
         ref = np.tile([[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0]], (1000, 1)) + 1e-9 * rng.normal(size=(2000, 3))
         points = 100.0 + rng.normal(size=(3000, 3))
-        block_bytes = metrics._BLOCK_ROWS * (len(ref) - 1) * 8
+        block_bytes = metrics._DIST_BLOCK_ROWS * (len(ref) - 1) * 8
         tracemalloc.start()
         try:
             _point_to_polyline(points, ref)
@@ -574,11 +574,11 @@ class TestFullReport:
         with pytest.raises(ValueError):
             tk.full_report(rng.normal(size=(4, 2)), rng.normal(size=(5, 2)), tau=0.0)
 
-    @pytest.mark.parametrize("n, m", [(23, 41), (41, 23)])
+    @pytest.mark.parametrize("n, m", [(23, 41), (41, 23), (20, 40), (40, 20)])
     def test_rows_equal_standalone_metrics_in_small_blocks(self, rng, monkeypatch, n, m):
-        # the projections run on many scan blocks and many transposed blocks
-        monkeypatch.setattr(metrics, "_DIST_BLOCK_ROWS", 4)
-        monkeypatch.setattr(metrics, "_BLOCK_ROWS", 5)
+        # the projections run on many scan blocks and many transposed blocks,
+        # with a short last block or, at 20 and 40, none
+        monkeypatch.setattr(metrics, "_DIST_BLOCK_ROWS", 5)
         grids = (rng.integers(-2, 3, (n, 3)).astype(float), rng.integers(-2, 3, (m, 3)).astype(float))
         for pred, ref in ((rng.normal(size=(n, 3)), rng.normal(size=(m, 3))), grids):
             report = tk.full_report(pred, ref, tau=0.5)
