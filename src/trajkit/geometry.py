@@ -246,9 +246,10 @@ def _first(mask: np.ndarray) -> int | None:
 def gripper_column(values) -> np.ndarray:
     """Check a 1-D column of gripper states and return it as a read-only int copy.
 
-    Values are checked before the int cast, so 0.7 raises a
-    :class:`SampleError` naming its index instead of becoming 0.
+    Values are checked before the int cast, so True, "1" (see :func:`_check_reals`)
+    and 0.7 raise a :class:`SampleError` for the gripper instead of becoming 1 or 0.
     """
+    _check_reals(values, "gripper", lambda message: SampleError(message, None, "gripper"))
     g = np.asarray(values)
     if g.ndim != 1:
         raise SampleError(f"gripper must be a 1-D array, got shape {g.shape}")
@@ -285,7 +286,7 @@ def trajectory_columns(times, positions, eulers, grippers, min_samples: int) -> 
     i = _first(~(np.isfinite(t) & np.isfinite(p).all(axis=1) & np.isfinite(e).all(axis=1)))
     if i is not None:
         raise SampleError(f"sample {i} is not finite", i)
-    g = gripper_column(g)
+    g = gripper_column(grippers)
     i = _first(np.diff(t) <= 0)
     if i is not None:
         raise SampleError("timestamps must be strictly increasing", i + 1, "t")
@@ -403,7 +404,8 @@ def quaternion_to_euler(wxyz) -> np.ndarray:
 
 
 def normalize_angles(angles) -> np.ndarray:
-    """Wrap angles (radians) into [-pi, pi)."""
+    """Wrap angles (radians, real numbers as in :func:`_check_reals`) into [-pi, pi)."""
+    _check_reals(angles, "angles")
     a = np.asarray(angles, dtype=float)
     return np.mod(a + math.pi, 2.0 * math.pi) - math.pi
 

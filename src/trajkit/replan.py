@@ -27,7 +27,7 @@ from .geometry import (
     unit_quaternions,
 )
 from .keyframes import SparseTrajectory
-from .splines import ContinuousTrajectory, PositionSpline
+from .splines import ContinuousTrajectory, PositionSpline, _cubic_velocity
 
 # Not called here since ticks are sampled in blocks and the state keeps its
 # quaternion, but kept bound: the stage tracer in bench/tracing.py wraps
@@ -106,10 +106,12 @@ class PendingPlan:
 class ControllerState:
     """Executing-controller snapshot advanced exclusively by controller_step.
 
-    Construction checks ``current_time`` (a finite real, not before the
-    active trajectory's domain), the current position and velocity (finite
-    (3,) rows) and wxyz quaternion (unit as in :func:`unit_quaternions`,
-    stored with w >= 0), and stores read-only copies of all three.
+    The current fields are the last commanded tick. Construction checks
+    ``current_time`` (a finite real, not before the active trajectory's
+    domain), the position and velocity (finite (3,) rows), wxyz quaternion
+    (unit as in :func:`unit_quaternions`, stored with w >= 0) and gripper
+    (as in :func:`gripper_column`, stored as an int), and stores read-only
+    copies of the rows.
     ``replan_interval`` (also the length of the transition segment a merge
     inserts) and ``segment_duration`` must be finite and positive.
     """
@@ -118,6 +120,7 @@ class ControllerState:
     current_position: np.ndarray  # (3,)
     current_wxyz: np.ndarray  # (4,)
     current_velocity: np.ndarray  # (3,)
+    current_gripper: int  # 0 or 1
     active: ContinuousTrajectory
     replan_interval: float
     segment_duration: float = 1.0  # re-timing spacing for schedule-free plans
@@ -129,21 +132,22 @@ class ControllerState:
         pos = _as_array(self.current_position, (3,), "current_position")
         quat = unit_quaternions([self.current_wxyz])[0]
         vel = _as_array(self.current_velocity, (3,), "current_velocity")
+        grip = int(gripper_column([self.current_gripper])[0])
         quat.flags.writeable = False
         vars(self).update(current_time=t, current_position=pos, current_wxyz=quat,
-                          current_velocity=vel)
+                          current_velocity=vel, current_gripper=grip)
         if t < self.active.domain[0] - 1e-9:
             raise ValueError("current_time precedes the active trajectory domain")
 
     @classmethod
-    def _checked(cls, current_time, current_position, current_wxyz, current_velocity, active,
-                 replan_interval, segment_duration) -> "ControllerState":
+    def _checked(cls, current_time, current_position, current_wxyz, current_velocity,
+                 current_gripper, active, replan_interval, segment_duration) -> "ControllerState":
         """Wrap fields whose checks above the caller has proven: a float time
-        in ``active``'s domain, a sampled wxyz row, a fresh velocity row and
-        the durations of a checked state. The position and quaternion rows
-        are copied, since they are views of a block the caller hands out; the
-        position and velocity are checked finite, since sampling finite
-        coefficients can still overflow."""
+        in ``active``'s domain, one sampled tick's position, wxyz, velocity
+        and 0/1 gripper, and the durations of a checked state. The position
+        and quaternion rows are copied, since they are views of blocks the
+        caller hands out; the position and velocity are checked finite,
+        since sampling finite coefficients can still overflow."""
         pos, quat = current_position.copy(), current_wxyz.copy()
         if not np.isfinite(pos).all():
             raise ValueError("current_position must be finite")
@@ -153,7 +157,8 @@ class ControllerState:
             row.flags.writeable = False
         state = object.__new__(cls)
         vars(state).update(current_time=current_time, current_position=pos, current_wxyz=quat,
-                           current_velocity=current_velocity, active=active,
+                           current_velocity=current_velocity,
+                           current_gripper=int(current_gripper), active=active,
                            replan_interval=replan_interval, segment_duration=segment_duration)
         return state
 
@@ -232,26 +237,24 @@ def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTra
     held, fit_points = state.active.position, state.active._fit_points
 
     if len(plan) == 1:
-        # lone goal: no plan velocity exists, carry the active trajectory's
-        # velocity at the entry time (zero past its end) so an unchanged
-        # plan tail keeps the executing profile
-        v_entry = state.active.velocity(t_entry)
         rest_coeffs = np.empty((0, 4, 3))
     elif (fit_points is not None and np.array_equal(fit_points, plan.positions)
             and np.array_equal(held.knot_times[1:], knots[1:])):
-        v_entry = held.velocity(t_entry)
         rest_coeffs = held.coefficients[1:]
     else:
-        remainder = PositionSpline.fit(knots[1:], plan.positions)
-        v_entry = remainder.velocity(t_entry)
-        rest_coeffs = remainder.coefficients
+        rest_coeffs = PositionSpline.fit(knots[1:], plan.positions).coefficients
+    # t_entry is the first knot of rest_coeffs, at dt = 0, where the derivative's 0 * (...)
+    # still turns a -0.0 slope into 0.0. A lone goal has no plan velocity: it carries the
+    # active trajectory's (zero past its end), so an unchanged plan tail keeps the profile.
+    v_entry = (_cubic_velocity(0.0, rest_coeffs[0]) if len(plan) > 1
+               else state.active.sample(knots[1:2])[3][0])
 
     transition = _hermite_coeffs(state.current_position, state.current_velocity,
                                  plan.positions[0], v_entry, t_entry - t_now)[None]  # one segment
     spline = PositionSpline._checked(knots, np.concatenate([transition, rest_coeffs], axis=0))
     return ContinuousTrajectory._checked(
         spline, np.vstack([state.current_wxyz, plan.orientations]),
-        np.concatenate([[state.active.gripper(t_now)], plan.grippers]),
+        np.concatenate([[state.current_gripper], plan.grippers]),
         plan.positions if len(plan) > 1 else None)
 
 
@@ -263,8 +266,8 @@ def controller_step(state: ControllerState, times,
     times after current_time; all of them are sampled from the active
     trajectory in one call. Returns (new_state, (times, positions, wxyz,
     grippers), event), with one sign-canonical wxyz row per tick.
-    new_state holds the last tick's time, position, quaternion and
-    velocity, and event is the :class:`ReplanEvent` of a processed replan,
+    new_state holds the last tick's time, position, quaternion, velocity
+    and gripper, and event is the :class:`ReplanEvent` of a processed replan,
     stamped with the merge time (the incoming current_time), or None. The
     waypoints a replan merges are ``replan_source.tail(event.dropped_count)``.
     """
@@ -279,8 +282,7 @@ def controller_step(state: ControllerState, times,
         if start < len(replan_source):
             active = _merge_refreshed(state, replan_source.tail(start))
 
-    pos, quats, grip = active.sample(t)
-    t_last = float(t[-1])
-    new_state = ControllerState._checked(t_last, pos[-1], quats[-1], active.velocity(t_last),
+    pos, quats, grip, vel = active.sample(t)
+    new_state = ControllerState._checked(float(t[-1]), pos[-1], quats[-1], vel[-1], grip[-1],
                                          active, state.replan_interval, state.segment_duration)
     return new_state, (t, pos, quats, grip), event

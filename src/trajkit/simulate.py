@@ -22,11 +22,12 @@ from .geometry import (
 )
 from .keyframes import SparseTrajectory
 from .replan import ControllerState, PendingPlan, controller_step
-from .splines import eval_trajectory, fit
+from .splines import fit
 
-# Not called here since the log is converted once per run, but kept bound:
-# the stage tracer in bench/tracing.py wraps it where this module looks it up.
+# Not called here since the log is converted once per run and the first tick is sampled
+# as a block, but kept bound: the stage tracer in bench/tracing.py wraps them here.
 from .geometry import quaternion_to_euler  # noqa: F401
+from .splines import eval_trajectory  # noqa: F401
 
 __all__ = [
     "Perturbation",
@@ -129,16 +130,6 @@ def run(scenario: Scenario) -> ExecutionLog:
     dt = 1.0 / scenario.control_rate
     interval = scenario.replan_interval
 
-    pos0, quat0, grip0 = eval_trajectory(active, t0)
-    state = ControllerState(
-        current_time=t0,
-        current_position=pos0,
-        current_wxyz=quat0,
-        current_velocity=active.velocity(t0),
-        active=active,
-        replan_interval=interval,
-    )
-
     # tick k runs at grid[k] = t0 + k * dt, computed multiplicatively so
     # replan requests land on the exact waypoint/tick grid instead of
     # drifting by accumulation
@@ -147,7 +138,9 @@ def run(scenario: Scenario) -> ExecutionLog:
     grid = grid[:np.searchsorted(grid, stop, side="right")]
     n_ticks = len(grid) - 1
 
-    times, positions, quats, grippers = [grid[:1]], [pos0[None]], [quat0[None]], [[grip0]]
+    pos0, quat0, grip0, vel0 = active.sample(grid[:1])
+    state = ControllerState(t0, pos0[0], quat0[0], vel0[0], grip0[0], active, interval)
+    times, positions, quats, grippers = [grid[:1]], [pos0], [quat0], [grip0]
     events = []
     pending_delayed: PendingPlan | None = None
     replan_tick = 1

@@ -18,6 +18,7 @@ from .geometry import (
     Frame,
     _as_array,
     _check_positive,
+    _check_reals,
     _clamp,
     _integral,
     _time_grid,
@@ -108,6 +109,11 @@ def _cubic(dt, c):
     return c[..., 0, :] + dt * (c[..., 1, :] + dt * (c[..., 2, :] + dt * c[..., 3, :]))
 
 
+def _cubic_velocity(dt, c):
+    """First derivative of the segment polynomials c (..., 4, 3) at offsets dt (..., 1)."""
+    return c[..., 1, :] + dt * (2.0 * c[..., 2, :] + dt * 3.0 * c[..., 3, :])
+
+
 @dataclass(frozen=True, eq=False)
 class PositionSpline:
     """Piecewise cubic position curve.
@@ -176,6 +182,7 @@ class PositionSpline:
         before t, seg is i clamped to a segment, [0, n - 2], dt (..., 1) is
         t minus the start of seg and c holds the coefficients of seg.
         """
+        _check_reals(t, "evaluation times")
         tt = np.asarray(t, dtype=float)
         if not np.isfinite(tt).all():
             raise ValueError("evaluation times must be finite")
@@ -192,7 +199,7 @@ class PositionSpline:
     def velocity(self, t):
         """First derivative at scalar or array t (clamped to the domain)."""
         _, _, dt, c = self._locate(t)
-        return c[..., 1, :] + dt * (2.0 * c[..., 2, :] + dt * 3.0 * c[..., 3, :])
+        return _cubic_velocity(dt, c)
 
 
 def _slerp_rows(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -266,33 +273,23 @@ class ContinuousTrajectory:
     def domain(self) -> tuple:
         return self.position.domain
 
-    def gripper(self, t):
-        """Zero-order-hold gripper state at scalar or array t (clamped to the domain)."""
-        return self.grippers[self.position._locate(t)[0]]
-
     def sample(self, times) -> tuple:
         """Evaluate at a 1-D array of times, each clamped to the domain.
 
-        Returns positions (n, 3), sign-canonical wxyz quaternions (n, 4)
-        and grippers (n,), from one knot lookup (``velocity``, ``gripper``
-        and the :class:`PositionSpline` evaluators make their own): the
-        cubic and the SLERP use the segment, the gripper the last knot at or
-        before each time, so at the end of the domain it takes the last
-        knot's value.
+        Returns positions (n, 3), sign-canonical wxyz quaternions (n, 4),
+        grippers (n,) and positional velocities (n, 3), from one knot
+        lookup: the cubic, its derivative and the SLERP use the segment, the
+        gripper the last knot at or before each time, so at the end of the
+        domain it takes the last knot's value. The velocity is zero at
+        times outside the domain, where the pose holds.
         """
         i, seg, dt, c = self.position._locate(times)
         knots = self.position.knot_times
         s = _clamp(dt[:, 0] / (knots[seg + 1] - knots[seg]), 0.0, 1.0)
+        tt = np.asarray(times)
+        outside = (tt < knots[0]) | (tt > knots[-1])
         return (_cubic(dt, c), _slerp_rows(self.wxyz[seg], self.wxyz[seg + 1], s),
-                self.grippers[i])
-
-    def velocity(self, t):
-        """Positional velocity at scalar or array t; zero outside the domain
-        (the pose holds there)."""
-        t0, t1 = self.domain
-        tt = np.asarray(t, dtype=float)
-        v = self.position.velocity(tt)
-        return np.where(((tt < t0) | (tt > t1))[..., None], 0.0, v)
+                self.grippers[i], np.where(outside[:, None], 0.0, _cubic_velocity(dt, c)))
 
 
 def fit(sparse: SparseTrajectory, end_velocities=None) -> ContinuousTrajectory:
@@ -311,7 +308,7 @@ def fit(sparse: SparseTrajectory, end_velocities=None) -> ContinuousTrajectory:
 def eval_trajectory(traj: ContinuousTrajectory, t: float) -> tuple:
     """One row of :meth:`ContinuousTrajectory.sample`: (position (3,), wxyz
     (4,), gripper) at time t, clamped to the domain."""
-    pos, quats, grips = traj.sample(np.array([float(t)]))
+    pos, quats, grips, _ = traj.sample(np.array([t]))
     return pos[0], quats[0], grips[0]
 
 
@@ -329,7 +326,7 @@ def resample(traj: ContinuousTrajectory, rate: float) -> DenseTrajectory:
         times = np.append(times, t1)
     else:
         times[-1] = t1
-    positions, quats, grippers = traj.sample(times)
+    positions, quats, grippers, _ = traj.sample(times)
     return DenseTrajectory(times, positions, quaternions_to_eulers(quats), grippers, Frame.WORLD)
 
 

@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DepthRangeError, OutOfFrameError, SchemaError
-from .geometry import (CameraModel, Frame, SampleError, _check_positive, _clamp, _first,
-                       _integral, _real, back_project, normalize_angles, project)
+from .geometry import (CameraModel, Frame, SampleError, _check_positive, _check_reals, _clamp,
+                       _first, _integral, _real, back_project, normalize_angles, project)
 from .keyframes import SparseTrajectory
 
 __all__ = [
@@ -191,9 +191,10 @@ def quantize(value, lo: float, hi: float, bins: int):
     """Uniform bin index of each value over [lo, hi], clamped into [0, bins-1].
 
     Element-wise: an array gives an int array of its shape, a scalar a
-    NumPy int. Infinities clamp to the end bins; NaN raises ``ValueError``.
+    NumPy int. Infinities clamp to the end bins; NaN, bools and strings raise ``ValueError``.
     """
     lo, hi, bins = _check_grid(lo, hi, bins)
+    _check_reals(value, "value")
     x = np.asarray(value, dtype=float)
     if np.isnan(x).any():
         raise ValueError("cannot quantize NaN")

@@ -142,8 +142,8 @@ def test_closed_loop_shift_recovery_and_continuity():
         # re-run the controller manually to inspect every merged trajectory
         scenario = line_scenario([shift], replan_interval=0.5)
         active = tk.fit(scenario.initial_plan)
-        pos0, quat0, _ = tk.eval_trajectory(active, 0.0)
-        state = tk.ControllerState(0.0, pos0, quat0, active.velocity(0.0), active,
+        pos0, quat0, grip0, vel0 = active.sample(np.array([0.0]))
+        state = tk.ControllerState(0.0, pos0[0], quat0[0], vel0[0], grip0[0], active,
                                    scenario.replan_interval)
         dt = 1.0 / scenario.control_rate
         merges = 0

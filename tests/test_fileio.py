@@ -449,7 +449,8 @@ def _controller_state():
     scenario = line_scenario()
     active = tk.fit(scenario.initial_plan)
     return tk.ControllerState(0.0, active.position.position(0.0), active.wxyz[0],
-                              active.velocity(0.0), active, 0.5)
+                              active.sample(np.array([0.0]))[3][0], active.grippers[0], active,
+                              0.5)
 
 
 ARRAY_VALUES = {

@@ -76,3 +76,9 @@ def test_options_the_inputs_decide_stay_removed(function, option):
 
 def test_position_spline_has_no_acceleration():
     assert not hasattr(trajkit.PositionSpline, "acceleration")
+
+
+def test_continuous_trajectory_samples_only():
+    # sample returns the velocity and the gripper of each time from its one lookup
+    for name in ("velocity", "gripper"):
+        assert not hasattr(trajkit.ContinuousTrajectory, name), name

@@ -46,11 +46,14 @@ def plan(args):
     return tk.PendingPlan(args["p"], args["q"], args["g"], args["t"])
 
 
+def still():
+    spline = tk.PositionSpline.fit([0.0, 1.0], np.zeros((2, 3)))
+    return tk.ContinuousTrajectory(spline, np.tile(IDENTITY, (2, 1)), [0, 0])
+
+
 def state(args):
-    active = tk.PositionSpline.fit([0.0, 1.0], np.zeros((2, 3)))
-    active = tk.ContinuousTrajectory(active, np.tile(IDENTITY, (2, 1)), [0, 0])
     args.update(p=np.zeros(3), q=np.array(IDENTITY), v=np.ones(3))
-    return tk.ControllerState(0.5, args["p"], args["q"], args["v"], active, 0.1)
+    return tk.ControllerState(0.5, args["p"], args["q"], args["v"], 0, still(), 0.1)
 
 
 def spline(args):
@@ -183,10 +186,23 @@ def test_positive_reals_reject_bools_and_strings(value):
                                   tk.Frame.WORLD), "times", ValueError),
     (lambda x: tk.CameraModel(K[:2] + [[0.0, 0.0, x]], np.eye(4), 100, 100), "camera matrices",
      tk.InvalidCameraError),
-], ids=["spline-times", "spline-points", "quaternions", "dense-times", "camera-intrinsics"])
+    (lambda x: tk.DenseTrajectory([0.0, 1.0], np.zeros((2, 3)), np.zeros((2, 3)), [0, x],
+                                  tk.Frame.WORLD), "gripper", ValueError),
+    (lambda x: tk.PendingPlan(np.zeros((2, 3)), np.tile(IDENTITY, (2, 1)), [0, x]), "gripper",
+     ValueError),
+    (lambda x: tk.ControllerState(0.5, np.zeros(3), IDENTITY, np.zeros(3), x, still(), 0.1),
+     "gripper", ValueError),
+    (lambda x: still().sample([0.5, x]), "evaluation times", ValueError),
+    (lambda x: tk.eval_trajectory(still(), x), "evaluation times", ValueError),
+    (lambda x: tk.quantize([0.5, x], 0.0, 1.0, 4), "value", ValueError),
+    (lambda x: tk.normalize_angles([0.5, x]), "angles", ValueError),
+], ids=["spline-times", "spline-points", "quaternions", "dense-times", "camera-intrinsics",
+        "dense-grippers", "plan-grippers", "state-gripper", "sample-times", "eval-time",
+        "quantize-values", "angles"])
 @pytest.mark.parametrize("value", [True, np.True_, "1.5"], ids=["bool", "numpy-bool", "str"])
 def test_array_fields_reject_bools_and_strings(build, field, error, value):
-    # inside a list, True used to be read as 1.0 and "1.5" as 1.5
+    # inside a list, True used to be read as 1.0 and "1.5" as 1.5, and a
+    # gripper True as 1
     with pytest.raises(error, match=f"^{field} must hold real numbers, not bools or strings$"):
         build(value)
     build(1.0)  # the same list of reals is valid

@@ -35,9 +35,9 @@ def line_state(n=11, speed=0.1, at_time=0.0, **changes):
                                 np.stack([speed * np.arange(n), np.zeros(n), np.zeros(n)],
                                          axis=1))
     active = tk.fit(sparse)
-    pos, quat, _ = tk.eval_trajectory(active, at_time)
-    fields = dict(current_time=at_time, current_position=pos, current_wxyz=quat,
-                  current_velocity=active.velocity(at_time), active=active,
+    pos, quat, grip, vel = active.sample(np.array([at_time]))
+    fields = dict(current_time=at_time, current_position=pos[0], current_wxyz=quat[0],
+                  current_velocity=vel[0], current_gripper=grip[0], active=active,
                   replan_interval=0.5)
     return tk.ControllerState(**{**fields, **changes})
 
@@ -237,6 +237,7 @@ class TestMergeReplan:
             current_position=[0, 0, 0],
             current_wxyz=[1, 0, 0, 0],
             current_velocity=[0.0, 0.0, 0.0],
+            current_gripper=0,
             active=state.active,
             replan_interval=0.5,
         )
@@ -248,8 +249,8 @@ class TestMergeReplan:
         pos, _, grip = tk.eval_trajectory(merged, t1)
         assert np.linalg.norm(pos - [0.3, 0.1, 0.2]) < 1e-12
         # lone goals enter with the active trajectory's velocity at that time
-        expected_entry = state.active.velocity(t1)
-        assert np.abs(merged.velocity(t1 - 1e-12) - expected_entry).max() < 1e-9
+        expected_entry = state.active.sample(np.array([t1]))[3][0]
+        assert np.abs(merged.sample(np.array([t1 - 1e-12]))[3][0] - expected_entry).max() < 1e-9
 
     def test_shifted_plan_reaches_new_target_without_jump(self):
         state = line_state(at_time=3.0)
@@ -467,7 +468,7 @@ class TestControllerStateBoundary:
                               times=line_plan().times)
         times = [2.01, 2.02, 2.6]
         new_state, _, _ = tk.controller_step(state, times, plan)
-        _, quats, _ = new_state.active.sample(np.array(times))
+        _, quats, _, _ = new_state.active.sample(np.array(times))
         assert new_state.current_wxyz.tobytes() == quats[-1].tobytes()
 
     def test_event_records_the_keep_decision(self):
@@ -551,14 +552,16 @@ class TestTrustedConstructors:
     def test_controller_state(self, rng):
         active = self.active(rng)
         times = np.linspace(*active.domain, 7)[1:]
-        pos, quats, _ = active.sample(times)
-        t, vel = float(times[-1]), active.velocity(times[-1])
-        fields = (t, pos[-1], quats[-1], vel, active, 0.25, 0.5)
+        pos, quats, grip, vels = active.sample(times)
+        t, vel = float(times[-1]), vels[-1]
+        fields = (t, pos[-1], quats[-1], vel, grip[-1], active, 0.25, 0.5)
         trusted = tk.ControllerState._checked(*fields)
         public = tk.ControllerState(*fields)
         assert_same_columns(trusted, public,
                             ("current_position", "current_wxyz", "current_velocity"))
         assert trusted.current_time == public.current_time and type(trusted.current_time) is float
+        assert (trusted.current_gripper == public.current_gripper
+                and type(trusted.current_gripper) is int)
         for name in ("active", "replan_interval", "segment_duration"):
             assert getattr(trusted, name) is getattr(public, name), name
         # the sampled rows are copied: the block they came from stays the caller's
@@ -569,7 +572,8 @@ class TestTrustedConstructors:
             bad[name] = np.where(np.arange(3) == 1, math.nan, row)
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 tk.ControllerState._checked(t, bad["current_position"], quats[-1],
-                                            bad["current_velocity"], active, 0.25, 0.5)
+                                            bad["current_velocity"], grip[-1], active, 0.25,
+                                            0.5)
 
 
 class TestPendingPlanGrippers:
@@ -582,7 +586,7 @@ class TestPendingPlanGrippers:
 
     def test_stores_zero_one_as_read_only_ints(self):
         plan = tk.PendingPlan(np.zeros((3, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)),
-                              [1.0, 0.0, True])
+                              [1.0, 0.0, np.int64(1)])
         assert plan.grippers.dtype == int and plan.grippers.tolist() == [1, 0, 1]
         assert not plan.grippers.flags.writeable
 
@@ -691,8 +695,8 @@ def drive(scenario, timed: bool, rebuild=None) -> list:
     maps the state before each step that gets a plan."""
     active = tk.fit(scenario.initial_plan)
     t0, t_end = active.domain
-    pos, quat, _ = tk.eval_trajectory(active, t0)
-    state = tk.ControllerState(t0, pos, quat, active.velocity(t0), active,
+    pos, quat, grip, vel = active.sample(np.array([t0]))
+    state = tk.ControllerState(t0, pos[0], quat[0], vel[0], grip[0], active,
                                scenario.replan_interval, segment_duration=0.05)
     steps, delayed = [], None
     interval = scenario.replan_interval
@@ -750,8 +754,8 @@ class TestHeldFitReuse:
         sparse = sparse_from_arrays(t, np.stack([np.sin(t), t**2 / 10, np.zeros(6)], axis=1))
         active = tk.fit(sparse)
         plan = tk.PendingPlan.from_sparse(sparse).tail(1)
-        pos, quat, _ = tk.eval_trajectory(active, 0.5)
-        state = tk.ControllerState(0.5, pos, quat, active.velocity(0.5), active, 0.5)
+        pos, quat, grip, vel = active.sample(np.array([0.5]))
+        state = tk.ControllerState(0.5, pos[0], quat[0], vel[0], grip[0], active, 0.5)
         want = tk.PositionSpline.fit(plan.times, plan.positions)
         calls = fit_calls(monkeypatch)
         got = tk.controller_step(state, [0.6], plan)[0].active.position

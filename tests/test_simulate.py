@@ -44,7 +44,8 @@ def run_loop(scenario):
         current_time=t0,
         current_position=pos0,
         current_wxyz=quat0,
-        current_velocity=active.velocity(t0),
+        current_velocity=active.sample(np.array([t0]))[3][0],
+        current_gripper=grip0,
         active=active,
         replan_interval=scenario.replan_interval,
     )
@@ -255,6 +256,31 @@ class TestRun:
         assert len(events) == len(log.replan_events) > 0
         for (merge_time, event), logged in zip(events, log.replan_events):
             assert logged is event and event.time == merge_time
+
+    @pytest.mark.parametrize("name", sorted(name for name, make in LOOP_SCENARIOS.items()
+                                            if make().perturbations))
+    def test_one_knot_lookup_per_step(self, name, monkeypatch):
+        lookups, steps, lone_goals = [], [], []
+        locate = tk.PositionSpline._locate
+
+        def counting_locate(spline, t):
+            lookups.append(t)
+            return locate(spline, t)
+
+        def counting_step(state, times, replan_source=None):
+            result = tk.controller_step(state, times, replan_source)
+            steps.append(times)
+            event = result[2]
+            if event is not None and len(replan_source) - event.dropped_count == 1:
+                lone_goals.append(event)
+            return result
+
+        monkeypatch.setattr(tk.PositionSpline, "_locate", counting_locate)
+        monkeypatch.setattr(simulate, "controller_step", counting_step)
+        tk.run(LOOP_SCENARIOS[name]())
+        # one lookup samples each step's ticks and one the run's first tick; a
+        # lone goal also samples the active trajectory's velocity at its entry
+        assert len(lookups) == len(steps) + 1 + len(lone_goals)
 
     def test_commanded_grid_uniform(self):
         log = tk.run(line_scenario(control_rate=50.0))

@@ -231,22 +231,29 @@ class TestEval:
         assert abs(changes[0] - 2.0) < 0.011  # ZOH switches at the knot
 
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_times(self, t):
+    @pytest.mark.parametrize("times, match", [
+        (np.array([0.5, math.nan]), "be finite"),
+        (np.array([0.5, math.inf]), "be finite"),
+        (np.array([0.5, -math.inf]), "be finite"),
+        (np.array(["0.5", "1.5"]), "hold real numbers, not bools or strings"),
+        (np.array([False, True]), "hold real numbers, not bools or strings"),
+    ], ids=["nan", "inf", "-inf", "str", "bool"])
+    def test_rejects_non_finite_times(self, times, match):
         traj = tk.fit(sparse_from_arrays([0.0, 1.0], np.array([[0, 0, 0], [1, 0, 0]])))
-        # NaN used to give NaN rows with gripper 0, and infinities were clamped
-        calls = [lambda: traj.sample(np.array([0.5, t])), lambda: tk.eval_trajectory(traj, t),
-                 lambda: traj.position.position(t), lambda: traj.gripper(t),
-                 lambda: traj.velocity(t)]
+        # NaN used to give NaN rows with gripper 0, infinities were clamped,
+        # "1.5" was read as 1.5 and True as 1
+        t = times[-1]
+        calls = [lambda: traj.sample(times), lambda: tk.eval_trajectory(traj, t),
+                 lambda: traj.position.position(t), lambda: traj.position.velocity(t)]
         for call in calls:
-            with pytest.raises(ValueError, match="^evaluation times must be finite$"):
+            with pytest.raises(ValueError, match=f"^evaluation times must {match}$"):
                 call()
 
     def test_velocity_takes_arrays(self):
         traj = tk.fit(sparse_from_arrays([0.0, 1.0, 2.0], np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0]])))
         times = np.array([-0.5, 0.0, 0.3, 1.0, 1.7, 2.0, 2.5])
-        expected = np.array([traj.velocity(t) for t in times])
-        assert np.array_equal(traj.velocity(times), expected)
+        expected = np.array([traj.sample(times[[i]])[3][0] for i in range(len(times))])
+        assert np.array_equal(traj.sample(times)[3], expected)
         assert not expected[[0, -1]].any()  # the pose holds outside the domain
         assert np.array_equal(expected[1:-1], traj.position.velocity(times[1:-1]))
 
@@ -403,10 +410,11 @@ def draw_trajectory(draw, times, rows):
 
 
 def three_lookup_sample(traj, rows, grippers, ts):
-    """Reference: the sampler as three separate lookups over the same knots:
-    the spline's own position lookup, one SLERP call per sample between the
-    bracketing knots of a chain sign-aligned here by a loop, and a
-    zero-order-hold gripper lookup."""
+    """Reference: the sampler as separate lookups over the same knots: the
+    spline's own position lookup, one SLERP call per sample between the
+    bracketing knots of a chain sign-aligned here by a loop, a
+    zero-order-hold gripper lookup, and the spline's own velocity lookup,
+    zeroed outside the domain."""
     knots = traj.position.knot_times
     sign, aligned = 1.0, [rows[0]]
     for prev, row in zip(rows, rows[1:]):
@@ -418,7 +426,9 @@ def three_lookup_sample(traj, rows, grippers, ts):
     quats = np.array([splines._slerp_rows(aligned[i][None], aligned[i + 1][None], s[[j]])[0]
                       for j, i in enumerate(seg)])
     hold = np.maximum(np.searchsorted(knots, tt, side="right") - 1, 0)
-    return traj.position.position(tt), quats, np.asarray(grippers)[hold]
+    outside = ((ts < knots[0]) | (ts > knots[-1]))[:, None]
+    return (traj.position.position(tt), quats, np.asarray(grippers)[hold],
+            np.where(outside, 0.0, traj.position.velocity(tt)))
 
 
 class TestBatchedSampler:
@@ -430,7 +440,7 @@ class TestBatchedSampler:
         traj, grip = draw_trajectory(data.draw, times, rows)
         ts = sample_times(data.draw, times)
         got = traj.sample(ts)
-        for column, want in zip(got, three_lookup_sample(traj, rows, grip, ts)):
+        for column, want in zip(got, three_lookup_sample(traj, rows, grip, ts), strict=True):
             assert np.array_equal(column, want)
         assert got[2][-1] == grip[-1]  # at the end of the domain: the last knot's value
 
@@ -439,7 +449,7 @@ class TestBatchedSampler:
         times, rows = knots
         traj, _ = draw_trajectory(data.draw, times, rows)
         ts = sample_times(data.draw, times)
-        positions, quats, grippers = traj.sample(ts)
+        positions, quats, grippers, _ = traj.sample(ts)
         for i, t in enumerate(ts):
             p, q, g = tk.eval_trajectory(traj, float(t))
             assert np.array_equal(positions[i], p)
@@ -493,7 +503,7 @@ class TestFitInterpolatesKnots:
     @given(sparse_plans(), st.booleans())
     def test_knots_reproduced(self, sparse, clamped):
         traj = tk.fit(sparse, end_velocities=(np.zeros(3), np.ones(3)) if clamped else None)
-        positions, quats, grippers = traj.sample(sparse.times)
+        positions, quats, grippers, _ = traj.sample(sparse.times)
         scale = 1.0 + np.abs(sparse.positions).max()
         assert np.abs(positions - sparse.positions).max() < 1e-9 * scale
         # a knot hit returns the knot rotation itself
