@@ -61,20 +61,24 @@ def _check_reals(value, name: str, error=ValueError) -> None:
         raise error(f"{name} must hold real numbers, not bools or strings")
 
 
-def _as_array(value, shape: tuple, name: str) -> np.ndarray:
+def _as_array(value, shape: tuple | None, name: str, error=ValueError) -> np.ndarray:
     """A read-only float copy of ``value``, real and finite, with exactly
-    ``shape``; ``None`` as the leading length accepts any length.
+    ``shape``; ``None`` as the leading length accepts any length, and
+    ``None`` as the shape any shape. A violation raises ``error`` with
+    ``<name> must hold real numbers, not bools or strings``, ``<name> must
+    have shape <shape>, got <shape>`` or ``<name> must be finite``.
 
     Constructors store this copy, so a caller's array is never frozen or
     shared.
     """
-    _check_reals(value, name)
+    _check_reals(value, name, error)
     arr = np.array(value, dtype=float)
-    want = arr.shape[:1] + shape[1:] if shape[0] is None and arr.ndim else shape
-    if arr.shape != want:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}".replace("None", "n"))
+    if shape is not None:
+        want = arr.shape[:1] + shape[1:] if shape[0] is None and arr.ndim else shape
+        if arr.shape != want:
+            raise error(f"{name} must have shape {shape}, got {arr.shape}".replace("None", "n"))
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
+        raise error(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -151,17 +155,13 @@ def unit_quaternions(rows) -> np.ndarray:
     unit to rounding are kept bit for bit, so canonicalizing twice changes
     nothing.
     """
-    _check_reals(rows, "quaternions")
-    q = np.array(rows, dtype=float)
-    if q.ndim != 2 or q.shape[1] != 4:
-        raise ValueError(f"quaternions must be an (n, 4) array, got shape {q.shape}")
+    q = _as_array(rows, (None, 4), "quaternions")
     norms = np.linalg.norm(q, axis=1)
     off = np.abs(norms - 1.0)
-    bad = _first(~(off <= 1e-6))  # also catches nan and inf
+    bad = _first(off > 1e-6)
     if bad is not None:
         raise ValueError(f"quaternion {bad} norm {norms[bad]} too far from 1")
-    q /= np.where(off > _UNIT_ROUNDING, norms, 1.0)[:, None]
-    return canonical_sign(q)
+    return canonical_sign(q / np.where(off > _UNIT_ROUNDING, norms, 1.0)[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,15 +174,8 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
-        _check_reals([self.intrinsics, self.extrinsics_c2w], "camera matrices", InvalidCameraError)
-        k = np.array(self.intrinsics, dtype=float)
-        ext = np.array(self.extrinsics_c2w, dtype=float)
-        if k.shape != (3, 3):
-            raise InvalidCameraError(f"intrinsics must be 3x3, got {k.shape}")
-        if ext.shape != (4, 4):
-            raise InvalidCameraError(f"extrinsics must be 4x4, got {ext.shape}")
-        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(ext))):
-            raise InvalidCameraError("camera matrices must be finite")
+        k = _as_array(self.intrinsics, (3, 3), "intrinsics", InvalidCameraError)
+        ext = _as_array(self.extrinsics_c2w, (4, 4), "extrinsics_c2w", InvalidCameraError)
         if abs(k[2, 2] - 1.0) > 1e-12:
             raise InvalidCameraError(f"K[2][2] must be 1, got {k[2, 2]}")
         lower = np.abs(np.tril(k, -1)).max()
@@ -201,8 +194,6 @@ class CameraModel:
         height = _integral("height", self.height, InvalidCameraError)
         if not (width > 0 and height > 0):
             raise InvalidCameraError("image dimensions must be positive")
-        k.flags.writeable = False
-        ext.flags.writeable = False
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "extrinsics_c2w", ext)
         object.__setattr__(self, "width", width)
@@ -404,10 +395,9 @@ def quaternion_to_euler(wxyz) -> np.ndarray:
 
 
 def normalize_angles(angles) -> np.ndarray:
-    """Wrap angles (radians, real numbers as in :func:`_check_reals`) into [-pi, pi)."""
-    _check_reals(angles, "angles")
-    a = np.asarray(angles, dtype=float)
-    return np.mod(a + math.pi, 2.0 * math.pi) - math.pi
+    """Wrap angles (radians, of any shape, finite real numbers as in
+    :func:`_as_array`) into [-pi, pi)."""
+    return np.mod(_as_array(angles, None, "angles") + math.pi, 2.0 * math.pi) - math.pi
 
 
 def finite_difference_accel(traj: DenseTrajectory, weights=None) -> tuple:

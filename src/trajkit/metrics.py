@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _check_positive, _check_reals
+from .geometry import _as_array, _check_positive
 
 __all__ = [
     "MetricReport",
@@ -45,11 +45,7 @@ def _as_polyline(points, name: str) -> np.ndarray:
     shape = (points if isinstance(points, np.ndarray) else np.asarray(points, dtype=object)).shape
     if len(shape) != 2 or shape[0] < 1 or shape[1] not in (2, 3):
         raise ValueError(f"{name} must be an (N, 2) or (N, 3) array, got {shape}")
-    _check_reals(points, name)
-    arr = np.asarray(points, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite coordinates")
-    return arr
+    return _as_array(points, shape, name)
 
 
 def _pair(a, b) -> tuple:

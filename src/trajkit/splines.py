@@ -18,7 +18,6 @@ from .geometry import (
     Frame,
     _as_array,
     _check_positive,
-    _check_reals,
     _clamp,
     _integral,
     _time_grid,
@@ -175,30 +174,29 @@ class PositionSpline:
     def domain(self) -> tuple:
         return float(self.knot_times[0]), float(self.knot_times[-1])
 
-    def _locate(self, t) -> tuple:
-        """Clamp t to the domain and find it on the knots; t must be finite.
+    def _locate(self, t, shape: tuple | None = None) -> tuple:
+        """Clamp t to the domain and find it on the knots; t must be finite
+        and, when ``shape`` is given, of that shape (see :func:`_as_array`).
 
-        Returns (i, seg, dt, c): i is the index of the last knot at or
-        before t, seg is i clamped to a segment, [0, n - 2], dt (..., 1) is
-        t minus the start of seg and c holds the coefficients of seg.
+        Returns (t, i, seg, dt, c): t is the checked, unclamped times, i the
+        index of the last knot at or before t, seg is i clamped to a
+        segment, [0, n - 2], dt (..., 1) is t minus the start of seg and c
+        holds the coefficients of seg.
         """
-        _check_reals(t, "evaluation times")
-        tt = np.asarray(t, dtype=float)
-        if not np.isfinite(tt).all():
-            raise ValueError("evaluation times must be finite")
-        tt = _clamp(tt, *self.domain)
+        t = _as_array(t, shape, "evaluation times")
+        tt = _clamp(t, *self.domain)
         i = np.searchsorted(self.knot_times, tt, side="right") - 1
         seg = _clamp(i, 0, len(self.knot_times) - 2)
-        return i, seg, (tt - self.knot_times[seg])[..., None], self.coefficients[seg]
+        return t, i, seg, (tt - self.knot_times[seg])[..., None], self.coefficients[seg]
 
     def position(self, t):
         """Evaluate at scalar or array t (clamped to the domain)."""
-        _, _, dt, c = self._locate(t)
+        *_, dt, c = self._locate(t)
         return _cubic(dt, c)
 
     def velocity(self, t):
         """First derivative at scalar or array t (clamped to the domain)."""
-        _, _, dt, c = self._locate(t)
+        *_, dt, c = self._locate(t)
         return _cubic_velocity(dt, c)
 
 
@@ -274,7 +272,7 @@ class ContinuousTrajectory:
         return self.position.domain
 
     def sample(self, times) -> tuple:
-        """Evaluate at a 1-D array of times, each clamped to the domain.
+        """Evaluate at (n,) times, each clamped to the domain.
 
         Returns positions (n, 3), sign-canonical wxyz quaternions (n, 4),
         grippers (n,) and positional velocities (n, 3), from one knot
@@ -283,10 +281,9 @@ class ContinuousTrajectory:
         domain it takes the last knot's value. The velocity is zero at
         times outside the domain, where the pose holds.
         """
-        i, seg, dt, c = self.position._locate(times)
+        tt, i, seg, dt, c = self.position._locate(times, (None,))
         knots = self.position.knot_times
         s = _clamp(dt[:, 0] / (knots[seg + 1] - knots[seg]), 0.0, 1.0)
-        tt = np.asarray(times)
         outside = (tt < knots[0]) | (tt > knots[-1])
         return (_cubic(dt, c), _slerp_rows(self.wxyz[seg], self.wxyz[seg + 1], s),
                 self.grippers[i], np.where(outside[:, None], 0.0, _cubic_velocity(dt, c)))

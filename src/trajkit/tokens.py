@@ -152,7 +152,7 @@ class TokenSequence:
         n = len(cols["d"]) if cols["d"].ndim else 0
         if n == 0:
             raise SampleError("token sequence needs at least one block")
-        if any(c.dtype.kind not in "biu" or c.shape != ((n, 3) if key == "r" else (n,))
+        if any(c.dtype.kind not in "iu" or c.shape != ((n, 3) if key == "r" else (n,))
                for key, c in cols.items()):
             raise SampleError("token columns must be int64-range integer arrays, (n,) and "
                               "(n, 3) for r")

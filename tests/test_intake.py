@@ -184,7 +184,7 @@ def test_positive_reals_reject_bools_and_strings(value):
     (lambda x: tk.unit_quaternions([[x, 0, 0, 0]]), "quaternions", ValueError),
     (lambda x: tk.DenseTrajectory([0.0, x], np.zeros((2, 3)), np.zeros((2, 3)), [0, 0],
                                   tk.Frame.WORLD), "times", ValueError),
-    (lambda x: tk.CameraModel(K[:2] + [[0.0, 0.0, x]], np.eye(4), 100, 100), "camera matrices",
+    (lambda x: tk.CameraModel(K[:2] + [[0.0, 0.0, x]], np.eye(4), 100, 100), "intrinsics",
      tk.InvalidCameraError),
     (lambda x: tk.DenseTrajectory([0.0, 1.0], np.zeros((2, 3)), np.zeros((2, 3)), [0, x],
                                   tk.Frame.WORLD), "gripper", ValueError),
@@ -206,3 +206,59 @@ def test_array_fields_reject_bools_and_strings(build, field, error, value):
     with pytest.raises(error, match=f"^{field} must hold real numbers, not bools or strings$"):
         build(value)
     build(1.0)  # the same list of reals is valid
+
+
+# every caller array that enters through geometry._as_array, with a valid
+# value, the name its messages use, its error type and the start of its shape
+# message (None: any shape is valid)
+HAS_SHAPE = "must have shape "
+ARRAY_INTAKES = pytest.mark.parametrize("build, valid, field, error, shape_message", [
+    (lambda x: tk.CameraModel(x, np.eye(4), 100, 100), K, "intrinsics", tk.InvalidCameraError,
+     HAS_SHAPE),
+    (lambda x: tk.CameraModel(K, x, 100, 100), np.eye(4), "extrinsics_c2w",
+     tk.InvalidCameraError, HAS_SHAPE),
+    (tk.unit_quaternions, [IDENTITY], "quaternions", ValueError, HAS_SHAPE),
+    # a metric reads its own shape first, so a ragged list is named as a shape
+    (lambda x: tk.dtw(x, [[0.0, 1.0, 2.0]]), [[1.0, 2.0, 3.0]], "a", ValueError,
+     r"must be an \(N, 2\) or \(N, 3\) array"),
+    (lambda x: tk.dtw([[0.0, 1.0, 2.0]], x), [[1.0, 2.0, 3.0]], "b", ValueError,
+     r"must be an \(N, 2\) or \(N, 3\) array"),
+    (lambda x: still().sample(x), [0.5, 1.0], "evaluation times", ValueError, HAS_SHAPE),
+    (lambda x: still().position.position(x), [0.5, 1.0], "evaluation times", ValueError, None),
+    (tk.normalize_angles, [0.5, 4.0], "angles", ValueError, None),
+    (lambda x: tk.PositionSpline.fit([0.0, 1.0], x), np.eye(2, 3), "points", ValueError,
+     HAS_SHAPE),
+    (lambda x: tk.PendingPlan(x, np.tile(IDENTITY, (2, 1)), [0, 0]), np.eye(2, 3),
+     "plan positions", ValueError, HAS_SHAPE),
+], ids=["camera-intrinsics", "camera-extrinsics", "quaternions", "metric-a", "metric-b",
+        "sample-times", "position-times", "angles", "spline-points", "plan-positions"])
+
+
+@ARRAY_INTAKES
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_array_intakes_reject_non_finite_values(build, valid, field, error, shape_message, bad):
+    # normalize_angles([inf]) used to return nan, and a camera named both
+    # matrices as one
+    array = np.array(valid, dtype=float)
+    build(array)
+    array.flat[-1] = bad
+    with pytest.raises(error, match=f"^{field} must be finite$"):
+        build(array)
+
+
+@ARRAY_INTAKES
+def test_array_intakes_check_the_shape(build, valid, field, error, shape_message):
+    # one more leading axis: a (1, 3, 3) camera matrix, (1, 1, 4) quaternions
+    stacked = np.array(valid, dtype=float)[None]
+    if shape_message is None:  # element-wise: the result keeps the shape
+        assert np.shape(build(stacked))[:stacked.ndim] == stacked.shape
+        return
+    with pytest.raises(error, match=f"^{field} {shape_message}"):
+        build(stacked)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_normalize_angles_rejects_a_lone_non_finite_angle(angle):
+    # np.mod gave nan for each of them
+    with pytest.raises(ValueError, match="^angles must be finite$"):
+        tk.normalize_angles([angle])

@@ -263,9 +263,9 @@ class TestRun:
         lookups, steps, lone_goals = [], [], []
         locate = tk.PositionSpline._locate
 
-        def counting_locate(spline, t):
+        def counting_locate(spline, t, *shape):
             lookups.append(t)
-            return locate(spline, t)
+            return locate(spline, t, *shape)
 
         def counting_step(state, times, replan_source=None):
             result = tk.controller_step(state, times, replan_source)

@@ -249,6 +249,20 @@ class TestEval:
             with pytest.raises(ValueError, match=f"^evaluation times must {match}$"):
                 call()
 
+    @pytest.mark.parametrize("call, shape", [
+        (lambda traj: traj.sample(np.float64(0.5)), r"\(\)"),
+        (lambda traj: traj.sample(0.5), r"\(\)"),
+        (lambda traj: traj.sample(np.array([[0.5]])), r"\(1, 1\)"),
+        (lambda traj: traj.sample([[0.5, 1.0], [1.5, 2.0]]), r"\(2, 2\)"),
+        (lambda traj: tk.eval_trajectory(traj, np.array([0.5])), r"\(1, 1\)"),
+    ], ids=["numpy-scalar", "float", "column", "matrix", "eval-one-element"])
+    def test_sample_takes_only_one_dimensional_times(self, call, shape):
+        # 2-D times used to warn in the SLERP and end in an IndexError, and
+        # eval_trajectory of a one-element array took the same path
+        traj = tk.fit(sparse_from_arrays([0.0, 1.0], np.array([[0, 0, 0], [1, 0, 0]])))
+        with pytest.raises(ValueError, match=rf"^evaluation times must have shape \(n,\), got {shape}$"):
+            call(traj)
+
     def test_velocity_takes_arrays(self):
         traj = tk.fit(sparse_from_arrays([0.0, 1.0, 2.0], np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0]])))
         times = np.array([-0.5, 0.0, 0.3, 1.0, 1.7, 2.0, 2.5])

@@ -492,10 +492,20 @@ class TestSpecValidation:
             tk.TokenSequence(tk.QuantizationSpec(width=10, height=10), tk.Anchor(5, 5, 1.0),
                              *columns)
 
+    @pytest.mark.parametrize("field", ["d", "u", "v", "g", "r"])
+    def test_bool_columns_rejected(self, field):
+        # a bool column used to be read as 0 and 1
+        columns = {"d": [0, 1], "u": [0, 1], "v": [0, 1], "g": [0, 1], "r": [[0, 1, 0], [1, 0, 1]]}
+        columns[field] = np.array(columns[field], dtype=bool)
+        with pytest.raises(SampleError, match="^token columns must be int64-range integer arrays"):
+            tk.TokenSequence(tk.QuantizationSpec(width=10, height=10), tk.Anchor(5, 5, 1.0),
+                             **columns)
+
     def test_columns_are_read_only_copies(self):
         d = np.array([1, 2])
         seq = tk.TokenSequence(tk.QuantizationSpec(width=10, height=10), tk.Anchor(5, 5, 1.0),
-                               d, [0, 1], [2, 3], [True, False], [[0, 1, 2], [3, 4, 5]])
+                               d, [0, 1], [2, 3], np.array([1, 0], dtype=np.uint8),
+                               [[0, 1, 2], [3, 4, 5]])
         d[0] = 7
         assert seq.d.tolist() == [1, 2] and seq.g.tolist() == [1, 0] and len(seq) == 2
         assert all(getattr(seq, c).dtype == int and not getattr(seq, c).flags.writeable
