@@ -112,10 +112,11 @@ def _cmd_tokenize(args) -> int:
         spec = fileio.parse_quantization(data.get("quantization", data))
     else:
         spec = QuantizationSpec.for_camera(cam)
-    parts = args.anchor.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"--anchor needs u,v,d, got {args.anchor!r}")
-    anchor = Anchor(float(parts[0]), float(parts[1]), float(parts[2]), args.anchor_source)
+    try:
+        u, v, d = map(float, args.anchor.split(","))
+    except ValueError:  # not three parts, or one that is no number
+        raise ValueError(f"--anchor needs three numbers u,v,d, got {args.anchor!r}") from None
+    anchor = Anchor(u, v, d, args.anchor_source)
     tokens = encode_sequence(sparse, anchor, cam, spec)
     fileio.save_token_file(tokens, args.out)
     return 0

@@ -2,10 +2,12 @@
 
 All formats round-trip losslessly: floats serialize via Python's
 shortest round-trip repr, so load(save(x)) == x bit-exactly. Every file
-is exactly the text of ``json.dumps(payload, indent=2)``. Validation
-errors name the JSON path of the offending field
-(e.g. ``samples[3].gripper``), and writes are atomic (temp file +
-rename) so a failed save never leaves a partial file behind.
+is exactly the text of ``json.dumps(payload, indent=2)``. Each JSON
+object in a file is read through one field table of (key, kind, width)
+by :func:`_fields`, and a validation error names the JSON path of the
+first faulty field in table order (e.g. ``samples[3].gripper``). Writes
+are atomic (temp file + rename) so a failed save never leaves a partial
+file behind.
 """
 
 import json
@@ -138,18 +140,24 @@ def _join(path: str, key) -> str:
 
 
 def _get(obj: dict, key: str, kind, path: str, optional: bool = False):
+    """``obj[key]`` checked as one value of ``kind`` (see the field tables
+    below); with ``optional``, None when the key is absent."""
+    if kind is _NAN and obj.get(key) is None:
+        return math.nan
     if key not in obj:
         if optional:
             return None
         raise SchemaError(_join(path, key), "missing required field")
     value = obj[key]
-    if kind is float:
+    if kind is float or kind is _NAN:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(_join(path, key), f"expected a number, got {type(value).__name__}")
         return _float(value, _join(path, key))
-    if kind is int:
+    if kind is int or kind is _BIT:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(_join(path, key), f"expected an integer, got {type(value).__name__}")
+        if kind is _BIT and value not in (0, 1):
+            raise SchemaError(_join(path, key), f"must be 0 or 1, got {value}")
         return value
     if not isinstance(value, kind):
         raise SchemaError(_join(path, key),
@@ -165,7 +173,7 @@ def _float(value, path: str) -> float:
     return float(value)
 
 
-def _number_list(obj: dict, key: str, n: int, path: str, kind=float) -> list:
+def _number_list(obj: dict, key: str, n: int, path: str, kind) -> list:
     """Exactly n JSON numbers (integers only when ``kind`` is int)."""
     values = _get(obj, key, list, path)
     where = _join(path, key)
@@ -201,12 +209,24 @@ def _frame(obj: dict, path: str) -> Frame:
 
 _NUMBER = {int, float}  # JSON numbers; type(True) is bool, not int
 _BIT = "bit"  # an integer field that must be 0 or 1
-# (key, kind, width) of each per-record field, in the order the per-record
-# pass checks them; kind is float, int or _BIT, width 0 for one number and
-# k for a list of k numbers
+_NAN = "nan"  # a number field that reads as NaN when absent or null
+# (key, kind, width) of each field of a JSON object, in the order _fields
+# checks them; kind is float, int, _BIT, _NAN or the JSON type (str, bool or
+# dict) of one value, width 0 for one value and k for a list of k numbers
 _SAMPLE_FIELDS = (("t", float, 0), ("pos", float, 3), ("euler_xyz", float, 3),
                   ("gripper", _BIT, 0))
 _TOKEN_FIELDS = (("r", int, 3), ("d", int, 0), ("u", int, 0), ("v", int, 0), ("g", _BIT, 0))
+_CAMERA_FIELDS = (("intrinsics", float, 9), ("extrinsics_c2w", float, 16), ("width", int, 0),
+                  ("height", int, 0))
+_QUANTIZATION_FIELDS = (("depth", dict, 0), ("uv", dict, 0), ("angle", dict, 0),
+                        ("depth_mode", str, 0))
+_DEPTH_FIELDS = (("min", float, 0), ("max", float, 0), ("bins", int, 0))
+_UV_FIELDS = (("width", int, 0), ("height", int, 0))
+_ANGLE_FIELDS = (("bins", int, 0),)
+_ANCHOR_FIELDS = (("u", float, 0), ("v", float, 0), ("d", float, 0), ("source", str, 0))
+_PERTURBATION_FIELDS = (("time", float, 0), ("offset", float, 3))
+_EVENT_FIELDS = (("time", float, 0), ("dropped_count", int, 0), ("gamma_at_kstar", _NAN, 0),
+                 ("kstar", int, 0), ("kstar_dropped", bool, 0))
 
 
 def _typed_columns(records: list, fields: tuple):
@@ -240,22 +260,20 @@ def _typed_columns(records: list, fields: tuple):
     return tuple(columns)
 
 
+def _fields(obj, fields: tuple, path: str) -> list:
+    """The values of ``fields`` in ``obj``, the JSON object at ``path``,
+    checked in table order; the first fault raises a SchemaError naming its
+    path."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected an object")
+    return [_number_list(obj, key, width, path, kind) if width else _get(obj, key, kind, path)
+            for key, kind, width in fields]
+
+
 def _per_record_columns(records: list, fields: tuple, path: str) -> tuple:
-    """The columns of ``fields`` as lists, checking each field of each
-    record in order; the first fault raises a SchemaError naming its path."""
-    columns = tuple([] for _ in fields)
-    for i, record in enumerate(records):
-        rpath = f"{path}[{i}]"
-        if not isinstance(record, dict):
-            raise SchemaError(rpath, "expected an object")
-        for (key, kind, width), column in zip(fields, columns):
-            number = float if kind is float else int
-            value = (_number_list(record, key, width, rpath, number) if width
-                     else _get(record, key, number, rpath))
-            if kind is _BIT and value not in (0, 1):
-                raise SchemaError(_join(rpath, key), f"must be 0 or 1, got {value}")
-            column.append(value)
-    return columns
+    """The columns of ``fields``, read record by record by :func:`_fields`."""
+    rows = [_fields(record, fields, f"{path}[{i}]") for i, record in enumerate(records)]
+    return tuple(zip(*rows)) if rows else ((),) * len(fields)
 
 
 def _row_error(exc: SampleError, rows_path: str) -> SchemaError:
@@ -304,14 +322,9 @@ def _camera_to_dict(cam: CameraModel) -> dict:
 
 
 def _camera_from_dict(obj, path: str) -> CameraModel:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    k = np.array(_number_list(obj, "intrinsics", 9, path)).reshape(3, 3)
-    ext = np.array(_number_list(obj, "extrinsics_c2w", 16, path)).reshape(4, 4)
-    width = _get(obj, "width", int, path)
-    height = _get(obj, "height", int, path)
+    k, ext, width, height = _fields(obj, _CAMERA_FIELDS, path)
     try:
-        return CameraModel(k, ext, width, height)
+        return CameraModel(np.reshape(k, (3, 3)), np.reshape(ext, (4, 4)), width, height)
     except Exception as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -420,12 +433,7 @@ def save_token_file(tokens: TokenSequence, path) -> None:
 
 
 def parse_quantization(obj, path: str = "quantization") -> QuantizationSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    depth = _get(obj, "depth", dict, path)
-    uv = _get(obj, "uv", dict, path)
-    angle = _get(obj, "angle", dict, path)
-    mode_str = _get(obj, "depth_mode", str, path)
+    depth, uv, angle, mode_str = _fields(obj, _QUANTIZATION_FIELDS, path)
     try:
         mode = DepthMode(mode_str)
     except ValueError:
@@ -433,17 +441,12 @@ def parse_quantization(obj, path: str = "quantization") -> QuantizationSpec:
     delta = obj.get("depth_delta_max")
     if delta is not None:  # null, or a number
         delta = _get(obj, "depth_delta_max", float, path)
+    width, height = _fields(uv, _UV_FIELDS, f"{path}.uv")
+    depth_min, depth_max, depth_bins = _fields(depth, _DEPTH_FIELDS, f"{path}.depth")
+    (angle_bins,) = _fields(angle, _ANGLE_FIELDS, f"{path}.angle")
     try:
-        return QuantizationSpec(
-            width=_get(uv, "width", int, f"{path}.uv"),
-            height=_get(uv, "height", int, f"{path}.uv"),
-            depth_min=_get(depth, "min", float, f"{path}.depth"),
-            depth_max=_get(depth, "max", float, f"{path}.depth"),
-            depth_bins=_get(depth, "bins", int, f"{path}.depth"),
-            angle_bins=_get(angle, "bins", int, f"{path}.angle"),
-            depth_mode=mode,
-            depth_delta_max=delta,
-        )
+        return QuantizationSpec(width, height, depth_min, depth_max, depth_bins, angle_bins,
+                                mode, delta)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -452,14 +455,9 @@ def load_token_file(path) -> TokenSequence:
     data = _read_json(path)
     _check_version(data, "")
     spec = parse_quantization(_get(data, "quantization", dict, ""))
-    anchor_obj = _get(data, "anchor", dict, "")
+    anchor_fields = _fields(_get(data, "anchor", dict, ""), _ANCHOR_FIELDS, "anchor")
     try:
-        anchor = Anchor(
-            _get(anchor_obj, "u", float, "anchor"),
-            _get(anchor_obj, "v", float, "anchor"),
-            _get(anchor_obj, "d", float, "anchor"),
-            _get(anchor_obj, "source", str, "anchor"),
-        )
+        anchor = Anchor(*anchor_fields)
     except ValueError as exc:
         raise SchemaError("anchor", str(exc)) from exc
     try:
@@ -509,16 +507,8 @@ def load_scenario(path) -> Scenario:
     plan_obj = _get(data, "initial_plan", dict, "")
     plan = _parse_trajectory(plan_obj, "initial_plan", _frame(plan_obj, "initial_plan"),
                              sparse=True)
-    perts = []
-    for i, p in enumerate(_get(data, "perturbations", list, "")):
-        ppath = f"perturbations[{i}]"
-        if not isinstance(p, dict):
-            raise SchemaError(ppath, "expected an object")
-        time, offset = _get(p, "time", float, ppath), _number_list(p, "offset", 3, ppath)
-        try:
-            perts.append(Perturbation(time, offset))
-        except ValueError as exc:
-            raise SchemaError(ppath, str(exc)) from exc
+    perts = [Perturbation(*_fields(p, _PERTURBATION_FIELDS, f"perturbations[{i}]"))
+             for i, p in enumerate(_get(data, "perturbations", list, ""))]
     durations = {}
     for key in ("replan_interval", "control_rate", "duration"):
         durations[key] = value = _get(data, key, float, "")
@@ -527,7 +517,7 @@ def load_scenario(path) -> Scenario:
     try:
         return Scenario(
             initial_plan=plan,
-            perturbations=tuple(perts),
+            perturbations=perts,
             **durations,
             # an absent flag keeps its default
             replan_enabled=_get(data, "replan_enabled", bool, "", optional=True) is not False,
@@ -564,20 +554,9 @@ def load_execution_log(path) -> ExecutionLog:
     _check_version(data, "")
     cmd = _get(data, "commanded", dict, "")
     commanded = _parse_trajectory(cmd, "commanded", _frame(cmd, "commanded"), sparse=False)
-    events = []
-    for i, e in enumerate(_get(data, "replan_events", list, "")):
-        epath = f"replan_events[{i}]"
-        if not isinstance(e, dict):
-            raise SchemaError(epath, "expected an object")
-        gamma = e.get("gamma_at_kstar")
-        events.append(ReplanEvent(
-            _get(e, "time", float, epath),
-            _get(e, "dropped_count", int, epath),
-            math.nan if gamma is None else _get(e, "gamma_at_kstar", float, epath),
-            _get(e, "kstar", int, epath),
-            _get(e, "kstar_dropped", bool, epath),
-        ))
-    return ExecutionLog(commanded, tuple(events), _get(data, "final_error", float, ""))
+    events = tuple(ReplanEvent(*_fields(e, _EVENT_FIELDS, f"replan_events[{i}]"))
+                   for i, e in enumerate(_get(data, "replan_events", list, "")))
+    return ExecutionLog(commanded, events, _get(data, "final_error", float, ""))
 
 
 def save_metric_report(report: MetricReport, path) -> None:

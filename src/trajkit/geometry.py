@@ -17,7 +17,7 @@ Conventions:
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -61,18 +61,30 @@ def _check_reals(value, name: str, error=ValueError) -> None:
         raise error(f"{name} must hold real numbers, not bools or strings")
 
 
+def _cast(value, name: str, error=ValueError, dtype=float) -> np.ndarray:
+    """``np.array(value, dtype)`` of a value that :func:`_check_reals` passed
+    (or of any value, when ``dtype`` is None); a ragged nested list, for
+    which NumPy's own ``ValueError`` names no field, raises ``error``."""
+    try:
+        return np.array(value, dtype=dtype)
+    except ValueError:  # "setting an array element with a sequence"
+        raise error(f"{name} must be a rectangular array, got a ragged list") from None
+
+
 def _as_array(value, shape: tuple | None, name: str, error=ValueError) -> np.ndarray:
     """A read-only float copy of ``value``, real and finite, with exactly
     ``shape``; ``None`` as the leading length accepts any length, and
     ``None`` as the shape any shape. A violation raises ``error`` with
     ``<name> must hold real numbers, not bools or strings``, ``<name> must
-    have shape <shape>, got <shape>`` or ``<name> must be finite``.
+    be a rectangular array, got a ragged list`` (see :func:`_cast`),
+    ``<name> must have shape <shape>, got <shape>`` or ``<name> must be
+    finite``.
 
     Constructors store this copy, so a caller's array is never frozen or
     shared.
     """
     _check_reals(value, name, error)
-    arr = np.array(value, dtype=float)
+    arr = _cast(value, name, error)
     if shape is not None:
         want = arr.shape[:1] + shape[1:] if shape[0] is None and arr.ndim else shape
         if arr.shape != want:
@@ -240,8 +252,9 @@ def gripper_column(values) -> np.ndarray:
     Values are checked before the int cast, so True, "1" (see :func:`_check_reals`)
     and 0.7 raise a :class:`SampleError` for the gripper instead of becoming 1 or 0.
     """
-    _check_reals(values, "gripper", lambda message: SampleError(message, None, "gripper"))
-    g = np.asarray(values)
+    error = partial(SampleError, field="gripper")
+    _check_reals(values, "gripper", error)
+    g = _cast(values, "gripper", error, None)
     if g.ndim != 1:
         raise SampleError(f"gripper must be a 1-D array, got shape {g.shape}")
     i = _first((g != 0) & (g != 1))
@@ -260,12 +273,11 @@ def trajectory_columns(times, positions, eulers, grippers, min_samples: int) -> 
     grippers must be 0 or 1, times strictly increasing, and N >= min_samples;
     a violation raises :class:`SampleError` naming the first bad sample.
     """
-    for name, column in (("times", times), ("positions", positions), ("eulers", eulers)):
+    named = (("times", times), ("positions", positions), ("eulers", eulers))
+    for name, column in named:
         _check_reals(column, name, SampleError)
-    t = np.array(times, dtype=float)
-    p = np.array(positions, dtype=float)
-    e = np.array(eulers, dtype=float)
-    g = np.asarray(grippers)
+    t, p, e = (_cast(column, name, SampleError) for name, column in named)
+    g = _cast(grippers, "gripper", SampleError, None)
     n = t.size
     if n < min_samples:
         raise SampleError(f"trajectory needs >= {min_samples} samples, got {n}")

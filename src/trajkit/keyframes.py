@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InsufficientDataError
-from .geometry import (DenseTrajectory, Frame, _clamp, _finite_real, _integral,
+from .geometry import (DenseTrajectory, Frame, _cast, _clamp, _finite_real, _integral,
                        finite_difference_accel, trajectory_columns)
 
 __all__ = [
@@ -75,7 +75,7 @@ class SparseTrajectory:
     def __post_init__(self):
         columns = trajectory_columns(self.times, self.positions, self.eulers,
                                      self.grippers, min_samples=1)
-        flags = np.array(self.keyframe_flags)
+        flags = _cast(self.keyframe_flags, "keyframe_flags", dtype=None)
         if flags.dtype != bool or flags.shape != columns[0].shape:
             raise ValueError("keyframe_flags must be one bool per waypoint")
         flags.flags.writeable = False

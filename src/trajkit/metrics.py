@@ -8,7 +8,7 @@ must share a dimension.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -411,7 +411,7 @@ class MetricReport:
     mean_orth_dist: float
     median_orth_dist: float
     startpoint_err: float
-    config: dict = field(default_factory=dict)
+    config: dict
 
     def as_dict(self) -> dict:
         """Serializable mapping keyed by the canonical report row names; row

@@ -70,7 +70,9 @@ class Scenario:
         if self.initial_plan.frame is not Frame.WORLD:
             raise ValueError("scenario plans must be in the world frame")
         perts = tuple(self.perturbations)
-        for p in perts:
+        for i, p in enumerate(perts):
+            if not isinstance(p, Perturbation):
+                raise ValueError(f"perturbation {i} must be a Perturbation, got {type(p).__name__}")
             if not 0.0 <= p.time <= self.duration:
                 raise ValueError(f"perturbation time {p.time} outside [0, {self.duration}]")
         object.__setattr__(self, "perturbations", perts)

@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DepthRangeError, OutOfFrameError, SchemaError
-from .geometry import (CameraModel, Frame, SampleError, _check_positive, _check_reals, _clamp,
-                       _first, _integral, _real, back_project, normalize_angles, project)
+from .geometry import (CameraModel, Frame, SampleError, _cast, _check_positive, _check_reals,
+                       _clamp, _first, _integral, _real, back_project, normalize_angles, project)
 from .keyframes import SparseTrajectory
 
 __all__ = [
@@ -148,7 +148,7 @@ class TokenSequence:
         s = self.spec
         grid = {"d": ("depth", s.depth_bins), "u": ("UV", s.width), "v": ("UV", s.height),
                 "g": ("gripper", 2), "r": ("angle", s.angle_bins)}
-        cols = {key: np.asarray(getattr(self, key)) for key in grid}
+        cols = {key: _cast(getattr(self, key), key, SampleError, None) for key in grid}
         n = len(cols["d"]) if cols["d"].ndim else 0
         if n == 0:
             raise SampleError("token sequence needs at least one block")
@@ -195,7 +195,7 @@ def quantize(value, lo: float, hi: float, bins: int):
     """
     lo, hi, bins = _check_grid(lo, hi, bins)
     _check_reals(value, "value")
-    x = np.asarray(value, dtype=float)
+    x = _cast(value, "value")
     if np.isnan(x).any():
         raise ValueError("cannot quantize NaN")
     idx = np.floor((_clamp(x, lo, hi) - lo) / (hi - lo) * bins).astype(int)

@@ -409,6 +409,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: quantization: angle_bins is beyond the float range\n"
 
+    @pytest.mark.parametrize("anchor", ["a,b,c", "50,50", "50,50,1.2,0", "50,,1.2"])
+    def test_anchor_that_is_not_three_numbers_names_the_flag(self, tmp_path, capsys, anchor):
+        # "a,b,c" used to print "error: could not convert string to float: 'a'"
+        cam = make_camera()
+        sparse, out = tmp_path / "sparse.json", tmp_path / "tokens.json"
+        fileio.save_sparse_bundle(line_scenario().initial_plan, cam, sparse)
+        code = cli_main(["tokenize", "--input", str(sparse), "--anchor", anchor,
+                         "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == \
+            f"error: --anchor needs three numbers u,v,d, got {anchor!r}\n"
+
     def test_non_finite_perturbation_is_a_validation_error(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         fileio.save_scenario(line_scenario([tk.Perturbation(3.0, [0.02, 0, 0])]), scenario)

@@ -479,3 +479,66 @@ class TestArrayValueEquality:
         assert type(a).__name__ == name
         assert (a == b) is False and (a != b) is True
         assert (a == a) is True
+
+
+ABSENT = object()  # the key is deleted
+# (array, key, value put in the first item or ABSENT, its error message, or
+# None where the item loads); every replan_events and perturbations field
+OBJECT_FIELD_FAULTS = [
+    ("replan_events", "time", ABSENT, "missing required field"),
+    ("replan_events", "time", "0.5", "expected a number, got str"),
+    ("replan_events", "time", None, "expected a number, got NoneType"),
+    ("replan_events", "dropped_count", ABSENT, "missing required field"),
+    ("replan_events", "dropped_count", True, "expected an integer, got bool"),
+    ("replan_events", "dropped_count", "1", "expected an integer, got str"),
+    ("replan_events", "dropped_count", None, "expected an integer, got NoneType"),
+    ("replan_events", "gamma_at_kstar", ABSENT, None),
+    ("replan_events", "gamma_at_kstar", "0.25", "expected a number, got str"),
+    ("replan_events", "gamma_at_kstar", None, None),
+    ("replan_events", "kstar", ABSENT, "missing required field"),
+    ("replan_events", "kstar", True, "expected an integer, got bool"),
+    ("replan_events", "kstar", "1", "expected an integer, got str"),
+    ("replan_events", "kstar", None, "expected an integer, got NoneType"),
+    ("replan_events", "kstar_dropped", ABSENT, "missing required field"),
+    ("replan_events", "kstar_dropped", 1, "expected bool, got int"),
+    ("replan_events", "kstar_dropped", "false", "expected bool, got str"),
+    ("replan_events", "kstar_dropped", None, "expected bool, got NoneType"),
+    ("perturbations", "time", ABSENT, "missing required field"),
+    ("perturbations", "time", "3.0", "expected a number, got str"),
+    ("perturbations", "time", None, "expected a number, got NoneType"),
+    ("perturbations", "offset", ABSENT, "missing required field"),
+    ("perturbations", "offset", "0.02", "expected list, got str"),
+    ("perturbations", "offset", None, "expected list, got NoneType"),
+]
+
+
+class TestObjectFields:
+    """Each field of a replan event or perturbation is named by its path,
+    with one message per fault; an absent or null gamma_at_kstar is NaN."""
+
+    @pytest.mark.parametrize("array, key, value, message", OBJECT_FIELD_FAULTS,
+                             ids=[f"{a}-{k}-{'absent' if v is ABSENT else json.dumps(v)}"
+                                  for a, k, v, _ in OBJECT_FIELD_FAULTS])
+    def test_fault_names_path_and_message(self, tmp_path, array, key, value, message):
+        path = tmp_path / "file.json"
+        if array == "replan_events":
+            event = tk.ReplanEvent(0.5, 1, 0.25, 1, False)
+            fileio.save_execution_log(tk.ExecutionLog(line_trajectory(n=3), (event,), 0.0),
+                                      path)
+            load = fileio.load_execution_log
+        else:
+            fileio.save_scenario(line_scenario([tk.Perturbation(3.0, [0.02, 0, 0])]), path)
+            load = fileio.load_scenario
+        data = json.loads(path.read_text())
+        if value is ABSENT:
+            del data[array][0][key]
+        else:
+            data[array][0][key] = value
+        path.write_text(json.dumps(data))
+        if message is None:
+            assert math.isnan(load(path).replan_events[0].gamma_at_kstar)
+            return
+        with pytest.raises(tk.SchemaError) as info:
+            load(path)
+        assert info.value.path == f"{array}[0].{key}"
+        assert str(info.value) == f"{array}[0].{key}: {message}"

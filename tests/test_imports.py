@@ -74,6 +74,12 @@ def test_options_the_inputs_decide_stay_removed(function, option):
     assert option not in inspect.signature(function).parameters
 
 
+def test_metric_report_config_has_no_default():
+    # full_report, its one constructor, always passes the config
+    parameter = inspect.signature(trajkit.MetricReport).parameters["config"]
+    assert parameter.default is inspect.Parameter.empty
+
+
 def test_position_spline_has_no_acceleration():
     assert not hasattr(trajkit.PositionSpline, "acceleration")
 

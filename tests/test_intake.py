@@ -257,6 +257,55 @@ def test_array_intakes_check_the_shape(build, valid, field, error, shape_message
         build(stacked)
 
 
+def ragged(value) -> list:
+    """``value`` as nested lists with its last number wrapped in a list."""
+    rows = np.array(value, dtype=float).tolist()
+    inner = rows
+    while isinstance(inner[-1], list):
+        inner = inner[-1]
+    inner[-1] = [inner[-1]]
+    return rows
+
+
+RAGGED = "must be a rectangular array, got a ragged list$"
+
+
+@ARRAY_INTAKES
+def test_array_intakes_name_a_ragged_list(build, valid, field, error, shape_message):
+    # NumPy's own "setting an array element with a sequence" used to escape:
+    # a ValueError naming no field, even where the intake raises another type
+    with pytest.raises(error, match=f"^{field} {RAGGED}"):
+        build(ragged(valid))
+
+
+@pytest.mark.parametrize("build, valid, field", [
+    (lambda x: tk.quantize(x, 0.0, 1.0, 4), [[0.5], [0.2]], "value"),
+    (lambda x: tk.DenseTrajectory(x, np.zeros((2, 3)), np.zeros((2, 3)), [0, 0],
+                                  tk.Frame.WORLD), [0.0, 1.0], "times"),
+    (lambda x: tk.DenseTrajectory([0.0, 1.0], x, np.zeros((2, 3)), [0, 0], tk.Frame.WORLD),
+     np.zeros((2, 3)), "positions"),
+    (lambda x: tk.DenseTrajectory([0.0, 1.0], np.zeros((2, 3)), x, [0, 0], tk.Frame.WORLD),
+     np.zeros((2, 3)), "eulers"),
+    (lambda x: tk.DenseTrajectory([0.0, 1.0], np.zeros((2, 3)), np.zeros((2, 3)), x,
+                                  tk.Frame.WORLD), [0, 1], "gripper"),
+    (lambda x: tk.PendingPlan(np.zeros((2, 3)), np.tile(IDENTITY, (2, 1)), x), [0, 1],
+     "gripper"),
+    (lambda x: tk.SparseTrajectory([0.0, 1.0], np.zeros((2, 3)), np.zeros((2, 3)), [0, 0],
+                                   x, tk.Frame.WORLD), [True, False], "keyframe_flags"),
+    (lambda x: tk.TokenSequence(tk.QuantizationSpec(width=100, height=100),
+                                tk.Anchor(50.0, 50.0, 1.0), [3, 4], [10, 20], [30, 40],
+                                [0, 1], x), [[1, 2, 3], [4, 5, 6]], "r"),
+], ids=["quantize", "dense-times", "dense-positions", "dense-eulers", "dense-grippers",
+        "plan-grippers", "sparse-flags", "token-angles"])
+def test_columns_name_a_ragged_list(build, valid, field):
+    build(valid)
+    bad = ragged(valid)
+    if isinstance(valid[0], bool):  # keep the flags bools
+        bad[-1] = [bool(bad[-1][0])]
+    with pytest.raises(ValueError, match=f"^{field} {RAGGED}"):
+        build(bad)
+
+
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
 def test_normalize_angles_rejects_a_lone_non_finite_angle(angle):
     # np.mod gave nan for each of them

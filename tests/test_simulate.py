@@ -322,6 +322,13 @@ class TestRun:
         with pytest.raises(ValueError):
             line_scenario([tk.Perturbation(99.0, [0, 0, 0.01])])
 
+    @pytest.mark.parametrize("item", [1, None, (1.0, [0, 0, 0.01])], ids=["int", "none", "tuple"])
+    def test_perturbations_must_be_perturbations(self, item):
+        # an int used to raise AttributeError: 'int' object has no attribute 'time'
+        with pytest.raises(ValueError, match="^perturbation 1 must be a Perturbation, got "
+                                             f"{type(item).__name__}$"):
+            line_scenario([tk.Perturbation(1.0, [0, 0, 0.01]), item])
+
     @pytest.mark.parametrize("time, offset", [
         (math.nan, [0, 0, 0]), (math.inf, [0, 0, 0]), (1.0, [math.inf, 0, 0]),
         (1.0, [0, math.nan, 0]), (1.0, [0, 0]),
