@@ -63,12 +63,17 @@ def _check_reals(value, name: str, error=ValueError) -> None:
 
 def _cast(value, name: str, error=ValueError, dtype=float) -> np.ndarray:
     """``np.array(value, dtype)`` of a value that :func:`_check_reals` passed
-    (or of any value, when ``dtype`` is None); a ragged nested list, for
-    which NumPy's own ``ValueError`` names no field, raises ``error``."""
+    (or of any value, when ``dtype`` is None). A ragged nested list and an
+    int beyond the float range, for which NumPy's own ``ValueError`` and
+    ``OverflowError`` name no field, raise ``error``: ``<name> must be a
+    rectangular array, got a ragged list`` and ``<name> is beyond the float
+    range``, as :func:`_integral` words the latter."""
     try:
         return np.array(value, dtype=dtype)
     except ValueError:  # "setting an array element with a sequence"
         raise error(f"{name} must be a rectangular array, got a ragged list") from None
+    except OverflowError:  # "int too large to convert to float"
+        raise error(f"{name} is beyond the float range") from None
 
 
 def _as_array(value, shape: tuple | None, name: str, error=ValueError) -> np.ndarray:
@@ -153,7 +158,7 @@ def canonical_sign(q: np.ndarray) -> np.ndarray:
     """Negate, in place, the wxyz rows whose first nonzero component is
     negative, so w >= 0 (and the first nonzero of x, y, z is positive when
     w == 0). Negation is exact. Returns ``q``."""
-    if np.all(q[:, 0] > 0.0):  # the common case, without the gather below
+    if (q[:, 0] > 0.0).all():  # the common case, without the gather below
         return q
     lead = q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)]
     q[lead < 0.0] *= -1.0

@@ -9,6 +9,20 @@ A ControllerState is a single-owner state machine: exactly one agent
 advances it through controller_step; replan payloads arrive as immutable
 values and are merged synchronously inside a step, whose ReplanEvent
 reports the keep decision.
+
+The closed loop calls controller_step once per replan, every few control
+ticks, so its fixed per-call cost is kept low without changing a bit of
+its output, under the rules in the :mod:`trajkit.splines` docstring:
+
+* ``controller_step`` checks its times once and samples them through the
+  trusted ``ContinuousTrajectory._sample``, with one knot lookup.
+* The transition's Hermite coefficients and its entry velocity are
+  computed on the three components as Python floats (``+ - * /`` only),
+  in the order of the NumPy expressions they replace.
+* The keep test stays in NumPy: its distances are the ufunc calls inside
+  ``np.linalg.norm(..., axis=1)``, and gamma keeps ``np.dot`` and the
+  BLAS ``dot`` inside a 1-D ``np.linalg.norm``, so the logged gamma keeps
+  its bits.
 """
 
 import math
@@ -27,7 +41,7 @@ from .geometry import (
     unit_quaternions,
 )
 from .keyframes import SparseTrajectory
-from .splines import ContinuousTrajectory, PositionSpline, _cubic_velocity
+from .splines import ContinuousTrajectory, PositionSpline
 
 # Not called here since ticks are sampled in blocks and the state keeps its
 # quaternion, but kept bound: the stage tracer in bench/tracing.py wraps
@@ -149,9 +163,9 @@ class ControllerState:
         caller hands out; the position and velocity are checked finite,
         since sampling finite coefficients can still overflow."""
         pos, quat = current_position.copy(), current_wxyz.copy()
-        if not np.isfinite(pos).all():
+        if not all(map(math.isfinite, pos.tolist())):
             raise ValueError("current_position must be finite")
-        if not np.isfinite(current_velocity).all():
+        if not all(map(math.isfinite, current_velocity.tolist())):
             raise ValueError("current_velocity must be finite")
         for row in (pos, quat, current_velocity):
             row.flags.writeable = False
@@ -183,23 +197,30 @@ def _keep_from(current_pos: np.ndarray, pending: PendingPlan) -> tuple:
     n = len(positions)
     if n == 1:
         return 0, 0, math.nan
-    k = int(np.argmin(np.linalg.norm(positions - current_pos, axis=1)))
+    offsets = positions - current_pos
+    k = int(np.sqrt(np.add.reduce(offsets * offsets, axis=1)).argmin())
     diff = positions[k + 1] - positions[k] if k < n - 1 else positions[k] - positions[k - 1]
-    norm = float(np.linalg.norm(diff))
+    norm = math.sqrt(diff.dot(diff))  # np.linalg.norm of a 1-D row: the same dot
     if norm == 0.0:
         raise UndefinedDirectionError("coincident waypoints give no direction")
     gamma = float(np.dot(positions[k] - current_pos, diff / norm))
     return (k if gamma > 0.0 else k + 1), k, gamma
 
 
-def _hermite_coeffs(p0, v0, p1, v1, duration: float) -> np.ndarray:
-    """Local cubic coefficients matching position and velocity at both ends."""
+def _hermite_coeffs(p0: list, v0: list, p1: list, v1: list, duration: float) -> list:
+    """Local cubic coefficients, four rows of three, matching position and
+    velocity at both ends; componentwise over Python floats."""
     d = duration
-    a0 = p0
-    a1 = v0
-    a2 = 3.0 * (p1 - p0) / d**2 - (2.0 * v0 + v1) / d
-    a3 = 2.0 * (p0 - p1) / d**3 + (v0 + v1) / d**2
-    return np.stack([a0, a1, a2, a3])
+    a2 = [3.0 * (q1 - q0) / d**2 - (2.0 * u0 + u1) / d for q0, u0, q1, u1 in zip(p0, v0, p1, v1)]
+    a3 = [2.0 * (q0 - q1) / d**3 + (u0 + u1) / d**2 for q0, u0, q1, u1 in zip(p0, v0, p1, v1)]
+    return [p0, v0, a2, a3]
+
+
+def _start_velocity(c: np.ndarray) -> list:
+    """``_cubic_velocity(0.0, c)`` of one segment's (4, 3) coefficients, over
+    Python floats: at dt = 0 the 0 * (...) still turns a -0.0 slope into 0.0."""
+    _, v, a2, a3 = c.tolist()
+    return [s + 0.0 * (2.0 * b + 0.0 * 3.0 * a) for s, b, a in zip(v, a2, a3)]
 
 
 def _plan_knots(state: ControllerState, plan: PendingPlan) -> np.ndarray:
@@ -236,26 +257,29 @@ def _merge_refreshed(state: ControllerState, plan: PendingPlan) -> ContinuousTra
     t_entry = float(knots[1])
     held, fit_points = state.active.position, state.active._fit_points
 
+    coeffs = np.empty((len(knots) - 1, 4, 3))  # the transition, then the plan's segments
     if len(plan) == 1:
-        rest_coeffs = np.empty((0, 4, 3))
-    elif (fit_points is not None and np.array_equal(fit_points, plan.positions)
-            and np.array_equal(held.knot_times[1:], knots[1:])):
-        rest_coeffs = held.coefficients[1:]
+        # a lone goal has no plan velocity: it carries the active trajectory's (zero past
+        # its end), so an unchanged plan tail keeps the profile
+        v_entry = state.active._sample(knots[1:2])[3][0].tolist()
     else:
-        rest_coeffs = PositionSpline.fit(knots[1:], plan.positions).coefficients
-    # t_entry is the first knot of rest_coeffs, at dt = 0, where the derivative's 0 * (...)
-    # still turns a -0.0 slope into 0.0. A lone goal has no plan velocity: it carries the
-    # active trajectory's (zero past its end), so an unchanged plan tail keeps the profile.
-    v_entry = (_cubic_velocity(0.0, rest_coeffs[0]) if len(plan) > 1
-               else state.active.sample(knots[1:2])[3][0])
-
-    transition = _hermite_coeffs(state.current_position, state.current_velocity,
-                                 plan.positions[0], v_entry, t_entry - t_now)[None]  # one segment
-    spline = PositionSpline._checked(knots, np.concatenate([transition, rest_coeffs], axis=0))
+        reuse = (fit_points is not None and _same(fit_points, plan.positions)
+                 and _same(held.knot_times[1:], knots[1:]))
+        coeffs[1:] = (held.coefficients[1:] if reuse
+                      else PositionSpline.fit(knots[1:], plan.positions).coefficients)
+        v_entry = _start_velocity(coeffs[1])  # at t_entry, the first knot of segment 1
+    coeffs[0] = _hermite_coeffs(state.current_position.tolist(), state.current_velocity.tolist(),
+                                plan.positions[0].tolist(), v_entry, t_entry - t_now)
     return ContinuousTrajectory._checked(
-        spline, np.vstack([state.current_wxyz, plan.orientations]),
+        PositionSpline._checked(knots, coeffs),
+        np.concatenate([state.current_wxyz[None], plan.orientations]),
         np.concatenate([[state.current_gripper], plan.grippers]),
         plan.positions if len(plan) > 1 else None)
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal(a, b)`` of two float arrays, without its wrapper."""
+    return a.shape == b.shape and bool((a == b).all())
 
 
 def controller_step(state: ControllerState, times,
@@ -271,7 +295,7 @@ def controller_step(state: ControllerState, times,
     stamped with the merge time (the incoming current_time), or None. The
     waypoints a replan merges are ``replan_source.tail(event.dropped_count)``.
     """
-    t = _time_grid(times, "times")
+    t = _time_grid(times, "times")  # the one intake: sampled below through the trusted path
     if len(t) == 0 or t[0] <= state.current_time:
         raise ValueError("times must be non-empty and after current_time")
     event, active = None, state.active
@@ -282,7 +306,7 @@ def controller_step(state: ControllerState, times,
         if start < len(replan_source):
             active = _merge_refreshed(state, replan_source.tail(start))
 
-    pos, quats, grip, vel = active.sample(t)
+    pos, quats, grip, vel = active._sample(t)
     new_state = ControllerState._checked(float(t[-1]), pos[-1], quats[-1], vel[-1], grip[-1],
                                          active, state.replan_interval, state.segment_duration)
     return new_state, (t, pos, quats, grip), event

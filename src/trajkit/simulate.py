@@ -106,7 +106,7 @@ def oracle_planner(scenario: Scenario, t: float) -> PendingPlan:
     them. Deterministic in (scenario, t).
     """
     plan = scenario.base_plan
-    start = int(np.searchsorted(plan.times, t, side="right"))
+    start = int(plan.times.searchsorted(t, "right"))
     positions = plan.positions[start:] + _active_offset(scenario, t)
     positions.flags.writeable = False
     # the other columns are slices of the checked base plan
@@ -160,7 +160,7 @@ def run(scenario: Scenario) -> ExecutionLog:
         # above passes again
         last = n_ticks
         if scenario.replan_enabled:
-            due = int(np.searchsorted(grid, t0 + replan_tick * interval - 1e-9))
+            due = int(grid.searchsorted(t0 + replan_tick * interval - 1e-9))
             last = min(max(k, due), n_ticks)
 
         state, (t, pos, wxyz, grip), event = controller_step(state, grid[k:last + 1],

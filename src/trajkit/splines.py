@@ -5,6 +5,30 @@ position, SLERP orientation chain, zero-order-hold gripper) and resamples
 it at control rate. Includes the sub-keyframe reconstruction-error
 harness used to verify the quartic error decay of the densify-and-refit
 pipeline.
+
+Arithmetic on the controller's hot path may change form only where the
+bits cannot change, since logs, detokenized bundles and the golden files
+are compared byte for byte:
+
+* ``+ - * /`` and ``sqrt`` are correctly rounded in NumPy and in Python
+  floats alike, so a fixed expression over a few components (a 3-vector,
+  a 4-vector) may run on Python floats, in the same operation order.
+* Transcendentals stay in NumPy (``np.arccos`` and ``np.sin`` in
+  :func:`_slerp_rows`): NumPy's SIMD kernels differ from :mod:`math` in
+  the last bit for some inputs.
+* BLAS-backed calls stay as they are: ``np.dot``, and 1-D
+  ``np.linalg.norm``, which is a ``dot``.
+* NumPy sums more than 8 contiguous elements pairwise, so only a 3- or
+  4-element reduction may become a Python sum, left to right as
+  ``np.add.reduce`` adds a row.
+* A convenience wrapper may become the ufunc or method call it makes:
+  ``np.sqrt(np.add.reduce(x * x, axis=1))`` for ``np.linalg.norm(x,
+  axis=1)``, ``np.add.reduce`` for ``np.sum`` and ``t[1:] - t[:-1]`` for
+  ``np.diff``.
+
+:meth:`ContinuousTrajectory.sample` checks its times through the array
+intake; ``_sample`` is the same evaluation of times that a caller has
+already checked, as ``replan.controller_step`` has.
 """
 
 import math
@@ -49,8 +73,14 @@ def _cubic_moments(t: np.ndarray, y: np.ndarray, end_velocities):
     through (n, 3) points: natural ends, or ends clamped to the (3,) first
     derivatives ``end_velocities = (v0, v1)`` when given.
     """
-    h = np.diff(t)
-    slopes = np.diff(y, axis=0) / h[:, None]
+    return _moment_solve(t, y, end_velocities)[2]
+
+
+def _moment_solve(t: np.ndarray, y: np.ndarray, end_velocities) -> tuple:
+    """(h, slopes, moments) of :func:`_cubic_moments`: the (n - 1,) knot
+    spacings and (n - 1, 3) chord slopes the solve starts from, and its result."""
+    h = t[1:] - t[:-1]
+    slopes = (y[1:] - y[:-1]) / h[:, None]
     rhs = np.zeros(y.shape)
     rhs[1:-1] = 6.0 * (slopes[1:] - slopes[:-1])
     # the tridiagonal system: row i has diag[i], upper[i] towards row i + 1
@@ -68,9 +98,9 @@ def _cubic_moments(t: np.ndarray, y: np.ndarray, end_velocities):
         lower[-1] = hs[-1]
         rhs[-1] = 6.0 * (v1 - slopes[-1])
     # diag bounds every band entry (diag >= 2h), so this covers the system
-    if not (all(map(math.isfinite, diag)) and np.all(np.isfinite(rhs))):
+    if not (all(map(math.isfinite, diag)) and np.isfinite(rhs).all()):
         raise ValueError("knot spacings or point differences overflow the moment solve")
-    return _solve_tridiagonal(upper, diag, lower, rhs)
+    return h, slopes, _solve_tridiagonal(upper, diag, lower, rhs)
 
 
 def _solve_tridiagonal(upper: list, diag: list, lower: list, rhs: np.ndarray) -> np.ndarray:
@@ -162,41 +192,41 @@ class PositionSpline:
             raise ValueError("need at least two waypoints")
         if end_velocities is not None:
             end_velocities = _as_array(end_velocities, (2, 3), "end_velocities")
-        m = _cubic_moments(t, y, end_velocities)
-        h = np.diff(t)[:, None]
-        a0 = y[:-1]
-        a1 = np.diff(y, axis=0) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
-        a2 = m[:-1] / 2.0
+        h, slopes, m = _moment_solve(t, y, end_velocities)
+        h = h[:, None]
+        a1 = slopes - h * (2.0 * m[:-1] + m[1:]) / 6.0
         a3 = (m[1:] - m[:-1]) / (6.0 * h)
-        return cls._checked(t, np.stack([a0, a1, a2, a3], axis=1))
+        # [a0 a1 a2 a3] side by side in each row is the (n - 1, 4, 3) stack
+        return cls._checked(t, np.concatenate([y[:-1], a1, m[:-1] / 2.0, a3], axis=1)
+                            .reshape(-1, 4, 3))
 
     @property
     def domain(self) -> tuple:
         return float(self.knot_times[0]), float(self.knot_times[-1])
 
-    def _locate(self, t, shape: tuple | None = None) -> tuple:
-        """Clamp t to the domain and find it on the knots; t must be finite
-        and, when ``shape`` is given, of that shape (see :func:`_as_array`).
+    def _locate(self, t) -> tuple:
+        """Clamp checked, finite times t to the domain and find them on the knots.
 
-        Returns (t, i, seg, dt, c): t is the checked, unclamped times, i the
-        index of the last knot at or before t, seg is i clamped to a
-        segment, [0, n - 2], dt (..., 1) is t minus the start of seg and c
-        holds the coefficients of seg.
+        Returns (tt, i, seg, start, dt, c): tt is t clamped, i the index of
+        the last knot at or before tt, seg is i clamped to a segment,
+        [0, n - 2], start the knot time seg starts at, dt (..., 1) is tt
+        minus start and c holds the coefficients of seg.
         """
-        t = _as_array(t, shape, "evaluation times")
+        knots = self.knot_times
         tt = _clamp(t, *self.domain)
-        i = np.searchsorted(self.knot_times, tt, side="right") - 1
-        seg = _clamp(i, 0, len(self.knot_times) - 2)
-        return t, i, seg, (tt - self.knot_times[seg])[..., None], self.coefficients[seg]
+        i = knots.searchsorted(tt, "right") - 1  # >= 0, since tt >= knots[0]
+        seg = np.minimum(i, len(knots) - 2)
+        start = knots[seg]
+        return tt, i, seg, start, (tt - start)[..., None], self.coefficients[seg]
 
     def position(self, t):
         """Evaluate at scalar or array t (clamped to the domain)."""
-        *_, dt, c = self._locate(t)
+        *_, dt, c = self._locate(_as_array(t, None, "evaluation times"))
         return _cubic(dt, c)
 
     def velocity(self, t):
         """First derivative at scalar or array t (clamped to the domain)."""
-        *_, dt, c = self._locate(t)
+        *_, dt, c = self._locate(_as_array(t, None, "evaluation times"))
         return _cubic_velocity(dt, c)
 
 
@@ -207,23 +237,26 @@ def _slerp_rows(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
     return the end rows exactly; nearly parallel pairs use normalized
     linear interpolation. The result is sign-canonical (w >= 0).
     """
-    dot = np.sum(a * b, axis=1)
+    dot = np.add.reduce(a * b, axis=1)
     near = dot > 1.0 - 1e-9  # nearly parallel: nlerp is exact enough
     theta = np.arccos(np.minimum(dot, 1.0))
-    w_a = np.where(near, 1.0 - s, np.sin((1.0 - s) * theta))
+    rest = 1.0 - s
+    w_a = np.where(near, rest, np.sin(rest * theta))
     w_b = np.where(near, s, np.sin(s * theta))
     out = (w_a[:, None] * a + w_b[:, None] * b) / np.where(near, 1.0, np.sin(theta))[:, None]
-    out /= np.linalg.norm(out, axis=1)[:, None]
+    out /= np.sqrt(np.add.reduce(out * out, axis=1))[:, None]
     out = np.where((s == 0.0)[:, None], a, np.where((s == 1.0)[:, None], b, out))
     return canonical_sign(out)
 
 
 def _sign_aligned(q: np.ndarray) -> np.ndarray:
-    """A read-only copy of the wxyz rows ``q`` with consecutive dot products >= 0."""
+    """The wxyz rows ``q``, read-only, with consecutive dot products >= 0:
+    ``q`` itself when no row needs negating, else a negated copy."""
     # row i is negated when an odd number of the consecutive dot products up
     # to it are negative
-    flips = np.where(np.sum(q[:-1] * q[1:], axis=1) < 0.0, -1.0, 1.0)
-    q = q * np.concatenate([[1.0], np.cumprod(flips)])[:, None]
+    flips = np.add.reduce(q[:-1] * q[1:], axis=1) < 0.0
+    if flips.any():
+        q = q * np.concatenate([[1.0], np.cumprod(np.where(flips, -1.0, 1.0))])[:, None]
     q.flags.writeable = False
     return q
 
@@ -281,12 +314,17 @@ class ContinuousTrajectory:
         domain it takes the last knot's value. The velocity is zero at
         times outside the domain, where the pose holds.
         """
-        tt, i, seg, dt, c = self.position._locate(times, (None,))
-        knots = self.position.knot_times
-        s = _clamp(dt[:, 0] / (knots[seg + 1] - knots[seg]), 0.0, 1.0)
-        outside = (tt < knots[0]) | (tt > knots[-1])
-        return (_cubic(dt, c), _slerp_rows(self.wxyz[seg], self.wxyz[seg + 1], s),
-                self.grippers[i], np.where(outside[:, None], 0.0, _cubic_velocity(dt, c)))
+        return self._sample(_as_array(times, (None,), "evaluation times"))
+
+    def _sample(self, t: np.ndarray) -> tuple:
+        """:meth:`sample` of (n,) times that already passed its intake."""
+        tt, i, seg, start, dt, c = self.position._locate(t)
+        end = seg + 1
+        # start <= tt <= knot_times[end], and rounding is monotone, so s lies in [0, 1]
+        s = dt[:, 0] / (self.position.knot_times[end] - start)
+        # clamping moves exactly the times outside the domain
+        return (_cubic(dt, c), _slerp_rows(self.wxyz[seg], self.wxyz[end], s),
+                self.grippers[i], np.where((t != tt)[:, None], 0.0, _cubic_velocity(dt, c)))
 
 
 def fit(sparse: SparseTrajectory, end_velocities=None) -> ContinuousTrajectory:
@@ -309,15 +347,25 @@ def eval_trajectory(traj: ContinuousTrajectory, t: float) -> tuple:
     return pos[0], quats[0], grips[0]
 
 
+# at most this many sample periods per resampled domain: about 10 GB of samples
+_MAX_PERIODS = 10**8
+
+
 def resample(traj: ContinuousTrajectory, rate: float) -> DenseTrajectory:
     """Sample the trajectory at a fixed rate, always including the final time.
 
     Samples sit at t0 + k/rate; the exact end of the domain replaces a
-    coincident final grid point or is appended after it.
+    coincident final grid point or is appended after it. A rate whose
+    domain spans more than 10**8 periods raises ``ValueError`` before any
+    sample is allocated.
     """
     _check_positive("rate", rate)
     t0, t1 = traj.domain
-    n_steps = int(math.floor((t1 - t0) * rate + 1e-9))
+    steps = (t1 - t0) * rate  # inf when the product overflows
+    if not steps <= _MAX_PERIODS:
+        raise ValueError(f"rate {rate} gives more than {_MAX_PERIODS} sample periods over the "
+                         f"{t1 - t0} s domain")
+    n_steps = int(math.floor(steps + 1e-9))
     times = t0 + np.arange(n_steps + 1) / rate
     if t1 - times[-1] > 1e-9 / rate:
         times = np.append(times, t1)

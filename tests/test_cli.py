@@ -473,6 +473,18 @@ class TestExitCodes:
         assert flag.lstrip("-") in err and "internal error" not in err, err
         assert not out.exists()
 
+    def test_rate_beyond_the_period_bound_is_a_validation_error(self, tmp_path, capsys):
+        # printed "error: internal error: OverflowError: ..." before the bound
+        sparse, out = tmp_path / "sparse.json", tmp_path / "out.json"
+        fileio.save_sparse_bundle(
+            tk.SparseTrajectory([0.0, 1.0], np.eye(2, 3), np.zeros((2, 3)), [0, 0],
+                                (True, True), tk.Frame.WORLD), None, sparse)
+        code = cli_main(["detokenize", "--sparse", str(sparse), "--rate", "1e300",
+                         "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == ("error: rate 1e+300 gives more than 100000000 sample "
+                                           "periods over the 1.0 s domain\n")
+
     def test_missing_file_is_1(self, tmp_path):
         code = cli_main(["plot-data", "--input", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o.csv")])

@@ -278,6 +278,33 @@ def test_array_intakes_name_a_ragged_list(build, valid, field, error, shape_mess
         build(ragged(valid))
 
 
+@ARRAY_INTAKES
+def test_array_intakes_name_an_int_beyond_the_float_range(build, valid, field, error,
+                                                          shape_message):
+    # NumPy's own "int too large to convert to float" used to escape as an
+    # OverflowError naming no field
+    rows = np.array(valid, dtype=float).tolist()
+    inner = rows
+    while isinstance(inner[-1], list):
+        inner = inner[-1]
+    inner[-1] = 10**400
+    with pytest.raises(error, match=f"^{field} is beyond the float range$"):
+        build(rows)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: tk.CameraModel([[10**400, 0, 0], [0, 1, 0], [0, 0, 1]], np.eye(4), 10, 10),
+     tk.InvalidCameraError, "intrinsics is beyond the float range"),
+    (lambda: tk.quantize([10**400], 0.0, 1.0, 4), ValueError, "value is beyond the float range"),
+    (lambda: tk.dtw([[10**400, 0, 0]], [[0.0, 0, 0]]), ValueError, "a is beyond the float range"),
+], ids=["camera", "quantize", "dtw"])
+def test_an_int_beyond_the_float_range_is_named_like_a_scalar_one(build, error, message):
+    # worded as _integral words an integer field beyond the float range
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
 @pytest.mark.parametrize("build, valid, field", [
     (lambda x: tk.quantize(x, 0.0, 1.0, 4), [[0.5], [0.2]], "value"),
     (lambda x: tk.DenseTrajectory(x, np.zeros((2, 3)), np.zeros((2, 3)), [0, 0],

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import trajkit as tk
+from trajkit import replan, splines
 from conftest import geodesic_angle
 from test_simulate import curved_scenario
 from test_splines import sparse_from_arrays
@@ -803,3 +804,42 @@ class TestHeldFitReuse:
                              "coefficients")
             assert_same_bits(active.wxyz, ref_active.wxyz, "wxyz")
             assert_same_bits(active.grippers, ref_active.grippers, "grippers")
+
+
+def numpy_hermite(p0, v0, p1, v1, duration):
+    """Reference: the transition coefficients as NumPy expressions on (3,) rows."""
+    d = duration
+    a2 = 3.0 * (p1 - p0) / d**2 - (2.0 * v0 + v1) / d
+    a3 = 2.0 * (p0 - p1) / d**3 + (v0 + v1) / d**2
+    return np.stack([p0, v0, a2, a3])
+
+
+# signed zeros and finite values from subnormal to 1e200, so that no term of
+# either form overflows at the shortest duration
+components = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False))
+rows3 = st.lists(components, min_size=3, max_size=3)
+
+
+class TestPythonFloatTransition:
+    """The transition's Python-float arithmetic is bit-identical to the
+    NumPy expressions it replaced, signed zeros included."""
+
+    @settings(max_examples=500)
+    @given(p0=rows3, v0=rows3, p1=rows3, v1=rows3,
+           duration=st.one_of(st.sampled_from([1e-6, 1e3]), st.floats(1e-6, 1e3)))
+    def test_hermite_coefficients(self, p0, v0, p1, v1, duration):
+        got = np.array(replan._hermite_coeffs(p0, v0, p1, v1, duration))
+        want = numpy_hermite(*map(np.array, (p0, v0, p1, v1)), duration)
+        assert_same_bits(got, want, "coefficients")
+
+    @settings(max_examples=500)
+    @given(st.lists(rows3, min_size=4, max_size=4))
+    def test_start_velocity(self, rows):
+        c = np.array(rows)
+        got = np.array(replan._start_velocity(c))
+        assert_same_bits(got, splines._cubic_velocity(0.0, c), "velocity")
+
+    def test_start_velocity_turns_a_negative_zero_slope_positive(self):
+        c = np.array([[1.0, 2.0, 3.0], [-0.0, -0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+        assert [math.copysign(1.0, v) for v in replan._start_velocity(c)] == [1.0, 1.0, 1.0]

@@ -1,6 +1,7 @@
 """Simulation harness: oracle planner, closed-loop runs, smoothness checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajkit as tk
-from trajkit import simulate
+from trajkit import geometry, replan, simulate, splines
 from test_splines import sparse_from_arrays
 
 
@@ -343,6 +344,45 @@ class TestRun:
                                   frame=tk.Frame.CAMERA)
         with pytest.raises(ValueError):
             tk.Scenario(plan, (), 0.5, 100.0, 2.0)
+
+
+def reference_scenario():
+    """The 1 kHz reference run: 10 s at 1 kHz with 10 ms replans and one drift at 3 s."""
+    return line_scenario(perturbations=[tk.Perturbation(3.0, [0.02, 0, 0])],
+                         replan_interval=0.01, control_rate=1000.0, duration=10.0)
+
+
+class TestWorkCounts:
+    """Exact work counts of the 1 kHz reference run, from counting wrappers
+    (no profiler, no timing), so that a change doing more work per step fails."""
+
+    def test_reference_run(self, monkeypatch):
+        counts = {"intakes": 0, "lookups": 0, "steps": 0}
+
+        def counting(key, function):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        scenario = reference_scenario()
+        # each module that calls the intake binds it under its own name
+        modules = [module for name, module in sys.modules.items()
+                   if name.startswith("trajkit.") and hasattr(module, "_as_array")]
+        assert geometry in modules and splines in modules and replan in modules
+        intake = counting("intakes", geometry._as_array)
+        for module in modules:
+            monkeypatch.setattr(module, "_as_array", intake)
+        monkeypatch.setattr(tk.PositionSpline, "_locate",
+                            counting("lookups", tk.PositionSpline._locate))
+        monkeypatch.setattr(simulate, "controller_step",
+                            counting("steps", simulate.controller_step))
+        tk.run(scenario)
+        # one intake per step, for its times, which the step then samples without a
+        # second one, 11 to set the run up and 20 for ten fits (the initial plan's and
+        # nine refits); one lookup per step, one for the run's first tick and 100 for
+        # the velocity at a lone goal's entry
+        assert counts == {"intakes": 1031, "lookups": 1101, "steps": 1000}
 
 
 class TestSmoothnessCheck:

@@ -358,6 +358,24 @@ class TestResample:
         with pytest.raises(ValueError):
             tk.resample(tk.fit(sparse), 0.0)
 
+    @pytest.mark.parametrize("rate", [1e308, 1e300, 5e7 + 1.0])
+    def test_rate_beyond_the_period_bound_names_the_rate(self, rate):
+        # 2 s at 1e308 Hz used to escape as "OverflowError: cannot convert float
+        # infinity to integer", and 1e300 Hz as NumPy's OverflowError from arange
+        sparse = sparse_from_arrays([0.0, 2.0], np.zeros((2, 3)))
+        with pytest.raises(ValueError) as raised:
+            tk.resample(tk.fit(sparse), rate)
+        assert str(raised.value) == (f"rate {rate} gives more than 100000000 sample periods "
+                                     "over the 2.0 s domain")
+
+    def test_period_bound_is_inclusive(self, monkeypatch):
+        # a small bound, so that neither side of it allocates much
+        monkeypatch.setattr(splines, "_MAX_PERIODS", 40)
+        traj = tk.fit(sparse_from_arrays([0.0, 2.0], np.zeros((2, 3))))
+        assert len(tk.resample(traj, 20.0)) == 41
+        with pytest.raises(ValueError, match="^rate 20.5 gives more than 40 sample periods"):
+            tk.resample(traj, 20.5)
+
 
 class TestReconstructionError:
     def test_linear_data_exact(self):
