@@ -6,6 +6,17 @@ a caller may want to react to (file paths, waypoint indices, camera
 problems).
 """
 
+__all__ = [
+    "TrajkitError",
+    "InvalidCameraError",
+    "BehindCameraError",
+    "InsufficientDataError",
+    "OutOfFrameError",
+    "DepthRangeError",
+    "SchemaError",
+    "UndefinedDirectionError",
+]
+
 
 class TrajkitError(Exception):
     """Base class for all trajkit-specific errors."""

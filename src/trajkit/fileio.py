@@ -4,10 +4,11 @@ All formats round-trip losslessly: floats serialize via Python's
 shortest round-trip repr, so load(save(x)) == x bit-exactly. Every file
 is exactly the text of ``json.dumps(payload, indent=2)``. Each JSON
 object in a file is read through one field table of (key, kind, width)
-by :func:`_fields`, and a validation error names the JSON path of the
-first faulty field in table order (e.g. ``samples[3].gripper``). Writes
-are atomic (temp file + rename) so a failed save never leaves a partial
-file behind.
+by :func:`_fields` and written through the same table by :func:`_object`
+(arrays of records as :class:`_Rows` columns), and a validation error
+names the JSON path of the first faulty field in table order (e.g.
+``samples[3].gripper``). Writes are atomic (temp file + rename) so a
+failed save never leaves a partial file behind.
 """
 
 import json
@@ -270,6 +271,15 @@ def _fields(obj, fields: tuple, path: str) -> list:
             for key, kind, width in fields]
 
 
+def _object(fields: tuple, values) -> dict:
+    """The JSON object of ``values`` under ``fields``, the inverse of
+    :func:`_fields`: keys in table order, an array as its flat list and a
+    NaN in a ``_NAN`` field as null."""
+    return {key: np.ravel(value).tolist() if width
+            else None if kind is _NAN and math.isnan(value) else value
+            for (key, kind, width), value in zip(fields, values, strict=True)}
+
+
 def _per_record_columns(records: list, fields: tuple, path: str) -> tuple:
     """The columns of ``fields``, read record by record by :func:`_fields`."""
     rows = [_fields(record, fields, f"{path}[{i}]") for i, record in enumerate(records)]
@@ -310,15 +320,6 @@ def _parse_trajectory(obj: dict, path: str, frame: Frame, sparse: bool):
         return DenseTrajectory(times, positions, eulers, grippers, frame)
     except SampleError as exc:
         raise _row_error(exc, samples_path) from exc
-
-
-def _camera_to_dict(cam: CameraModel) -> dict:
-    return {
-        "intrinsics": [float(x) for x in cam.intrinsics.reshape(-1)],
-        "extrinsics_c2w": [float(x) for x in cam.extrinsics_c2w.reshape(-1)],
-        "width": cam.width,
-        "height": cam.height,
-    }
 
 
 def _camera_from_dict(obj, path: str) -> CameraModel:
@@ -362,7 +363,8 @@ def _bundle_payload(traj, cam, meta, keyframe_flags=None) -> dict:
         "units": dict(_UNITS),
     }
     if cam is not None:
-        payload["camera"] = _camera_to_dict(cam)
+        payload["camera"] = _object(_CAMERA_FIELDS, (cam.intrinsics, cam.extrinsics_c2w,
+                                                     cam.width, cam.height))
     payload["samples"] = _sample_rows(traj)
     if keyframe_flags is not None:
         payload["keyframe_flags"] = keyframe_flags.tolist()
@@ -410,22 +412,16 @@ def load_sparse_bundle(path) -> tuple:
 
 
 def save_token_file(tokens: TokenSequence, path) -> None:
-    spec = tokens.spec
+    spec, anchor = tokens.spec, tokens.anchor
+    bins = (_object(_DEPTH_FIELDS, (spec.depth_min, spec.depth_max, spec.depth_bins)),
+            _object(_UV_FIELDS, (spec.width, spec.height)),
+            _object(_ANGLE_FIELDS, (spec.angle_bins,)), spec.depth_mode.value)
     payload = {
         "version": FORMAT_VERSION,
-        "quantization": {
-            "depth": {"min": spec.depth_min, "max": spec.depth_max, "bins": spec.depth_bins},
-            "uv": {"width": spec.width, "height": spec.height},
-            "angle": {"bins": spec.angle_bins},
-            "depth_mode": spec.depth_mode.value,
-            "depth_delta_max": spec.depth_delta_max,
-        },
-        "anchor": {
-            "u": tokens.anchor.u,
-            "v": tokens.anchor.v,
-            "d": tokens.anchor.d,
-            "source": tokens.anchor.depth_source.value,
-        },
+        "quantization": {**_object(_QUANTIZATION_FIELDS, bins),
+                         "depth_delta_max": spec.depth_delta_max},
+        "anchor": _object(_ANCHOR_FIELDS, (anchor.u, anchor.v, anchor.d,
+                                           anchor.depth_source.value)),
         "blocks": _Rows({"d": tokens.d, "u": tokens.u, "v": tokens.v, "g": tokens.g,
                          "r": tokens.r}),
     }
@@ -488,10 +484,8 @@ def save_scenario(scenario: Scenario, path) -> None:
             "samples": _sample_rows(plan),
             "keyframe_flags": plan.keyframe_flags.tolist(),
         },
-        "perturbations": [
-            {"time": p.time, "offset": [float(x) for x in p.offset]}
-            for p in scenario.perturbations
-        ],
+        "perturbations": [_object(_PERTURBATION_FIELDS, (p.time, p.offset))
+                          for p in scenario.perturbations],
         "replan_interval": scenario.replan_interval,
         "control_rate": scenario.control_rate,
         "duration": scenario.duration,
@@ -534,16 +528,9 @@ def save_execution_log(log: ExecutionLog, path) -> None:
             "frame": log.commanded.frame.value,
             "samples": _sample_rows(log.commanded),
         },
-        "replan_events": [
-            {
-                "time": e.time,
-                "dropped_count": e.dropped_count,
-                "gamma_at_kstar": None if math.isnan(e.gamma_at_kstar) else e.gamma_at_kstar,
-                "kstar": e.kstar,
-                "kstar_dropped": e.kstar_dropped,
-            }
-            for e in log.replan_events
-        ],
+        "replan_events": [_object(_EVENT_FIELDS, (e.time, e.dropped_count, e.gamma_at_kstar,
+                                                  e.kstar, e.kstar_dropped))
+                          for e in log.replan_events],
         "final_error": log.final_error,
     }
     _write_json(payload, path)

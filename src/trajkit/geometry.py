@@ -35,7 +35,6 @@ __all__ = [
     "eulers_to_quaternions",
     "quaternions_to_eulers",
     "unit_quaternions",
-    "canonical_sign",
     "normalize_angles",
     "finite_difference_accel",
 ]
@@ -124,10 +123,11 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
-def _check_positive(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is a finite real > 0."""
+def _check_positive(name: str, value) -> float:
+    """``float(value)`` of a finite real > 0, else a ``ValueError`` naming ``name``."""
     if not (_finite_real(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
+    return float(value)
 
 
 def _integral(name: str, value, error=ValueError) -> int:

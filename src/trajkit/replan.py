@@ -127,7 +127,8 @@ class ControllerState:
     (as in :func:`gripper_column`, stored as an int), and stores read-only
     copies of the rows.
     ``replan_interval`` (also the length of the transition segment a merge
-    inserts) and ``segment_duration`` must be finite and positive.
+    inserts) and ``segment_duration`` must be finite and positive, and are
+    stored as floats.
     """
 
     current_time: float
@@ -140,8 +141,8 @@ class ControllerState:
     segment_duration: float = 1.0  # re-timing spacing for schedule-free plans
 
     def __post_init__(self):
-        _check_positive("replan_interval", self.replan_interval)
-        _check_positive("segment_duration", self.segment_duration)
+        interval = _check_positive("replan_interval", self.replan_interval)
+        segment = _check_positive("segment_duration", self.segment_duration)
         t = _real("current_time", self.current_time)
         pos = _as_array(self.current_position, (3,), "current_position")
         quat = unit_quaternions([self.current_wxyz])[0]
@@ -149,7 +150,8 @@ class ControllerState:
         grip = int(gripper_column([self.current_gripper])[0])
         quat.flags.writeable = False
         vars(self).update(current_time=t, current_position=pos, current_wxyz=quat,
-                          current_velocity=vel, current_gripper=grip)
+                          current_velocity=vel, current_gripper=grip, replan_interval=interval,
+                          segment_duration=segment)
         if t < self.active.domain[0] - 1e-9:
             raise ValueError("current_time precedes the active trajectory domain")
 

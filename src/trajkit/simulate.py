@@ -64,9 +64,8 @@ class Scenario:
     delayed_planner: bool = False  # plans apply one interval after request
 
     def __post_init__(self):
-        _check_positive("control_rate", self.control_rate)
-        _check_positive("replan_interval", self.replan_interval)
-        _check_positive("duration", self.duration)
+        for name in ("control_rate", "replan_interval", "duration"):
+            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
         if self.initial_plan.frame is not Frame.WORLD:
             raise ValueError("scenario plans must be in the world frame")
         perts = tuple(self.perturbations)

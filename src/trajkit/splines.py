@@ -64,21 +64,15 @@ __all__ = [
     "eval_trajectory",
     "resample",
     "reconstruction_error",
-    "end_slope_estimates",
 ]
 
 
-def _cubic_moments(t: np.ndarray, y: np.ndarray, end_velocities):
-    """Second-derivative knot values for an interpolating cubic spline
-    through (n, 3) points: natural ends, or ends clamped to the (3,) first
-    derivatives ``end_velocities = (v0, v1)`` when given.
-    """
-    return _moment_solve(t, y, end_velocities)[2]
-
-
 def _moment_solve(t: np.ndarray, y: np.ndarray, end_velocities) -> tuple:
-    """(h, slopes, moments) of :func:`_cubic_moments`: the (n - 1,) knot
-    spacings and (n - 1, 3) chord slopes the solve starts from, and its result."""
+    """(h, slopes, moments) of an interpolating cubic spline through (n, 3)
+    points: the (n - 1,) knot spacings and (n - 1, 3) chord slopes the solve
+    starts from, and the (n, 3) second-derivative knot values, with natural
+    ends, or ends clamped to the (3,) first derivatives ``end_velocities =
+    (v0, v1)`` when given."""
     h = t[1:] - t[:-1]
     slopes = (y[1:] - y[:-1]) / h[:, None]
     rhs = np.zeros(y.shape)
@@ -104,7 +98,7 @@ def _moment_solve(t: np.ndarray, y: np.ndarray, end_velocities) -> tuple:
 
 
 def _solve_tridiagonal(upper: list, diag: list, lower: list, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system of :func:`_cubic_moments` for its (n, 3)
+    """Solve the tridiagonal system of :func:`_moment_solve` for its (n, 3)
     right-hand side, without pivoting; ``diag`` is overwritten.
 
     Thomas elimination over Python floats, the three columns side by side,

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import trajkit as tk
 from trajkit import cli, fileio
@@ -542,3 +544,58 @@ class TestObjectFields:
             load(path)
         assert info.value.path == f"{array}[0].{key}"
         assert str(info.value) == f"{array}[0].{key}: {message}"
+
+
+FIELD_TABLES = {name: table for name, table in vars(fileio).items()
+                if name.startswith("_") and name.endswith("_FIELDS")}
+# signed zeros, the smallest and largest subnormals and the largest float
+FLOATS = (st.sampled_from([0.0, -0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308])
+          | st.floats(allow_nan=False, allow_infinity=False))
+KINDS = {
+    float: FLOATS,
+    int: st.integers(-2**70, 2**70),
+    fileio._BIT: st.sampled_from([0, 1]),
+    fileio._NAN: st.just(math.nan) | FLOATS,
+    str: st.text(),
+    bool: st.booleans(),
+    dict: st.dictionaries(st.text(), st.integers() | st.text(), max_size=3),
+}
+
+
+@st.composite
+def table_values(draw, table):
+    """Values of every field of ``table``, and those values as the writer may
+    get them: a list field as a list or as a NumPy array (square when its
+    width is a square, as the camera's matrices are)."""
+    values, written = [], []
+    for _, kind, width in table:
+        if not width:
+            values.append(draw(KINDS[kind]))
+            written.append(values[-1])
+            continue
+        values.append(draw(st.lists(KINDS[kind], min_size=width, max_size=width)))
+        side = math.isqrt(width)
+        array = np.array(values[-1], dtype=float if kind is float else object)
+        written.append(draw(st.sampled_from(
+            [values[-1], array, array.reshape(side, side) if side * side == width else array])))
+    return values, written
+
+
+class TestObjectWriter:
+    """fileio._object writes what fileio._fields reads back: every field table,
+    its keys in table order, arrays as flat lists, signed zeros and
+    subnormals bit for bit, and a NaN in a _NAN field as null."""
+
+    @pytest.mark.parametrize("name", sorted(FIELD_TABLES))
+    @given(data=st.data())
+    def test_fields_read_back_what_object_writes(self, name, data):
+        table = FIELD_TABLES[name]
+        values, written = data.draw(table_values(table))
+        obj = fileio._object(table, written)
+        assert list(obj) == [key for key, _, _ in table]
+        text = json.dumps(obj, allow_nan=False)  # a NaN must be written as null
+        assert repr(fileio._fields(json.loads(text), table, "x")) == repr(values)
+
+    def test_value_count_must_match_the_table(self):
+        with pytest.raises(ValueError):
+            fileio._object(fileio._PERTURBATION_FIELDS, (0.5,))

@@ -52,6 +52,43 @@ def test_every_exported_name_resolves_once(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+EXPORTS = {
+    "TrajkitError", "InvalidCameraError", "BehindCameraError", "InsufficientDataError",
+    "OutOfFrameError", "DepthRangeError", "SchemaError", "UndefinedDirectionError",
+    "Frame", "CameraModel", "DenseTrajectory", "back_project", "project", "camera_to_world",
+    "euler_to_quaternion", "quaternion_to_euler", "eulers_to_quaternions",
+    "quaternions_to_eulers", "unit_quaternions", "normalize_angles", "finite_difference_accel",
+    "KeyframeReason", "KeyframeSet", "SparseTrajectory", "select_keyframes",
+    "insert_sub_keyframes", "gripper_change_indices",
+    "DepthSource", "DepthMode", "Anchor", "QuantizationSpec", "TokenSequence", "quantize",
+    "dequantize", "encode_sequence", "decode_sequence", "anchor_depth_from_prior",
+    "PositionSpline", "ContinuousTrajectory", "fit", "eval_trajectory", "resample",
+    "reconstruction_error",
+    "PendingPlan", "ControllerState", "ReplanEvent", "controller_step",
+    "Perturbation", "Scenario", "ExecutionLog", "oracle_planner", "run", "smoothness_check",
+    "MetricReport", "REPORT_ROW_NAMES", "dtw", "discrete_frechet", "hausdorff",
+    "orthogonal_distances", "endpoint_errors", "coverage", "full_report",
+}
+
+
+def test_star_import_binds_exactly_the_export_set():
+    # the package's __all__ is its modules' __all__ lists, added together
+    namespace = {}
+    exec("from trajkit import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(trajkit.__all__) == EXPORTS
+    assert len(EXPORTS) == 62
+
+
+def test_module_only_helpers_stay_importable():
+    # out of their modules' __all__, so out of the package's, but still importable
+    from trajkit.geometry import canonical_sign
+    from trajkit.splines import end_slope_estimates
+
+    assert callable(canonical_sign) and callable(end_slope_estimates)
+    assert not {"canonical_sign", "end_slope_estimates"} & set(trajkit.__all__)
+
+
 def test_replan_helpers_are_gone():
     # controller_step and its ReplanEvent are the whole replan API
     for name in ("nearest_pending_index", "forward_direction", "keep_test", "EmptyPlanError"):

@@ -388,6 +388,11 @@ class TestControllerStateBoundary:
     def state(self, **changes):
         return line_state(at_time=2.0, **changes)
 
+    def test_durations_are_stored_as_floats(self):
+        state = self.state(replan_interval=np.float32(0.5), segment_duration=np.int64(2))
+        assert type(state.replan_interval) is float and state.replan_interval == 0.5
+        assert type(state.segment_duration) is float and state.segment_duration == 2.0
+
     @pytest.mark.parametrize("position", [[0.2, math.nan, 0.0], [math.inf, 0.0, 0.0],
                                           [0.0, 0.0], [[0.0, 0.0, 0.0]], 0.0])
     def test_rejects_bad_position(self, position):

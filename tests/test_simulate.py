@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajkit as tk
-from trajkit import geometry, replan, simulate, splines
+from trajkit import fileio, geometry, replan, simulate, splines
 from test_splines import sparse_from_arrays
 
 
@@ -313,6 +313,19 @@ class TestRun:
     def test_duration_truncates_run(self):
         log = tk.run(line_scenario(duration=2.0))
         assert abs(log.commanded.times[-1] - 2.0) < 1e-9
+
+    def test_rate_type_does_not_change_the_run(self, tmp_path):
+        # stored as given, a float32 rate would make 1 / rate run in float32
+        # and command 1,000 ticks where the other types command 1,001
+        logs = set()
+        for rate in (1000.0, 1000, np.int64(1000), np.float32(1000.0)):
+            scenario = line_scenario(replan_interval=0.01, control_rate=rate, duration=1.0)
+            assert type(scenario.control_rate) is float
+            log = tk.run(scenario)
+            assert len(log.commanded) == 1001
+            fileio.save_execution_log(log, tmp_path / "log.json")
+            logs.add((tmp_path / "log.json").read_bytes())
+        assert len(logs) == 1
 
     def test_delayed_planner_still_converges(self):
         shift = tk.Perturbation(3.0, [0.0, 0.02, 0.0])
