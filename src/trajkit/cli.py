@@ -196,7 +196,16 @@ def _cmd_plot_data(args) -> int:
     traj, _ = fileio.load_bundle(args.input)
     t = traj.times
     p = traj.positions
-    seg_speed = np.linalg.norm(np.diff(p, axis=0), axis=1) / np.diff(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(p, axis=0)
+        lengths = np.linalg.norm(steps, axis=1)
+        big = np.isinf(lengths)  # a square overflowed; hypot scales instead
+        lengths[big] = np.hypot(np.hypot(steps[big, 0], steps[big, 1]), steps[big, 2])
+        seg_speed = lengths / np.diff(t)
+    bad = np.flatnonzero(~np.isfinite(seg_speed))
+    if bad.size:
+        raise ValueError(f"the speed of segment {bad[0]} (samples {bad[0]} to {bad[0] + 1}) "
+                         "is beyond the float range")
     speeds = np.append(seg_speed, seg_speed[-1])  # hold last segment speed
     rows = zip(t.tolist(), *p.T.tolist(), speeds.tolist())
     fileio._write_text("t,x,y,z,speed\n" + "".join("%r,%r,%r,%r,%r\n" % row for row in rows),

@@ -4,11 +4,11 @@ All formats round-trip losslessly: floats serialize via Python's
 shortest round-trip repr, so load(save(x)) == x bit-exactly. Every file
 is exactly the text of ``json.dumps(payload, indent=2)``. Each JSON
 object in a file is read through one field table of (key, kind, width)
-by :func:`_fields` and written through the same table by :func:`_object`
-(arrays of records as :class:`_Rows` columns), and a validation error
-names the JSON path of the first faulty field in table order (e.g.
-``samples[3].gripper``). Writes are atomic (temp file + rename) so a
-failed save never leaves a partial file behind.
+by :func:`_fields` (each array of records by :func:`_records`) and
+written through the same table by :func:`_object` (arrays of records as
+:class:`_Rows` columns). A validation error names the JSON path of the
+first faulty field in table order (e.g. ``samples[3].gripper``). Writes
+are atomic (temp file + rename): a failed save leaves no partial file.
 """
 
 import json
@@ -280,46 +280,43 @@ def _object(fields: tuple, values) -> dict:
             for (key, kind, width), value in zip(fields, values, strict=True)}
 
 
-def _per_record_columns(records: list, fields: tuple, path: str) -> tuple:
-    """The columns of ``fields``, read record by record by :func:`_fields`."""
-    rows = [_fields(record, fields, f"{path}[{i}]") for i, record in enumerate(records)]
-    return tuple(zip(*rows)) if rows else ((),) * len(fields)
+def _records(obj: dict, key: str, fields: tuple, path: str, build):
+    """``build(*columns)`` of the records ``obj[key]``, ``obj`` being at ``path``.
 
-
-def _row_error(exc: SampleError, rows_path: str) -> SchemaError:
-    """The SchemaError naming the row and field of a column constructor's error."""
-    where = rows_path if exc.index is None else f"{rows_path}[{exc.index}]"
-    return SchemaError(where if exc.field is None else f"{where}.{exc.field}", str(exc))
+    The columns of ``fields`` are taken whole by :func:`_typed_columns` when
+    every record is well formed, else record by record by :func:`_fields`,
+    which names the first faulty field. A :class:`SampleError` from ``build``
+    becomes the SchemaError at ``<key>[i].<field>``.
+    """
+    where = _join(path, key)
+    records = _get(obj, key, list, path)
+    columns = _typed_columns(records, fields)
+    if columns is None:
+        rows = [_fields(record, fields, f"{where}[{i}]") for i, record in enumerate(records)]
+        columns = tuple(zip(*rows)) if rows else ((),) * len(fields)
+    try:
+        return build(*columns)
+    except SampleError as exc:
+        at = where if exc.index is None else f"{where}[{exc.index}]"
+        raise SchemaError(at if exc.field is None else f"{at}.{exc.field}", str(exc)) from exc
 
 
 def _parse_trajectory(obj: dict, path: str, frame: Frame, sparse: bool):
-    """The ``samples`` (and for sparse, ``keyframe_flags``) of ``obj`` as a
-    DenseTrajectory or SparseTrajectory.
+    """The ``samples`` (and for sparse, ``keyframe_flags``, checked after the
+    samples) of ``obj`` as a DenseTrajectory or SparseTrajectory."""
 
-    Field types and finiteness are checked on whole columns; only when
-    that check fails does the per-sample pass run, to name the first faulty
-    field. Time order and sample count are checked on whole columns by the
-    trajectory constructor, whose first bad index becomes the error path.
-    """
-    samples_path = _join(path, "samples")
-    samples = _get(obj, "samples", list, path)
-    times, positions, eulers, grippers = (
-        _typed_columns(samples, _SAMPLE_FIELDS)
-        or _per_record_columns(samples, _SAMPLE_FIELDS, samples_path))
-    if sparse:
-        flags_path = _join(path, "keyframe_flags")
-        flags = _get(obj, "keyframe_flags", list, path)
+    def build(times, positions, eulers, grippers):
+        if not sparse:
+            return DenseTrajectory(times, positions, eulers, grippers, frame)
+        flags, where = _get(obj, "keyframe_flags", list, path), _join(path, "keyframe_flags")
         if len(flags) != len(times):
-            raise SchemaError(flags_path, "length does not match samples")
+            raise SchemaError(where, "length does not match samples")
         if not set(map(type, flags)) <= {bool}:
             i = next(i for i, f in enumerate(flags) if not isinstance(f, bool))
-            raise SchemaError(f"{flags_path}[{i}]", "expected a boolean")
-    try:
-        if sparse:
-            return SparseTrajectory(times, positions, eulers, grippers, flags, frame)
-        return DenseTrajectory(times, positions, eulers, grippers, frame)
-    except SampleError as exc:
-        raise _row_error(exc, samples_path) from exc
+            raise SchemaError(f"{where}[{i}]", "expected a boolean")
+        return SparseTrajectory(times, positions, eulers, grippers, flags, frame)
+
+    return _records(obj, "samples", _SAMPLE_FIELDS, path, build)
 
 
 def _camera_from_dict(obj, path: str) -> CameraModel:
@@ -451,22 +448,17 @@ def load_token_file(path) -> TokenSequence:
     data = _read_json(path)
     _check_version(data, "")
     spec = parse_quantization(_get(data, "quantization", dict, ""))
-    anchor_fields = _fields(_get(data, "anchor", dict, ""), _ANCHOR_FIELDS, "anchor")
-    try:
-        anchor = Anchor(*anchor_fields)
+    try:  # a field fault is a SchemaError, not the ValueError of a refused anchor
+        anchor = Anchor(*_fields(_get(data, "anchor", dict, ""), _ANCHOR_FIELDS, "anchor"))
     except ValueError as exc:
         raise SchemaError("anchor", str(exc)) from exc
     try:
         spec.depth_grid(anchor)
     except ValueError as exc:
         raise SchemaError("quantization", str(exc)) from exc
-    blocks = _get(data, "blocks", list, "")
-    r, d, u, v, g = (_typed_columns(blocks, _TOKEN_FIELDS)
-                     or _per_record_columns(blocks, _TOKEN_FIELDS, "blocks"))
     try:
-        return TokenSequence(spec, anchor, d, u, v, g, r)
-    except SampleError as exc:
-        raise _row_error(exc, "blocks") from exc
+        return _records(data, "blocks", _TOKEN_FIELDS, "",
+                        lambda r, d, u, v, g: TokenSequence(spec, anchor, d, u, v, g, r))
     except ValueError as exc:  # the anchor lies outside the image
         raise SchemaError("blocks", str(exc)) from exc
 
@@ -501,8 +493,8 @@ def load_scenario(path) -> Scenario:
     plan_obj = _get(data, "initial_plan", dict, "")
     plan = _parse_trajectory(plan_obj, "initial_plan", _frame(plan_obj, "initial_plan"),
                              sparse=True)
-    perts = [Perturbation(*_fields(p, _PERTURBATION_FIELDS, f"perturbations[{i}]"))
-             for i, p in enumerate(_get(data, "perturbations", list, ""))]
+    perts = _records(data, "perturbations", _PERTURBATION_FIELDS, "",
+                     lambda times, offsets: list(map(Perturbation, times, offsets)))
     durations = {}
     for key in ("replan_interval", "control_rate", "duration"):
         durations[key] = value = _get(data, key, float, "")
@@ -541,8 +533,8 @@ def load_execution_log(path) -> ExecutionLog:
     _check_version(data, "")
     cmd = _get(data, "commanded", dict, "")
     commanded = _parse_trajectory(cmd, "commanded", _frame(cmd, "commanded"), sparse=False)
-    events = tuple(ReplanEvent(*_fields(e, _EVENT_FIELDS, f"replan_events[{i}]"))
-                   for i, e in enumerate(_get(data, "replan_events", list, "")))
+    events = _records(data, "replan_events", _EVENT_FIELDS, "",
+                      lambda *columns: tuple(map(ReplanEvent, *columns)))
     return ExecutionLog(commanded, events, _get(data, "final_error", float, ""))
 
 

@@ -201,7 +201,9 @@ class CameraModel:
         if k[0, 0] == 0.0 or k[1, 1] == 0.0:
             raise InvalidCameraError("K is singular (zero focal length)")
         rot = ext[:3, :3]
-        if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
+        # no entry of an orthonormal block exceeds 1 + 1e-9; refusing one first keeps
+        # rot.T @ rot from overflowing
+        if np.abs(rot).max() > 1.0 + 1e-9 or np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
             raise InvalidCameraError("extrinsics rotation block is not orthonormal")
         if abs(np.linalg.det(rot) - 1.0) > 1e-9:
             raise InvalidCameraError("extrinsics rotation must have determinant +1")
@@ -447,6 +449,10 @@ def finite_difference_accel(traj: DenseTrajectory, weights=None) -> tuple:
     comps = np.hstack([traj.positions, np.unwrap(traj.eulers, axis=0)])
     dt1 = (t[1:-1] - t[:-2])[:, None]
     dt2 = (t[2:] - t[1:-1])[:, None]
-    accel = 2.0 * ((comps[2:] - comps[1:-1]) / dt2 - (comps[1:-1] - comps[:-2]) / dt1) / (dt1 + dt2)
-    mags = np.linalg.norm(accel * w, axis=1)
+    # a difference or magnitude beyond the float range is inf, not a warning
+    # (inf - inf and 0 * inf are nan, which no alpha selects)
+    with np.errstate(over="ignore", invalid="ignore"):
+        accel = 2.0 * ((comps[2:] - comps[1:-1]) / dt2
+                       - (comps[1:-1] - comps[:-2]) / dt1) / (dt1 + dt2)
+        mags = np.linalg.norm(accel * w, axis=1)
     return t[1:-1].copy(), mags

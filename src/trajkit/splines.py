@@ -73,10 +73,16 @@ def _moment_solve(t: np.ndarray, y: np.ndarray, end_velocities) -> tuple:
     starts from, and the (n, 3) second-derivative knot values, with natural
     ends, or ends clamped to the (3,) first derivatives ``end_velocities =
     (v0, v1)`` when given."""
-    h = t[1:] - t[:-1]
-    slopes = (y[1:] - y[:-1]) / h[:, None]
-    rhs = np.zeros(y.shape)
-    rhs[1:-1] = 6.0 * (slopes[1:] - slopes[:-1])
+    # the finiteness check below names an overflow here, so it does not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = t[1:] - t[:-1]
+        slopes = (y[1:] - y[:-1]) / h[:, None]
+        rhs = np.zeros(y.shape)
+        rhs[1:-1] = 6.0 * (slopes[1:] - slopes[:-1])
+        if end_velocities is not None:
+            v0, v1 = end_velocities
+            rhs[0] = 6.0 * (slopes[0] - v0)
+            rhs[-1] = 6.0 * (v1 - slopes[-1])
     # the tridiagonal system: row i has diag[i], upper[i] towards row i + 1
     # and lower[i - 1] towards row i - 1
     hs = h.tolist()
@@ -86,11 +92,7 @@ def _moment_solve(t: np.ndarray, y: np.ndarray, end_velocities) -> tuple:
     # swaps rows and the moments equal plain Thomas elimination bit for bit
     diag = [2.0 * hs[0]] + [2.0 * (a + b) for a, b in zip(hs, hs[1:])] + [2.0 * hs[-1]]
     if end_velocities is not None:
-        v0, v1 = end_velocities
-        upper[0] = hs[0]
-        rhs[0] = 6.0 * (slopes[0] - v0)
-        lower[-1] = hs[-1]
-        rhs[-1] = 6.0 * (v1 - slopes[-1])
+        upper[0], lower[-1] = hs[0], hs[-1]
     # diag bounds every band entry (diag >= 2h), so this covers the system
     if not (all(map(math.isfinite, diag)) and np.isfinite(rhs).all()):
         raise ValueError("knot spacings or point differences overflow the moment solve")

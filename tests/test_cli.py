@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from conftest import line_trajectory, make_camera, rigid, rot_z, token_sequence
 from test_simulate import line_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -88,6 +90,21 @@ class TestTokenizeDetokenize:
         # waypoints within the quantization bound (coarse check)
         start = rebuilt.positions[0]
         assert np.linalg.norm(start - traj.positions[0]) < 0.02
+
+    def test_detokenize_sparse_moves_a_camera_frame_bundle_to_the_world(self, tmp_path):
+        cam = make_camera(extrinsics=rigid(rot_z(0.3), [1.0, -2.0, 0.5]))
+        pos = np.array([[0.1, 0.2, 1.0], [0.3, -0.1, 1.5]])
+        sparse, out = tmp_path / "sparse.json", tmp_path / "dense.json"
+        fileio.save_sparse_bundle(tk.SparseTrajectory([0.0, 1.0], pos, np.zeros((2, 3)), [0, 0],
+                                                      (True, True), tk.Frame.CAMERA), cam, sparse)
+        assert cli_main(["detokenize", "--sparse", str(sparse), "--rate", "4",
+                         "--out", str(out)]) == 0
+        dense, _ = fileio.load_bundle(out)
+        assert dense.frame is tk.Frame.WORLD and len(dense) == 5
+        # two waypoints: the spline is the chord between their world positions
+        world = tk.camera_to_world(pos, cam)
+        assert np.abs(dense.positions - (world[0] + np.outer(dense.times, world[1] - world[0])
+                                         )).max() < 1e-12
 
     def test_custom_spec_file(self, tmp_path, camera_bundle):
         bundle_path, _, _ = camera_bundle
@@ -262,6 +279,28 @@ class TestMetricsCommand:
         assert sorted(data["pairs"]) == ["run0.json", "run1.json"]
         assert data["pairs"]["run0.json"]["dtw"] == 0.0
 
+    @pytest.mark.parametrize("pred_is_dir", [True, False])
+    def test_a_file_and_a_directory_rejected(self, tmp_path, line_bundle, capsys, pred_is_dir):
+        bundle, directory = str(line_bundle[0]), str(tmp_path)
+        pred, ref = (directory, bundle) if pred_is_dir else (bundle, directory)
+        out = tmp_path / "report.json"
+        assert cli_main(["metrics", "--pred", pred, "--ref", ref, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --pred and --ref must both be files or both directories\n")
+        assert not out.exists()
+
+    def test_directories_without_a_common_bundle_rejected(self, tmp_path, capsys):
+        pred_dir, ref_dir, out = tmp_path / "pred", tmp_path / "ref", tmp_path / "agg.json"
+        for d, name in ((pred_dir, "run0.json"), (ref_dir, "run1.json")):
+            d.mkdir()
+            fileio.save_bundle(line_trajectory(), None, d / name)
+            (d / "notes.txt").write_text("a common name that is no bundle\n")
+        assert cli_main(["metrics", "--pred", str(pred_dir), "--ref", str(ref_dir),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: no matching .json bundles in the two directories\n")
+        assert not out.exists()
+
     @staticmethod
     def _overflowing_pair(pred_path, ref_path):
         t = np.array([0.0, 1.0])
@@ -366,6 +405,25 @@ class TestPlotData:
         assert cli_main(["plot-data", "--input", str(bundle_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["line.json", "out.csv"]
+
+    @pytest.mark.parametrize("t, x, segment", [
+        ([0.0, 1e-300, 1.0], [0.0, 1e10, 0.0], 0),  # a distance over a tiny time
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1e308, -1e308], 2),  # a distance beyond the range
+    ])
+    def test_speed_beyond_the_float_range_is_one_error_line(self, tmp_path, capsys, t, x,
+                                                            segment):
+        n = len(t)
+        bundle, out = tmp_path / "b.json", tmp_path / "plot.csv"
+        fileio.save_bundle(tk.DenseTrajectory(t, np.stack([x, np.zeros(n), np.zeros(n)], axis=1),
+                                              np.zeros((n, 3)), np.zeros(n, dtype=int),
+                                              tk.Frame.WORLD), None, bundle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["plot-data", "--input", str(bundle), "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (f"error: the speed of segment {segment} (samples "
+                                           f"{segment} to {segment + 1}) is beyond the float "
+                                           "range\n")
 
 
 class TestExitCodes:
@@ -556,3 +614,71 @@ class TestDeterminism:
                       str(bundle_path), "--out", str(report)])
             outs.append((sparse.read_bytes(), report.read_bytes()))
         assert outs[0] == outs[1]
+
+
+def golden_runs() -> list:
+    """Every subcommand with each golden file in each of its file arguments,
+    the other arguments fixed; the CI job without extras makes the same sweep."""
+    bundle, sparse, tokens = (str(DATA / f"golden_{kind}.json")
+                              for kind in ("bundle", "sparse", "tokens"))
+    runs = []
+    for path in sorted(map(str, DATA.glob("golden_*.json"))):
+        runs += [
+            ["keyframes", "--input", path, "--alpha", "0.5"],
+            ["tokenize", "--input", path, "--anchor", "320,240,1.0"],
+            ["tokenize", "--input", sparse, "--camera-from", path, "--anchor", "320,240,1.0"],
+            ["detokenize", "--input", path, "--camera-from", bundle, "--rate", "10"],
+            ["detokenize", "--input", tokens, "--camera-from", path, "--rate", "10"],
+            ["detokenize", "--sparse", path, "--rate", "10"],
+            ["metrics", "--pred", path, "--ref", path],
+            ["simulate", "--scenario", path],
+            ["plot-data", "--input", path],
+        ]
+    return runs
+
+
+def output_numbers(text: str, command: str) -> list:
+    """Every number in a subcommand's output: the CSV cells of plot-data,
+    else every number in the JSON document."""
+    if command == "plot-data":
+        return [float(cell) for line in text.splitlines()[1:] for cell in line.split(",")]
+    numbers, stack = [], [json.loads(text)]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack += value.values()
+        elif isinstance(value, list):
+            stack += value
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            numbers.append(value)
+    return numbers
+
+
+class TestGoldenFiles:
+    @pytest.mark.parametrize("argv", golden_runs(),
+                             ids=lambda argv: " ".join(Path(a).name for a in argv))
+    def test_exit_0_with_finite_output_or_exit_1_with_one_error_line(self, tmp_path, capsys,
+                                                                     argv):
+        # warnings raise, so a RuntimeWarning would surface as an internal error
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            numbers = output_numbers(out.read_text(), argv[0])
+            assert numbers and all(map(math.isfinite, numbers))
+        else:
+            assert code == 1 and not out.exists()
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert err.startswith("error: ") and not err.startswith("error: internal error")
+
+    def test_the_sweep_reaches_both_exits(self, tmp_path, capsys):
+        # the overflowing golden values are refused by plot-data and detokenize --sparse
+        codes = {}
+        for argv in golden_runs():
+            if argv[0] in ("plot-data", "detokenize", "keyframes"):
+                out = str(tmp_path / "out")
+                codes.setdefault(argv[0], set()).add(cli_main([*argv, "--out", out]))
+        assert codes == {"keyframes": {0, 1}, "detokenize": {0, 1}, "plot-data": {1}}

@@ -599,3 +599,54 @@ class TestObjectWriter:
     def test_value_count_must_match_the_table(self):
         with pytest.raises(ValueError):
             fileio._object(fileio._PERTURBATION_FIELDS, (0.5,))
+
+
+class TestRefusedDocuments:
+    """A file whose fields are well typed but whose values a constructor
+    refuses: the SchemaError names the object and keeps the constructor's
+    message."""
+
+    def rewrite(self, path, edit):
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", "3", '"bundle"', "null"])
+    def test_top_level_value_must_be_an_object(self, tmp_path, text):
+        path = tmp_path / "top.json"
+        path.write_text(text)
+        with pytest.raises(tk.SchemaError) as info:
+            fileio.load_bundle(path)
+        assert str(info.value) == f"{path}: top-level value must be an object"
+
+    def token_file(self, tmp_path, edit):
+        path = tmp_path / "tokens.json"
+        fileio.save_token_file(TestTokenFile().make_sequence(), path)
+        return self.rewrite(path, edit)
+
+    def test_unknown_depth_mode(self, tmp_path):
+        path = self.token_file(tmp_path, lambda d: d["quantization"].update(depth_mode="log"))
+        with pytest.raises(tk.SchemaError) as info:
+            fileio.load_token_file(path)
+        assert str(info.value) == "quantization.depth_mode: unknown mode 'log'"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("u", -1.5, "anchor pixel (-1.5, 20.25) must be non-negative"),
+        ("d", 0, "anchor depth must be positive, got 0.0"),
+        ("source", "guess", "'guess' is not a valid DepthSource"),
+    ])
+    def test_refused_anchor(self, tmp_path, field, value, message):
+        path = self.token_file(tmp_path, lambda d: d["anchor"].update({field: value}))
+        with pytest.raises(tk.SchemaError) as info:
+            fileio.load_token_file(path)
+        assert info.value.path == "anchor" and str(info.value) == f"anchor: {message}"
+
+    def test_refused_scenario(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        fileio.save_scenario(line_scenario(), path)
+        self.rewrite(path, lambda d: d["initial_plan"].update(frame="camera"))
+        with pytest.raises(tk.SchemaError) as info:
+            fileio.load_scenario(path)
+        assert info.value.path == ""
+        assert str(info.value) == ": scenario plans must be in the world frame"

@@ -345,6 +345,26 @@ class TestFiniteDifferenceAccel:
         with pytest.raises(tk.InsufficientDataError):
             tk.finite_difference_accel(traj)
 
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError) as info:
+            tk.finite_difference_accel(line_trajectory(n=5), weights=[1, 1, 1, 1, 1, -0.5])
+        assert str(info.value) == "weights must be non-negative"
+
+    @pytest.mark.parametrize("x, weights, want", [
+        ([0.0, 1e300, 0.0], None, math.inf),  # both differences overflow, with opposite signs
+        ([0.0, 1e300, 1.7e308], None, math.nan),  # both overflow to +inf: inf - inf
+        ([0.0, 1e300, 0.0], [0, 1, 1, 1, 1, 1], math.nan),  # 0 * inf
+    ], ids=["inf", "inf-minus-inf", "zero-weight"])
+    def test_overflow_gives_a_non_finite_magnitude_without_warning(self, x, weights, want):
+        t = [0.0, 1e-10, 2e-10]
+        pos = np.stack([x, [0.0, 1.0, 3.0], np.zeros(3)], axis=1)
+        traj = tk.DenseTrajectory(t, pos, np.zeros((3, 3)), np.zeros(3, dtype=int),
+                                  tk.Frame.WORLD)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, mags = tk.finite_difference_accel(traj, weights)
+        assert np.array_equal(mags, [want], equal_nan=True)
+
 
 class TestValidation:
     def test_nonorthonormal_extrinsics_rejected(self):
@@ -362,6 +382,29 @@ class TestValidation:
         k = np.array([[100.0, 0, 50], [5.0, 100, 50], [0, 0, 1]])
         with pytest.raises(tk.InvalidCameraError):
             tk.CameraModel(k, np.eye(4), 100, 100)
+
+    def test_k22_must_be_one(self):
+        k = np.array([[100.0, 0, 50], [0, 100, 50], [0, 0, 2.0]])
+        with pytest.raises(tk.InvalidCameraError) as info:
+            tk.CameraModel(k, np.eye(4), 100, 100)
+        assert str(info.value) == "K[2][2] must be 1, got 2.0"
+
+    def test_extrinsics_bottom_row_must_be_0001(self):
+        ext = np.eye(4)
+        ext[3, 2] = 0.5
+        with pytest.raises(tk.InvalidCameraError) as info:
+            make_camera(extrinsics=ext)
+        assert str(info.value) == "extrinsics bottom row must be [0, 0, 0, 1]"
+
+    @pytest.mark.parametrize("entry", [1e300, -1e200, 1.0 + 2e-9])
+    def test_rotation_entry_beyond_one_rejected_without_overflow(self, entry):
+        ext = np.eye(4)
+        ext[0, 1] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tk.InvalidCameraError) as info:
+                make_camera(extrinsics=ext)
+        assert str(info.value) == "extrinsics rotation block is not orthonormal"
 
     def test_trajectory_needs_increasing_time(self):
         with pytest.raises(ValueError):

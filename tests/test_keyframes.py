@@ -1,12 +1,17 @@
 """Keyframe selection and sub-keyframe insertion."""
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trajkit as tk
+from trajkit import fileio
 from conftest import helix_trajectory, line_trajectory
+
+GOLDEN_BUNDLE = Path(__file__).resolve().parent / "data" / "golden_bundle.json"
 
 
 def brute_force_keyframes(times, comps, grippers, alpha, weights=None):
@@ -96,6 +101,22 @@ class TestGripperChanges:
 
 
 class TestSelectKeyframes:
+    @pytest.mark.parametrize("alpha, indices, peaks", [
+        (0.5, (0, 1, 3, 4, 5, 7, 8), {1}),  # one run of magnitudes above alpha
+        (1e300, (0, 1, 3, 4, 5, 6, 7, 8), {1, 6}),  # two runs of inf
+        (math.inf, (0, 1, 3, 4, 5, 7, 8), set()),
+    ])
+    def test_overflowed_magnitudes_on_the_golden_bundle(self, alpha, indices, peaks):
+        # its extreme values overflow accelerations to inf, which is above any finite
+        # alpha and not above alpha = inf; no RuntimeWarning on the way
+        traj, _ = fileio.load_bundle(GOLDEN_BUNDLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keys = tk.select_keyframes(traj, alpha)
+        assert keys.indices == indices
+        assert {i for i, r in zip(keys.indices, keys.reasons)
+                if tk.KeyframeReason.ACCEL_THRESHOLD in r} == peaks
+
     def test_constant_velocity_endpoints_only(self):
         traj = line_trajectory(n=60)
         keys = tk.select_keyframes(traj, alpha=0.1)
@@ -176,6 +197,30 @@ class TestSelectKeyframes:
         traj = tk.DenseTrajectory(traj.times, traj.positions, traj.eulers,
                                   (np.arange(101) >= 40).astype(int), tk.Frame.WORLD)
         assert tk.select_keyframes(traj, alpha).indices == (0, 40, 100)
+
+
+class TestKeyframeSetChecks:
+    END = frozenset({tk.KeyframeReason.FORCED_ENDPOINT})
+
+    @pytest.mark.parametrize("indices, reasons, message", [
+        ((0, 5), (END,), "indices and reasons must have equal length"),
+        ((0,), (END,), "a keyframe set needs at least the two endpoints"),
+        ((0, 5, 3), (END,) * 3, "keyframe indices must be strictly increasing"),
+        ((0, 5, 5), (END,) * 3, "keyframe indices must be strictly increasing"),
+        ((1, 5), (END,) * 2, "first keyframe must be sample 0"),
+        ((0, 5), (END, frozenset()), "every keyframe needs at least one reason"),
+    ], ids=["lengths", "one-index", "decreasing", "repeated", "not-from-0", "no-reason"])
+    def test_rejected(self, indices, reasons, message):
+        with pytest.raises(ValueError) as info:
+            tk.KeyframeSet(indices, reasons)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("last", [8, 10])
+    def test_key_set_must_end_at_the_last_sample(self, last):
+        keys = tk.KeyframeSet((0, last), (self.END,) * 2)
+        with pytest.raises(ValueError) as info:
+            tk.insert_sub_keyframes(line_trajectory(n=10), keys, 3)
+        assert str(info.value) == "keyframe set does not match trajectory length"
 
 
 class TestInsertSubKeyframes:

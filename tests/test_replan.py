@@ -388,6 +388,12 @@ class TestControllerStateBoundary:
     def state(self, **changes):
         return line_state(at_time=2.0, **changes)
 
+    @pytest.mark.parametrize("current_time", [-2e-9, -1e300])  # the domain starts at 0.0
+    def test_rejects_a_time_before_the_active_domain(self, current_time):
+        with pytest.raises(ValueError) as info:
+            self.state(current_time=current_time)
+        assert str(info.value) == "current_time precedes the active trajectory domain"
+
     def test_durations_are_stored_as_floats(self):
         state = self.state(replan_interval=np.float32(0.5), segment_duration=np.int64(2))
         assert type(state.replan_interval) is float and state.replan_interval == 0.5
@@ -605,6 +611,13 @@ class TestPendingPlanShapes:
     def test_rejects_columns_it_would_have_to_reshape(self, positions, grippers):
         with pytest.raises(ValueError, match="shape"):
             tk.PendingPlan(positions, np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), grippers)
+
+
+    def test_rejects_times_of_another_length(self):
+        with pytest.raises(ValueError) as info:
+            tk.PendingPlan(np.zeros((2, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), [0, 0],
+                           times=[0.0, 1.0, 2.0])
+        assert str(info.value) == "times length does not match waypoints"
 
 
 class TestPendingPlanFinite:

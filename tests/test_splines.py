@@ -48,6 +48,16 @@ class TestClamp:
 
 
 class TestFit:
+    def test_one_waypoint_rejected(self):
+        with pytest.raises(ValueError) as info:
+            splines.PositionSpline.fit([0.0], [[1.0, 2.0, 3.0]])
+        assert str(info.value) == "need at least two waypoints"
+
+    def test_one_knot_rejected(self):
+        with pytest.raises(ValueError) as info:
+            splines.PositionSpline([0.0], np.zeros((0, 4, 3)))
+        assert str(info.value) == "need at least two knots"
+
     def test_two_waypoints_linear(self):
         sparse = sparse_from_arrays([0.0, 2.0], np.array([[0, 0, 0], [1, 2, 3]]))
         traj = tk.fit(sparse)
@@ -282,6 +292,11 @@ class TestEndSlopeEstimates:
         # each used to return NaN or scalar slopes
         with pytest.raises(ValueError, match=match):
             splines.end_slope_estimates(times, positions)
+
+    def test_two_samples_rejected(self):
+        with pytest.raises(tk.InsufficientDataError) as info:
+            splines.end_slope_estimates([0.0, 1.0], np.eye(2, 3))
+        assert str(info.value) == "need >= 3 samples to estimate end slopes"
 
     def test_exact_on_a_parabola(self):
         t = np.array([0.0, 0.1, 0.3, 0.6, 1.0])

@@ -343,8 +343,9 @@ class TestDecode:
     def test_camera_mismatch_rejected(self, camera):
         spec = tk.QuantizationSpec(width=64, height=64)
         seq = token_sequence(spec, tk.Anchor(10, 10, 1.0), [(0, 0, 0, 0, (0, 0, 0))])
-        with pytest.raises(tk.SchemaError):
+        with pytest.raises(tk.SchemaError) as info:
             tk.decode_sequence(seq, camera)
+        assert str(info.value) == "spec.uv: quantization UV dimensions do not match the camera"
 
 
 class TestRoundTrip:
@@ -428,6 +429,23 @@ class TestAnchorDepthFromPrior:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("u, v, d, message", [
+        (-1, 5, 1.0, "anchor pixel (-1.0, 5.0) must be non-negative"),
+        (5, -0.5, 1.0, "anchor pixel (5.0, -0.5) must be non-negative"),
+        (5, 5, 0, "anchor depth must be positive, got 0.0"),
+        (5, 5, -2.5, "anchor depth must be positive, got -2.5"),
+    ])
+    def test_bad_anchors(self, u, v, d, message):
+        with pytest.raises(ValueError) as info:
+            tk.Anchor(u, v, d)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("width, height", [(0, 10), (10, 0), (-3, 10)])
+    def test_dimensions_below_one(self, width, height):
+        with pytest.raises(ValueError) as info:
+            tk.QuantizationSpec(width=width, height=height)
+        assert str(info.value) == "image dimensions must be positive"
+
     def test_bad_specs(self):
         with pytest.raises(ValueError):
             tk.QuantizationSpec(width=100, height=100, depth_bins=1)
