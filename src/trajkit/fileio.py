@@ -14,18 +14,17 @@ are atomic (temp file + rename): a failed save leaves no partial file.
 import json
 import math
 import os
-import secrets
 from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import InvalidCameraError, SchemaError
 from .geometry import CameraModel, DenseTrajectory, Frame, SampleError, _finite_real
 from .keyframes import SparseTrajectory
 from .metrics import MetricReport
 from .replan import ReplanEvent
-from .simulate import ExecutionLog, Perturbation, Scenario
+from .simulate import ExecutionLog, Perturbation, Scenario, _FieldError
 from .tokens import Anchor, DepthMode, QuantizationSpec, TokenSequence
 
 __all__ = [
@@ -112,11 +111,18 @@ def _write_text(text: str, path) -> None:
     """Write through a fresh temp file beside the target, then atomically
     replace the target; the temp file is removed if any step fails. Its
     mode is 0o666 less the umask, as ``open`` gives (not mkstemp's 0o600).
+    A symlink to a regular file keeps its link and has its target replaced;
+    any other target that exists but is not a regular file is refused.
     """
-    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    path = os.fspath(path)
+    if os.path.lexists(path) and not os.path.isfile(path):
+        raise OSError(f"{path} is not a regular file")
+    if os.path.islink(path):
+        path = os.path.realpath(path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x")  # O_CREAT | O_EXCL, so the file unlinked below is always ours
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -140,14 +146,11 @@ def _join(path: str, key) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _get(obj: dict, key: str, kind, path: str, optional: bool = False):
-    """``obj[key]`` checked as one value of ``kind`` (see the field tables
-    below); with ``optional``, None when the key is absent."""
+def _get(obj: dict, key: str, kind, path: str):
+    """``obj[key]`` checked as one value of ``kind`` (see the field tables below)."""
     if kind is _NAN and obj.get(key) is None:
         return math.nan
     if key not in obj:
-        if optional:
-            return None
         raise SchemaError(_join(path, key), "missing required field")
     value = obj[key]
     if kind is float or kind is _NAN:
@@ -323,7 +326,7 @@ def _camera_from_dict(obj, path: str) -> CameraModel:
     k, ext, width, height = _fields(obj, _CAMERA_FIELDS, path)
     try:
         return CameraModel(np.reshape(k, (3, 3)), np.reshape(ext, (4, 4)), width, height)
-    except Exception as exc:
+    except InvalidCameraError as exc:
         raise SchemaError(path, str(exc)) from exc
 
 
@@ -500,17 +503,13 @@ def load_scenario(path) -> Scenario:
         durations[key] = value = _get(data, key, float, "")
         if not value > 0:
             raise SchemaError(key, f"must be finite and positive, got {value}")
+    # an absent flag keeps Scenario's default
+    flags = {key: _get(data, key, bool, "") for key in ("replan_enabled", "delayed_planner")
+             if key in data}
     try:
-        return Scenario(
-            initial_plan=plan,
-            perturbations=perts,
-            **durations,
-            # an absent flag keeps its default
-            replan_enabled=_get(data, "replan_enabled", bool, "", optional=True) is not False,
-            delayed_planner=_get(data, "delayed_planner", bool, "", optional=True) is True,
-        )
-    except ValueError as exc:
-        raise SchemaError("", str(exc)) from exc
+        return Scenario(initial_plan=plan, perturbations=perts, **durations, **flags)
+    except _FieldError as exc:  # a plan frame or perturbation time that Scenario refuses
+        raise SchemaError(exc.field, str(exc)) from exc
 
 
 def save_execution_log(log: ExecutionLog, path) -> None:

@@ -51,6 +51,16 @@ class Perturbation:
         object.__setattr__(self, "offset", _as_array(self.offset, (3,), "perturbation offset"))
 
 
+class _FieldError(ValueError):
+    """A :class:`Scenario` rule broken by the value at ``field``, named by its
+    attribute path (``initial_plan.frame``, ``perturbations[2].time``), which
+    is also its JSON path in a scenario file."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """One closed-loop run: plan, drift schedule, replan cadence, duration."""
@@ -67,13 +77,14 @@ class Scenario:
         for name in ("control_rate", "replan_interval", "duration"):
             object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
         if self.initial_plan.frame is not Frame.WORLD:
-            raise ValueError("scenario plans must be in the world frame")
+            raise _FieldError("initial_plan.frame", "scenario plans must be in the world frame")
         perts = tuple(self.perturbations)
         for i, p in enumerate(perts):
             if not isinstance(p, Perturbation):
                 raise ValueError(f"perturbation {i} must be a Perturbation, got {type(p).__name__}")
             if not 0.0 <= p.time <= self.duration:
-                raise ValueError(f"perturbation time {p.time} outside [0, {self.duration}]")
+                raise _FieldError(f"perturbations[{i}].time",
+                                  f"perturbation time {p.time} outside [0, {self.duration}]")
         object.__setattr__(self, "perturbations", perts)
 
     @cached_property

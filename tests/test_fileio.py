@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -447,6 +448,60 @@ class TestAtomicWrites:
                                                                "private.json"]
 
 
+class TestWriteTargets:
+    """A target that exists must be a regular file or a symlink to one;
+    anything else is refused before a temp file is made."""
+
+    def refused(self, tmp_path, target):
+        with pytest.raises(OSError) as info:
+            fileio.save_bundle(line_trajectory(n=3), None, target)
+        assert str(info.value) == f"{target} is not a regular file"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_fifo_is_refused_and_kept(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        self.refused(tmp_path, fifo)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_directory_is_refused(self, tmp_path):
+        directory = tmp_path / "out.json"
+        directory.mkdir()
+        self.refused(tmp_path, directory)
+        assert directory.is_dir() and not any(directory.iterdir())
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory", "missing"])
+    def test_symlink_to_anything_else_is_refused(self, tmp_path, kind):
+        target, link = tmp_path / "target", tmp_path / "link.json"
+        {"fifo": os.mkfifo, "directory": os.mkdir, "missing": lambda path: None}[kind](target)
+        link.symlink_to(target)
+        self.refused(tmp_path, link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.exists() == (kind != "missing")
+
+    def test_symlink_to_a_regular_file_is_written_through(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        target, link = tmp_path / "data" / "out.json", tmp_path / "link.json"
+        target.write_text("old")
+        link.symlink_to("data/out.json")
+        fileio.save_bundle(line_trajectory(n=3), None, link)
+        assert link.is_symlink() and os.readlink(link) == "data/out.json"
+        loaded, written = fileio.load_bundle(target)[0], line_trajectory(n=3)
+        assert loaded.positions.tolist() == written.positions.tolist()
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.json", "out.json"]
+
+    def test_cli_prints_one_error_line(self, tmp_path, capsys):
+        bundle, fifo = tmp_path / "in.json", tmp_path / "fifo"
+        fileio.save_bundle(line_trajectory(n=5), None, bundle)
+        os.mkfifo(fifo)
+        code = cli.cli_main(["keyframes", "--input", str(bundle), "--alpha", "0.5",
+                             "--out", str(fifo)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {fifo} is not a regular file\n"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 def _controller_state():
     scenario = line_scenario()
     active = tk.fit(scenario.initial_plan)
@@ -648,5 +703,17 @@ class TestRefusedDocuments:
         self.rewrite(path, lambda d: d["initial_plan"].update(frame="camera"))
         with pytest.raises(tk.SchemaError) as info:
             fileio.load_scenario(path)
-        assert info.value.path == ""
-        assert str(info.value) == ": scenario plans must be in the world frame"
+        assert info.value.path == "initial_plan.frame"
+        assert str(info.value) == "initial_plan.frame: scenario plans must be in the world frame"
+
+    @pytest.mark.parametrize("time", [10.5, -0.25])
+    def test_refused_perturbation_time(self, tmp_path, time):
+        path = tmp_path / "scenario.json"
+        fileio.save_scenario(line_scenario([tk.Perturbation(1.0, [0.0, 0.0, 0.0]),
+                                            tk.Perturbation(3.0, [0.02, 0.0, 0.0])]), path)
+        self.rewrite(path, lambda d: d["perturbations"][1].update(time=time))
+        with pytest.raises(tk.SchemaError) as info:
+            fileio.load_scenario(path)
+        assert info.value.path == "perturbations[1].time"
+        assert str(info.value) == (f"perturbations[1].time: perturbation time {time} "
+                                   "outside [0, 10.0]")

@@ -6,8 +6,9 @@ Loader: the whole-column type check gives the same columns, or the same
 SchemaError, as the per-sample pass alone; the same holds for token
 blocks and the per-block pass. Golden files in ``tests/data/`` were
 written by the ``json.dumps`` writers (commit 7097109; the token file by
-the ``json.dumps`` token writer of commit 00a0cf5) from
-:func:`golden_objects`, and pin the format.
+the ``json.dumps`` token writer of commit 00a0cf5; the scenario by
+``save_scenario`` of commit 53a8785) from :func:`golden_objects`, and pin
+the format.
 """
 
 import json
@@ -463,17 +464,28 @@ def golden_objects() -> dict:
                               [0, 299, 150, 7], [0, 639, 1, 320], [0, 479, 478, 0], [0, 1, 1, 0],
                               [[0, 6, 3], [6, 0, 1], [2, 2, 5], [6, 6, 6]])
     meta = {"instruction": 'pick "the" [red] {cube}', "samples": [], "x": [-0.0, 1e22]}
+    # a half-second world plan that `trajkit simulate` runs, both flags off their defaults
+    plan = tk.SparseTrajectory([0.0, 0.1, 0.2, 1 / 3, 0.5],
+                               [[0.0, -0.0, 0.5], [0.1, 1e-7, 0.5], [0.2, 1 / 3, 0.25],
+                                [-0.0, 0.1, 1e-5], [0.125, -0.2, 0.0]],
+                               [[0.0, -0.0, 0.0], [0.1, 0.0, -1 / 3], [0.2, 1e-7, 0.0],
+                                [-0.0, 0.1, 0.5], [0.0, 0.0, -0.0]],
+                               [0, 1, 1, 0, 0], (True, False, True, False, True),
+                               tk.Frame.WORLD)
+    scenario = tk.Scenario(plan, (tk.Perturbation(0.25, [0.01, -0.0, 1e-7]),), 0.1, 50.0, 0.5,
+                           False, True)
     return {
         "golden_bundle.json": ("save_bundle", (dense, cam), meta),
         "golden_sparse.json": ("save_sparse_bundle", (sparse, cam), None),
         "golden_log.json": ("save_execution_log", (log,), None),
         "golden_tokens.json": ("save_token_file", (tokens,), None),
+        "golden_scenario.json": ("save_scenario", (scenario,), None),
     }
 
 
 LOADERS = {"save_bundle": fileio.load_bundle, "save_sparse_bundle": fileio.load_sparse_bundle,
            "save_execution_log": fileio.load_execution_log,
-           "save_token_file": fileio.load_token_file}
+           "save_token_file": fileio.load_token_file, "save_scenario": fileio.load_scenario}
 
 
 class TestGoldenFiles:
@@ -495,6 +507,13 @@ class TestGoldenFiles:
         if writer == "save_execution_log":
             got, want = loaded.commanded, args[0].commanded
             assert loaded.final_error == args[0].final_error
+        elif writer == "save_scenario":
+            got, want = loaded.initial_plan, args[0].initial_plan
+            for field in ("replan_interval", "control_rate", "duration", "replan_enabled",
+                          "delayed_planner"):
+                assert repr(getattr(loaded, field)) == repr(getattr(args[0], field)), field
+            assert [(p.time, p.offset.tobytes()) for p in loaded.perturbations] == [
+                (p.time, p.offset.tobytes()) for p in args[0].perturbations]
         else:
             (got, cam), want = loaded, args[0]
             assert cam.intrinsics.tobytes() == args[1].intrinsics.tobytes()

@@ -7,7 +7,9 @@ Python/NumPy, bit-equal to ``scipy.linalg.solve_banded`` and
 ``scipy.spatial.distance.cdist`` (the tests check both against SciPy). On
 a 2-vCPU x86_64 VM (Python 3.11, NumPy 2.4, SciPy 1.17) loading SciPy for
 those two calls took a cold ``import trajkit.cli`` from about 0.27 to
-0.71 s and from 27 to 67 MB of peak RSS.
+0.71 s and from 27 to 67 MB of peak RSS. Nor may ``import trajkit.cli``
+load ``secrets`` and the hashing modules it pulls in: the atomic writer
+names its temp files by ``os.urandom``.
 
 The public API is guarded too: every ``__all__`` name resolves, once, the
 replan helpers that ``controller_step`` replaced stay deleted, and so do the
@@ -30,15 +32,24 @@ import trajkit
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.mark.parametrize("module", ["trajkit", "trajkit.cli"])
-def test_import_loads_no_scipy(module):
-    code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+def fresh_output(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this checkout."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["trajkit", "trajkit.cli"])
+def test_import_loads_no_scipy(module):
+    assert fresh_output(f"import sys, {module}; "
+                        "print(sorted(m for m in sys.modules if m.startswith('scipy')))") == "[]"
+
+
+def test_cli_import_loads_no_hashing():
+    assert fresh_output("import sys, trajkit.cli; print(sorted("
+                        "{'secrets', 'hashlib', 'hmac', 'base64'} & set(sys.modules)))") == "[]"
 
 
 MODULES = [trajkit] + [importlib.import_module(f"trajkit.{info.name}")
