@@ -7,13 +7,15 @@ object in a file is read through one field table of (key, kind, width)
 by :func:`_fields` (each array of records by :func:`_records`) and
 written through the same table by :func:`_object` (arrays of records as
 :class:`_Rows` columns). A validation error names the JSON path of the
-first faulty field in table order (e.g. ``samples[3].gripper``). Writes
-are atomic (temp file + rename): a failed save leaves no partial file.
+first faulty field in table order (e.g. ``samples[3].gripper``), and a
+constructor's refusal the path of what it builds, through :func:`_build`.
+Writes are atomic (temp file + rename): a failed save leaves no partial file.
 """
 
 import json
 import math
 import os
+from enum import Enum
 from itertools import chain
 from operator import itemgetter
 
@@ -24,8 +26,8 @@ from .geometry import CameraModel, DenseTrajectory, Frame, SampleError, _finite_
 from .keyframes import SparseTrajectory
 from .metrics import MetricReport
 from .replan import ReplanEvent
-from .simulate import ExecutionLog, Perturbation, Scenario, _FieldError
-from .tokens import Anchor, DepthMode, QuantizationSpec, TokenSequence
+from .simulate import ExecutionLog, Perturbation, Scenario
+from .tokens import Anchor, DepthMode, DepthSource, QuantizationSpec, TokenSequence
 
 __all__ = [
     "load_bundle",
@@ -163,10 +165,18 @@ def _get(obj: dict, key: str, kind, path: str):
         if kind is _BIT and value not in (0, 1):
             raise SchemaError(_join(path, key), f"must be 0 or 1, got {value}")
         return value
-    if not isinstance(value, kind):
+    json_type = str if issubclass(kind, Enum) else kind
+    if not isinstance(value, json_type):
         raise SchemaError(_join(path, key),
-                          f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
+                          f"expected {json_type.__name__}, got {type(value).__name__}")
+    if json_type is kind:
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        *names, last = (repr(member.value) for member in kind)
+        raise SchemaError(_join(path, key),
+                          f"must be {', '.join(names)} or {last}, got {value!r}") from None
 
 
 def _float(value, path: str) -> float:
@@ -203,31 +213,24 @@ def _check_version(data: dict, path: str) -> None:
 # trajectories: one samples parser and writer for bundles, scenarios and logs
 
 
-def _frame(obj: dict, path: str) -> Frame:
-    value = _get(obj, "frame", str, path)
-    try:
-        return Frame(value)
-    except ValueError:
-        raise SchemaError(_join(path, "frame"), f"must be 'camera' or 'world', got {value!r}")
-
-
 _NUMBER = {int, float}  # JSON numbers; type(True) is bool, not int
 _BIT = "bit"  # an integer field that must be 0 or 1
 _NAN = "nan"  # a number field that reads as NaN when absent or null
 # (key, kind, width) of each field of a JSON object, in the order _fields
-# checks them; kind is float, int, _BIT, _NAN or the JSON type (str, bool or
-# dict) of one value, width 0 for one value and k for a list of k numbers
+# checks them; kind is float, int, _BIT, _NAN, an Enum (a str naming one of its
+# members' values, read as that member) or the JSON type (str, bool or dict) of
+# one value, width 0 for one value and k for a list of k numbers
 _SAMPLE_FIELDS = (("t", float, 0), ("pos", float, 3), ("euler_xyz", float, 3),
                   ("gripper", _BIT, 0))
 _TOKEN_FIELDS = (("r", int, 3), ("d", int, 0), ("u", int, 0), ("v", int, 0), ("g", _BIT, 0))
 _CAMERA_FIELDS = (("intrinsics", float, 9), ("extrinsics_c2w", float, 16), ("width", int, 0),
                   ("height", int, 0))
 _QUANTIZATION_FIELDS = (("depth", dict, 0), ("uv", dict, 0), ("angle", dict, 0),
-                        ("depth_mode", str, 0))
+                        ("depth_mode", DepthMode, 0))
 _DEPTH_FIELDS = (("min", float, 0), ("max", float, 0), ("bins", int, 0))
 _UV_FIELDS = (("width", int, 0), ("height", int, 0))
 _ANGLE_FIELDS = (("bins", int, 0),)
-_ANCHOR_FIELDS = (("u", float, 0), ("v", float, 0), ("d", float, 0), ("source", str, 0))
+_ANCHOR_FIELDS = (("u", float, 0), ("v", float, 0), ("d", float, 0), ("source", DepthSource, 0))
 _PERTURBATION_FIELDS = (("time", float, 0), ("offset", float, 3))
 _EVENT_FIELDS = (("time", float, 0), ("dropped_count", int, 0), ("gamma_at_kstar", _NAN, 0),
                  ("kstar", int, 0), ("kstar_dropped", bool, 0))
@@ -283,13 +286,26 @@ def _object(fields: tuple, values) -> dict:
             for (key, kind, width), value in zip(fields, values, strict=True)}
 
 
+def _build(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, the object at JSON path ``where``. A refusal
+    it raises (a ``ValueError`` or an :class:`InvalidCameraError`) becomes the
+    SchemaError at ``where[index].field`` with the same message, ``index``
+    and ``field`` being a :class:`SampleError`'s, each left out when None."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, InvalidCameraError) as exc:
+        index, field = (exc.index, exc.field) if isinstance(exc, SampleError) else (None, None)
+        at = where if index is None else f"{where}[{index}]"
+        raise SchemaError(at if field is None else _join(at, field), str(exc)) from exc
+
+
 def _records(obj: dict, key: str, fields: tuple, path: str, build):
-    """``build(*columns)`` of the records ``obj[key]``, ``obj`` being at ``path``.
+    """``build(*columns)`` of the records ``obj[key]``, ``obj`` being at ``path``,
+    through :func:`_build` at ``<path>.<key>``.
 
     The columns of ``fields`` are taken whole by :func:`_typed_columns` when
     every record is well formed, else record by record by :func:`_fields`,
-    which names the first faulty field. A :class:`SampleError` from ``build``
-    becomes the SchemaError at ``<key>[i].<field>``.
+    which names the first faulty field.
     """
     where = _join(path, key)
     records = _get(obj, key, list, path)
@@ -297,11 +313,7 @@ def _records(obj: dict, key: str, fields: tuple, path: str, build):
     if columns is None:
         rows = [_fields(record, fields, f"{where}[{i}]") for i, record in enumerate(records)]
         columns = tuple(zip(*rows)) if rows else ((),) * len(fields)
-    try:
-        return build(*columns)
-    except SampleError as exc:
-        at = where if exc.index is None else f"{where}[{exc.index}]"
-        raise SchemaError(at if exc.field is None else f"{at}.{exc.field}", str(exc)) from exc
+    return _build(where, build, *columns)
 
 
 def _parse_trajectory(obj: dict, path: str, frame: Frame, sparse: bool):
@@ -324,10 +336,7 @@ def _parse_trajectory(obj: dict, path: str, frame: Frame, sparse: bool):
 
 def _camera_from_dict(obj, path: str) -> CameraModel:
     k, ext, width, height = _fields(obj, _CAMERA_FIELDS, path)
-    try:
-        return CameraModel(np.reshape(k, (3, 3)), np.reshape(ext, (4, 4)), width, height)
-    except InvalidCameraError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    return _build(path, CameraModel, np.reshape(k, (3, 3)), np.reshape(ext, (4, 4)), width, height)
 
 
 def _float_literal(value):
@@ -375,7 +384,7 @@ def _bundle_payload(traj, cam, meta, keyframe_flags=None) -> dict:
 
 def _parse_bundle(data: dict, sparse: bool) -> tuple:
     _check_version(data, "")
-    frame = _frame(data, "")
+    frame = _get(data, "frame", Frame, "")
     units = _get(data, "units", dict, "")
     for key, expected in _UNITS.items():
         if units.get(key) != expected:
@@ -415,13 +424,13 @@ def save_token_file(tokens: TokenSequence, path) -> None:
     spec, anchor = tokens.spec, tokens.anchor
     bins = (_object(_DEPTH_FIELDS, (spec.depth_min, spec.depth_max, spec.depth_bins)),
             _object(_UV_FIELDS, (spec.width, spec.height)),
-            _object(_ANGLE_FIELDS, (spec.angle_bins,)), spec.depth_mode.value)
+            _object(_ANGLE_FIELDS, (spec.angle_bins,)), spec.depth_mode)
     payload = {
         "version": FORMAT_VERSION,
         "quantization": {**_object(_QUANTIZATION_FIELDS, bins),
                          "depth_delta_max": spec.depth_delta_max},
         "anchor": _object(_ANCHOR_FIELDS, (anchor.u, anchor.v, anchor.d,
-                                           anchor.depth_source.value)),
+                                           anchor.depth_source)),
         "blocks": _Rows({"d": tokens.d, "u": tokens.u, "v": tokens.v, "g": tokens.g,
                          "r": tokens.r}),
     }
@@ -429,41 +438,26 @@ def save_token_file(tokens: TokenSequence, path) -> None:
 
 
 def parse_quantization(obj, path: str = "quantization") -> QuantizationSpec:
-    depth, uv, angle, mode_str = _fields(obj, _QUANTIZATION_FIELDS, path)
-    try:
-        mode = DepthMode(mode_str)
-    except ValueError:
-        raise SchemaError(f"{path}.depth_mode", f"unknown mode {mode_str!r}")
+    depth, uv, angle, mode = _fields(obj, _QUANTIZATION_FIELDS, path)
     delta = obj.get("depth_delta_max")
     if delta is not None:  # null, or a number
         delta = _get(obj, "depth_delta_max", float, path)
     width, height = _fields(uv, _UV_FIELDS, f"{path}.uv")
     depth_min, depth_max, depth_bins = _fields(depth, _DEPTH_FIELDS, f"{path}.depth")
     (angle_bins,) = _fields(angle, _ANGLE_FIELDS, f"{path}.angle")
-    try:
-        return QuantizationSpec(width, height, depth_min, depth_max, depth_bins, angle_bins,
-                                mode, delta)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    return _build(path, QuantizationSpec, width, height, depth_min, depth_max, depth_bins,
+                  angle_bins, mode, delta)
 
 
 def load_token_file(path) -> TokenSequence:
     data = _read_json(path)
     _check_version(data, "")
     spec = parse_quantization(_get(data, "quantization", dict, ""))
-    try:  # a field fault is a SchemaError, not the ValueError of a refused anchor
-        anchor = Anchor(*_fields(_get(data, "anchor", dict, ""), _ANCHOR_FIELDS, "anchor"))
-    except ValueError as exc:
-        raise SchemaError("anchor", str(exc)) from exc
-    try:
-        spec.depth_grid(anchor)
-    except ValueError as exc:
-        raise SchemaError("quantization", str(exc)) from exc
-    try:
-        return _records(data, "blocks", _TOKEN_FIELDS, "",
-                        lambda r, d, u, v, g: TokenSequence(spec, anchor, d, u, v, g, r))
-    except ValueError as exc:  # the anchor lies outside the image
-        raise SchemaError("blocks", str(exc)) from exc
+    anchor = _build("anchor", Anchor,
+                    *_fields(_get(data, "anchor", dict, ""), _ANCHOR_FIELDS, "anchor"))
+    _build("quantization", spec.depth_grid, anchor)
+    return _records(data, "blocks", _TOKEN_FIELDS, "",
+                    lambda r, d, u, v, g: TokenSequence(spec, anchor, d, u, v, g, r))
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +488,8 @@ def load_scenario(path) -> Scenario:
     data = _read_json(path)
     _check_version(data, "")
     plan_obj = _get(data, "initial_plan", dict, "")
-    plan = _parse_trajectory(plan_obj, "initial_plan", _frame(plan_obj, "initial_plan"),
-                             sparse=True)
+    plan = _parse_trajectory(plan_obj, "initial_plan", _get(plan_obj, "frame", Frame,
+                                                            "initial_plan"), sparse=True)
     perts = _records(data, "perturbations", _PERTURBATION_FIELDS, "",
                      lambda times, offsets: list(map(Perturbation, times, offsets)))
     durations = {}
@@ -506,10 +500,7 @@ def load_scenario(path) -> Scenario:
     # an absent flag keeps Scenario's default
     flags = {key: _get(data, key, bool, "") for key in ("replan_enabled", "delayed_planner")
              if key in data}
-    try:
-        return Scenario(initial_plan=plan, perturbations=perts, **durations, **flags)
-    except _FieldError as exc:  # a plan frame or perturbation time that Scenario refuses
-        raise SchemaError(exc.field, str(exc)) from exc
+    return _build("", Scenario, initial_plan=plan, perturbations=perts, **durations, **flags)
 
 
 def save_execution_log(log: ExecutionLog, path) -> None:
@@ -531,7 +522,8 @@ def load_execution_log(path) -> ExecutionLog:
     data = _read_json(path)
     _check_version(data, "")
     cmd = _get(data, "commanded", dict, "")
-    commanded = _parse_trajectory(cmd, "commanded", _frame(cmd, "commanded"), sparse=False)
+    commanded = _parse_trajectory(cmd, "commanded", _get(cmd, "frame", Frame, "commanded"),
+                                  sparse=False)
     events = _records(data, "replan_events", _EVENT_FIELDS, "",
                       lambda *columns: tuple(map(ReplanEvent, *columns)))
     return ExecutionLog(commanded, events, _get(data, "final_error", float, ""))

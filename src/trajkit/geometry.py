@@ -17,7 +17,7 @@ Conventions:
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -116,6 +116,13 @@ def _finite_real(value) -> bool:
         return False
 
 
+def _span_overflows(lo, hi) -> bool:
+    """Whether a distance between two points of the box [lo, hi] (two lists
+    of floats) can overflow: the box's squared diagonal, summed in Python
+    floats, which overflow to inf without a warning, is not finite."""
+    return not math.isfinite(sum((h - x) * (h - x) for h, x in zip(hi, lo)))
+
+
 def _real(name: str, value) -> float:
     """``float(value)`` of a finite real, else a ``ValueError`` naming ``name``."""
     if not _finite_real(value):
@@ -183,7 +190,11 @@ def unit_quaternions(rows) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CameraModel:
-    """Pinhole camera: intrinsics K (pixels) and rigid camera-to-world extrinsics."""
+    """Pinhole camera: intrinsics K (pixels) and rigid camera-to-world extrinsics.
+
+    ``intrinsics_inv`` is K^-1, computed once and read-only; a K whose
+    inverse is not finite is refused.
+    """
 
     intrinsics: np.ndarray
     extrinsics_c2w: np.ndarray
@@ -213,16 +224,15 @@ class CameraModel:
         height = _integral("height", self.height, InvalidCameraError)
         if not (width > 0 and height > 0):
             raise InvalidCameraError("image dimensions must be positive")
+        k_inv = np.linalg.inv(k)  # finite K: inv overflows to inf or nan without a warning
+        if not np.isfinite(k_inv).all():
+            raise InvalidCameraError("K is too close to singular: its inverse is not finite")
+        k_inv.flags.writeable = False
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "extrinsics_c2w", ext)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
-
-    @cached_property
-    def intrinsics_inv(self) -> np.ndarray:
-        inv = np.linalg.inv(self.intrinsics)
-        inv.flags.writeable = False
-        return inv
+        object.__setattr__(self, "intrinsics_inv", k_inv)
 
     @classmethod
     def simple(cls, fx: float, fy: float, cx: float, cy: float,
@@ -235,11 +245,14 @@ class CameraModel:
 
 
 class SampleError(ValueError):
-    """A column of a trajectory or token sequence is invalid at row ``index``.
+    """A value that builds an object is invalid: a column of a trajectory or
+    token sequence at row ``index``, or a field of a scenario.
 
-    ``index`` is None when the columns as a whole are wrong (shapes, row
-    count); ``field`` names the per-row field at fault as its file key
-    ("t", "gripper", "d", "r[2]", ...), or is None for a non-finite sample.
+    ``index`` is None when no row is at fault (column shapes, row count, a
+    scenario field); ``field`` is the path of the value at fault relative to
+    the row, or to the object when ``index`` is None, as it reads in a file
+    ("t", "r[2]", "initial_plan.frame", "perturbations[2].time", ...), or
+    None for a whole row or a whole column set.
     """
 
     def __init__(self, message: str, index: int | None = None, field: str | None = None):
@@ -335,8 +348,9 @@ def _apply(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def back_project(u, v, d, cam: CameraModel) -> np.ndarray:
     """Lift pixels (u, v) at depths d (meters), three (n,) columns of one
     length, to (n, 3) camera-frame rows ``d * K^-1 @ [u, v, 1]``. z equals
-    d for any valid upper-triangular K; a column that is not finite, and
-    the first depth <= 0, raise ``ValueError``.
+    d for any valid upper-triangular K; a column that is not finite, the
+    first depth <= 0 and the first row beyond the float range raise
+    ``ValueError``.
     """
     u = _as_array(u, (None,), "u")
     n = len(u)
@@ -345,7 +359,13 @@ def back_project(u, v, d, cam: CameraModel) -> np.ndarray:
     bad = d[d <= 0]
     if bad.size:
         raise ValueError(f"depth must be positive, got {bad[0]}")
-    return d[:, None] * _apply(cam.intrinsics_inv, rows)
+    # a product beyond the float range is inf (or nan), refused below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = d[:, None] * _apply(cam.intrinsics_inv, rows)
+    i = _first(~np.isfinite(p).all(axis=1))
+    if i is not None:
+        raise ValueError(f"the camera-frame position of waypoint {i} is beyond the float range")
+    return p
 
 
 def project(p_cam, cam: CameraModel) -> tuple:

@@ -7,12 +7,11 @@ coverage, collected into a single ten-metric report. Polylines are
 must share a dimension.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _as_array, _check_positive
+from .geometry import _as_array, _check_positive, _span_overflows
 
 __all__ = [
     "MetricReport",
@@ -59,10 +58,8 @@ def _pair(a, b) -> tuple:
     pb = _as_polyline(b, "b")
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}")
-    lo = np.minimum(pa.min(axis=0), pb.min(axis=0)).tolist()
-    hi = np.maximum(pa.max(axis=0), pb.max(axis=0)).tolist()
-    # Python floats overflow to inf without a warning
-    if not math.isfinite(sum((h - x) * (h - x) for h, x in zip(hi, lo))):
+    if _span_overflows(np.minimum(pa.min(axis=0), pb.min(axis=0)).tolist(),
+                       np.maximum(pa.max(axis=0), pb.max(axis=0)).tolist()):
         raise ValueError("a and b span too wide a range: the distances between "
                          "their points overflow")
     return pa, pb

@@ -15,9 +15,11 @@ from .errors import InsufficientDataError
 from .geometry import (
     DenseTrajectory,
     Frame,
+    SampleError,
     _as_array,
     _check_positive,
     _real,
+    _span_overflows,
     quaternions_to_eulers,
 )
 from .keyframes import SparseTrajectory
@@ -51,16 +53,6 @@ class Perturbation:
         object.__setattr__(self, "offset", _as_array(self.offset, (3,), "perturbation offset"))
 
 
-class _FieldError(ValueError):
-    """A :class:`Scenario` rule broken by the value at ``field``, named by its
-    attribute path (``initial_plan.frame``, ``perturbations[2].time``), which
-    is also its JSON path in a scenario file."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(message)
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """One closed-loop run: plan, drift schedule, replan cadence, duration."""
@@ -77,14 +69,15 @@ class Scenario:
         for name in ("control_rate", "replan_interval", "duration"):
             object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
         if self.initial_plan.frame is not Frame.WORLD:
-            raise _FieldError("initial_plan.frame", "scenario plans must be in the world frame")
+            raise SampleError("scenario plans must be in the world frame",
+                              field="initial_plan.frame")
         perts = tuple(self.perturbations)
         for i, p in enumerate(perts):
             if not isinstance(p, Perturbation):
                 raise ValueError(f"perturbation {i} must be a Perturbation, got {type(p).__name__}")
             if not 0.0 <= p.time <= self.duration:
-                raise _FieldError(f"perturbations[{i}].time",
-                                  f"perturbation time {p.time} outside [0, {self.duration}]")
+                raise SampleError(f"perturbation time {p.time} outside [0, {self.duration}]",
+                                  field=f"perturbations[{i}].time")
         object.__setattr__(self, "perturbations", perts)
 
     @cached_property
@@ -124,6 +117,28 @@ def oracle_planner(scenario: Scenario, t: float) -> PendingPlan:
                                 plan.times[start:])
 
 
+def _check_span(scenario: Scenario) -> None:
+    """Raise ``ValueError`` naming the first plan position, else the first
+    perturbation offset, that widens the box of the targets so far until a
+    distance in it overflows (see :func:`_span_overflows`). Every target is a
+    plan position plus a sum of offsets, so it lies in the plan's box
+    widened by every offset's negative and positive parts."""
+    positions = scenario.initial_plan.positions
+    lo, hi = positions.min(axis=0).tolist(), positions.max(axis=0).tolist()
+    if _span_overflows(lo, hi):
+        i = next(i for i in range(len(positions)) if _span_overflows(
+            positions[:i + 1].min(axis=0).tolist(), positions[:i + 1].max(axis=0).tolist()))
+        raise ValueError(f"scenario plan position {i} is too far from the positions before "
+                         "it: the distances between them overflow")
+    for i, p in enumerate(scenario.perturbations):
+        offset = p.offset.tolist()
+        lo = [x + min(o, 0.0) for x, o in zip(lo, offset)]
+        hi = [x + max(o, 0.0) for x, o in zip(hi, offset)]
+        if _span_overflows(lo, hi):
+            raise ValueError(f"scenario perturbation offset {i} moves the plan too far: the "
+                             "distances between its shifted positions overflow")
+
+
 def run(scenario: Scenario) -> ExecutionLog:
     """Execute the scenario and log commanded samples plus replan events.
 
@@ -136,7 +151,11 @@ def run(scenario: Scenario) -> ExecutionLog:
     controller_step commands a whole block of ticks, from one request to
     the next. The commanded wxyz rows become Euler angles in one
     conversion of the whole run.
+
+    A plan and offsets whose targets lie too far apart for a distance
+    between them raise ``ValueError`` first (see :func:`_check_span`).
     """
+    _check_span(scenario)
     active = fit(scenario.initial_plan)
     t0, t_end = active.domain
     dt = 1.0 / scenario.control_rate

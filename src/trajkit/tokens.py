@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DepthRangeError, OutOfFrameError, SchemaError
+from .errors import DepthRangeError, OutOfFrameError
 from .geometry import (CameraModel, Frame, SampleError, _cast, _check_positive, _check_reals,
                        _clamp, _first, _integral, _real, back_project, normalize_angles, project)
 from .keyframes import SparseTrajectory
@@ -218,6 +218,12 @@ def dequantize(index, lo: float, hi: float, bins: int):
     return lo + (i + 0.5) * (hi - lo) / bins
 
 
+def _check_uv(spec: QuantizationSpec, cam: CameraModel) -> None:
+    """Raise ``ValueError`` unless the spec's UV grid is the camera's image size."""
+    if (spec.width, spec.height) != (cam.width, cam.height):
+        raise ValueError("quantization UV dimensions do not match the camera")
+
+
 def encode_sequence(sparse: SparseTrajectory, anchor: Anchor, cam: CameraModel,
                     spec: QuantizationSpec) -> TokenSequence:
     """Tokenize a camera-frame sparse trajectory against an anchor.
@@ -231,8 +237,7 @@ def encode_sequence(sparse: SparseTrajectory, anchor: Anchor, cam: CameraModel,
     """
     if sparse.frame is not Frame.CAMERA:
         raise ValueError("encode_sequence expects a camera-frame trajectory")
-    if (spec.width, spec.height) != (cam.width, cam.height):
-        raise SchemaError("spec.uv", "quantization UV dimensions do not match the camera")
+    _check_uv(spec, cam)
     behind = _first(sparse.positions[:, 2] <= 0)
     u, v, d = project(sparse.positions[:behind], cam)  # the rows before the first behind
     u_tok, v_tok = np.floor(u + 0.5), np.floor(v + 0.5)
@@ -262,8 +267,7 @@ def decode_sequence(tokens: TokenSequence, cam: CameraModel) -> SparseTrajectory
     downstream by the detokenizer.
     """
     spec = tokens.spec
-    if (spec.width, spec.height) != (cam.width, cam.height):
-        raise SchemaError("spec.uv", "quantization UV dimensions do not match the camera")
+    _check_uv(spec, cam)
     offset, lo, hi = spec.depth_grid(tokens.anchor)
     depth = offset + dequantize(tokens.d, lo, hi, spec.depth_bins)
     positions = back_project(tokens.u, tokens.v, depth, cam)

@@ -654,6 +654,55 @@ def output_numbers(text: str, command: str) -> list:
     return numbers
 
 
+class TestExtremeFiniteInputs:
+    """A golden file with one number set to a finite extreme, run with warnings
+    raised as errors: exit 1 with one stderr line that names the refusal."""
+
+    def run(self, tmp_path, capsys, argv) -> str:
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main([*argv, "--out", str(out)])
+        assert code == 1 and not out.exists()
+        return capsys.readouterr().err
+
+    def golden_with(self, tmp_path, name, where, value) -> str:
+        """The golden file ``name`` with the number at key path ``where`` set to ``value``."""
+        data = json.loads((DATA / name).read_text())
+        node = data
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_intrinsics_without_a_finite_inverse(self, tmp_path, capsys):
+        # the skew over the golden camera's fy of 1e-7 makes K^-1 overflow
+        cam = self.golden_with(tmp_path, "golden_bundle.json", ("camera", "intrinsics", 1),
+                               1.7976931348623157e308)
+        err = self.run(tmp_path, capsys, ["detokenize", "--input",
+                                          str(DATA / "golden_tokens.json"), "--camera-from",
+                                          cam, "--rate", "10"])
+        assert err == "error: camera: K is too close to singular: its inverse is not finite\n"
+
+    def test_back_projection_beyond_the_float_range(self, tmp_path, capsys):
+        # cx = 1e300 over fx = 321.4 at the golden anchor depth of 1e22
+        cam = self.golden_with(tmp_path, "golden_bundle.json", ("camera", "intrinsics", 2), 1e300)
+        err = self.run(tmp_path, capsys, ["detokenize", "--input",
+                                          str(DATA / "golden_tokens.json"), "--camera-from",
+                                          cam, "--rate", "10"])
+        assert err == ("error: the camera-frame position of waypoint 0 is beyond the float "
+                       "range\n")
+
+    def test_scenario_plan_beyond_a_finite_distance(self, tmp_path, capsys):
+        scenario = self.golden_with(tmp_path, "golden_scenario.json",
+                                    ("initial_plan", "samples", 2, "pos", 0), 1e300)
+        err = self.run(tmp_path, capsys, ["simulate", "--scenario", scenario])
+        assert err == ("error: scenario plan position 2 is too far from the positions before "
+                       "it: the distances between them overflow\n")
+
+
 class TestGoldenFiles:
     @pytest.mark.parametrize("argv", golden_runs(),
                              ids=lambda argv: " ".join(Path(a).name for a in argv))

@@ -614,6 +614,9 @@ KINDS = {
     str: st.text(),
     bool: st.booleans(),
     dict: st.dictionaries(st.text(), st.integers() | st.text(), max_size=3),
+    # an enum kind reads a member's value as that member
+    tk.DepthMode: st.sampled_from(tk.DepthMode),
+    tk.DepthSource: st.sampled_from(tk.DepthSource),
 }
 
 
@@ -684,18 +687,22 @@ class TestRefusedDocuments:
         path = self.token_file(tmp_path, lambda d: d["quantization"].update(depth_mode="log"))
         with pytest.raises(tk.SchemaError) as info:
             fileio.load_token_file(path)
-        assert str(info.value) == "quantization.depth_mode: unknown mode 'log'"
+        assert str(info.value) == ("quantization.depth_mode: must be 'absolute' or "
+                                   "'anchor_relative', got 'log'")
 
     @pytest.mark.parametrize("field, value, message", [
         ("u", -1.5, "anchor pixel (-1.5, 20.25) must be non-negative"),
         ("d", 0, "anchor depth must be positive, got 0.0"),
-        ("source", "guess", "'guess' is not a valid DepthSource"),
+        ("source", "guess", "must be 'sensor', 'monocular_estimator' or 'prior_scale', "
+                            "got 'guess'"),
     ])
     def test_refused_anchor(self, tmp_path, field, value, message):
         path = self.token_file(tmp_path, lambda d: d["anchor"].update({field: value}))
         with pytest.raises(tk.SchemaError) as info:
             fileio.load_token_file(path)
-        assert info.value.path == "anchor" and str(info.value) == f"anchor: {message}"
+        # the field table refuses an unknown source at its own path, Anchor the rest
+        where = "anchor.source" if field == "source" else "anchor"
+        assert info.value.path == where and str(info.value) == f"{where}: {message}"
 
     def test_refused_scenario(self, tmp_path):
         path = tmp_path / "scenario.json"

@@ -59,6 +59,27 @@ class TestBackProject:
         with pytest.raises(tk.InvalidCameraError):
             tk.CameraModel(k, np.eye(4), 100, 100)
 
+    @pytest.mark.parametrize("k", [
+        [[321.4, 1.7976931348623157e308, 0.0], [0.0, 1e-7, 0.0], [0.0, 0.0, 1.0]],
+        [[5e-324, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ], ids=["huge-skew", "subnormal-fx"])
+    def test_intrinsics_whose_inverse_is_not_finite_rejected(self, k):
+        with pytest.raises(tk.InvalidCameraError) as info:
+            tk.CameraModel(k, np.eye(4), 100, 100)
+        assert str(info.value) == "K is too close to singular: its inverse is not finite"
+
+    def test_product_beyond_the_float_range_names_the_first_waypoint(self):
+        # K^-1 is finite, but (u - cx) / fx times a depth of 1e16 overflows
+        cam = tk.CameraModel([[321.4, 0.0, 1e300], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                             np.eye(4), 640, 480)
+        assert np.isfinite(tk.back_project([0.0], [0.0], [1.0], cam)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                tk.back_project([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1e16, 1e16], cam)
+        assert str(info.value) == ("the camera-frame position of waypoint 1 is beyond the "
+                                   "float range")
+
 
 class TestProject:
     def test_identity(self):

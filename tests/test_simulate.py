@@ -359,6 +359,34 @@ class TestRun:
             tk.Scenario(plan, (), 0.5, 100.0, 2.0)
 
 
+class TestSpanRefusal:
+    """run refuses a plan, or offsets, whose targets lie too far apart for a
+    distance between them, before it commands anything."""
+
+    @pytest.mark.parametrize("where", [1, 5])
+    def test_far_plan_position_is_named(self, where):
+        scenario = line_scenario()
+        positions = scenario.initial_plan.positions.copy()
+        positions[where, 1] = 1e300
+        plan = sparse_from_arrays(scenario.initial_plan.times, positions)
+        with pytest.raises(ValueError) as info:
+            tk.run(tk.Scenario(plan, (), 0.5, 100.0, 10.0))
+        assert str(info.value) == (f"scenario plan position {where} is too far from the "
+                                   "positions before it: the distances between them overflow")
+
+    def test_far_offset_is_named(self):
+        # the plan's box widened by the first offset fits; by the first two it does not
+        drifts = [tk.Perturbation(t, [0.0, 0.0, 1e154]) for t in (1.0, 2.0, 3.0)]
+        with pytest.raises(ValueError) as info:
+            tk.run(line_scenario(drifts))
+        assert str(info.value) == ("scenario perturbation offset 1 moves the plan too far: the "
+                                   "distances between its shifted positions overflow")
+
+    def test_an_extent_just_inside_the_bound_runs(self):
+        log = tk.run(line_scenario([tk.Perturbation(1.0, [0.0, 1e150, 0.0])], duration=2.0))
+        assert np.isfinite(log.final_error)
+
+
 def reference_scenario():
     """The 1 kHz reference run: 10 s at 1 kHz with 10 ms replans and one drift at 3 s."""
     return line_scenario(perturbations=[tk.Perturbation(3.0, [0.02, 0, 0])],

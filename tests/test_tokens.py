@@ -343,9 +343,9 @@ class TestDecode:
     def test_camera_mismatch_rejected(self, camera):
         spec = tk.QuantizationSpec(width=64, height=64)
         seq = token_sequence(spec, tk.Anchor(10, 10, 1.0), [(0, 0, 0, 0, (0, 0, 0))])
-        with pytest.raises(tk.SchemaError) as info:
+        with pytest.raises(ValueError) as info:
             tk.decode_sequence(seq, camera)
-        assert str(info.value) == "spec.uv: quantization UV dimensions do not match the camera"
+        assert str(info.value) == "quantization UV dimensions do not match the camera"
 
 
 class TestRoundTrip:
