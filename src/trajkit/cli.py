@@ -8,6 +8,7 @@ traceback), 2 usage error.
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import replace
@@ -141,6 +142,9 @@ def _cmd_detokenize(args) -> int:
     if args.input is not None:
         cam = _camera(args)
         tokens = fileio.load_token_file(args.input)
+        if not (len(tokens) - 1) * args.segment_duration < math.inf:  # Python floats: no warning
+            raise ValueError(f"--segment-duration {args.segment_duration} over {len(tokens) - 1} "
+                             "waypoint intervals gives times beyond the float range")
         sparse = _retime(decode_sequence(tokens, cam), args.segment_duration)
         sparse = _to_world(sparse, cam)
     else:

@@ -47,26 +47,37 @@ class Frame(str, Enum):
     WORLD = "world"
 
 
-def _check_reals(value, name: str, error=ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` holds real numbers
-    only: an ndarray of int, uint or float dtype, or lists and tuples, to
-    any depth, of such arrays, ints, floats and NumPy numbers. A bool or a
-    string, which a float cast reads as a number, is not one."""
+# per intake dtype: the ndarray kinds and scalar types it takes (a bool is no
+# int or float here), and what its refusal says the array must hold
+_KINDS = {
+    float: ("iuf", (int, np.integer, float, np.floating), "real numbers, not bools or strings"),
+    int: ("iu", (int, np.integer), "integers, not fractions, bools or strings"),
+    bool: ("b", (bool, np.bool_), "bools, not numbers or strings"),
+}
+
+
+def _check_reals(value, name: str, error=ValueError, dtype=float) -> None:
+    """Raise ``error`` naming ``name`` unless ``value``, an ndarray, a number
+    or lists and tuples of them to any depth, holds the kind of ``dtype``
+    only (see ``_KINDS``), and for int only values in the int64 range, which
+    a cast would otherwise wrap or refuse without a name."""
     if isinstance(value, (list, tuple)):
         for item in value:
-            _check_reals(item, name, error)
-    elif not (value.dtype.kind in "iuf" if isinstance(value, np.ndarray) else
-              isinstance(value, (int, np.integer, float, np.floating)) and not isinstance(value, bool)):
-        raise error(f"{name} must hold real numbers, not bools or strings")
+            _check_reals(item, name, error, dtype)
+        return
+    kinds, scalars, noun = _KINDS[dtype]
+    if not (value.dtype.kind in kinds if isinstance(value, np.ndarray) else
+            isinstance(value, scalars) and (dtype is bool or not isinstance(value, bool))):
+        raise error(f"{name} must hold {noun}")
+    if dtype is int and (value.dtype == np.uint64 and value.size and value.max() >= 2**63
+                         if isinstance(value, np.ndarray) else not -2**63 <= int(value) < 2**63):
+        raise error(f"{name} is beyond the int64 range")
 
 
 def _cast(value, name: str, error=ValueError, dtype=float) -> np.ndarray:
-    """``np.array(value, dtype)`` of a value that :func:`_check_reals` passed
-    (or of any value, when ``dtype`` is None). A ragged nested list and an
-    int beyond the float range, for which NumPy's own ``ValueError`` and
-    ``OverflowError`` name no field, raise ``error``: ``<name> must be a
-    rectangular array, got a ragged list`` and ``<name> is beyond the float
-    range``, as :func:`_integral` words the latter."""
+    """``np.array(value, dtype)``; a ragged list raises ``error`` with ``<name>
+    must be a rectangular array, got a ragged list`` and an int beyond the
+    float range with ``<name> is beyond the float range``, not NumPy's own."""
     try:
         return np.array(value, dtype=dtype)
     except ValueError:  # "setting an array element with a sequence"
@@ -75,25 +86,23 @@ def _cast(value, name: str, error=ValueError, dtype=float) -> np.ndarray:
         raise error(f"{name} is beyond the float range") from None
 
 
-def _as_array(value, shape: tuple | None, name: str, error=ValueError) -> np.ndarray:
-    """A read-only float copy of ``value``, real and finite, with exactly
-    ``shape``; ``None`` as the leading length accepts any length, and
-    ``None`` as the shape any shape. A violation raises ``error`` with
-    ``<name> must hold real numbers, not bools or strings``, ``<name> must
-    be a rectangular array, got a ragged list`` (see :func:`_cast`),
-    ``<name> must have shape <shape>, got <shape>`` or ``<name> must be
-    finite``.
-
-    Constructors store this copy, so a caller's array is never frozen or
-    shared.
-    """
-    _check_reals(value, name, error)
-    arr = _cast(value, name, error)
+def _as_array(value, shape: tuple | None, name: str, error=ValueError, dtype=float) -> np.ndarray:
+    """A read-only copy of ``value`` as an array of ``dtype`` (float, int or
+    bool) with exactly ``shape``; ``None`` as the leading length accepts any
+    length, and ``None`` as the shape any shape. Refusals raise ``error``, in
+    this order: from :func:`_cast` for a ragged list, :func:`_check_reals`,
+    :func:`_cast`, then ``<name> must have shape <shape>, got <shape>`` and,
+    for float, ``<name> must be finite``. Constructors store this copy, so a
+    caller's array is never frozen or shared."""
+    if not isinstance(value, np.ndarray):
+        _cast(value, name, error, None)  # raises for a ragged list only
+    _check_reals(value, name, error, dtype)
+    arr = _cast(value, name, error, dtype)
     if shape is not None:
         want = arr.shape[:1] + shape[1:] if shape[0] is None and arr.ndim else shape
         if arr.shape != want:
             raise error(f"{name} must have shape {shape}, got {arr.shape}".replace("None", "n"))
-    if not np.isfinite(arr).all():
+    if dtype is float and not np.isfinite(arr).all():
         raise error(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
@@ -145,6 +154,10 @@ def _integral(name: str, value, error=ValueError) -> int:
     if not (_finite_real(value) and float(value).is_integer()):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+# at most this many periods, ticks or waypoints that a rate or count sizes: ~10 GB
+_MAX_PERIODS = 10**8
 
 
 def _clamp(x, lo, hi):
@@ -266,17 +279,11 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def gripper_column(values) -> np.ndarray:
-    """Check a 1-D column of gripper states and return it as a read-only int copy.
-
-    Values are checked before the int cast, so True, "1" (see :func:`_check_reals`)
-    and 0.7 raise a :class:`SampleError` for the gripper instead of becoming 1 or 0.
-    """
-    error = partial(SampleError, field="gripper")
-    _check_reals(values, "gripper", error)
-    g = _cast(values, "gripper", error, None)
-    if g.ndim != 1:
-        raise SampleError(f"gripper must be a 1-D array, got shape {g.shape}")
+def gripper_column(values, n: int | None = None) -> np.ndarray:
+    """A read-only int copy of an (n,) float column (see :func:`_as_array`;
+    any length when ``n`` is None) of gripper states, each 0 or 1, so True,
+    "1" and 0.7 raise a :class:`SampleError` for the gripper, not 1 or 0."""
+    g = _as_array(values, (n,), "gripper", partial(SampleError, field="gripper"))
     i = _first((g != 0) & (g != 1))
     if i is not None:
         raise SampleError(f"gripper must be 0 or 1, got {g[i]}", i, "gripper")
@@ -289,32 +296,20 @@ def trajectory_columns(times, positions, eulers, grippers, min_samples: int) -> 
     """Validate trajectory columns once and return them as read-only arrays.
 
     Returns ``(times (N,), positions (N, 3), eulers (N, 3), grippers (N,))``
-    as float, float, float and int arrays. Every value must be finite,
-    grippers must be 0 or 1, times strictly increasing, and N >= min_samples;
-    a violation raises :class:`SampleError` naming the first bad sample.
+    through the intake (see :func:`_as_array` and :func:`gripper_column`),
+    with N >= min_samples and times strictly increasing; the first sample
+    out of order is named by a :class:`SampleError`.
     """
-    named = (("times", times), ("positions", positions), ("eulers", eulers))
-    for name, column in named:
-        _check_reals(column, name, SampleError)
-    t, p, e = (_cast(column, name, SampleError) for name, column in named)
-    g = _cast(grippers, "gripper", SampleError, None)
-    n = t.size
+    t = _as_array(times, (None,), "times", SampleError)
+    n = len(t)
     if n < min_samples:
         raise SampleError(f"trajectory needs >= {min_samples} samples, got {n}")
-    if t.shape != (n,) or p.shape != (n, 3) or e.shape != (n, 3) or g.shape != (n,):
-        raise SampleError(
-            f"column shapes do not match: times {t.shape}, positions {p.shape}, "
-            f"eulers {e.shape}, grippers {g.shape}"
-        )
-    i = _first(~(np.isfinite(t) & np.isfinite(p).all(axis=1) & np.isfinite(e).all(axis=1)))
-    if i is not None:
-        raise SampleError(f"sample {i} is not finite", i)
-    g = gripper_column(grippers)
-    i = _first(np.diff(t) <= 0)
+    p = _as_array(positions, (n, 3), "positions", SampleError)
+    e = _as_array(eulers, (n, 3), "eulers", SampleError)
+    g = gripper_column(grippers, n)
+    i = _first(t[1:] <= t[:-1])
     if i is not None:
         raise SampleError("timestamps must be strictly increasing", i + 1, "t")
-    for column in (t, p, e):
-        column.flags.writeable = False
     return t, p, e, g
 
 
@@ -331,9 +326,9 @@ class DenseTrajectory:
     def __post_init__(self):
         columns = trajectory_columns(self.times, self.positions, self.eulers,
                                      self.grippers, min_samples=2)
-        for name, column in zip(("times", "positions", "eulers", "grippers"), columns):
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "frame", Frame(self.frame))
+        # the dataclass is frozen: write past __setattr__
+        vars(self).update(zip(("times", "positions", "eulers", "grippers"), columns),
+                          frame=Frame(self.frame))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -466,12 +461,12 @@ def finite_difference_accel(traj: DenseTrajectory, weights=None) -> tuple:
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
     t = traj.times
-    comps = np.hstack([traj.positions, np.unwrap(traj.eulers, axis=0)])
-    dt1 = (t[1:-1] - t[:-2])[:, None]
-    dt2 = (t[2:] - t[1:-1])[:, None]
-    # a difference or magnitude beyond the float range is inf, not a warning
-    # (inf - inf and 0 * inf are nan, which no alpha selects)
+    # an unwrapped angle, a difference or a magnitude beyond the float range is
+    # inf, not a warning (inf - inf and 0 * inf are nan, which no alpha selects)
     with np.errstate(over="ignore", invalid="ignore"):
+        comps = np.hstack([traj.positions, np.unwrap(traj.eulers, axis=0)])
+        dt1 = (t[1:-1] - t[:-2])[:, None]
+        dt2 = (t[2:] - t[1:-1])[:, None]
         accel = 2.0 * ((comps[2:] - comps[1:-1]) / dt2
                        - (comps[1:-1] - comps[:-2]) / dt1) / (dt1 + dt2)
         mags = np.linalg.norm(accel * w, axis=1)

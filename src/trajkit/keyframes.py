@@ -14,8 +14,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import InsufficientDataError
-from .geometry import (DenseTrajectory, Frame, _cast, _clamp, _finite_real, _integral,
-                       finite_difference_accel, trajectory_columns)
+from .geometry import (_MAX_PERIODS, DenseTrajectory, Frame, _as_array, _clamp, _finite_real,
+                       _integral, finite_difference_accel, trajectory_columns)
 
 __all__ = [
     "KeyframeReason",
@@ -75,14 +75,10 @@ class SparseTrajectory:
     def __post_init__(self):
         columns = trajectory_columns(self.times, self.positions, self.eulers,
                                      self.grippers, min_samples=1)
-        flags = _cast(self.keyframe_flags, "keyframe_flags", dtype=None)
-        if flags.dtype != bool or flags.shape != columns[0].shape:
-            raise ValueError("keyframe_flags must be one bool per waypoint")
-        flags.flags.writeable = False
-        for name, column in zip(("times", "positions", "eulers", "grippers"), columns):
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "keyframe_flags", flags)
-        object.__setattr__(self, "frame", Frame(self.frame))
+        flags = _as_array(self.keyframe_flags, columns[0].shape, "keyframe_flags", dtype=bool)
+        # the dataclass is frozen: write past __setattr__
+        vars(self).update(zip(("times", "positions", "eulers", "grippers"), columns),
+                          keyframe_flags=flags, frame=Frame(self.frame))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -154,12 +150,18 @@ def insert_sub_keyframes(traj: DenseTrajectory, keys: KeyframeSet, n: int) -> Sp
     Args:
         n: samples per segment including both endpoints, an integer >= 2
             (an integral float counts); n == 2 returns exactly the keyframes.
+            An n that gives more than 10**8 waypoints raises ``ValueError``
+            before any waypoint is allocated.
     """
     n = _integral("samples per segment", n)
     if n < 2:
         raise ValueError(f"samples per segment must be >= 2, got {n}")
     if keys.indices[-1] != len(traj) - 1 or keys.indices[0] != 0:
         raise ValueError("keyframe set does not match trajectory length")
+    segments = len(keys.indices) - 1
+    if (n - 1) * segments + 1 > _MAX_PERIODS:
+        raise ValueError(f"{n} samples per segment over {segments} keyframe segments give more "
+                         f"than {_MAX_PERIODS} waypoints")
     times = traj.times
     idx = np.asarray(keys.indices)
     grids = np.linspace(times[idx[:-1]], times[idx[1:]], n, axis=1)

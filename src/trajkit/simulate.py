@@ -16,6 +16,7 @@ from .geometry import (
     DenseTrajectory,
     Frame,
     SampleError,
+    _MAX_PERIODS,
     _as_array,
     _check_positive,
     _real,
@@ -153,9 +154,16 @@ def run(scenario: Scenario) -> ExecutionLog:
     conversion of the whole run.
 
     A plan and offsets whose targets lie too far apart for a distance
-    between them raise ``ValueError`` first (see :func:`_check_span`).
+    between them raise ``ValueError`` first (see :func:`_check_span`), and
+    so does a control rate that gives more than 10**8 ticks, before any
+    tick is allocated.
     """
     _check_span(scenario)
+    times = scenario.initial_plan.times.tolist()
+    span = min(scenario.duration, times[-1] - times[0])  # Python floats: inf, no warning
+    if not span * scenario.control_rate <= _MAX_PERIODS:
+        raise ValueError(f"control_rate {scenario.control_rate} gives more than {_MAX_PERIODS} "
+                         f"ticks over the {span} s run")
     active = fit(scenario.initial_plan)
     t0, t_end = active.domain
     dt = 1.0 / scenario.control_rate

@@ -40,6 +40,7 @@ from .errors import InsufficientDataError
 from .geometry import (
     DenseTrajectory,
     Frame,
+    _MAX_PERIODS,
     _as_array,
     _check_positive,
     _clamp,
@@ -276,12 +277,10 @@ class ContinuousTrajectory:
     def __post_init__(self):
         n = len(self.position.knot_times)
         q = _as_array(self.wxyz, (n, 4), "wxyz")
-        if np.shape(self.grippers) != (n,):
-            raise ValueError(f"need one gripper value for each of {n} knots")
         if not np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= 1e-9):
             raise ValueError("orientation knots must be unit quaternions")
         # the dataclass is frozen: write past __setattr__
-        vars(self).update(wxyz=_sign_aligned(q), grippers=gripper_column(self.grippers))
+        vars(self).update(wxyz=_sign_aligned(q), grippers=gripper_column(self.grippers, n))
 
     @classmethod
     def _checked(cls, position, wxyz, grippers, fit_points) -> "ContinuousTrajectory":
@@ -341,10 +340,6 @@ def eval_trajectory(traj: ContinuousTrajectory, t: float) -> tuple:
     (4,), gripper) at time t, clamped to the domain."""
     pos, quats, grips, _ = traj.sample(np.array([t]))
     return pos[0], quats[0], grips[0]
-
-
-# at most this many sample periods per resampled domain: about 10 GB of samples
-_MAX_PERIODS = 10**8
 
 
 def resample(traj: ContinuousTrajectory, rate: float) -> DenseTrajectory:

@@ -19,8 +19,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DepthRangeError, OutOfFrameError
-from .geometry import (CameraModel, Frame, SampleError, _cast, _check_positive, _check_reals,
-                       _clamp, _first, _integral, _real, back_project, normalize_angles, project)
+from .geometry import (CameraModel, Frame, SampleError, _as_array, _cast, _check_positive,
+                       _check_reals, _clamp, _first, _integral, _real, back_project,
+                       normalize_angles, project)
 from .keyframes import SparseTrajectory
 
 __all__ = [
@@ -132,8 +133,9 @@ class TokenSequence:
     columns named as in the token file: depth bin ``d``, pixel ``u`` and
     ``v``, gripper bit ``g`` (each (n,)) and Euler-angle bins ``r`` (n, 3).
     CLS/IMG/TXT/EOS markers are structural only and implied by the
-    serialized layout. A token outside its grid raises a
-    :class:`SampleError` naming the first bad block and its field.
+    serialized layout. Each column enters through the int intake (see
+    :func:`_as_array`), which names it in a :class:`SampleError`; a token
+    outside its grid raises one naming the first bad block and its field.
     """
 
     spec: QuantizationSpec
@@ -148,14 +150,13 @@ class TokenSequence:
         s = self.spec
         grid = {"d": ("depth", s.depth_bins), "u": ("UV", s.width), "v": ("UV", s.height),
                 "g": ("gripper", 2), "r": ("angle", s.angle_bins)}
-        cols = {key: _cast(getattr(self, key), key, SampleError, None) for key in grid}
-        n = len(cols["d"]) if cols["d"].ndim else 0
+        cols = {"d": _as_array(self.d, (None,), "d", SampleError, int)}
+        n = len(cols["d"])
         if n == 0:
             raise SampleError("token sequence needs at least one block")
-        if any(c.dtype.kind not in "iu" or c.shape != ((n, 3) if key == "r" else (n,))
-               for key, c in cols.items()):
-            raise SampleError("token columns must be int64-range integer arrays, (n,) and "
-                              "(n, 3) for r")
+        for key in "uvgr":
+            cols[key] = _as_array(getattr(self, key), (n, 3) if key == "r" else (n,), key,
+                                  SampleError, int)
         if not (0 <= self.anchor.u < s.width and 0 <= self.anchor.v < s.height):
             raise ValueError("anchor lies outside the image bounds")
         s.depth_grid(self.anchor)  # raises when the grid reaches depth <= 0
@@ -168,10 +169,7 @@ class TokenSequence:
             noun, hi = grid[key]
             raise SampleError(f"block {i}: {noun} token {rows[key][i, j]} out of [0, {hi})", i,
                               f"r[{j}]" if key == "r" else key)
-        for key, c in cols.items():
-            c = c.astype(int)
-            c.flags.writeable = False
-            object.__setattr__(self, key, c)
+        vars(self).update(cols)  # the dataclass is frozen: write past __setattr__
 
     def __len__(self) -> int:
         return len(self.d)
@@ -205,13 +203,12 @@ def quantize(value, lo: float, hi: float, bins: int):
 def dequantize(index, lo: float, hi: float, bins: int):
     """Center of bin ``index`` over [lo, hi], element-wise over an array.
 
-    ``index`` must be integers: an int, a NumPy integer or an integer
-    array, never a bool or a float (a fraction is no bin number).
+    ``index`` must be integers in the int64 range: an int, a NumPy integer
+    or an integer array or list, never a bool or a float (a fraction is no
+    bin number), as the int intake of :func:`_as_array` takes them.
     """
     lo, hi, bins = _check_grid(lo, hi, bins)
-    i = np.asarray(index)
-    if not np.issubdtype(i.dtype, np.integer):
-        raise ValueError(f"index must be an integer or an integer array, got {i.dtype}")
+    i = _as_array(index, None, "index", dtype=int)
     bad = ~((0 <= i) & (i < bins))
     if bad.any():
         raise ValueError(f"bin index {i[bad][0]} out of [0, {bins})")

@@ -1,5 +1,7 @@
 """CLI pipelines: sparsify, tokenize, detokenize, metrics, simulate, plot-data."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trajkit as tk
 from trajkit import cli, fileio
@@ -701,6 +705,91 @@ class TestExtremeFiniteInputs:
         err = self.run(tmp_path, capsys, ["simulate", "--scenario", scenario])
         assert err == ("error: scenario plan position 2 is too far from the positions before "
                        "it: the distances between them overflow\n")
+
+    def test_sub_keyframes_beyond_the_size_bound(self, tmp_path, capsys):
+        # 7.28 TiB of waypoints used to end in an internal MemoryError
+        err = self.run(tmp_path, capsys, ["keyframes", "--input", str(DATA / "golden_bundle.json"),
+                                          "--alpha", "0.5", "--subframes", "1000000000000"])
+        assert err == ("error: 1000000000000 samples per segment over 6 keyframe segments give "
+                       "more than 100000000 waypoints\n")
+
+    @pytest.mark.parametrize("rate, shown", [(1e12, "1000000000000.0"), (1e308, "1e+308")])
+    def test_control_rate_beyond_the_size_bound(self, tmp_path, capsys, rate, shown):
+        # 1e12 used to end in an internal MemoryError and 1e308 in NumPy's "Maximum
+        # allowed size exceeded"
+        scenario = self.golden_with(tmp_path, "golden_scenario.json", ("control_rate",), rate)
+        err = self.run(tmp_path, capsys, ["simulate", "--scenario", scenario])
+        assert err == (f"error: control_rate {shown} gives more than 100000000 ticks over the "
+                       "0.5 s run\n")
+
+    def test_segment_duration_whose_times_overflow(self, tmp_path, capsys):
+        # three intervals of 1e308 s used to overflow in a multiply
+        err = self.run(tmp_path, capsys, ["detokenize", "--input", str(DATA / "golden_tokens.json"),
+                                          "--camera-from", str(DATA / "golden_bundle.json"),
+                                          "--rate", "10", "--segment-duration", "1e308"])
+        assert err == ("error: --segment-duration 1e+308 over 3 waypoint intervals gives times "
+                       "beyond the float range\n")
+
+
+# the finite extremes the sweep below sets numbers of the golden files to
+EXTREMES = [1e300, -1e300, 5e-324, -5e-324, 0.0, -0.0, sys.float_info.max, 1e154, -1e154, 1e9,
+            1e-9]
+# a scenario's run length is its duration times its control rate, with a replan
+# every interval; the sweep leaves these fields alone, so that every run stays short
+RUN_LENGTH = {"duration", "control_rate", "replan_interval"}
+
+
+def number_paths(node, path=()) -> list:
+    """The key path of every number in a parsed JSON document, but not of
+    the run-length fields at its top level."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [where for key, child in items if path or key not in RUN_LENGTH
+                for where in number_paths(child, (*path, key))]
+    return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+GOLDEN_RUNS = golden_runs()
+GOLDEN_TEXT = {str(path): path.read_text() for path in DATA.glob("golden_*.json")}
+
+
+class TestExtremeFiniteSweep:
+    """Every golden_runs() command, run with warnings raised as errors on
+    golden files in which one to three numbers are set to finite extremes:
+    the exit code is 0, 1 or 2; an exit of 1 leaves one stderr line that is
+    not an internal error; and an exit of 0 leaves only finite numbers in
+    the output."""
+
+    @settings(max_examples=2500)  # about 11 s on a 2-vCPU x86_64 host
+    @given(data=st.data())
+    def test_exit_0_with_finite_output_or_exit_1_with_one_error_line(self, tmp_path_factory,
+                                                                     data):
+        argv = data.draw(st.sampled_from(GOLDEN_RUNS))
+        docs = {arg: json.loads(GOLDEN_TEXT[arg]) for arg in argv if arg in GOLDEN_TEXT}
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = docs[data.draw(st.sampled_from(sorted(docs)))]
+            *where, last = data.draw(st.sampled_from(number_paths(doc)))
+            node = doc
+            for key in where:
+                node = node[key]
+            node[last] = data.draw(st.sampled_from(EXTREMES))
+        directory = tmp_path_factory.getbasetemp()
+        for i, (arg, doc) in enumerate(docs.items()):
+            copy = directory / f"sweep_{i}.json"
+            copy.write_text(json.dumps(doc))
+            argv = [str(copy) if a == arg else a for a in argv]
+        out, err = directory / "sweep_out", io.StringIO()
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli_main([*argv, "--out", str(out)])
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert all(map(math.isfinite, output_numbers(out.read_text(), argv[0])))
+        if code == 1:
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert not err.startswith("error: internal error"), err
 
 
 class TestGoldenFiles:

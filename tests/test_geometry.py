@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
 import trajkit as tk
-from trajkit.geometry import canonical_sign
+from trajkit.geometry import SampleError, canonical_sign
 from conftest import line_trajectory, make_camera, rigid, rot_z
 
 
@@ -459,11 +459,13 @@ class TestTrajectoryColumns:
         assert (info.value.index, info.value.field) == (1, "gripper")
 
     def test_non_finite_euler_names_sample(self, kind):
+        # the column enters through the array intake, which names the column
         t, pos, eul, grip = self.columns()
         eul[2, 0] = np.inf
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(SampleError) as info:
             build_trajectory(kind, t, pos, eul, grip)
-        assert (info.value.index, info.value.field) == (2, None)
+        assert (info.value.index, info.value.field) == (None, None)
+        assert str(info.value) == "eulers must be finite"
 
     def test_too_few_samples(self, kind):
         n = 1 if kind == "dense" else 0

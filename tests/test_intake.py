@@ -1,6 +1,7 @@
 """Intake: constructors store copies and never freeze or share a caller's array,
 integer fields take integral values only, scalar real fields take finite
-reals only, and array fields take real numbers only."""
+reals only, array fields take real numbers only, and int columns take
+integers of the int64 range only."""
 
 import math
 
@@ -338,3 +339,62 @@ def test_normalize_angles_rejects_a_lone_non_finite_angle(angle):
     # np.mod gave nan for each of them
     with pytest.raises(ValueError, match="^angles must be finite$"):
         tk.normalize_angles([angle])
+
+
+def tokens_with(field, value):
+    """A two-block token sequence with the column ``field`` set to ``value``."""
+    columns = {"d": [3, 4], "u": [10, 20], "v": [30, 40], "g": [0, 1],
+               "r": [[1, 2, 3], [4, 5, 6]], field: value}
+    return tk.TokenSequence(tk.QuantizationSpec(width=100, height=100),
+                            tk.Anchor(50.0, 50.0, 1.0), **columns)
+
+
+# every int column that enters through geometry._as_array, with a valid value and
+# the name its messages use
+INT_INTAKES = pytest.mark.parametrize("build, valid, field", [
+    *((lambda x, key=key: tokens_with(key, x), [[1, 2, 3], [4, 5, 6]] if key == "r" else [0, 1],
+       key) for key in "duvgr"),
+    (lambda x: tk.dequantize(x, 0.0, 1.0, 4), [[1, 2], [3, 0]], "index"),
+], ids=["token-d", "token-u", "token-v", "token-g", "token-r", "dequantize-index"])
+
+
+def with_last(valid, value) -> list:
+    """``valid`` as nested lists with its last number replaced by ``value``."""
+    rows = np.array(valid).tolist()
+    inner = rows
+    while isinstance(inner[-1], list):
+        inner = inner[-1]
+    inner[-1] = value
+    return rows
+
+
+@INT_INTAKES
+@pytest.mark.parametrize("value", [True, np.True_, "1", 1.5, 1.0, np.float64(1.0)],
+                         ids=["bool", "numpy-bool", "str", "fraction", "float", "numpy-float"])
+def test_int_intakes_reject_bools_strings_and_fractions(build, valid, field, value):
+    # a bool inside an int list used to be read as 1
+    build(valid)
+    with pytest.raises(ValueError) as info:
+        build(with_last(valid, value))
+    assert str(info.value) == f"{field} must hold integers, not fractions, bools or strings"
+
+
+@INT_INTAKES
+def test_int_intakes_name_a_ragged_list(build, valid, field):
+    with pytest.raises(ValueError, match=f"^{field} {RAGGED}"):
+        build(ragged(valid))
+
+
+@INT_INTAKES
+@pytest.mark.parametrize("bad", [
+    lambda valid: with_last(valid, 2**63), lambda valid: with_last(valid, -2**63 - 1),
+    lambda valid: with_last(valid, 10**400), lambda valid: with_last(valid, np.uint64(2**63)),
+    lambda valid: np.array(with_last(valid, 2**63), dtype=np.uint64),
+], ids=["2**63", "-2**63-1", "10**400", "uint64", "uint64-array"])
+def test_int_intakes_name_an_int_beyond_int64(build, valid, field, bad):
+    # a uint64 array holding 2**63 was read as a token or bin index of that size, an
+    # int64 cast would wrap it to -2**63, and a Python int beyond int64 escaped as an
+    # error naming no field or, in a token column, as a message for all five columns
+    with pytest.raises(ValueError) as info:
+        build(bad(valid))
+    assert str(info.value) == f"{field} is beyond the int64 range"

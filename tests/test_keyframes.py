@@ -191,6 +191,23 @@ class TestSelectKeyframes:
         with pytest.raises(ValueError, match="^weights must hold real numbers"):
             tk.select_keyframes(line_trajectory(n=10), 1.0, weights=weights)
 
+    def test_angles_and_times_whose_differences_overflow(self):
+        # an angle of 1.8e308 next to one of -1e300 (as the extreme-value sweep of the
+        # CLI made of the golden sparse bundle) overflowed np.unwrap, and times of
+        # -1.8e308 and 1e300 their difference, each with a RuntimeWarning; the
+        # magnitudes are nan (not selected) and 0 instead
+        eulers = [[0, 1.7976931348623157e308, 0], [0, -1e300, 0], [0, 0, 0], [0, 1, 0]]
+        traj = tk.DenseTrajectory([0.0, 1.0, 2.0, 3.0], np.zeros((4, 3)), eulers, [0] * 4,
+                                  tk.Frame.WORLD)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times, mags = tk.finite_difference_accel(traj)
+            assert tk.select_keyframes(traj, 0.5).indices == (0, 3)
+            far = tk.DenseTrajectory([-1.7976931348623157e308, 1e300, 1.7976931348623157e308],
+                                     np.zeros((3, 3)), np.zeros((3, 3)), [0] * 3, tk.Frame.WORLD)
+            assert tk.finite_difference_accel(far)[1].tolist() == [0.0]
+        assert times.tolist() == [1.0, 2.0] and np.isnan(mags).all()
+
     @pytest.mark.parametrize("alpha", [math.inf, np.float64(math.inf)])
     def test_infinite_alpha_keeps_endpoints_and_gripper_toggles(self, alpha):
         traj = helix_trajectory(n=101)
@@ -346,14 +363,21 @@ def sparse_with_flags(flags):
 
 
 class TestKeyframeFlags:
-    @pytest.mark.parametrize("flags", [
-        [2, "no", None], [1, 0, 1], np.array([1.0, 0.0, 1.0]), [True, False, None],
-        [True, False], [[True, False, True]], True,
+    @pytest.mark.parametrize("flags, message", [
+        ([2, "no", None], "must hold bools, not numbers or strings"),
+        ([1, 0, 1], "must hold bools, not numbers or strings"),
+        (np.array([1.0, 0.0, 1.0]), "must hold bools, not numbers or strings"),
+        ([True, False, None], "must hold bools, not numbers or strings"),
+        ([True, False], "must have shape (3,), got (2,)"),
+        ([[True, False, True]], "must have shape (3,), got (1, 3)"),
+        (True, "must have shape (3,), got ()"),
     ], ids=["mixed", "ints", "floats", "none", "short", "2-d", "scalar"])
-    def test_rejects_anything_but_one_bool_per_waypoint(self, flags):
-        # [2, "no", None] used to be stored as (True, True, False)
-        with pytest.raises(ValueError, match="^keyframe_flags must be one bool per waypoint$"):
+    def test_rejects_anything_but_one_bool_per_waypoint(self, flags, message):
+        # [2, "no", None] used to be stored as (True, True, False); the flags
+        # enter through the bool intake, which names the column
+        with pytest.raises(ValueError) as info:
             sparse_with_flags(flags)
+        assert str(info.value) == f"keyframe_flags {message}"
 
     def test_stored_as_a_read_only_bool_column(self):
         flags = np.array([True, False, True])

@@ -420,10 +420,11 @@ class TestWorkCounts:
                             counting("steps", simulate.controller_step))
         tk.run(scenario)
         # one intake per step, for its times, which the step then samples without a
-        # second one, 11 to set the run up and 20 for ten fits (the initial plan's and
-        # nine refits); one lookup per step, one for the run's first tick and 100 for
-        # the velocity at a lone goal's entry
-        assert counts == {"intakes": 1031, "lookups": 1101, "steps": 1000}
+        # second one, 18 to set the run up (among them the grippers of the initial fit,
+        # the base plan and the first state, and the four columns of the commanded log)
+        # and 20 for ten fits (the initial plan's and nine refits); one lookup per step,
+        # one for the run's first tick and 100 for the velocity at a lone goal's entry
+        assert counts == {"intakes": 1038, "lookups": 1101, "steps": 1000}
 
 
 class TestSmoothnessCheck:

@@ -64,8 +64,9 @@ class TestQuantize:
                              ids=["float", "bool", "floats", "integral-float", "bools", "str"])
     def test_dequantize_index_must_be_integers(self, index):
         # a fraction or a bool is no bin number
-        with pytest.raises(ValueError, match="^index must be an integer"):
+        with pytest.raises(ValueError) as info:
             tk.dequantize(index, 0.0, 1.0, 4)
+        assert str(info.value) == "index must hold integers, not fractions, bools or strings"
 
     @pytest.mark.parametrize("bins", [2.5, "4", True, None, math.nan, math.inf])
     def test_bins_must_be_an_integer(self, bins):
@@ -515,9 +516,10 @@ class TestSpecValidation:
         # a bool column used to be read as 0 and 1
         columns = {"d": [0, 1], "u": [0, 1], "v": [0, 1], "g": [0, 1], "r": [[0, 1, 0], [1, 0, 1]]}
         columns[field] = np.array(columns[field], dtype=bool)
-        with pytest.raises(SampleError, match="^token columns must be int64-range integer arrays"):
+        with pytest.raises(SampleError) as info:
             tk.TokenSequence(tk.QuantizationSpec(width=10, height=10), tk.Anchor(5, 5, 1.0),
                              **columns)
+        assert str(info.value) == f"{field} must hold integers, not fractions, bools or strings"
 
     def test_columns_are_read_only_copies(self):
         d = np.array([1, 2])
